@@ -41,13 +41,13 @@ from .linalg import (
     dagger,
     haar_unitary,
     herm_eig,
+    joint_expectation,
     max_abs,
 )
-from .schemes import Povm, QecmScheme
+from .schemes import Povm, QecmScheme, top_eigenvalue_means
 
 __all__ = [
     "CloningAttack",
-    "CloningIndAttack",
     "GuessingEnsemble",
     "breidbart_basis",
     "conjugate_attack_by_isometry",
@@ -82,18 +82,6 @@ class CloningAttack:
             raise DimensionMismatch(
                 f"dims {self.dims} do not factor channel output {self.channel.out_dim}"
             )
-
-
-@dataclass(frozen=True)
-class CloningIndAttack:
-    """Indistinguishability attack: chosen message plus binary keyed POVMs."""
-
-    m1: int
-    channel: KrausChannel
-    bob_povm: Callable[[Any], Povm]
-    charlie_povm: Callable[[Any], Povm]
-    dims: tuple[int, int]
-    descriptor: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -200,12 +188,10 @@ def projector_strategy_value(rho: Array, sigma: Array, alpha: float) -> float:
         lam_rho = lam_sig
     d = rho.shape[0]
     pi = guessing_projector(rho, sigma, alpha)
-    cloner = superposition_cloner(d)
-    eye = np.eye(d + 1)
-    out_rho = apply_channel(cloner, rho)
-    out_sig = apply_channel(cloner, sigma)
-    hit0 = float(np.trace(np.kron(pi, pi) @ out_rho).real)
-    hit1 = float(np.trace(np.kron(eye - pi, eye - pi) @ out_sig).real)
+    miss = np.eye(d + 1) - pi
+    cloner = superposition_cloner(d).kraus_ops
+    hit0 = joint_expectation((pi, pi), cloner, rho)
+    hit1 = joint_expectation((miss, miss), cloner, sigma)
     direct = 0.5 * (hit0 + hit1)
     closed = 0.5 * (alpha + lam_rho * alpha * (1.0 - 2.0 * alpha) + 1.0 - alpha)
     if abs(direct - closed) > 1e-9:
@@ -247,38 +233,35 @@ def ind_attack_build(
     key_samples: int,
     rng: np.random.Generator | None = None,
     keys: Sequence | None = None,
-) -> CloningIndAttack:
+) -> CloningAttack:
     """Indistinguishability attack from the superposition cloner.
 
     Picks ``m1`` as the message (other than ``m0``) with the largest
     key-averaged top ciphertext eigenvalue (estimated on the key sample),
-    then plays the projector strategy per key on both sides.
+    then plays the projector strategy per key on both sides.  Outcome 0
+    votes for ``m0`` and outcome 1 for ``m1``; the chosen ``m1`` is
+    recorded as ``descriptor["m1"]``, where :func:`pwin_ind_eval` reads it.
     """
     if e.message_count < 2:
         raise DimensionMismatch("need at least two messages")
-    key_list = e.keys_for(key_samples, rng, keys)
-    means = np.zeros(e.message_count)
-    for key in key_list:
-        for m in range(e.message_count):
-            means[m] += np.linalg.eigvalsh(e.encrypt(key, m))[-1]
+    means = top_eigenvalue_means(e, e.keys_for(key_samples, rng, keys))
     means[m0] = -np.inf
     m1 = int(np.argmax(means))
     povm = _projector_strategy_povm(e, m0, m1, alpha)
     dp = e.cipher_dim + 1
-    return CloningIndAttack(
-        m1=m1,
+    return CloningAttack(
         channel=superposition_cloner(e.cipher_dim),
         bob_povm=povm,
         charlie_povm=povm,
         dims=(dp, dp),
-        descriptor={"channel": "superposition_cloner", "alpha": alpha, "m0": m0},
+        descriptor={"channel": "superposition_cloner", "alpha": alpha, "m0": m0, "m1": m1},
     )
 
 
 def pwin_ind_eval(
     e: QecmScheme,
     m0: int,
-    atk: CloningIndAttack,
+    atk: CloningAttack,
     key_samples: int,
     rng: np.random.Generator | None = None,
     keys: Sequence | None = None,
@@ -286,20 +269,21 @@ def pwin_ind_eval(
     """Key-averaged success probability of an indistinguishability attack.
 
     ``(1/2) sum_b E_k tr((P_b ⊗ Q_b) N(Enc_k(m_b)))`` with ``m_0 = m0``
-    and ``m_1`` the attack's chosen message.
+    and ``m_1 = atk.descriptor["m1"]``, the message chosen by
+    :func:`ind_attack_build`.
     """
     if atk.channel.in_dim != e.cipher_dim:
         raise DimensionMismatch("attack channel does not match the scheme dimension")
-    messages = (m0, atk.m1)
+    messages = (m0, atk.descriptor["m1"])
     key_list = e.keys_for(key_samples, rng, keys)
     total = 0.0
     for key in key_list:
         bob = atk.bob_povm(key)
         charlie = atk.charlie_povm(key)
         for b in (0, 1):
-            out = apply_channel(atk.channel, e.encrypt(key, messages[b]))
-            joint = np.kron(bob.effects[b], charlie.effects[b])
-            total += 0.5 * float(np.trace(joint @ out).real)
+            effects = (bob.effects[b], charlie.effects[b])
+            rho = e.encrypt(key, messages[b])
+            total += 0.5 * joint_expectation(effects, atk.channel.kraus_ops, rho)
     return total / len(key_list)
 
 
@@ -439,9 +423,9 @@ def pwin_unif_eval(
         if bob.n_outcomes != e.message_count or charlie.n_outcomes != e.message_count:
             raise DimensionMismatch("POVM outcome count does not match message count")
         for m in range(e.message_count):
-            out = apply_channel(atk.channel, e.encrypt(key, m))
-            joint = np.kron(bob.effects[m], charlie.effects[m])
-            total += float(np.trace(joint @ out).real) / e.message_count
+            effects = (bob.effects[m], charlie.effects[m])
+            rho = e.encrypt(key, m)
+            total += joint_expectation(effects, atk.channel.kraus_ops, rho) / e.message_count
     return total / len(key_list)
 
 

@@ -119,6 +119,14 @@ def _measurement_basis(name: str, dim: int) -> np.ndarray:
     raise ValueError(f"unknown basis {name!r}")
 
 
+def _stderr_trials(opts: dict) -> int:
+    # a gate of value >= reference - 3 * stderr needs a sample with an error bar
+    trials = int(opts["trials"])
+    if trials < 2:
+        raise ValueError(f"trials must be at least 2 for a standard-error gate, got {trials}")
+    return trials
+
+
 def _closed_form(alpha: float, lam: float) -> float:
     return 0.5 * (alpha + lam * alpha * (1.0 - 2.0 * alpha) + 1.0 - alpha)
 
@@ -158,7 +166,7 @@ def run_lemma1(opts: dict) -> list[dict]:
 
 
 def run_theorem2(opts: dict) -> list[dict]:
-    trials = int(opts["trials"])
+    trials = _stderr_trials(opts)
     rows = []
     for i, case in enumerate(str(opts["cases"]).split(";")):
         m_str, d_str = case.split("x")
@@ -218,7 +226,7 @@ def run_o2h(opts: dict) -> list[dict]:
 
 
 def run_erlang(opts: dict) -> list[dict]:
-    trials = int(opts["trials"])
+    trials = _stderr_trials(opts)
     rate = float(opts["rate"])
     rows = []
     for i, n_str in enumerate(str(opts["ns"]).split(",")):

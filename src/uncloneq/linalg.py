@@ -1,8 +1,9 @@
 """Dense complex linear-algebra kernel.
 
-Tensor products, Hermitian eigendecompositions, partial traces, Kraus
-channels, pseudo-inverse square roots, and Haar / uniform-spherical random
-sampling.  States and operators are plain complex ``numpy`` arrays; the
+Hermitian eigendecompositions, partial traces, Kraus channels, the
+contraction kernel :func:`joint_expectation` for product measurements on a
+channel output, pseudo-inverse square roots, and Haar / uniform-spherical
+random sampling.  States and operators are plain complex ``numpy`` arrays; the
 ``assert_*`` validators enforce the validity contracts with the absolute
 tolerances from :mod:`uncloneq.config`.
 
@@ -15,8 +16,9 @@ same outputs bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -31,16 +33,15 @@ __all__ = [
     "apply_channel",
     "assert_density_operator",
     "assert_projector",
-    "assert_unit_vector",
     "assert_unitary",
     "dagger",
     "haar_unitary",
     "herm_eig",
+    "joint_expectation",
     "make_rng",
     "max_abs",
     "partial_trace",
     "pseudo_inv_sqrt",
-    "tensor",
     "uniform_sphere_vector",
 ]
 
@@ -79,16 +80,6 @@ def _require_square(a: Array) -> int:
 def assert_finite(a: Array) -> None:
     if not np.all(np.isfinite(a.view(float) if np.iscomplexobj(a) else a)):
         raise InvalidOperator("array contains NaN or Inf entries")
-
-
-def assert_unit_vector(psi: Array, tol: float = TOL.norm) -> None:
-    """Check that ``psi`` is a unit vector within ``tol``."""
-    assert_finite(psi)
-    if psi.ndim != 1:
-        raise DimensionMismatch(f"expected a vector, got shape {psi.shape}")
-    nrm = float(np.linalg.norm(psi))
-    if abs(nrm - 1.0) > tol:
-        raise InvalidOperator(f"vector norm {nrm} deviates from 1 by more than {tol}")
 
 
 def assert_hermitian(h: Array, tol: float = TOL.herm) -> None:
@@ -138,11 +129,6 @@ def assert_projector(
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-
-def tensor(a: Array, b: Array) -> Array:
-    """Kronecker product with row index ordering ``(i_a, i_b)``."""
-    return np.kron(a, b)
 
 
 def herm_eig(h: Array, tol: float = TOL.herm) -> tuple[Array, Array]:
@@ -264,6 +250,32 @@ def apply_channel(ch: KrausChannel, rho: Array) -> Array:
     return out
 
 
+def joint_expectation(
+    effects: Sequence[Array], kraus_ops: Sequence[Array], rho: Array
+) -> float:
+    """``sum_K tr((E_1 ⊗ ... ⊗ E_n) K rho K†)`` without forming either product.
+
+    The rows of ``K @ rho`` are indexed by ``(i_1, ..., i_n)`` in kron
+    order, with ``d_i`` the dimension of effect ``E_i``.  Each effect is
+    applied along its own index as one batched matmul over the reshape
+    ``(d_1 ... d_{i-1}, d_i, rest)``, and the result is contracted with
+    ``K`` in one ``vdot``.  Neither the Kronecker product of the effects
+    nor the channel output ``K rho K†`` is built.
+    """
+    dims = tuple(e.shape[0] for e in effects)
+    total = 0.0
+    for k in kraus_ops:
+        if math.prod(dims) != k.shape[0]:
+            raise DimensionMismatch(
+                f"effect dims {dims} do not factor Kraus output dim {k.shape[0]}"
+            )
+        t = k @ rho
+        for i, eff in enumerate(effects):
+            t = eff @ t.reshape(math.prod(dims[:i]), dims[i], -1)
+        total += np.vdot(k, t).real
+    return float(total)
+
+
 def pseudo_inv_sqrt(rho: Array, cutoff: float = TOL.support_cutoff) -> Array:
     """Inverse square root on eigenspaces above ``cutoff``, zero elsewhere."""
     if cutoff <= 0:
@@ -279,17 +291,3 @@ def support_projector(rho: Array, cutoff: float = TOL.support_cutoff) -> Array:
     w, v = herm_eig(rho)
     keep = v[:, w > cutoff]
     return keep @ dagger(keep)
-
-
-def matrix_to_json(a: Array) -> list:
-    """Row-major list of ``[re, im]`` pairs (JSON-friendly dense dump)."""
-    flat = np.asarray(a, dtype=complex).ravel()
-    return [[float(z.real), float(z.imag)] for z in flat]
-
-
-def matrix_from_json(data: list, rows: int, cols: int) -> Array:
-    """Inverse of :func:`matrix_to_json`."""
-    if len(data) != rows * cols:
-        raise DimensionMismatch(f"{len(data)} entries cannot fill a {rows}x{cols} matrix")
-    flat = np.array([complex(re, im) for re, im in data])
-    return flat.reshape(rows, cols)

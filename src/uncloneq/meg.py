@@ -10,6 +10,10 @@ strategy through the Choi state of its channel taken with respect to
 ``rho_bar``.  The induced game value equals the attack's success
 probability exactly; :func:`verify_reduction` checks the two evaluation
 routes against each other on a shared key sample.
+
+A strategy holds its tripartite state in factored form, one column per
+Kraus operator of the attack channel, so the d(d+1)^2-dimensional density
+matrix of the Choi state is never built.
 """
 
 from __future__ import annotations
@@ -27,8 +31,7 @@ from .linalg import (
     KrausChannel,
     dagger,
     herm_eig,
-    matrix_from_json,
-    matrix_to_json,
+    joint_expectation,
     max_abs,
     pseudo_inv_sqrt,
     support_projector,
@@ -39,14 +42,10 @@ __all__ = [
     "MegGame",
     "MegStrategy",
     "choi_state",
-    "game_from_json",
-    "game_to_json",
     "mean_ciphertext",
     "meg_from_qecm",
     "meg_win_prob",
     "strategy_from_attack",
-    "strategy_from_json",
-    "strategy_to_json",
     "verify_reduction",
 ]
 
@@ -70,29 +69,36 @@ class MegGame:
 
 @dataclass(frozen=True)
 class MegStrategy:
-    """Bob and Charlie's prepared state plus their keyed POVMs."""
+    """Bob and Charlie's prepared state plus their keyed POVMs.
 
-    state: Array
+    The ABC state is ``vectors @ vectors.conj().T``: each column of
+    ``vectors`` is one (unnormalized) pure component on ``A ⊗ B ⊗ C``.
+    """
+
+    vectors: Array
     dims: tuple[int, int, int]
     bob_povm: Callable[[Any], Povm]
     charlie_povm: Callable[[Any], Povm]
 
     def __post_init__(self) -> None:
         da, db, dc = self.dims
-        if self.state.shape != (da * db * dc, da * db * dc):
+        if self.vectors.ndim != 2 or self.vectors.shape[0] != da * db * dc:
             raise DimensionMismatch(
-                f"state shape {self.state.shape} incompatible with dims {self.dims}"
+                f"vectors shape {self.vectors.shape} incompatible with dims {self.dims}"
             )
 
 
 def meg_win_prob(g: MegGame, s: MegStrategy) -> float:
     """Probability that all three parties obtain the same outcome.
 
-    ``E_k sum_m tr((F_m^k ⊗ P_m^k ⊗ Q_m^k) rho_ABC)``.
+    ``E_k sum_m tr((F_m^k ⊗ P_m^k ⊗ Q_m^k) V V†)`` for the strategy's
+    state vectors ``V``, evaluated as a channel with the single Kraus
+    operator ``V`` acting on the identity.
     """
-    da, db, dc = s.dims
-    if da != g.alice_dim:
+    if s.dims[0] != g.alice_dim:
         raise DimensionMismatch("strategy A register does not match the game")
+    kraus = (s.vectors,)
+    trivial = np.eye(s.vectors.shape[1])
     total = 0.0
     for key, weight in zip(g.keys, g.weights):
         alice = g.alice_povm(key)
@@ -101,33 +107,29 @@ def meg_win_prob(g: MegGame, s: MegStrategy) -> float:
         if not (alice.n_outcomes == bob.n_outcomes == charlie.n_outcomes == g.message_count):
             raise DimensionMismatch("POVM outcome counts do not match the message set")
         for m in range(g.message_count):
-            joint = np.kron(alice.effects[m], np.kron(bob.effects[m], charlie.effects[m]))
-            total += weight * float(np.trace(joint @ s.state).real)
+            effects = (alice.effects[m], bob.effects[m], charlie.effects[m])
+            total += weight * joint_expectation(effects, kraus, trivial)
     return total
 
 
 def choi_state(ch: KrausChannel, rho_bar: Array) -> Array:
-    """Choi state of a channel with respect to a reference state.
+    """Choi state of a channel with respect to a reference state, factored.
 
-    ``(id ⊗ N)(|Phi><Phi|)`` with ``|Phi> = sum_i sqrt(lambda_i)
-    |e_i>|e_i>`` built from the eigendecomposition of ``rho_bar``.  The
-    marginal on the input copy reproduces ``rho_bar`` (its transpose in
-    its own eigenbasis equals itself).
+    The state is ``(id ⊗ N)(|Phi><Phi|)`` with ``|Phi> = sum_i
+    sqrt(lambda_i) |e_i>|e_i>`` built from the eigendecomposition of
+    ``rho_bar``.  Returns the matrix ``V`` whose column ``j`` is
+    ``(I ⊗ K_j)|Phi>`` for the ``j``-th Kraus operator, so the state is
+    ``V V†``.  Read as a ``d x d`` matrix, ``|Phi>`` is ``S = E
+    sqrt(Lambda) E^T`` and ``(I ⊗ K)|Phi>`` is ``S K^T`` flattened
+    row-major.  The marginal on the input copy reproduces ``rho_bar``
+    (its transpose in its own eigenbasis equals itself).
     """
     d = rho_bar.shape[0]
     if ch.in_dim != d:
         raise DimensionMismatch(f"channel input {ch.in_dim} != reference dim {d}")
     w, v = herm_eig(rho_bar)
-    phi = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        phi += np.sqrt(max(w[i], 0.0)) * np.kron(v[:, i], v[:, i])
-    big = np.outer(phi, phi.conj())
-    out = np.zeros((d * ch.out_dim, d * ch.out_dim), dtype=complex)
-    eye = np.eye(d)
-    for k in ch.kraus_ops:
-        lifted = np.kron(eye, k)
-        out += lifted @ big @ dagger(lifted)
-    return out
+    s = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
+    return np.stack([(s @ k.T).ravel() for k in ch.kraus_ops], axis=1)
 
 
 def mean_ciphertext(
@@ -214,9 +216,8 @@ def strategy_from_attack(
     Bob and Charlie prepare the Choi state of the attack channel with
     respect to ``rho_bar`` and keep their original keyed POVMs.
     """
-    state = choi_state(atk.channel, rho_bar)
     return MegStrategy(
-        state=state,
+        vectors=choi_state(atk.channel, rho_bar),
         dims=(e.cipher_dim, atk.dims[0], atk.dims[1]),
         bob_povm=atk.bob_povm,
         charlie_povm=atk.charlie_povm,
@@ -244,72 +245,3 @@ def verify_reduction(
     lhs = meg_win_prob(game, strategy)
     rhs = pwin_unif_eval(e, atk, len(key_list), keys=key_list)
     return lhs, rhs, abs(lhs - rhs)
-
-
-# ---------------------------------------------------------------------------
-# dense JSON dumps (keys become indices into the stored effect tables)
-# ---------------------------------------------------------------------------
-
-
-def game_to_json(g: MegGame) -> dict:
-    d = g.alice_dim
-    effect_tables = []
-    for key in g.keys:
-        povm = g.alice_povm(key)
-        effect_tables.append([matrix_to_json(eff) for eff in povm.effects])
-    return {
-        "message_count": g.message_count,
-        "alice_dim": d,
-        "weights": list(g.weights),
-        "alice_povms": effect_tables,
-    }
-
-
-def game_from_json(data: dict) -> MegGame:
-    d = int(data["alice_dim"])
-    tables = [
-        Povm(dim=d, effects=tuple(matrix_from_json(e, d, d) for e in table))
-        for table in data["alice_povms"]
-    ]
-    return MegGame(
-        message_count=int(data["message_count"]),
-        alice_dim=d,
-        keys=tuple(range(len(tables))),
-        weights=tuple(float(w) for w in data["weights"]),
-        alice_povm=lambda key: tables[key],
-    )
-
-
-def strategy_to_json(s: MegStrategy, keys: Sequence) -> dict:
-    da, db, dc = s.dims
-    n = da * db * dc
-    return {
-        "dims": list(s.dims),
-        "state": matrix_to_json(s.state),
-        "bob_povms": [
-            [matrix_to_json(eff) for eff in s.bob_povm(key).effects] for key in keys
-        ],
-        "charlie_povms": [
-            [matrix_to_json(eff) for eff in s.charlie_povm(key).effects] for key in keys
-        ],
-        "state_dim": n,
-    }
-
-
-def strategy_from_json(data: dict) -> MegStrategy:
-    da, db, dc = (int(x) for x in data["dims"])
-    n = int(data["state_dim"])
-    bob_tables = [
-        Povm(dim=db, effects=tuple(matrix_from_json(e, db, db) for e in table))
-        for table in data["bob_povms"]
-    ]
-    charlie_tables = [
-        Povm(dim=dc, effects=tuple(matrix_from_json(e, dc, dc) for e in table))
-        for table in data["charlie_povms"]
-    ]
-    return MegStrategy(
-        state=matrix_from_json(data["state"], n, n),
-        dims=(da, db, dc),
-        bob_povm=lambda key: bob_tables[key],
-        charlie_povm=lambda key: charlie_tables[key],
-    )

@@ -233,14 +233,6 @@ class SeesawResult:
     trajectory: tuple[float, ...]
     converged: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "iterations_used": self.iterations_used,
-            "converged": self.converged,
-            "trajectory": list(self.trajectory),
-        }
-
 
 def _random_projective_povm(dim: int, n: int, rng: np.random.Generator) -> list[Array]:
     # Haar-rotated rank patterns; outcomes beyond dim get zero effects

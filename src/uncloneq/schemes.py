@@ -20,7 +20,7 @@ statistic used by the indistinguishability attack bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -48,6 +48,7 @@ __all__ = [
     "haar_scheme",
     "mu_statistic",
     "scheme_from_descriptor",
+    "top_eigenvalue_means",
     "uniform_haar_scheme",
 ]
 
@@ -241,14 +242,7 @@ def uniform_haar_scheme(M: int, L: int) -> QecmScheme:
     if M < 1 or L < 1:
         raise InvalidRanks("M and L must be at least 1")
     scheme = haar_scheme(M, L * M, RankDistribution.deterministic((L,) * M))
-    return QecmScheme(
-        message_count=scheme.message_count,
-        cipher_dim=scheme.cipher_dim,
-        key_sampler=scheme.key_sampler,
-        encrypt=scheme.encrypt,
-        decrypt_povm=scheme.decrypt_povm,
-        descriptor={"type": "uniform_haar", "M": M, "L": L},
-    )
+    return replace(scheme, descriptor={"type": "uniform_haar", "M": M, "L": L})
 
 
 # ---------------------------------------------------------------------------
@@ -347,12 +341,16 @@ def mu_statistic(
     keys: Sequence | None = None,
 ) -> float:
     """Largest (over messages) key-averaged top ciphertext eigenvalue."""
-    key_list = e.keys_for(key_samples, rng, keys)
-    means = np.zeros(e.message_count)
-    for key in key_list:
+    return float(np.max(top_eigenvalue_means(e, e.keys_for(key_samples, rng, keys))))
+
+
+def top_eigenvalue_means(e: QecmScheme, keys: Sequence) -> Array:
+    """Per message, the top ciphertext eigenvalue averaged over ``keys``."""
+    sums = np.zeros(e.message_count)
+    for key in keys:
         for m in range(e.message_count):
-            means[m] += np.linalg.eigvalsh(e.encrypt(key, m))[-1]
-    return float(np.max(means) / len(key_list))
+            sums[m] += np.linalg.eigvalsh(e.encrypt(key, m))[-1]
+    return sums / len(keys)
 
 
 def extend_scheme(e: QecmScheme, iso: Array) -> QecmScheme:

@@ -167,7 +167,7 @@ class TestIndAttack:
         e = bb84_scheme(1)
         keys = e.enumerate_keys()
         atk = ind_attack_build(e, 0, 0.25, len(keys), keys=keys)
-        assert atk.m1 == 1
+        assert atk.descriptor["m1"] == 1
         val = pwin_ind_eval(e, 0, atk, len(keys), keys=keys)
         assert abs(val - 9 / 16) < 1e-9
 
@@ -182,7 +182,7 @@ class TestIndAttack:
         e = haar_scheme(3, 4, RankDistribution.deterministic((1, 1, 2)))
         keys = [e.key_sampler(rng) for _ in range(4)]
         atk = ind_attack_build(e, 0, 0.25, len(keys), keys=keys)
-        assert atk.m1 == 1  # the remaining rank-1 message
+        assert atk.descriptor["m1"] == 1  # the remaining rank-1 message
 
     def test_swap_reaches_mu_bound(self, rng):
         # m0 carries the low-eigenvalue ciphertext; the per-key swap must
@@ -219,12 +219,12 @@ class TestIndAttack:
         ch = KrausChannel(2, 9, tuple(ops))
         guess_zero = Povm(dim=3, effects=(np.eye(3, dtype=complex), np.zeros((3, 3), complex)))
         atk = ind_attack_build(e, 0, 0.25, 2, rng)
-        lazy = type(atk)(
-            m1=atk.m1,
+        lazy = CloningAttack(
             channel=ch,
             bob_povm=lambda k: guess_zero,
             charlie_povm=lambda k: guess_zero,
             dims=(3, 3),
+            descriptor=atk.descriptor,
         )
         val = pwin_ind_eval(e, 0, lazy, 3, rng)
         assert abs(val - 0.5) < 1e-12

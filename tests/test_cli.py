@@ -133,6 +133,20 @@ class TestExitCodes:
             main(["no-such-command"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["theorem2", "--cases", "4x4", "--trials", "1", "--seed", "1"],
+            ["erlang", "--ns", "2,4", "--trials", "1", "--seed", "1"],
+        ],
+    )
+    def test_single_trial_has_no_stderr_gate(self, args, capsys):
+        # one sample has no standard error, so its 3-stderr tolerance would be 0
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err
+
     def test_invariant_violation_exits_two(self, capsys):
         # non-uniform ranks make the average ciphertext key dependent,
         # which the monogamy-game construction must reject

@@ -9,10 +9,10 @@ from uncloneq.linalg import (
     dagger,
     haar_unitary,
     herm_eig,
+    joint_expectation,
     make_rng,
     partial_trace,
     pseudo_inv_sqrt,
-    tensor,
     uniform_sphere_vector,
 )
 
@@ -22,32 +22,6 @@ I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 KET0 = np.array([1, 0], dtype=complex)
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
-
-
-class TestTensor:
-    def test_projector_with_identity(self):
-        assert np.allclose(tensor(np.outer(KET0, KET0), I2), np.diag([1, 1, 0, 0]))
-
-    def test_identities(self):
-        assert np.allclose(tensor(I2, I2), np.eye(4))
-
-    def test_bitflip_pair_on_00(self):
-        ket00 = np.kron(KET0, KET0)
-        ket11 = np.zeros(4)
-        ket11[3] = 1.0
-        assert np.allclose(tensor(X, X) @ ket00, ket11)
-
-    def test_associative_and_trace_multiplicative(self, rng):
-        for _ in range(25):
-            a = rand_hermitian(2, rng)
-            b = rand_hermitian(3, rng)
-            c = rand_hermitian(2, rng)
-            left = tensor(tensor(a, b), c)
-            right = tensor(a, tensor(b, c))
-            assert np.max(np.abs(left - right)) < 1e-12
-            assert abs(
-                np.trace(tensor(a, b)) - np.trace(a) * np.trace(b)
-            ) < 1e-10
 
 
 class TestHermEig:
@@ -165,14 +139,14 @@ class TestPartialTrace:
             partial_trace(rand_density(6, rng), (2, 2), "first")
 
 
-def _random_channel(d_in: int, n_kraus: int, rng) -> KrausChannel:
+def _random_channel(d_out: int, d_in: int, n_kraus: int, rng) -> KrausChannel:
     # isometry columns from a QR split give a valid Kraus set
-    g = rng.standard_normal((d_in * n_kraus, d_in)) + 1j * rng.standard_normal(
-        (d_in * n_kraus, d_in)
+    g = rng.standard_normal((d_out * n_kraus, d_in)) + 1j * rng.standard_normal(
+        (d_out * n_kraus, d_in)
     )
     q, _ = np.linalg.qr(g)
-    ops = tuple(q[i * d_in : (i + 1) * d_in, :] for i in range(n_kraus))
-    return KrausChannel(in_dim=d_in, out_dim=d_in, kraus_ops=ops)
+    ops = tuple(q[i * d_out : (i + 1) * d_out, :] for i in range(n_kraus))
+    return KrausChannel(in_dim=d_in, out_dim=d_out, kraus_ops=ops)
 
 
 class TestChannels:
@@ -204,7 +178,7 @@ class TestChannels:
     def test_trace_and_psd_preserved(self, rng):
         for _ in range(10):
             d = int(rng.integers(2, 6))
-            ch = _random_channel(d, int(rng.integers(1, 4)), rng)
+            ch = _random_channel(d, d, int(rng.integers(1, 4)), rng)
             out = apply_channel(ch, rand_density(d, rng))
             assert abs(np.trace(out).real - 1.0) < 1e-9
             assert np.linalg.eigvalsh(out)[0] > -1e-9
@@ -212,6 +186,34 @@ class TestChannels:
     def test_incomplete_kraus_rejected(self):
         with pytest.raises(InvalidOperator):
             KrausChannel(2, 2, (np.eye(2, dtype=complex) * 0.5,))
+
+
+def _dense_joint_expectation(effects, kraus_ops, rho) -> float:
+    # reference route: Kronecker product of the effects against the full output
+    joint = effects[0]
+    for eff in effects[1:]:
+        joint = np.kron(joint, eff)
+    out = sum(k @ rho @ dagger(k) for k in kraus_ops)
+    return float(np.trace(joint @ out).real)
+
+
+class TestJointExpectation:
+    @pytest.mark.parametrize("dims", [(5,), (2, 3), (3, 2, 4)])
+    @pytest.mark.parametrize("n_kraus", [1, 3])
+    def test_matches_dense_route(self, dims, n_kraus, rng):
+        d_out = int(np.prod(dims))
+        for d_in in (1, 3, 4):
+            kraus = _random_channel(d_out, d_in, n_kraus, rng).kraus_ops
+            for _ in range(5):
+                effects = [rand_density(d, rng) for d in dims]  # PSD, norm <= 1
+                rho = rand_density(d_in, rng)
+                value = joint_expectation(effects, kraus, rho)
+                assert abs(value - _dense_joint_expectation(effects, kraus, rho)) < 1e-12
+
+    def test_dimension_mismatch(self, rng):
+        kraus = _random_channel(6, 2, 1, rng).kraus_ops
+        with pytest.raises(DimensionMismatch):
+            joint_expectation([np.eye(2), np.eye(2)], kraus, rand_density(2, rng))
 
 
 class TestPseudoInvSqrt:
