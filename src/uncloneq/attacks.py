@@ -319,6 +319,18 @@ def _outcome_likelihoods(e: QecmScheme, key: Any, basis: Array) -> Array:
     return probs
 
 
+def _stacked_likelihoods(e: QecmScheme, keys: Sequence, bases: Array) -> Array:
+    # entry (j, i, m) holds <e_i| Enc_k(m) |e_i> for key j and basis bases[j]
+    factors = [e.factor(key) for key in keys]
+    r = max(f.shape[1] for f, _ in factors)
+    stacked = np.zeros((len(keys), e.cipher_dim, r), dtype=complex)
+    owners = np.zeros((len(keys), r, e.message_count))
+    for j, (f, owner) in enumerate(factors):
+        stacked[j, :, : f.shape[1]] = f
+        owners[j, np.arange(owner.size), owner] = 1.0
+    return np.abs(bases.conj().transpose(0, 2, 1) @ stacked) ** 2 @ owners
+
+
 def optimal_decode_for_measure_share(
     e: QecmScheme, key: Any, basis: Array
 ) -> tuple[tuple[Povm, Povm], float]:
@@ -348,16 +360,27 @@ def random_basis_attack_estimate(
     Each trial draws a fresh key and a Haar basis and evaluates the
     maximum-likelihood decode value; returns the sample mean and its
     standard error.
+
+    Trials run in chunks of ``c`` with ``c d²`` at most ``2**18`` (about
+    4 MB per complex stack).  A chunk draws ``c`` keys, stacks their
+    ciphertext factors ``F`` (:meth:`QecmScheme.factor`) zero-padded to
+    ``(c, d, r)`` with a one-hot ``(c, r, M)`` owner matrix ``S``, draws
+    ``c`` bases ``B`` in one batched :func:`haar_unitary` call and reads
+    every likelihood ``<e_i| Enc_k(m) |e_i>`` from ``|B† F|² @ S``; no
+    ciphertext density matrix is formed.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if e.message_count == 1:
+    big_m, d = e.message_count, e.cipher_dim
+    if big_m == 1:
         return 1.0, 0.0  # the single message is always decoded
+    chunk = max(1, min(trials, (1 << 18) // (d * d)))
     vals = np.empty(trials)
-    for t in range(trials):
-        key = e.key_sampler(rng)
-        basis = haar_unitary(e.cipher_dim, rng)
-        vals[t] = _outcome_likelihoods(e, key, basis).max(axis=1).sum() / e.message_count
+    for start in range(0, trials, chunk):
+        c = min(chunk, trials - start)
+        keys = [e.key_sampler(rng) for _ in range(c)]
+        probs = _stacked_likelihoods(e, keys, haar_unitary(d, rng, c))
+        vals[start : start + c] = probs.max(axis=2).sum(axis=1) / big_m
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return mean, stderr

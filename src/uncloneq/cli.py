@@ -42,6 +42,8 @@ from .version import __version__
 _EXACT_SLACK = 1e-9
 _SEESAW_SLACK = 1e-6
 _MEG_GAP_TOL = 1e-8
+# the max-over-sum constant floored to the four decimals the paper quotes
+_ERLANG_C = math.floor(stats.ERLANG_MAX_CONSTANT * 1e4) / 1e4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -177,7 +179,7 @@ def run_theorem2(opts: dict) -> list[dict]:
         mean, stderr = attacks.random_basis_attack_estimate(
             scheme, trials, make_rng(opts["seed"], stream=i)
         )
-        reference = 0.02285 * (math.log2(big_m) - 1.0) / d
+        reference = _ERLANG_C / 2 * (math.log2(big_m) - 1.0) / d
         floor = 1.0 / big_m
         tolerance = 3.0 * stderr
         rows.append(
@@ -234,7 +236,7 @@ def run_erlang(opts: dict) -> list[dict]:
         mean, stderr = stats.max_over_sum_estimate(
             [1] * n, rate, trials, make_rng(opts["seed"], stream=i)
         )
-        reference = 0.0457 * math.log2(n) / n if n > 1 else 1.0
+        reference = _ERLANG_C * math.log2(n) / n if n > 1 else 1.0
         tolerance = 3.0 * stderr
         rows.append(
             {

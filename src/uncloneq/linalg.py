@@ -154,18 +154,22 @@ def herm_eig(h: Array, tol: float = TOL.herm) -> tuple[Array, Array]:
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
-def haar_unitary(d: int, rng: np.random.Generator) -> Array:
-    """Haar-distributed random unitary of dimension ``d``.
+def haar_unitary(d: int, rng: np.random.Generator, n: int | None = None) -> Array:
+    """Haar-distributed random unitary of dimension ``d``, or a stack of ``n``.
 
     QR decomposition of a complex Ginibre matrix with the phases of the
-    R diagonal absorbed into Q; a plain QR is not Haar-distributed.
+    R diagonal absorbed into Q; a plain QR is not Haar-distributed.  With
+    ``n`` given, the result has shape ``(n, d, d)`` and all ``n`` matrices
+    come from one batched QR; ``haar_unitary(d, rng, 1)[0]`` equals
+    ``haar_unitary(d, rng)`` for the same generator state.
     """
     if d < 1:
         raise DimensionMismatch("dimension must be at least 1")
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    shape = (d, d) if n is None else (n, d, d)
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def uniform_sphere_vector(d: int, rng: np.random.Generator) -> Array:

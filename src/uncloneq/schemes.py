@@ -33,7 +33,7 @@ from .errors import (
     NotInjective,
     NotIsometry,
 )
-from .linalg import Array, dagger, haar_unitary, max_abs
+from .linalg import Array, dagger, haar_unitary, herm_eig, max_abs
 
 __all__ = [
     "Bb84Key",
@@ -160,6 +160,8 @@ class QecmScheme:
     POVM with ``message_count`` outcomes.  Continuous-key schemes carry a
     sampler rather than an enumerable key set; schemes with finite key
     spaces may expose ``enumerate_keys`` for exact key expectations.
+    Schemes whose ciphertexts have a closed-form factorization may set
+    ``cipher_factor``; :meth:`factor` falls back to eigendecomposition.
     """
 
     message_count: int
@@ -169,6 +171,26 @@ class QecmScheme:
     decrypt_povm: Callable[[Any], Povm]
     descriptor: dict = field(default_factory=dict)
     enumerate_keys: Callable[[], list] | None = None
+    cipher_factor: Callable[[Any], tuple[Array, Array]] | None = None
+
+    def factor(self, key: Any) -> tuple[Array, Array]:
+        """All ciphertexts of ``key`` as one factor ``F`` and column owners.
+
+        ``F`` has shape ``(cipher_dim, r)`` and ``owner[j]`` is the message
+        of column ``j``, with ``encrypt(key, m) == F_m F_m†`` for ``F_m``
+        the columns owned by ``m``.  Without a ``cipher_factor`` the columns
+        are the eigenvectors of each ciphertext scaled by the square roots
+        of their eigenvalues above ``TOL.support_cutoff``.
+        """
+        if self.cipher_factor is not None:
+            return self.cipher_factor(key)
+        cols, owner = [], []
+        for m in range(self.message_count):
+            w, v = herm_eig(self.encrypt(key, m))
+            keep = w > TOL.support_cutoff
+            cols.append(v[:, keep] * np.sqrt(w[keep]))
+            owner.append(np.full(int(keep.sum()), m))
+        return np.concatenate(cols, axis=1), np.concatenate(owner)
 
     def keys_for(
         self,
@@ -220,6 +242,11 @@ def haar_scheme(M: int, d: int, tdist: RankDistribution) -> QecmScheme:
         cols = key.unitary[:, block]
         return (cols @ dagger(cols)) / key.ranks[m]
 
+    def cipher_factor(key: HaarKey) -> tuple[Array, Array]:
+        t = np.asarray(key.ranks)
+        owner = np.repeat(np.arange(M), t)
+        return key.unitary / np.sqrt(t[owner]), owner
+
     def decrypt_povm(key: HaarKey) -> Povm:
         effects = []
         for block in _block_slices(key.ranks):
@@ -234,6 +261,7 @@ def haar_scheme(M: int, d: int, tdist: RankDistribution) -> QecmScheme:
         encrypt=encrypt,
         decrypt_povm=decrypt_povm,
         descriptor={"type": "haar", "M": M, "d": d, "tdist": tdist.to_json()},
+        cipher_factor=cipher_factor,
     )
 
 

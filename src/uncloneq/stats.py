@@ -120,7 +120,8 @@ def max_over_sum_estimate(
     while done < trials:
         c = min(chunk, trials - done)
         block = rng.standard_exponential((c, k_total)) / rate
-        sums = np.add.reduceat(block, offsets, axis=1)
+        # with every shape 1 the block sums are the draws themselves
+        sums = block if k_total == n else np.add.reduceat(block, offsets, axis=1)
         ratios = sums.max(axis=1) / sums.sum(axis=1)
         acc += float(ratios.sum())
         acc_sq += float((ratios * ratios).sum())

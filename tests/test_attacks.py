@@ -20,6 +20,7 @@ from uncloneq.attacks import (
     random_basis_attack_estimate,
     superposition_cloner,
 )
+from uncloneq.attacks import _outcome_likelihoods, _stacked_likelihoods
 from uncloneq.errors import DegenerateTop, DimensionMismatch, NotOrthogonalPair
 from uncloneq.linalg import (
     KrausChannel,
@@ -35,10 +36,13 @@ from uncloneq.schemes import (
     QecmScheme,
     RankDistribution,
     bb84_scheme,
+    expurgate_scheme,
+    extend_scheme,
     haar_scheme,
     mu_statistic,
     uniform_haar_scheme,
 )
+from uncloneq.stats import max_over_sum_estimate
 
 from conftest import orthogonal_support_pair
 
@@ -278,6 +282,23 @@ class TestMeasureShare:
         assert abs(value - 0.5) < 1e-12
 
 
+def _mixed_rank_scheme() -> QecmScheme:
+    # key 1: pure basis states; key 2: two flat rank-two blocks; the
+    # factors of one batch then have different column counts
+    def encrypt(key, m):
+        diag = np.zeros(4)
+        diag[m * key : (m + 1) * key] = 1.0 / key
+        return np.diag(diag).astype(complex)
+
+    return QecmScheme(
+        message_count=2,
+        cipher_dim=4,
+        key_sampler=lambda rng: int(rng.integers(1, 3)),
+        encrypt=encrypt,
+        decrypt_povm=lambda key: None,
+    )
+
+
 class TestRandomBasisEstimate:
     def test_qubit_pure_pair(self):
         e = uniform_haar_scheme(2, 1)
@@ -295,6 +316,53 @@ class TestRandomBasisEstimate:
         for e in (bb84_scheme(2), uniform_haar_scheme(2, 2)):
             mean, stderr = random_basis_attack_estimate(e, 2000, rng)
             assert mean >= 1.0 / e.message_count - 3 * stderr
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: uniform_haar_scheme(4, 2),
+            lambda: haar_scheme(
+                3, 6, RankDistribution(((1, 1, 4), (3, 2, 1)), (0.5, 0.5))
+            ),
+            lambda: bb84_scheme(2),
+            lambda: extend_scheme(uniform_haar_scheme(2, 2), np.eye(6, 4, dtype=complex)),
+            lambda: expurgate_scheme(uniform_haar_scheme(4, 1), 2, lambda key, m: 3 - m),
+            _mixed_rank_scheme,
+        ],
+    )
+    def test_stacked_likelihoods_match_dense(self, make, rng):
+        e = make()
+        keys = [e.key_sampler(rng) for _ in range(12)]
+        bases = haar_unitary(e.cipher_dim, rng, len(keys))
+        dense = np.stack([_outcome_likelihoods(e, k, b) for k, b in zip(keys, bases)])
+        assert np.max(np.abs(_stacked_likelihoods(e, keys, bases) - dense)) < 1e-12
+
+    def test_estimate_matches_dense_oracle_across_chunks(self):
+        # d = 32 puts 256 trials in a chunk, so 300 trials take two chunks;
+        # each chunk draws its keys and then its bases from the stream
+        e = uniform_haar_scheme(2, 16)
+        trials, chunk = 300, 256
+        mean, stderr = random_basis_attack_estimate(e, trials, make_rng(41))
+        gen = make_rng(41)
+        vals = []
+        for c in (chunk, trials - chunk):
+            keys = [e.key_sampler(gen) for _ in range(c)]
+            for key, basis in zip(keys, haar_unitary(32, gen, c)):
+                vals.append(_outcome_likelihoods(e, key, basis).max(axis=1).sum() / 2)
+        vals = np.array(vals)
+        assert abs(mean - vals.mean()) < 1e-12
+        assert abs(stderr - vals.std(ddof=1) / math.sqrt(trials)) < 1e-12
+
+    @pytest.mark.parametrize("big_m, L, seed", [(16, 1, 301), (4, 2, 302)])
+    def test_agrees_with_erlang_law(self, big_m, L, seed):
+        # a Haar row's squared overlaps with the M blocks of L columns are
+        # M i.i.d. Erlang(L) draws over their sum, so both routes estimate
+        # E[max_m X_m / sum_m X_m]
+        attack, s_attack = random_basis_attack_estimate(
+            uniform_haar_scheme(big_m, L), 10_000, make_rng(seed)
+        )
+        erlang, s_erlang = max_over_sum_estimate([L] * big_m, 0.5, 100_000, make_rng(seed, 1))
+        assert abs(attack - erlang) <= 4 * math.hypot(s_attack, s_erlang)
 
 
 class TestPwinUnif:

@@ -44,6 +44,26 @@ class TestBasicRuns:
         assert code == 0
         assert out.count("true") == 2
 
+    @pytest.mark.parametrize(
+        "args, references",
+        [
+            (
+                ["theorem2", "--cases", "4x4;16x16;8x16;2x2", "--trials", "20"],
+                ["0.0057125", "0.004284375", "0.00285625", "0"],
+            ),
+            (
+                ["erlang", "--ns", "1,2,4,64,1024", "--trials", "20"],
+                ["1", "0.02285", "0.02285", "0.004284375", "0.0004462890625"],
+            ),
+        ],
+    )
+    def test_reference_columns_keep_the_quoted_constant(self, args, references, capsys):
+        # 0.0457 (and 0.02285 for theorem2) derived from ERLANG_MAX_CONSTANT
+        main(args + ["--seed", "1"])
+        lines = capsys.readouterr().out.strip().split("\r\n")
+        col = lines[0].split(",").index("reference")
+        assert [line.split(",")[col] for line in lines[1:]] == references
+
     def test_seesaw_warm_started(self, capsys):
         code, out = run_cli(
             ["seesaw", "--seed", "4", "--scheme", "bb84:1", "--trials", "4"], capsys

@@ -89,6 +89,19 @@ class TestHaarUnitary:
         u2 = haar_unitary(3, make_rng(2))
         assert np.max(np.abs(u1 - u2)) > 1e-3
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 16, 33])
+    def test_stack_of_one_is_the_single_draw(self, d):
+        for seed in range(3):
+            single = haar_unitary(d, make_rng(seed))
+            assert np.array_equal(single, haar_unitary(d, make_rng(seed), 1)[0])
+
+    def test_stacked_draws_are_unitary_and_distinct(self, rng):
+        us = haar_unitary(5, rng, 6)
+        assert us.shape == (6, 5, 5)
+        for u in us:
+            linalg.assert_unitary(u)
+        assert np.max(np.abs(us[0] - us[1])) > 1e-3
+
 
 class TestUniformSphere:
     def test_dim_one(self, rng):

@@ -284,3 +284,46 @@ class TestPovm:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             Povm(dim=3, effects=(np.eye(2, dtype=complex),))
+
+
+def _two_point_haar():
+    tdist = RankDistribution(support=((1, 1, 4), (3, 2, 1)), probabilities=(0.5, 0.5))
+    return haar_scheme(3, 6, tdist)
+
+
+class TestFactor:
+    @pytest.mark.parametrize(
+        "make, closed_form",
+        [
+            (lambda: uniform_haar_scheme(4, 2), True),
+            (_two_point_haar, True),
+            (lambda: bb84_scheme(2), False),
+            (lambda: extend_scheme(uniform_haar_scheme(2, 2), np.eye(6, 4, dtype=complex)), False),
+            (lambda: expurgate_scheme(uniform_haar_scheme(4, 1), 2, lambda key, m: 3 - m), False),
+        ],
+    )
+    def test_factor_rebuilds_every_ciphertext(self, make, closed_form, rng):
+        e = make()
+        assert (e.cipher_factor is not None) == closed_form
+        ranks_seen = set()
+        for _ in range(8):
+            key = e.key_sampler(rng)
+            ranks_seen.add(getattr(key, "ranks", None))
+            f, owner = e.factor(key)
+            assert f.shape == (e.cipher_dim, owner.size)
+            for m in range(e.message_count):
+                cols = f[:, owner == m]
+                assert np.max(np.abs(cols @ cols.conj().T - e.encrypt(key, m))) < 1e-12
+        if e.descriptor["type"] == "haar":
+            assert ranks_seen == {(1, 1, 4), (3, 2, 1)}
+
+    def test_default_keeps_only_the_support(self):
+        flat = QecmScheme(
+            message_count=2,
+            cipher_dim=3,
+            key_sampler=lambda rng: 0,
+            encrypt=lambda key, m: np.diag([1.0, 0.0, 0.0] if m == 0 else [0.0, 0.5, 0.5]).astype(complex),
+            decrypt_povm=lambda key: None,
+        )
+        f, owner = flat.factor(0)
+        assert f.shape == (3, 3) and list(owner) == [0, 1, 1]

@@ -134,6 +134,17 @@ class TestMaxOverSum:
         bound = ERLANG_MAX_CONSTANT * math.log2(n) / n
         assert mean >= bound - 3 * stderr
 
+    @pytest.mark.parametrize("rate", [0.5, 7.0])
+    def test_unit_shapes_match_direct_ratio(self, rate):
+        n, trials = 6, 1000
+        mean, stderr = max_over_sum_estimate([1] * n, rate, trials, make_rng(15))
+        block = make_rng(15).standard_exponential((trials, n)) / rate
+        ratios = block.max(axis=1) / block.sum(axis=1)
+        want = float(ratios.sum()) / trials
+        var = (float((ratios * ratios).sum()) - trials * want * want) / (trials - 1)
+        assert mean == want
+        assert stderr == math.sqrt(var / trials)
+
     def test_input_validation(self, rng):
         with pytest.raises(ValueError):
             max_over_sum_estimate([], 1.0, 10, rng)
