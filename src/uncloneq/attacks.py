@@ -44,7 +44,7 @@ from .linalg import (
     joint_expectation,
     max_abs,
 )
-from .schemes import Povm, QecmScheme, top_eigenvalue_means
+from .schemes import Povm, QecmScheme, expurgate_scheme, top_eigenvalue_means
 
 __all__ = [
     "CloningAttack",
@@ -54,6 +54,7 @@ __all__ = [
     "ensemble_from_scheme_key",
     "ind_attack_build",
     "projector_cloning_attack",
+    "projector_strategy_closed_form",
     "projector_strategy_value",
     "measure_share_attack",
     "measure_share_ml_attack",
@@ -172,6 +173,15 @@ def guessing_projector(
     return (pi + dagger(pi)) / 2
 
 
+def projector_strategy_closed_form(alpha: float, lam: float) -> float:
+    """Projector-strategy value ``(alpha + lam alpha (1 - 2 alpha) + 1 - alpha)/2``.
+
+    ``lam`` is the larger top eigenvalue of the state pair; at
+    ``alpha = 1/4`` this is ``1/2 + lam/16``.
+    """
+    return 0.5 * (alpha + lam * alpha * (1.0 - 2.0 * alpha) + 1.0 - alpha)
+
+
 def projector_strategy_value(rho: Array, sigma: Array, alpha: float) -> float:
     """Simultaneous guessing value of the projector strategy.
 
@@ -193,7 +203,7 @@ def projector_strategy_value(rho: Array, sigma: Array, alpha: float) -> float:
     hit0 = joint_expectation((pi, pi), cloner, rho)
     hit1 = joint_expectation((miss, miss), cloner, sigma)
     direct = 0.5 * (hit0 + hit1)
-    closed = 0.5 * (alpha + lam_rho * alpha * (1.0 - 2.0 * alpha) + 1.0 - alpha)
+    closed = projector_strategy_closed_form(alpha, lam_rho)
     if abs(direct - closed) > 1e-9:
         raise CrossCheckFailed(
             f"direct trace {direct} and closed form {closed} disagree beyond 1e-9"
@@ -270,21 +280,12 @@ def pwin_ind_eval(
 
     ``(1/2) sum_b E_k tr((P_b ⊗ Q_b) N(Enc_k(m_b)))`` with ``m_0 = m0``
     and ``m_1 = atk.descriptor["m1"]``, the message chosen by
-    :func:`ind_attack_build`.
+    :func:`ind_attack_build`: the uniform-message value
+    (:func:`pwin_unif_eval`) of the scheme restricted to ``(m_0, m_1)``.
     """
-    if atk.channel.in_dim != e.cipher_dim:
-        raise DimensionMismatch("attack channel does not match the scheme dimension")
     messages = (m0, atk.descriptor["m1"])
-    key_list = e.keys_for(key_samples, rng, keys)
-    total = 0.0
-    for key in key_list:
-        bob = atk.bob_povm(key)
-        charlie = atk.charlie_povm(key)
-        for b in (0, 1):
-            effects = (bob.effects[b], charlie.effects[b])
-            rho = e.encrypt(key, messages[b])
-            total += 0.5 * joint_expectation(effects, atk.channel.kraus_ops, rho)
-    return total / len(key_list)
+    pair = expurgate_scheme(e, 2, lambda key, b: messages[b])
+    return pwin_unif_eval(pair, atk, key_samples, rng, keys)
 
 
 # ---------------------------------------------------------------------------

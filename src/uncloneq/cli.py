@@ -83,28 +83,36 @@ def _write_report(rows: list[dict], out: str | None, as_json: bool) -> None:
 
 
 def _parse_scheme(text: str) -> QecmScheme:
-    """Scheme from a JSON descriptor or a shorthand like ``bb84:1``."""
+    """Scheme from a JSON descriptor or a shorthand like ``bb84:1``.
+
+    A scheme that cannot be built (``bb84:0``, ``haar:0-2``) is bad input,
+    not an invariant failure, so its construction error becomes a
+    ``ValueError``.
+    """
     text = text.strip()
-    if text.startswith("{"):
-        return scheme_from_descriptor(json.loads(text))
     kind, _, rest = text.partition(":")
     args = [a for a in rest.split(",") if a]
-    if kind == "bb84" and len(args) == 1:
-        return scheme_from_descriptor({"type": "bb84", "n": int(args[0])})
-    if kind == "uniform_haar" and len(args) == 2:
-        return scheme_from_descriptor(
-            {"type": "uniform_haar", "M": int(args[0]), "L": int(args[1])}
-        )
-    if kind == "haar" and len(args) == 1:
-        ranks = [int(x) for x in args[0].split("-")]
-        return scheme_from_descriptor(
-            {
-                "type": "haar",
-                "M": len(ranks),
-                "d": sum(ranks),
-                "tdist": [[ranks, 1.0]],
-            }
-        )
+    try:
+        if text.startswith("{"):
+            return scheme_from_descriptor(json.loads(text))
+        if kind == "bb84" and len(args) == 1:
+            return scheme_from_descriptor({"type": "bb84", "n": int(args[0])})
+        if kind == "uniform_haar" and len(args) == 2:
+            return scheme_from_descriptor(
+                {"type": "uniform_haar", "M": int(args[0]), "L": int(args[1])}
+            )
+        if kind == "haar" and len(args) == 1:
+            ranks = [int(x) for x in args[0].split("-")]
+            return scheme_from_descriptor(
+                {
+                    "type": "haar",
+                    "M": len(ranks),
+                    "d": sum(ranks),
+                    "tdist": [[ranks, 1.0]],
+                }
+            )
+    except UncloneqError as exc:
+        raise ValueError(f"scheme {text!r}: {exc}") from exc
     raise ValueError(
         f"unrecognized scheme {text!r}; use bb84:N, uniform_haar:M,L, "
         "haar:T0-T1-..., or a JSON descriptor"
@@ -121,16 +129,18 @@ def _measurement_basis(name: str, dim: int) -> np.ndarray:
     raise ValueError(f"unknown basis {name!r}")
 
 
+def _check_message_count(big_m: int, d: int) -> None:
+    # M messages need at least M ciphertext dimensions
+    if not 1 <= big_m <= d:
+        raise ValueError(f"need 1 <= M <= d, got M={big_m}, d={d}")
+
+
 def _stderr_trials(opts: dict) -> int:
     # a gate of value >= reference - 3 * stderr needs a sample with an error bar
-    trials = int(opts["trials"])
+    trials = opts["trials"]
     if trials < 2:
         raise ValueError(f"trials must be at least 2 for a standard-error gate, got {trials}")
     return trials
-
-
-def _closed_form(alpha: float, lam: float) -> float:
-    return 0.5 * (alpha + lam * alpha * (1.0 - 2.0 * alpha) + 1.0 - alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -141,17 +151,19 @@ def _closed_form(alpha: float, lam: float) -> float:
 def run_lemma1(opts: dict) -> list[dict]:
     scheme = _parse_scheme(opts["scheme"])
     rng = make_rng(opts["seed"])
-    m0 = int(opts["m0"])
-    alpha = float(opts["alpha"])
+    m0, alpha = opts["m0"], opts["alpha"]
+    big_m = scheme.message_count
+    if big_m < 2 or not 0 <= m0 < big_m:
+        raise ValueError(f"lemma1 needs M >= 2 messages and 0 <= m0 < M, got M={big_m}, m0={m0}")
     if scheme.enumerate_keys is not None:
         keys = scheme.enumerate_keys()
     else:
-        keys = scheme.keys_for(int(opts["trials"]), rng)
+        keys = scheme.keys_for(opts["trials"], rng)
     atk = attacks.ind_attack_build(scheme, m0, alpha, len(keys), keys=keys)
     value = attacks.pwin_ind_eval(scheme, m0, atk, len(keys), keys=keys)
     mu = mu_statistic(scheme, len(keys), keys=keys)
     bound = 0.5 + mu / 16.0
-    reference = _closed_form(alpha, mu)
+    reference = attacks.projector_strategy_closed_form(alpha, mu)
     return [
         {
             "scheme": opts["scheme"],
@@ -170,9 +182,10 @@ def run_lemma1(opts: dict) -> list[dict]:
 def run_theorem2(opts: dict) -> list[dict]:
     trials = _stderr_trials(opts)
     rows = []
-    for i, case in enumerate(str(opts["cases"]).split(";")):
+    for i, case in enumerate(opts["cases"].split(";")):
         m_str, d_str = case.split("x")
         big_m, d = int(m_str), int(d_str)
+        _check_message_count(big_m, d)
         if d % big_m:
             raise ValueError(f"case {case!r}: d must be a multiple of M")
         scheme = uniform_haar_scheme(big_m, d // big_m)
@@ -229,12 +242,11 @@ def run_o2h(opts: dict) -> list[dict]:
 
 def run_erlang(opts: dict) -> list[dict]:
     trials = _stderr_trials(opts)
-    rate = float(opts["rate"])
     rows = []
-    for i, n_str in enumerate(str(opts["ns"]).split(",")):
+    for i, n_str in enumerate(opts["ns"].split(",")):
         n = int(n_str)
         mean, stderr = stats.max_over_sum_estimate(
-            [1] * n, rate, trials, make_rng(opts["seed"], stream=i)
+            [1] * n, opts["rate"], trials, make_rng(opts["seed"], stream=i)
         )
         reference = _ERLANG_C * math.log2(n) / n if n > 1 else 1.0
         tolerance = 3.0 * stderr
@@ -277,14 +289,13 @@ def _seesaw_setup(scheme: QecmScheme, channel_name: str):
 
 
 def run_seesaw(opts: dict) -> list[dict]:
+    trials = _stderr_trials(opts)
     scheme = _parse_scheme(opts["scheme"])
-    channel_name = str(opts["channel"])
+    channel_name = opts["channel"]
     ch, warm = _seesaw_setup(scheme, channel_name)
     rng = make_rng(opts["seed"])
-    keys = scheme.keys_for(int(opts["trials"]), rng)
-    cfg = optimize.SeesawConfig(
-        rng=make_rng(opts["seed"], stream=1), restarts=int(opts["restarts"])
-    )
+    keys = scheme.keys_for(trials, rng)
+    cfg = optimize.SeesawConfig(rng=make_rng(opts["seed"], stream=1), restarts=opts["restarts"])
     mean, stderr = optimize.pwin_unif_seesaw(scheme, ch, len(keys), cfg, warm_start=warm, keys=keys)
 
     # reference: the per-key value the warm start already achieves
@@ -321,9 +332,11 @@ def run_seesaw(opts: dict) -> list[dict]:
 def run_meg(opts: dict) -> list[dict]:
     scheme = _parse_scheme(opts["scheme"])
     rng = make_rng(opts["seed"])
-    keys = scheme.keys_for(int(opts["trials"]), rng)
-    attack_name = str(opts["attack"])
+    keys = scheme.keys_for(opts["trials"], rng)
+    attack_name = opts["attack"]
     if attack_name == "cloner":
+        if scheme.message_count != 2:
+            raise ValueError("the cloner attack guesses a binary message; use a two-message scheme")
         atk = attacks.projector_cloning_attack(scheme)
     elif attack_name == "measure_share":
         basis = _measurement_basis("standard", scheme.cipher_dim)
@@ -359,17 +372,15 @@ def _partitions(total: int, parts: int, cap: int | None = None) -> list[tuple[in
 
 
 def run_conjecture_scan(opts: dict) -> list[dict]:
-    big_m, d = int(opts["M"]), int(opts["d"])
+    big_m, d = opts["M"], opts["d"]
+    _check_message_count(big_m, d)
     rng = make_rng(opts["seed"])
     rows = []
     for i, t in enumerate(_partitions(d, big_m)):
         scheme = haar_scheme(big_m, d, RankDistribution.deterministic(t))
         ch, warm = _seesaw_setup(scheme, "cloner")
-        keys = scheme.keys_for(int(opts["trials"]), rng)
-        cfg = optimize.SeesawConfig(
-            rng=make_rng(opts["seed"], stream=i + 1),
-            restarts=int(opts["restarts"]),
-        )
+        keys = scheme.keys_for(opts["trials"], rng)
+        cfg = optimize.SeesawConfig(rng=make_rng(opts["seed"], stream=i + 1), restarts=opts["restarts"])
         mean, stderr = optimize.pwin_unif_seesaw(
             scheme, ch, len(keys), cfg, warm_start=warm, keys=keys
         )
@@ -451,72 +462,91 @@ def run_selftest(opts: dict) -> list[dict]:
 # argument handling
 # ---------------------------------------------------------------------------
 
-_DEFAULTS: dict[str, dict] = {
-    "lemma1": {"scheme": "bb84:1", "m0": 0, "alpha": 0.25, "trials": 50},
-    "theorem2": {"cases": "4x4;8x8;16x16", "trials": 20000},
-    "o2h": {},
-    "erlang": {"ns": "2,4,64,1024", "trials": 100000, "rate": 0.5},
-    "seesaw": {"scheme": "bb84:1", "channel": "cloner", "trials": 4, "restarts": 2},
-    "meg": {"scheme": "bb84:1", "attack": "measure_share", "trials": 16},
-    "conjecture-scan": {"M": 2, "d": 4, "trials": 3, "restarts": 2},
-    "selftest": {},
+# Each subcommand's runner and its options with their defaults; an option's
+# type is the type of its default.  A subcommand with ``trials`` samples at
+# random, so it also takes ``--seed`` and requires it.
+_SUBCOMMANDS: dict[str, tuple[Callable[[dict], list[dict]], dict[str, Any]]] = {
+    "lemma1": (run_lemma1, {"scheme": "bb84:1", "m0": 0, "alpha": 0.25, "trials": 50}),
+    "theorem2": (run_theorem2, {"cases": "4x4;8x8;16x16", "trials": 20000}),
+    "o2h": (run_o2h, {}),
+    "erlang": (run_erlang, {"ns": "2,4,64,1024", "trials": 100000, "rate": 0.5}),
+    "seesaw": (
+        run_seesaw,
+        {"scheme": "bb84:1", "channel": "cloner", "trials": 4, "restarts": 2},
+    ),
+    "meg": (run_meg, {"scheme": "bb84:1", "attack": "measure_share", "trials": 16}),
+    "conjecture-scan": (run_conjecture_scan, {"M": 2, "d": 4, "trials": 3, "restarts": 2}),
+    "selftest": (run_selftest, {}),
 }
 
-_RUNNERS: dict[str, Callable[[dict], list[dict]]] = {
-    "lemma1": run_lemma1,
-    "theorem2": run_theorem2,
-    "o2h": run_o2h,
-    "erlang": run_erlang,
-    "seesaw": run_seesaw,
-    "meg": run_meg,
-    "conjecture-scan": run_conjecture_scan,
-    "selftest": run_selftest,
+_HELP = {
+    "seed": "RNG seed (required)",
+    "trials": "trial / key-sample count",
+    "scheme": "scheme, e.g. bb84:1 or uniform_haar:2,2",
+    "m0": "fixed message for indistinguishability runs",
+    "alpha": "projector mixing weight",
+    "cases": "semicolon-separated MxD cases, e.g. 4x4;16x16",
+    "ns": "comma-separated block counts for the Erlang scan",
+    "rate": "Erlang rate parameter",
+    "channel": "cloner | measure_share | measure_share:breidbart",
+    "attack": "cloner | measure_share",
+    "restarts": "seesaw restarts",
+    "M": "message count for the conjecture scan",
+    "d": "ciphertext dimension for the conjecture scan",
 }
 
-_NEEDS_SEED = {"lemma1", "theorem2", "erlang", "seesaw", "meg", "conjecture-scan"}
+
+def _option_types(command: str) -> dict[str, type]:
+    defaults = _SUBCOMMANDS[command][1]
+    types = {name: type(default) for name, default in defaults.items()}
+    if "trials" in types:
+        types["seed"] = int
+    return types
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="uncloneq", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _RUNNERS:
+    for name in _SUBCOMMANDS:
         p = sub.add_parser(name, description=f"run the {name} experiment")
         p.add_argument("--config", help="JSON config file; flags override its entries")
-        p.add_argument("--seed", type=int, help="RNG seed (required for Monte Carlo runs)")
-        p.add_argument("--trials", type=int, help="trial / key-sample count")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
-        p.add_argument("--scheme", help="scheme, e.g. bb84:1 or uniform_haar:2,2")
-        p.add_argument("--m0", type=int, help="fixed message for indistinguishability runs")
-        p.add_argument("--alpha", type=float, help="projector mixing weight")
-        p.add_argument("--cases", help="semicolon-separated MxD cases, e.g. 4x4;16x16")
-        p.add_argument("--ns", help="comma-separated block counts for the Erlang scan")
-        p.add_argument("--rate", type=float, help="Erlang rate parameter")
-        p.add_argument("--channel", help="cloner | measure_share | measure_share:breidbart")
-        p.add_argument("--attack", help="cloner | measure_share")
-        p.add_argument("--restarts", type=int, help="seesaw restarts")
-        p.add_argument("--M", type=int, help="message count for the conjecture scan")
-        p.add_argument("--d", type=int, help="ciphertext dimension for the conjecture scan")
+        for option, kind in _option_types(name).items():
+            p.add_argument(f"--{option}", type=kind, help=_HELP[option])
     return parser
 
 
+def _config_value(key: str, val: Any, kind: type) -> Any:
+    # JSON null and booleans are no option's value (str(None) would pass)
+    if val is not None and not isinstance(val, bool):
+        try:
+            return kind(val)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"config key {key!r} takes a {kind.__name__} value, got {val!r}")
+
+
 def _merge_options(args: argparse.Namespace) -> dict:
-    opts = dict(_DEFAULTS[args.command])
+    """Defaults, then ``--config`` entries, then flags, each of its option's type."""
+    types = _option_types(args.command)
+    opts = dict(_SUBCOMMANDS[args.command][1])
     if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a JSON object")
-        opts.update(loaded)
-    for key, val in vars(args).items():
-        if key in ("command", "config", "out", "json"):
-            continue
-        if val is not None and val is not False:
+        for key, val in loaded.items():
+            if key not in types:
+                raise ValueError(f"unknown config key {key!r} for the {args.command} subcommand")
+            opts[key] = _config_value(key, val, types[key])
+    for key in types:
+        val = getattr(args, key)
+        if val is not None:
             opts[key] = val
-    if args.command in _NEEDS_SEED and opts.get("seed") is None:
+    if "seed" in types and opts.get("seed") is None:
         raise ValueError(f"--seed is required for the {args.command} subcommand")
-    opts.setdefault("seed", 0)
     return opts
 
 
@@ -529,7 +559,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"uncloneq: config error: {exc}", file=sys.stderr)
         return 1
     try:
-        rows = _RUNNERS[args.command](opts)
+        rows = _SUBCOMMANDS[args.command][0](opts)
     except (ValueError, KeyError) as exc:
         print(f"uncloneq: config error: {exc}", file=sys.stderr)
         return 1

@@ -21,6 +21,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 import numpy as np
 
 from .attacks import GuessingEnsemble, ensemble_from_scheme_key
+from .config import TOL
 from .errors import DimensionMismatch
 from .linalg import (
     Array,
@@ -120,7 +121,10 @@ def _fixed_point(
     """Operator fixed-point ascent for max_POVM sum_x tr(P_x G_x).
 
     Tracks the best feasible iterate so the returned value never drops
-    below the starting one.
+    below the starting one.  An iterate with an effect eigenvalue below
+    ``-TOL.effect_psd`` is not a POVM: it ends the iteration unadopted
+    (``pseudo_inv_sqrt`` of a near-singular ``r`` can amplify a rounding
+    error in one effect into a negative eigenvalue).
     """
     dim = gs[0].shape[0]
     effects = [np.asarray(e, dtype=complex) for e in effects]
@@ -139,6 +143,8 @@ def _fixed_point(
         gains = [float(np.trace(comp @ g).real) for g in gs]
         j = int(np.argmax(gains))
         new[j] = new[j] + comp
+        if np.linalg.eigvalsh(np.stack(new))[:, 0].min() < -TOL.effect_psd:
+            break
         val = _sub_objective(gs, new)
         if val > best_val:
             best_val, best_eff = val, new

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -98,6 +99,24 @@ class TestBasicRuns:
         assert "false" not in out
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        # fixed-point iterates that once left the PSD cone and exited 2
+        ["seesaw", "--scheme", "uniform_haar:3,2", "--channel", "measure_share",
+         "--trials", "6", "--seed", "17"],
+        ["seesaw", "--scheme", "uniform_haar:3,2", "--channel", "measure_share",
+         "--trials", "6", "--seed", "644865884"],
+        ["conjecture-scan", "--M", "3", "--d", "6", "--trials", "3", "--seed", "1383146204"],
+    ],
+)
+def test_fixed_point_effects_stay_psd(args, capsys):
+    code, out = run_cli(args, capsys)
+    assert code == 0
+    verdicts = [line.split(",")[-1] for line in out.strip().split("\r\n")[1:]]
+    assert verdicts and all(v in ("true", "") for v in verdicts)
+
+
 class TestDeterminism:
     def test_byte_identical_csv(self, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
@@ -158,6 +177,7 @@ class TestExitCodes:
         [
             ["theorem2", "--cases", "4x4", "--trials", "1", "--seed", "1"],
             ["erlang", "--ns", "2,4", "--trials", "1", "--seed", "1"],
+            ["seesaw", "--trials", "1", "--seed", "1"],
         ],
     )
     def test_single_trial_has_no_stderr_gate(self, args, capsys):
@@ -166,6 +186,68 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "config error" in captured.err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["lemma1", "--scheme", "bb84:0"],
+            ["seesaw", "--scheme", "haar:0-2"],
+            ["theorem2", "--cases", "1x0"],
+            ["meg", "--scheme", "uniform_haar:3,1", "--attack", "cloner"],
+            ["lemma1", "--m0", "5"],
+            ["lemma1", "--m0", "-1"],
+            ["lemma1", "--scheme", "uniform_haar:1,2"],
+            ["theorem2", "--cases", "0x4"],
+            ["conjecture-scan", "--M", "0"],
+            ["conjecture-scan", "--M", "5", "--d", "2"],
+        ],
+    )
+    def test_out_of_range_input_is_config_error(self, args, capsys):
+        assert main(args + ["--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"trails": 5}, {"trials": None}, {"trials": "many"}, {"scheme": 5}, {"alpha": True}],
+    )
+    def test_bad_config_entry_is_config_error(self, config, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main(["lemma1", "--seed", "1", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err
+
+    @pytest.mark.parametrize(
+        "args", [["seesaw", "--seed", "1", "--alpha", "2"], ["o2h", "--seed", "3"]]
+    )
+    def test_flag_of_another_subcommand_is_usage_error(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 1
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "command, options",
+        [
+            ("lemma1", {"scheme", "m0", "alpha", "trials", "seed"}),
+            ("theorem2", {"cases", "trials", "seed"}),
+            ("o2h", set()),
+            ("erlang", {"ns", "trials", "rate", "seed"}),
+            ("seesaw", {"scheme", "channel", "trials", "restarts", "seed"}),
+            ("meg", {"scheme", "attack", "trials", "seed"}),
+            ("conjecture-scan", {"M", "d", "trials", "restarts", "seed"}),
+            ("selftest", set()),
+        ],
+    )
+    def test_help_lists_only_own_options(self, command, options, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        flags = set(re.findall(r"--(\w+)", capsys.readouterr().out))
+        assert flags - {"help", "config", "out", "json"} == options
 
     def test_invariant_violation_exits_two(self, capsys):
         # non-uniform ranks make the average ciphertext key dependent,
