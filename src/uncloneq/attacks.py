@@ -211,14 +211,16 @@ def projector_strategy_value(rho: Array, sigma: Array, alpha: float) -> float:
     return direct
 
 
-def _projector_strategy_povm(
-    e: QecmScheme, m0: int, m1: int, alpha: float
-) -> Callable[[Any], Povm]:
-    """Keyed binary POVM builder realizing the projector strategy.
+def _projector_attack(
+    e: QecmScheme, m0: int, m1: int, alpha: float, /, **descriptor: Any
+) -> CloningAttack:
+    """Superposition cloner plus the projector strategy on both sides.
 
     Outcome 0 votes for ``m0`` and outcome 1 for ``m1``.  Per key, the
     projector is built for whichever ciphertext has the larger top
-    eigenvalue and the outcome labels are oriented to match.
+    eigenvalue and the outcome labels are oriented to match.  The
+    descriptor records the channel, ``alpha`` and any ``descriptor``
+    entries given.
     """
 
     def build(key: Any) -> Povm:
@@ -233,7 +235,14 @@ def _projector_strategy_povm(
             effects = (eye - pi, pi)
         return Povm(dim=e.cipher_dim + 1, effects=effects)
 
-    return build
+    dp = e.cipher_dim + 1
+    return CloningAttack(
+        channel=superposition_cloner(e.cipher_dim),
+        bob_povm=build,
+        charlie_povm=build,
+        dims=(dp, dp),
+        descriptor={"channel": "superposition_cloner", "alpha": alpha, **descriptor},
+    )
 
 
 def ind_attack_build(
@@ -257,15 +266,7 @@ def ind_attack_build(
     means = top_eigenvalue_means(e, e.keys_for(key_samples, rng, keys))
     means[m0] = -np.inf
     m1 = int(np.argmax(means))
-    povm = _projector_strategy_povm(e, m0, m1, alpha)
-    dp = e.cipher_dim + 1
-    return CloningAttack(
-        channel=superposition_cloner(e.cipher_dim),
-        bob_povm=povm,
-        charlie_povm=povm,
-        dims=(dp, dp),
-        descriptor={"channel": "superposition_cloner", "alpha": alpha, "m0": m0, "m1": m1},
-    )
+    return _projector_attack(e, m0, m1, alpha, m0=m0, m1=m1)
 
 
 def pwin_ind_eval(
@@ -410,15 +411,7 @@ def projector_cloning_attack(e: QecmScheme, alpha: float = 0.25) -> CloningAttac
     """Projector-strategy cloning attack for a two-message scheme."""
     if e.message_count != 2:
         raise DimensionMismatch("the projector strategy guesses a binary message")
-    povm = _projector_strategy_povm(e, 0, 1, alpha)
-    dp = e.cipher_dim + 1
-    return CloningAttack(
-        channel=superposition_cloner(e.cipher_dim),
-        bob_povm=povm,
-        charlie_povm=povm,
-        dims=(dp, dp),
-        descriptor={"channel": "superposition_cloner", "alpha": alpha},
-    )
+    return _projector_attack(e, 0, 1, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -453,25 +446,24 @@ def pwin_unif_eval(
     return total / len(key_list)
 
 
-def ensemble_from_scheme_key(
-    e: QecmScheme,
-    key: Any,
-    ch: KrausChannel,
-    dims: tuple[int, int] | None = None,
-) -> GuessingEnsemble:
-    """Uniform-message guessing ensemble ``{(1/M, N(Enc_k(m)))}``."""
+def ensemble_from_scheme_key(e: QecmScheme, key: Any, ch: KrausChannel) -> GuessingEnsemble:
+    """Uniform-message guessing ensemble ``{(1/M, N(Enc_k(m)))}``.
+
+    The channel output splits evenly between the two receivers, so its
+    dimension must be a square.
+    """
     if ch.in_dim != e.cipher_dim:
         raise DimensionMismatch("channel does not match the scheme dimension")
-    if dims is None:
-        side = math.isqrt(ch.out_dim)
-        if side * side != ch.out_dim:
-            raise DimensionMismatch("cannot infer a symmetric B/C split; pass dims")
-        dims = (side, side)
+    side = math.isqrt(ch.out_dim)
+    if side * side != ch.out_dim:
+        raise DimensionMismatch(
+            f"channel output dimension {ch.out_dim} has no symmetric B/C split"
+        )
     p = 1.0 / e.message_count
     entries = tuple(
         (p, apply_channel(ch, e.encrypt(key, m))) for m in range(e.message_count)
     )
-    return GuessingEnsemble(entries=entries, dims=dims)
+    return GuessingEnsemble(entries=entries, dims=(side, side))
 
 
 def breidbart_basis() -> Array:

@@ -85,9 +85,10 @@ def _write_report(rows: list[dict], out: str | None, as_json: bool) -> None:
 def _parse_scheme(text: str) -> QecmScheme:
     """Scheme from a JSON descriptor or a shorthand like ``bb84:1``.
 
-    A scheme that cannot be built (``bb84:0``, ``haar:0-2``) is bad input,
-    not an invariant failure, so its construction error becomes a
-    ``ValueError``.
+    A descriptor that cannot be read (a missing key, a value of the wrong
+    type) or a scheme that cannot be built (``bb84:0``, ``haar:0-2``) is
+    bad input, not an invariant failure, so its error becomes a
+    ``ValueError`` that names ``--scheme``.
     """
     text = text.strip()
     kind, _, rest = text.partition(":")
@@ -111,10 +112,12 @@ def _parse_scheme(text: str) -> QecmScheme:
                     "tdist": [[ranks, 1.0]],
                 }
             )
-    except UncloneqError as exc:
-        raise ValueError(f"scheme {text!r}: {exc}") from exc
+    except KeyError as exc:
+        raise ValueError(f"--scheme {text!r}: missing descriptor key {exc}") from exc
+    except (TypeError, ValueError, OverflowError, UncloneqError) as exc:
+        raise ValueError(f"--scheme {text!r}: {exc}") from exc
     raise ValueError(
-        f"unrecognized scheme {text!r}; use bb84:N, uniform_haar:M,L, "
+        f"--scheme {text!r} is not recognized; use bb84:N, uniform_haar:M,L, "
         "haar:T0-T1-..., or a JSON descriptor"
     )
 
@@ -129,10 +132,10 @@ def _measurement_basis(name: str, dim: int) -> np.ndarray:
     raise ValueError(f"unknown basis {name!r}")
 
 
-def _check_message_count(big_m: int, d: int) -> None:
+def _check_message_count(big_m: int, d: int, source: str) -> None:
     # M messages need at least M ciphertext dimensions
     if not 1 <= big_m <= d:
-        raise ValueError(f"need 1 <= M <= d, got M={big_m}, d={d}")
+        raise ValueError(f"{source}: need 1 <= M <= d, got M={big_m}, d={d}")
 
 
 def _stderr_trials(opts: dict) -> int:
@@ -154,7 +157,10 @@ def run_lemma1(opts: dict) -> list[dict]:
     m0, alpha = opts["m0"], opts["alpha"]
     big_m = scheme.message_count
     if big_m < 2 or not 0 <= m0 < big_m:
-        raise ValueError(f"lemma1 needs M >= 2 messages and 0 <= m0 < M, got M={big_m}, m0={m0}")
+        raise ValueError(
+            f"lemma1 needs a --scheme with M >= 2 messages and 0 <= --m0 < M, "
+            f"got --scheme {opts['scheme']!r} (M={big_m}) and --m0 {m0}"
+        )
     if scheme.enumerate_keys is not None:
         keys = scheme.enumerate_keys()
     else:
@@ -183,11 +189,14 @@ def run_theorem2(opts: dict) -> list[dict]:
     trials = _stderr_trials(opts)
     rows = []
     for i, case in enumerate(opts["cases"].split(";")):
-        m_str, d_str = case.split("x")
-        big_m, d = int(m_str), int(d_str)
-        _check_message_count(big_m, d)
+        m_str, _, d_str = case.partition("x")
+        try:
+            big_m, d = int(m_str), int(d_str)
+        except ValueError:
+            raise ValueError(f"--cases item {case!r} is not of the form MxD") from None
+        _check_message_count(big_m, d, f"--cases item {case!r}")
         if d % big_m:
-            raise ValueError(f"case {case!r}: d must be a multiple of M")
+            raise ValueError(f"--cases item {case!r}: d must be a multiple of M")
         scheme = uniform_haar_scheme(big_m, d // big_m)
         mean, stderr = attacks.random_basis_attack_estimate(
             scheme, trials, make_rng(opts["seed"], stream=i)
@@ -244,7 +253,12 @@ def run_erlang(opts: dict) -> list[dict]:
     trials = _stderr_trials(opts)
     rows = []
     for i, n_str in enumerate(opts["ns"].split(",")):
-        n = int(n_str)
+        try:
+            n = int(n_str)
+        except ValueError:
+            n = 0
+        if n < 1:
+            raise ValueError(f"--ns {opts['ns']!r}: item {n_str!r} is not a positive integer")
         mean, stderr = stats.max_over_sum_estimate(
             [1] * n, opts["rate"], trials, make_rng(opts["seed"], stream=i)
         )
@@ -265,16 +279,26 @@ def run_erlang(opts: dict) -> list[dict]:
 
 
 def _seesaw_setup(scheme: QecmScheme, channel_name: str):
+    """Channel, per-key warm start and reference for a seesaw channel name.
+
+    The reference maps the key sample to the value the warm start already
+    achieves: ``1/2 + mu/16`` for the two-message cloner, the
+    maximum-likelihood decode value for measure-and-share, and the
+    constant-guess value ``1/M`` when there is no warm start.
+    """
     if channel_name == "cloner":
         ch = attacks.superposition_cloner(scheme.cipher_dim)
-        warm = None
-        if scheme.message_count == 2:
-            atk = attacks.projector_cloning_attack(scheme)
+        if scheme.message_count != 2:
+            return ch, None, lambda keys: 1.0 / scheme.message_count
+        atk = attacks.projector_cloning_attack(scheme)
 
-            def warm(e: QecmScheme, key: Any):
-                return (atk.bob_povm(key),)
+        def warm(e: QecmScheme, key: Any):
+            return (atk.bob_povm(key),)
 
-        return ch, warm
+        def reference(keys: Sequence) -> float:
+            return 0.5 + mu_statistic(scheme, len(keys), keys=keys) / 16.0
+
+        return ch, warm, reference
     if channel_name in ("measure_share", "measure_share:breidbart"):
         basis_name = "breidbart" if channel_name.endswith("breidbart") else "standard"
         basis = _measurement_basis(basis_name, scheme.cipher_dim)
@@ -284,41 +308,28 @@ def _seesaw_setup(scheme: QecmScheme, channel_name: str):
             (bob, _), _ = attacks.optimal_decode_for_measure_share(e, key, basis)
             return (bob,)
 
-        return ch, warm
-    raise ValueError(f"unknown channel {channel_name!r}")
+        def reference(keys: Sequence) -> float:
+            decode = attacks.optimal_decode_for_measure_share
+            return float(np.mean([decode(scheme, k, basis)[1] for k in keys]))
+
+        return ch, warm, reference
+    raise ValueError(f"--channel {channel_name!r} is not a known channel")
 
 
 def run_seesaw(opts: dict) -> list[dict]:
     trials = _stderr_trials(opts)
     scheme = _parse_scheme(opts["scheme"])
-    channel_name = opts["channel"]
-    ch, warm = _seesaw_setup(scheme, channel_name)
+    ch, warm, reference_of = _seesaw_setup(scheme, opts["channel"])
     rng = make_rng(opts["seed"])
     keys = scheme.keys_for(trials, rng)
     cfg = optimize.SeesawConfig(rng=make_rng(opts["seed"], stream=1), restarts=opts["restarts"])
     mean, stderr = optimize.pwin_unif_seesaw(scheme, ch, len(keys), cfg, warm_start=warm, keys=keys)
-
-    # reference: the per-key value the warm start already achieves
-    if channel_name == "cloner" and scheme.message_count == 2:
-        reference = 0.5 + mu_statistic(scheme, len(keys), keys=keys) / 16.0
-    elif channel_name.startswith("measure_share"):
-        basis_name = "breidbart" if channel_name.endswith("breidbart") else "standard"
-        basis = _measurement_basis(basis_name, scheme.cipher_dim)
-        reference = float(
-            np.mean(
-                [
-                    attacks.optimal_decode_for_measure_share(scheme, k, basis)[1]
-                    for k in keys
-                ]
-            )
-        )
-    else:
-        reference = 1.0 / scheme.message_count
+    reference = reference_of(keys)
     tolerance = _SEESAW_SLACK + 3.0 * stderr
     return [
         {
             "scheme": opts["scheme"],
-            "channel": channel_name,
+            "channel": opts["channel"],
             "key_samples": len(keys),
             "value": mean,
             "stderr": stderr,
@@ -336,13 +347,16 @@ def run_meg(opts: dict) -> list[dict]:
     attack_name = opts["attack"]
     if attack_name == "cloner":
         if scheme.message_count != 2:
-            raise ValueError("the cloner attack guesses a binary message; use a two-message scheme")
+            raise ValueError(
+                f"--attack cloner guesses a binary message; --scheme {opts['scheme']!r} "
+                f"has {scheme.message_count}"
+            )
         atk = attacks.projector_cloning_attack(scheme)
     elif attack_name == "measure_share":
         basis = _measurement_basis("standard", scheme.cipher_dim)
         atk = attacks.measure_share_ml_attack(scheme, basis)
     else:
-        raise ValueError(f"unknown attack {attack_name!r}")
+        raise ValueError(f"--attack {attack_name!r} is not a known attack")
     lhs, rhs, gap = meg.verify_reduction(scheme, atk, len(keys), keys=keys)
     return [
         {
@@ -373,12 +387,12 @@ def _partitions(total: int, parts: int, cap: int | None = None) -> list[tuple[in
 
 def run_conjecture_scan(opts: dict) -> list[dict]:
     big_m, d = opts["M"], opts["d"]
-    _check_message_count(big_m, d)
+    _check_message_count(big_m, d, f"--M {big_m} and --d {d}")
     rng = make_rng(opts["seed"])
     rows = []
     for i, t in enumerate(_partitions(d, big_m)):
         scheme = haar_scheme(big_m, d, RankDistribution.deterministic(t))
-        ch, warm = _seesaw_setup(scheme, "cloner")
+        ch, warm, _ = _seesaw_setup(scheme, "cloner")
         keys = scheme.keys_for(opts["trials"], rng)
         cfg = optimize.SeesawConfig(rng=make_rng(opts["seed"], stream=i + 1), restarts=opts["restarts"])
         mean, stderr = optimize.pwin_unif_seesaw(

@@ -288,10 +288,3 @@ def pseudo_inv_sqrt(rho: Array, cutoff: float = TOL.support_cutoff) -> Array:
     inv = np.where(w > cutoff, 1.0 / np.sqrt(np.maximum(w, cutoff)), 0.0)
     out = (v * inv) @ dagger(v)
     return (out + dagger(out)) / 2
-
-
-def support_projector(rho: Array, cutoff: float = TOL.support_cutoff) -> Array:
-    """Projector onto eigenspaces of ``rho`` with eigenvalue above ``cutoff``."""
-    w, v = herm_eig(rho)
-    keep = v[:, w > cutoff]
-    return keep @ dagger(keep)

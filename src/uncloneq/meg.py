@@ -33,8 +33,6 @@ from .linalg import (
     herm_eig,
     joint_expectation,
     max_abs,
-    pseudo_inv_sqrt,
-    support_projector,
 )
 from .schemes import Povm, QecmScheme
 
@@ -183,9 +181,13 @@ def meg_from_qecm(
         raise ValueError("cutoff must be positive")
     key_list = e.keys_for(key_samples, rng, keys)
     rho_bar = mean_ciphertext(e, key_list)
-    inv_sqrt = pseudo_inv_sqrt(rho_bar, cutoff)
-    _, v = herm_eig(rho_bar)
-    deficiency = np.eye(e.cipher_dim) - support_projector(rho_bar, cutoff)
+    # one eigendecomposition gives the transpose basis, the pseudo-inverse
+    # square root on the support and the projector onto its complement
+    w, v = herm_eig(rho_bar)
+    support = w > cutoff
+    inv_sqrt = (v * np.where(support, 1.0 / np.sqrt(np.maximum(w, cutoff)), 0.0)) @ dagger(v)
+    inv_sqrt = (inv_sqrt + dagger(inv_sqrt)) / 2
+    deficiency = np.eye(e.cipher_dim) - v[:, support] @ dagger(v[:, support])
     m_count = e.message_count
 
     def alice_povm(key: Any) -> Povm:

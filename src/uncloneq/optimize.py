@@ -4,8 +4,8 @@ Two separated parties each measure their half of a (classically labeled)
 joint state and win when both recover the label.  The seesaw here
 alternates exact single-party best responses: with one side's POVM fixed,
 the other side faces an ordinary minimum-error discrimination problem,
-solved exactly for two outcomes (Helstrom) and by an operator fixed-point
-iteration otherwise.  Every iterate is a feasible product measurement, so
+which :func:`discriminate` solves exactly for two outcomes (Helstrom) and
+by an operator fixed-point iteration otherwise.  Every iterate is a feasible product measurement, so
 all reported values are certified lower bounds.
 
 A grid search over products of projective qubit measurements is included
@@ -22,7 +22,7 @@ import numpy as np
 
 from .attacks import GuessingEnsemble, ensemble_from_scheme_key
 from .config import TOL
-from .errors import DimensionMismatch
+from .errors import CrossCheckFailed, DimensionMismatch
 from .linalg import (
     Array,
     KrausChannel,
@@ -38,14 +38,16 @@ __all__ = [
     "SeesawConfig",
     "SeesawResult",
     "brute_force_pguess_qubit",
-    "discrimination_fixed_point",
-    "helstrom",
+    "discriminate",
     "pwin_unif_seesaw",
     "seesaw_pguess",
 ]
 
+# fixed-point budget of one single-party solve, and of the seesaw around it
 _FP_ITERS = 300
 _FP_EPS = 1e-12
+_SEESAW_ITERS = 500
+_SEESAW_EPS = 1e-9
 
 
 def _herm(a: Array) -> Array:
@@ -55,44 +57,6 @@ def _herm(a: Array) -> Array:
 # ---------------------------------------------------------------------------
 # single-party discrimination
 # ---------------------------------------------------------------------------
-
-
-def helstrom(
-    p0: float, rho0: Array, p1: float, rho1: Array
-) -> tuple[float, Povm]:
-    """Optimal discrimination of two states with priors ``p0, p1``.
-
-    Returns ``(1 + ||p0 rho0 - p1 rho1||_1)/2`` and the projective
-    measurement onto the positive / nonpositive eigenspaces of the
-    weighted difference, which achieves it.
-    """
-    if p0 < 0 or p1 < 0 or abs(p0 + p1 - 1.0) > 1e-12:
-        raise ValueError("priors must be nonnegative and sum to 1")
-    if rho0.shape != rho1.shape:
-        raise DimensionMismatch(f"shape mismatch: {rho0.shape} vs {rho1.shape}")
-    delta = _herm(p0 * rho0 - p1 * rho1)
-    w, v = herm_eig(delta)
-    value = 0.5 * (1.0 + float(np.abs(w).sum()))
-    pos = v[:, w > 0]
-    eff0 = _herm(pos @ dagger(pos))
-    dim = rho0.shape[0]
-    povm = Povm(dim=dim, effects=(eff0, np.eye(dim) - eff0))
-    achieved = p0 * float(np.trace(eff0 @ rho0).real) + p1 * float(
-        np.trace(povm.effects[1] @ rho1).real
-    )
-    # trace-norm formula and achieved value must agree; both are exact algebra
-    if abs(achieved - value) > 1e-10:
-        raise ArithmeticError(f"Helstrom value {value} not achieved ({achieved})")
-    return value, povm
-
-
-def _best_response_pair(g0: Array, g1: Array, dim: int) -> tuple[float, list[Array]]:
-    # maximize tr(P0 g0) + tr((I - P0) g1) exactly
-    w, v = herm_eig(_herm(g0 - g1))
-    pos = v[:, w > 0]
-    eff0 = _herm(pos @ dagger(pos))
-    value = float(np.trace(g1).real) + float(w[w > 0].sum())
-    return value, [eff0, np.eye(dim) - eff0]
 
 
 def _sub_objective(gs: Sequence[Array], effects: Sequence[Array]) -> float:
@@ -116,22 +80,23 @@ def _pgm(gs: Sequence[Array], dim: int) -> list[Array]:
 
 
 def _fixed_point(
-    gs: Sequence[Array], effects: Sequence[Array], iters: int, eps: float
+    gs: Sequence[Array], effects: Sequence[Array]
 ) -> tuple[float, list[Array], bool]:
     """Operator fixed-point ascent for max_POVM sum_x tr(P_x G_x).
 
-    Tracks the best feasible iterate so the returned value never drops
-    below the starting one.  An iterate with an effect eigenvalue below
-    ``-TOL.effect_psd`` is not a POVM: it ends the iteration unadopted
-    (``pseudo_inv_sqrt`` of a near-singular ``r`` can amplify a rounding
-    error in one effect into a negative eigenvalue).
+    Runs at most ``_FP_ITERS`` sweeps and stops once a sweep gains less
+    than ``_FP_EPS``.  Tracks the best feasible iterate so the returned
+    value never drops below the starting one.  An iterate with an effect
+    eigenvalue below ``-TOL.effect_psd`` is not a POVM: it ends the
+    iteration unadopted (``pseudo_inv_sqrt`` of a near-singular ``r`` can
+    amplify a rounding error in one effect into a negative eigenvalue).
     """
     dim = gs[0].shape[0]
     effects = [np.asarray(e, dtype=complex) for e in effects]
     cur = _sub_objective(gs, effects)
     best_val, best_eff = cur, effects
     converged = False
-    for _ in range(iters):
+    for _ in range(_FP_ITERS):
         r = _herm(sum(g @ e @ g for g, e in zip(gs, effects)))
         scale = float(np.trace(r).real)
         if scale < 1e-30:
@@ -148,61 +113,62 @@ def _fixed_point(
         val = _sub_objective(gs, new)
         if val > best_val:
             best_val, best_eff = val, new
-        if val - cur < eps:
+        if val - cur < _FP_EPS:
             converged = True
             break
         effects, cur = new, val
     return best_val, best_eff, converged
 
 
-def _best_response(
-    gs: Sequence[Array], dim: int, init: Sequence[Array] | None = None
-) -> tuple[float, list[Array]]:
-    """Best POVM for max sum_x tr(P_x G_x) over PSD weight operators G_x."""
-    n = len(gs)
-    if n == 1:
-        return float(np.trace(gs[0]).real), [np.eye(dim, dtype=complex)]
-    if n == 2:
-        return _best_response_pair(gs[0], gs[1], dim)
-    effects = list(init) if init is not None else _pgm(gs, dim)
-    val, effects, _ = _fixed_point(gs, effects, _FP_ITERS, _FP_EPS)
-    return val, effects
-
-
 class DiscriminationResult(NamedTuple):
+    """Value, effects and convergence flag of :func:`discriminate`."""
+
     value: float
-    povm: Povm
+    effects: list[Array]
     converged: bool
 
 
-def discrimination_fixed_point(
-    ensemble: Sequence[tuple[float, Array]],
-    iters: int = 300,
-    eps: float = 1e-11,
-    init: Povm | None = None,
+def discriminate(
+    gs: Sequence[Array], init: Sequence[Array] | None = None
 ) -> DiscriminationResult:
-    """Minimum-error discrimination POVM by fixed-point iteration.
+    """Minimum-error POVM for ``max sum_x tr(P_x G_x)``, ``G_x = p_x rho_x``.
 
-    Maximizes ``sum_x p_x tr(P_x rho_x)`` over POVMs, starting from the
-    square-root measurement (or ``init``).  The success value never
-    decreases across iterations; if the relative improvement is still
-    above ``eps`` after ``iters`` sweeps the best iterate found is
-    returned with ``converged=False``.  Never returns less than the
-    constant-guess floor ``max_x p_x``.
+    One outcome: the identity.  Two outcomes: the Helstrom projector onto
+    the positive part of ``G_0 - G_1``, whose value
+    ``(tr(G_0 + G_1) + ||G_0 - G_1||_1)/2`` is checked against the value
+    the projector achieves (:class:`CrossCheckFailed` if they differ).
+    Three or more: the fixed-point iteration from ``init`` (default: the
+    square-root measurement), never below the constant-guess floor
+    ``max_x tr(G_x)``.  ``converged`` is false when the iteration ran out
+    of sweeps or stopped at an iterate that is not a POVM.
     """
-    gs = [_herm(float(p) * np.asarray(rho, dtype=complex)) for p, rho in ensemble]
     if not gs:
-        raise ValueError("ensemble must be non-empty")
+        raise ValueError("need at least one operator to discriminate")
     dim = gs[0].shape[0]
-    init_eff = list(init.effects) if init is not None else _pgm(gs, dim)
-    val, eff, conv = _fixed_point(gs, init_eff, iters, eps)
-    floor_idx = int(np.argmax([np.trace(g).real for g in gs]))
-    floor = float(np.trace(gs[floor_idx]).real)
-    if val < floor:
-        eff = [np.zeros((dim, dim), dtype=complex) for _ in gs]
-        eff[floor_idx] = np.eye(dim, dtype=complex)
-        val, conv = floor, True
-    return DiscriminationResult(value=val, povm=Povm(dim, tuple(eff)), converged=conv)
+    if len(gs) == 1:
+        return DiscriminationResult(
+            float(np.trace(gs[0]).real), [np.eye(dim, dtype=complex)], True
+        )
+    if len(gs) == 2:
+        w, v = herm_eig(_herm(gs[0] - gs[1]))
+        pos = v[:, w > 0]
+        eff0 = _herm(pos @ dagger(pos))
+        effects = [eff0, np.eye(dim) - eff0]
+        value = 0.5 * (float(np.trace(gs[0] + gs[1]).real) + float(np.abs(w).sum()))
+        # the trace-norm value and the achieved value must agree (exact algebra);
+        # tr(E G) is vdot(E, G) because both effects are exactly Hermitian
+        achieved = float(np.vdot(effects[0], gs[0]).real + np.vdot(effects[1], gs[1]).real)
+        if abs(achieved - value) > 1e-10:
+            raise CrossCheckFailed(f"Helstrom value {value} not achieved ({achieved})")
+        return DiscriminationResult(value, effects, True)
+    val, effects, converged = _fixed_point(gs, list(init) if init is not None else _pgm(gs, dim))
+    traces = [float(np.trace(g).real) for g in gs]
+    floor_idx = int(np.argmax(traces))
+    if val < traces[floor_idx]:
+        effects = [np.zeros((dim, dim), dtype=complex) for _ in gs]
+        effects[floor_idx] = np.eye(dim, dtype=complex)
+        val, converged = traces[floor_idx], True
+    return DiscriminationResult(val, effects, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -215,17 +181,13 @@ class SeesawConfig:
     """Settings for the alternating product-measurement optimization."""
 
     rng: np.random.Generator
-    max_iters: int = 500
-    convergence_eps: float = 1e-9
     restarts: int = 1
     #: initial Charlie POVMs tried before random restarts kick in
     warm_starts: tuple[Povm, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.max_iters < 1 or self.restarts < 1:
-            raise ValueError("max_iters and restarts must be at least 1")
-        if self.convergence_eps <= 0:
-            raise ValueError("convergence_eps must be positive")
+        if self.restarts < 1:
+            raise ValueError("restarts must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -300,19 +262,19 @@ def seesaw_pguess(ens: GuessingEnsemble, cfg: SeesawConfig) -> SeesawResult:
         p_eff: list[Array] | None = None
         trajectory: list[float] = []
         converged = False
-        for _ in range(cfg.max_iters):
+        for _ in range(_SEESAW_ITERS):
             cond_b = [
                 _herm(p * np.einsum("ja,iakj->ik", q, r4))
                 for p, q, r4 in zip(ps, q_eff, rhos4)
             ]
-            _, p_eff = _best_response(cond_b, db, init=p_eff)
+            p_eff = discriminate(cond_b, init=p_eff).effects
             cond_c = [
                 _herm(p * np.einsum("ia,ajil->jl", pe, r4))
                 for p, pe, r4 in zip(ps, p_eff, rhos4)
             ]
-            _, q_eff = _best_response(cond_c, dc, init=q_eff)
+            q_eff = discriminate(cond_c, init=q_eff).effects
             trajectory.append(_objective(ps, rhos4, p_eff, q_eff))
-            if len(trajectory) >= 2 and trajectory[-1] - trajectory[-2] < cfg.convergence_eps:
+            if len(trajectory) >= 2 and trajectory[-1] - trajectory[-2] < _SEESAW_EPS:
                 converged = True
                 break
         result = SeesawResult(
@@ -334,7 +296,6 @@ def pwin_unif_seesaw(
     ch: KrausChannel,
     key_samples: int,
     cfg: SeesawConfig,
-    dims: tuple[int, int] | None = None,
     warm_start: Callable[[QecmScheme, Any], Sequence[Povm]] | None = None,
     keys: Sequence | None = None,
 ) -> tuple[float, float]:
@@ -349,7 +310,7 @@ def pwin_unif_seesaw(
     key_list = e.keys_for(key_samples, cfg.rng, keys)
     vals = np.empty(len(key_list))
     for i, key in enumerate(key_list):
-        ens = ensemble_from_scheme_key(e, key, ch, dims)
+        ens = ensemble_from_scheme_key(e, key, ch)
         sub_cfg = cfg
         if warm_start is not None:
             ws = tuple(warm_start(e, key)) + cfg.warm_starts

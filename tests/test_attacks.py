@@ -463,10 +463,19 @@ class TestGuessingEnsemble:
         ket0[0] = 1.0
         kraus = np.kron(np.eye(2, dtype=complex), ket0[:, None])
         ch = KrausChannel(2, 4, (kraus,))
-        ens = ensemble_from_scheme_key(e, key, ch, dims=(2, 2))
+        ens = ensemble_from_scheme_key(e, key, ch)
+        assert ens.dims == (2, 2)
         for m, (_, state) in enumerate(ens.entries):
             target = np.kron(e.encrypt(key, m), np.outer(ket0, ket0.conj()))
             assert np.max(np.abs(state - target)) < 1e-12
+
+    def test_output_without_symmetric_split_is_rejected(self, rng):
+        e = uniform_haar_scheme(2, 1)
+        ket0 = np.zeros(3, dtype=complex)
+        ket0[0] = 1.0
+        ch = KrausChannel(2, 6, (np.kron(np.eye(2, dtype=complex), ket0[:, None]),))
+        with pytest.raises(DimensionMismatch):
+            ensemble_from_scheme_key(e, e.key_sampler(rng), ch)
 
     def test_probability_validation(self):
         with pytest.raises(DimensionMismatch):

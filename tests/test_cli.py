@@ -1,7 +1,9 @@
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -200,6 +202,12 @@ class TestExitCodes:
             ["theorem2", "--cases", "0x4"],
             ["conjecture-scan", "--M", "0"],
             ["conjecture-scan", "--M", "5", "--d", "2"],
+            # malformed option text and scheme descriptors
+            ["theorem2", "--cases", "4x4x4"],
+            ["erlang", "--ns", ","],
+            ["lemma1", "--scheme", '{"type":"haar"}'],
+            ["lemma1", "--scheme", '{"type":"haar","M":2,"d":2,"tdist":5}'],
+            ["lemma1", "--scheme", '{"type":"bb84","n":null}'],
         ],
     )
     def test_out_of_range_input_is_config_error(self, args, capsys):
@@ -207,6 +215,10 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "config error" in captured.err
+        assert "Traceback" not in captured.err
+        # the message names an option together with its offending text
+        flags = zip(args[1::2], args[2::2])
+        assert any(flag in captured.err and value in captured.err for flag, value in flags)
 
     @pytest.mark.parametrize(
         "config",
@@ -260,10 +272,14 @@ class TestExitCodes:
 
 
 def test_console_script_installed():
+    # the package runs from its source tree whether or not it is installed
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     out = subprocess.run(
         [sys.executable, "-m", "uncloneq.cli", "o2h"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert out.returncode == 0
     assert "0.5625" in out.stdout

@@ -11,16 +11,17 @@ from uncloneq.attacks import (
     optimal_decode_for_measure_share,
     superposition_cloner,
 )
-from uncloneq.linalg import KrausChannel, dagger, haar_unitary, make_rng
+from uncloneq import optimize
+from uncloneq.errors import CrossCheckFailed
+from uncloneq.linalg import KrausChannel, dagger, haar_unitary, herm_eig, make_rng
 from uncloneq.optimize import (
     SeesawConfig,
     brute_force_pguess_qubit,
-    discrimination_fixed_point,
-    helstrom,
+    discriminate,
     pwin_unif_seesaw,
     seesaw_pguess,
 )
-from uncloneq.schemes import bb84_scheme, uniform_haar_scheme
+from uncloneq.schemes import Povm, bb84_scheme, uniform_haar_scheme
 
 from conftest import rand_density
 
@@ -31,20 +32,20 @@ PLUS = np.full((2, 2), 0.5, dtype=complex)
 
 class TestHelstrom:
     def test_orthogonal_pure(self):
-        value, _ = helstrom(0.5, KET0, 0.5, KET1)
-        assert abs(value - 1.0) < 1e-12
+        res = discriminate([0.5 * KET0, 0.5 * KET1])
+        assert abs(res.value - 1.0) < 1e-12
 
     def test_identical_states(self, rng):
         rho = rand_density(3, rng)
-        value, _ = helstrom(0.3, rho, 0.7, rho)
-        assert abs(value - 0.7) < 1e-12
+        res = discriminate([0.3 * rho, 0.7 * rho])
+        assert abs(res.value - 0.7) < 1e-12
 
     def test_zero_versus_plus(self):
-        value, povm = helstrom(0.5, KET0, 0.5, PLUS)
+        res = discriminate([0.5 * KET0, 0.5 * PLUS])
         target = 0.5 + 0.5 / math.sqrt(2)
-        assert abs(value - target) < 1e-12
-        achieved = 0.5 * np.trace(povm.effects[0] @ KET0).real + 0.5 * np.trace(
-            povm.effects[1] @ PLUS
+        assert abs(res.value - target) < 1e-12
+        achieved = 0.5 * np.trace(res.effects[0] @ KET0).real + 0.5 * np.trace(
+            res.effects[1] @ PLUS
         ).real
         assert abs(achieved - target) < 1e-10
 
@@ -53,50 +54,74 @@ class TestHelstrom:
             rho0, rho1 = rand_density(3, rng), rand_density(3, rng)
             p = float(rng.random())
             u = haar_unitary(3, rng)
-            v0, _ = helstrom(p, rho0, 1 - p, rho1)
-            v1, _ = helstrom(p, u @ rho0 @ dagger(u), 1 - p, u @ rho1 @ dagger(u))
+            v0 = discriminate([p * rho0, (1 - p) * rho1]).value
+            v1 = discriminate(
+                [p * u @ rho0 @ dagger(u), (1 - p) * u @ rho1 @ dagger(u)]
+            ).value
             assert abs(v0 - v1) < 1e-10
 
-    def test_rejects_bad_priors(self):
-        with pytest.raises(ValueError):
-            helstrom(0.6, KET0, 0.6, KET1)
+    def test_unachieved_value_is_cross_check_failure(self, monkeypatch):
+        # a trace-norm value the projector does not reach is an invariant failure
+        def shifted_eig(h):
+            w, v = herm_eig(h)
+            return w + np.eye(len(w))[0] * 1e-6, v
+
+        monkeypatch.setattr(optimize, "herm_eig", shifted_eig)
+        with pytest.raises(CrossCheckFailed):
+            discriminate([0.5 * KET0, 0.5 * PLUS])
+
+    def test_single_outcome_is_identity(self, rng):
+        rho = rand_density(3, rng)
+        res = discriminate([rho])
+        assert abs(res.value - 1.0) < 1e-12
+        assert np.array_equal(res.effects[0], np.eye(3))
 
 
 class TestDiscriminationFixedPoint:
     def test_matches_helstrom_on_qubit_pairs(self, rng):
+        # the closed form against the fixed point started from the PGM
         for _ in range(20):
             rho0, rho1 = rand_density(2, rng), rand_density(2, rng)
             p = float(rng.random())
-            hv, _ = helstrom(p, rho0, 1 - p, rho1)
-            fv = discrimination_fixed_point([(p, rho0), (1 - p, rho1)]).value
+            gs = [p * rho0, (1 - p) * rho1]
+            hv = discriminate(gs).value
+            fv, _, _ = optimize._fixed_point(gs, optimize._pgm(gs, 2))
             assert abs(hv - fv) < 1e-6
 
     def test_three_orthogonal_pure_states(self):
         states = [np.zeros((3, 3), dtype=complex) for _ in range(3)]
         for i in range(3):
             states[i][i, i] = 1.0
-        res = discrimination_fixed_point([(1 / 3, s) for s in states])
+        res = discriminate([s / 3 for s in states])
         assert abs(res.value - 1.0) < 1e-9
         assert res.converged
 
     def test_identical_states_floor(self, rng):
         rho = rand_density(3, rng)
-        res = discrimination_fixed_point([(1 / 3, rho)] * 3)
+        res = discriminate([rho / 3] * 3)
         assert abs(res.value - 1 / 3) < 1e-9
 
-    def test_povm_valid_after_each_iteration(self, rng):
-        ens = [(0.25, rand_density(3, rng)) for _ in range(4)]
-        total = sum(p for p, _ in ens)
-        ens = [(p / total, s) for p, s in ens]
+    def test_floor_replaces_a_stuck_iteration(self, rng):
+        # started on the least likely label, the iteration never leaves it
+        rho = rand_density(3, rng)
+        zero = np.zeros((3, 3), dtype=complex)
+        res = discriminate([0.6 * rho, 0.2 * rho, 0.2 * rho], init=[zero, np.eye(3), zero])
+        assert abs(res.value - 0.6) < 1e-12
+        assert np.array_equal(res.effects[0], np.eye(3))
+        assert res.converged
+
+    def test_povm_valid_after_each_iteration(self, rng, monkeypatch):
+        gs = [0.25 * rand_density(3, rng) for _ in range(4)]
         for iters in (1, 2, 5, 25):
-            res = discrimination_fixed_point(ens, iters=iters)
-            res.povm.validate(herm_tol=1e-8, psd_tol=1e-8, completeness_tol=1e-8)
+            monkeypatch.setattr(optimize, "_FP_ITERS", iters)
+            res = discriminate(gs)
+            povm = Povm(dim=3, effects=tuple(res.effects))
+            povm.validate(herm_tol=1e-8, psd_tol=1e-8, completeness_tol=1e-8)
 
     def test_value_at_least_best_prior(self, rng):
         for _ in range(10):
             probs = rng.dirichlet(np.ones(3))
-            ens = [(float(p), rand_density(4, rng)) for p in probs]
-            res = discrimination_fixed_point(ens)
+            res = discriminate([float(p) * rand_density(4, rng) for p in probs])
             assert res.value >= max(probs) - 1e-9
 
 
@@ -155,7 +180,6 @@ class TestSeesaw:
     def test_warm_start_dimension_checked(self, rng):
         ens = _random_binary_qubit_pair_ensemble(rng)
         from uncloneq.errors import DimensionMismatch
-        from uncloneq.schemes import Povm
 
         bad = Povm(dim=3, effects=(np.eye(3, dtype=complex), np.zeros((3, 3), complex)))
         cfg = SeesawConfig(rng=make_rng(1), warm_starts=(bad,))
@@ -164,9 +188,7 @@ class TestSeesaw:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            SeesawConfig(rng=make_rng(0), max_iters=0)
-        with pytest.raises(ValueError):
-            SeesawConfig(rng=make_rng(0), convergence_eps=0.0)
+            SeesawConfig(rng=make_rng(0), restarts=0)
 
 
 class TestPwinUnifSeesaw:
@@ -207,7 +229,7 @@ class TestPwinUnifSeesaw:
         ket0[0] = 1.0
         ch = KrausChannel(2, 4, (np.kron(np.eye(2, dtype=complex), ket0[:, None]),))
         cfg = SeesawConfig(rng=make_rng(5), restarts=2)
-        mean, _ = pwin_unif_seesaw(e, ch, 3, cfg, dims=(2, 2))
+        mean, _ = pwin_unif_seesaw(e, ch, 3, cfg)
         assert mean >= 0.5 - 1e-9
 
 

@@ -228,7 +228,7 @@ class TestExpurgateScheme:
         exp = expurgate_scheme(e, 2, lambda key, m: m)
         keys = [e.key_sampler(rng) for _ in range(3)]
         ch = superposition_cloner(4)
-        cfg = SeesawConfig(rng=make_rng(5), restarts=2, max_iters=150)
+        cfg = SeesawConfig(rng=make_rng(5), restarts=2)
         full, se_full = pwin_unif_seesaw(e, ch, len(keys), cfg, keys=keys)
         part, se_part = pwin_unif_seesaw(exp, ch, len(keys), cfg, keys=keys)
         slack = 3.0 * (se_full + se_part) + 1e-6
