@@ -284,8 +284,16 @@ def _seesaw_setup(scheme: QecmScheme, channel_name: str):
     The reference maps the key sample to the value the warm start already
     achieves: ``1/2 + mu/16`` for the two-message cloner, the
     maximum-likelihood decode value for measure-and-share, and the
-    constant-guess value ``1/M`` when there is no warm start.
+    constant-guess value ``1/M`` when there is no warm start.  A key
+    ensemble too large for the seesaw is refused before the channel is
+    built.
     """
+    d = scheme.cipher_dim
+    out_dim = (d + 1) ** 2 if channel_name == "cloner" else d * d
+    try:
+        optimize.seesaw_key_entries(scheme.message_count, out_dim)
+    except ValueError as exc:
+        raise ValueError(f"the {channel_name} channel at d = {d}: {exc}") from exc
     if channel_name == "cloner":
         ch = attacks.superposition_cloner(scheme.cipher_dim)
         if scheme.message_count != 2:

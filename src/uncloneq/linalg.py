@@ -57,8 +57,8 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 def dagger(a: Array) -> Array:
-    """Conjugate transpose."""
-    return a.conj().T
+    """Conjugate transpose (of each matrix in a stack)."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def max_abs(a: Array) -> float:
@@ -83,12 +83,16 @@ def assert_finite(a: Array) -> None:
 
 
 def assert_hermitian(h: Array, tol: float = TOL.herm) -> None:
-    """Check max-entry deviation of ``h`` from its conjugate transpose."""
+    """Check max-entry deviation of ``h`` from its conjugate transpose.
+
+    ``h`` may be a stack of matrices; each one is checked.
+    """
     assert_finite(h)
-    _require_square(h)
-    dev = max_abs(h - dagger(h))
-    if dev > tol:
-        raise NotHermitian(f"Hermiticity deviation {dev} exceeds {tol}")
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
+        raise DimensionMismatch(f"expected square matrices, got shape {h.shape}")
+    dev = np.abs(h - dagger(h)).max(axis=(-2, -1), initial=0.0)
+    if np.any(dev > tol):
+        raise NotHermitian(f"Hermiticity deviation {dev.max()} exceeds {tol}")
 
 
 def assert_density_operator(
@@ -137,7 +141,8 @@ def herm_eig(h: Array, tol: float = TOL.herm) -> tuple[Array, Array]:
     Parameters
     ----------
     h : Array
-        Hermitian matrix (checked within ``tol`` max entry deviation).
+        Hermitian matrix, or a stack of them in the last two axes (each
+        checked within ``tol`` max entry deviation).
 
     Returns
     -------
@@ -151,7 +156,7 @@ def herm_eig(h: Array, tol: float = TOL.herm) -> tuple[Array, Array]:
     """
     assert_hermitian(h, tol)
     w, v = np.linalg.eigh(h)
-    return w[::-1].copy(), v[:, ::-1].copy()
+    return w[..., ::-1].copy(), v[..., ::-1].copy()
 
 
 def haar_unitary(d: int, rng: np.random.Generator, n: int | None = None) -> Array:
@@ -281,10 +286,13 @@ def joint_expectation(
 
 
 def pseudo_inv_sqrt(rho: Array, cutoff: float = TOL.support_cutoff) -> Array:
-    """Inverse square root on eigenspaces above ``cutoff``, zero elsewhere."""
+    """Inverse square root on eigenspaces above ``cutoff``, zero elsewhere.
+
+    ``rho`` may be a stack of matrices; each is treated on its own.
+    """
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
     w, v = herm_eig(rho)
     inv = np.where(w > cutoff, 1.0 / np.sqrt(np.maximum(w, cutoff)), 0.0)
-    out = (v * inv) @ dagger(v)
+    out = (v * inv[..., None, :]) @ dagger(v)
     return (out + dagger(out)) / 2

@@ -4,9 +4,20 @@ Two separated parties each measure their half of a (classically labeled)
 joint state and win when both recover the label.  The seesaw here
 alternates exact single-party best responses: with one side's POVM fixed,
 the other side faces an ordinary minimum-error discrimination problem,
-which :func:`discriminate` solves exactly for two outcomes (Helstrom) and
-by an operator fixed-point iteration otherwise.  Every iterate is a feasible product measurement, so
-all reported values are certified lower bounds.
+which is solved exactly for two outcomes (Helstrom) and by an operator
+fixed-point iteration otherwise.  Every iterate is a feasible product
+measurement, so all reported values are certified lower bounds.
+
+The solver works on stacks of problems.  Operators and effects are
+``(P, n, d, d)`` arrays, one row per problem; the Helstrom branch is one
+batched eigendecomposition, and the fixed point and the seesaw run all
+problems in lockstep while each keeps its own stop rule, PSD guard, best
+iterate and constant-guess floor.  :func:`pwin_unif_seesaw` stacks every
+(key, start) pair of a chunk of keys; a chunk holds at most
+``_CHUNK_ENTRIES`` complex entries of per-key matrices (at least one key),
+and a single key may need at most ``_KEY_ENTRIES_CAP``.
+:func:`discriminate` and :func:`seesaw_pguess` are the same code on a
+stack of one.
 
 A grid search over products of projective qubit measurements is included
 as an independent cross-check oracle for 2-outcome qubit-pair ensembles.
@@ -15,7 +26,7 @@ as an independent cross-check oracle for 2-outcome qubit-pair ensembles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -40,6 +51,7 @@ __all__ = [
     "brute_force_pguess_qubit",
     "discriminate",
     "pwin_unif_seesaw",
+    "seesaw_key_entries",
     "seesaw_pguess",
 ]
 
@@ -48,83 +60,140 @@ _FP_ITERS = 300
 _FP_EPS = 1e-12
 _SEESAW_ITERS = 500
 _SEESAW_EPS = 1e-9
+# complex entries of per-key matrices stacked in one chunk of keys (256 KB),
+# and the most one key's ensemble may hold (256 MB) before it is refused
+_CHUNK_ENTRIES = 2**14
+_KEY_ENTRIES_CAP = 2**24
 
 
 def _herm(a: Array) -> Array:
     return (a + dagger(a)) / 2
 
 
+def _traces(a: Array) -> Array:
+    # real traces of a stack of matrices
+    return np.trace(a, axis1=-2, axis2=-1).real
+
+
+def _pair_traces(a: Array, b: Array) -> Array:
+    # tr(A B) for matching stacks of matrices
+    return (a * np.swapaxes(b, -1, -2)).sum(axis=(-2, -1)).real
+
+
+def _rows(keep: Array, *stacks: Array) -> tuple[Array, ...]:
+    # the rows of each stack where the boolean mask ``keep`` holds
+    return stacks if keep.all() else tuple(a[keep] for a in stacks)
+
+
+def _eye_at(shape: tuple[int, ...], dim: int, idx: Array) -> Array:
+    # stack of effect sets, each the identity at outcome idx[p] and zero elsewhere
+    out = np.zeros(shape + (dim, dim), dtype=complex)
+    out[np.arange(shape[0]), idx] = np.eye(dim)
+    return out
+
+
 # ---------------------------------------------------------------------------
-# single-party discrimination
+# single-party discrimination, stacked
 # ---------------------------------------------------------------------------
 
 
-def _sub_objective(gs: Sequence[Array], effects: Sequence[Array]) -> float:
-    return float(sum(np.trace(e @ g).real for e, g in zip(effects, gs)))
-
-
-def _pgm(gs: Sequence[Array], dim: int) -> list[Array]:
-    # square-root measurement of the (possibly subnormalized) operators
-    total = _herm(sum(gs))
-    scale = float(np.trace(total).real)
-    if scale < 1e-30:
-        effects = [np.zeros((dim, dim), dtype=complex) for _ in gs]
-        effects[0] = np.eye(dim, dtype=complex)
-        return effects
-    inv = pseudo_inv_sqrt(total / scale, cutoff=1e-14) / math.sqrt(scale)
-    effects = [_herm(inv @ g @ inv) for g in gs]
-    comp = _herm(np.eye(dim) - sum(effects))
-    j = int(np.argmax([np.trace(g).real for g in gs]))
-    effects[j] = effects[j] + comp
+def _pgm(gs: Array) -> Array:
+    # square-root measurement of each problem's (possibly subnormalized) operators
+    p, n, dim = gs.shape[:3]
+    total = _herm(gs.sum(axis=1))
+    scale = _traces(total)
+    effects = _eye_at((p, n), dim, np.zeros(p, dtype=int))
+    ok = scale >= 1e-30
+    if ok.any():
+        g, s = gs[ok], scale[ok][:, None, None]
+        inv = (pseudo_inv_sqrt(total[ok] / s, cutoff=1e-14) / np.sqrt(s))[:, None]
+        eff = _herm(inv @ g @ inv)
+        comp = _herm(np.eye(dim) - eff.sum(axis=1))
+        eff[np.arange(len(g)), np.argmax(_traces(g), axis=1)] += comp
+        effects[ok] = eff
     return effects
 
 
-def _fixed_point(
-    gs: Sequence[Array], effects: Sequence[Array]
-) -> tuple[float, list[Array], bool]:
-    """Operator fixed-point ascent for max_POVM sum_x tr(P_x G_x).
+def _fixed_point(gs: Array, effects: Array) -> tuple[Array, Array, Array]:
+    """Operator fixed-point ascent for max_POVM sum_x tr(P_x G_x), per problem.
 
-    Runs at most ``_FP_ITERS`` sweeps and stops once a sweep gains less
-    than ``_FP_EPS``.  Tracks the best feasible iterate so the returned
-    value never drops below the starting one.  An iterate with an effect
-    eigenvalue below ``-TOL.effect_psd`` is not a POVM: it ends the
-    iteration unadopted (``pseudo_inv_sqrt`` of a near-singular ``r`` can
-    amplify a rounding error in one effect into a negative eigenvalue).
+    ``gs`` and ``effects`` are ``(P, n, d, d)`` stacks; returns the values,
+    effects and convergence flags of all P problems.  Each problem runs at
+    most ``_FP_ITERS`` sweeps and stops once a sweep gains less than
+    ``_FP_EPS``.  The best feasible iterate is tracked, so no returned
+    value drops below the starting one.  An iterate with an effect
+    eigenvalue below ``-TOL.effect_psd`` is not a POVM: it ends its
+    problem's iteration unadopted (``pseudo_inv_sqrt`` of a near-singular
+    ``r`` can amplify a rounding error in one effect into a negative
+    eigenvalue).
     """
-    dim = gs[0].shape[0]
-    effects = [np.asarray(e, dtype=complex) for e in effects]
-    cur = _sub_objective(gs, effects)
-    best_val, best_eff = cur, effects
-    converged = False
+    dim = gs.shape[-1]
+    effects = np.asarray(effects, dtype=complex)
+    cur = _pair_traces(effects, gs).sum(axis=1)
+    best_val, best_eff = cur.copy(), effects.copy()
+    converged = np.zeros(len(gs), dtype=bool)
+    live = np.arange(len(gs))
+    g = gs
     for _ in range(_FP_ITERS):
-        r = _herm(sum(g @ e @ g for g, e in zip(gs, effects)))
-        scale = float(np.trace(r).real)
-        if scale < 1e-30:
-            converged = True
+        if not live.size:
             break
-        inv = pseudo_inv_sqrt(r / scale, cutoff=1e-14) / math.sqrt(scale)
-        new = [_herm(inv @ g @ e @ g @ inv) for g, e in zip(gs, effects)]
-        comp = _herm(np.eye(dim) - sum(new))
-        gains = [float(np.trace(comp @ g).real) for g in gs]
-        j = int(np.argmax(gains))
-        new[j] = new[j] + comp
-        if np.linalg.eigvalsh(np.stack(new))[:, 0].min() < -TOL.effect_psd:
-            break
-        val = _sub_objective(gs, new)
-        if val > best_val:
-            best_val, best_eff = val, new
-        if val - cur < _FP_EPS:
-            converged = True
-            break
-        effects, cur = new, val
+        geg = g @ effects @ g
+        r = _herm(geg.sum(axis=1))
+        scale = _traces(r)
+        vanished = scale < 1e-30
+        converged[live[vanished]] = True
+        live, g, cur, geg, r, scale = _rows(~vanished, live, g, cur, geg, r, scale)
+        s = scale[:, None, None]
+        inv = (pseudo_inv_sqrt(r / s, cutoff=1e-14) / np.sqrt(s))[:, None]
+        new = _herm(inv @ geg @ inv)
+        comp = _herm(np.eye(dim) - new.sum(axis=1))
+        new[np.arange(len(g)), np.argmax(_pair_traces(comp[:, None], g), axis=1)] += comp
+        povm = np.linalg.eigvalsh(new)[..., 0].min(axis=1) >= -TOL.effect_psd
+        live, g, cur, new = _rows(povm, live, g, cur, new)
+        val = _pair_traces(new, g).sum(axis=1)
+        better = val > best_val[live]
+        best_val[live[better]] = val[better]
+        best_eff[live[better]] = new[better]
+        done = val - cur < _FP_EPS
+        converged[live[done]] = True
+        live, g, effects, cur = _rows(~done, live, g, new, val)
     return best_val, best_eff, converged
+
+
+def _discriminate(gs: Array, init: Array | None) -> tuple[Array, Array, Array]:
+    # values, effects and convergence flags of a (P, n, d, d) stack; see discriminate
+    p, n, dim = gs.shape[:3]
+    if n == 1:
+        return _traces(gs[:, 0]), _eye_at((p, 1), dim, np.zeros(p, dtype=int)), np.ones(p, bool)
+    if n == 2:
+        w, v = herm_eig(_herm(gs[:, 0] - gs[:, 1]))
+        pos = v * (w > 0)[:, None, :]
+        eff0 = _herm(pos @ dagger(pos))
+        effects = np.stack([eff0, np.eye(dim) - eff0], axis=1)
+        value = 0.5 * (_traces(gs[:, 0] + gs[:, 1]) + np.abs(w).sum(axis=1))
+        # the trace-norm value and the achieved value must agree (exact algebra)
+        achieved = _pair_traces(effects, gs).sum(axis=1)
+        bad = np.flatnonzero(np.abs(achieved - value) > 1e-10)
+        if bad.size:
+            i = bad[0]
+            raise CrossCheckFailed(f"Helstrom value {value[i]} not achieved ({achieved[i]})")
+        return value, effects, np.ones(p, bool)
+    val, effects, converged = _fixed_point(gs, _pgm(gs) if init is None else init)
+    traces = _traces(gs)
+    top = np.argmax(traces, axis=1)
+    floor = traces[np.arange(p), top]
+    low = val < floor
+    if low.any():
+        effects[low] = _eye_at((int(low.sum()), n), dim, top[low])
+        val[low], converged[low] = floor[low], True
+    return val, effects, converged
 
 
 class DiscriminationResult(NamedTuple):
     """Value, effects and convergence flag of :func:`discriminate`."""
 
     value: float
-    effects: list[Array]
+    effects: Array
     converged: bool
 
 
@@ -140,35 +209,16 @@ def discriminate(
     Three or more: the fixed-point iteration from ``init`` (default: the
     square-root measurement), never below the constant-guess floor
     ``max_x tr(G_x)``.  ``converged`` is false when the iteration ran out
-    of sweeps or stopped at an iterate that is not a POVM.
+    of sweeps or stopped at an iterate that is not a POVM.  The effects
+    come back as one ``(n, d, d)`` array.  This is the stacked solver
+    run on a stack of one problem.
     """
-    if not gs:
+    if not len(gs):
         raise ValueError("need at least one operator to discriminate")
-    dim = gs[0].shape[0]
-    if len(gs) == 1:
-        return DiscriminationResult(
-            float(np.trace(gs[0]).real), [np.eye(dim, dtype=complex)], True
-        )
-    if len(gs) == 2:
-        w, v = herm_eig(_herm(gs[0] - gs[1]))
-        pos = v[:, w > 0]
-        eff0 = _herm(pos @ dagger(pos))
-        effects = [eff0, np.eye(dim) - eff0]
-        value = 0.5 * (float(np.trace(gs[0] + gs[1]).real) + float(np.abs(w).sum()))
-        # the trace-norm value and the achieved value must agree (exact algebra);
-        # tr(E G) is vdot(E, G) because both effects are exactly Hermitian
-        achieved = float(np.vdot(effects[0], gs[0]).real + np.vdot(effects[1], gs[1]).real)
-        if abs(achieved - value) > 1e-10:
-            raise CrossCheckFailed(f"Helstrom value {value} not achieved ({achieved})")
-        return DiscriminationResult(value, effects, True)
-    val, effects, converged = _fixed_point(gs, list(init) if init is not None else _pgm(gs, dim))
-    traces = [float(np.trace(g).real) for g in gs]
-    floor_idx = int(np.argmax(traces))
-    if val < traces[floor_idx]:
-        effects = [np.zeros((dim, dim), dtype=complex) for _ in gs]
-        effects[floor_idx] = np.eye(dim, dtype=complex)
-        val, converged = traces[floor_idx], True
-    return DiscriminationResult(val, effects, converged)
+    stack = np.asarray(gs, dtype=complex)[None]
+    start = None if init is None else np.asarray(init, dtype=complex)[None]
+    val, effects, converged = _discriminate(stack, start)
+    return DiscriminationResult(float(val[0]), effects[0], bool(converged[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -212,18 +262,89 @@ def _random_projective_povm(dim: int, n: int, rng: np.random.Generator) -> list[
     return effects
 
 
-def _objective(
-    ps: Sequence[float],
-    rhos4: Sequence[Array],
-    p_eff: Sequence[Array],
-    q_eff: Sequence[Array],
-) -> float:
-    return float(
-        sum(
-            p * np.einsum("ik,jl,klij->", pe, qe, r4).real
-            for p, pe, qe, r4 in zip(ps, p_eff, q_eff, rhos4)
+def _starts(ens: GuessingEnsemble, warm: Sequence[Povm], cfg: SeesawConfig) -> Array:
+    """Charlie's start POVMs for one ensemble, as an ``(S, n, dc, dc)`` stack.
+
+    Every POVM in ``warm``, then the constant-guess POVM for the likeliest
+    label (which pins the value to at least ``max_x p_x``), then
+    ``cfg.restarts`` Haar-random projective POVMs drawn from ``cfg.rng``.
+    """
+    n, dc = ens.n_outcomes, ens.dims[1]
+    for start in warm:
+        if start.dim != dc or start.n_outcomes != n:
+            raise DimensionMismatch("warm start does not match the ensemble")
+    constant = np.zeros((n, dc, dc), dtype=complex)
+    constant[np.argmax([p for p, _ in ens.entries])] = np.eye(dc)
+    randoms = [_random_projective_povm(dc, n, cfg.rng) for _ in range(cfg.restarts)]
+    return np.stack([np.stack(s.effects) for s in warm] + [constant] + randoms)
+
+
+def _key_matrices(ens: GuessingEnsemble, out: Array) -> None:
+    # out[x, (i,k), (j,a)] = p_x rho_x[(i,a),(k,j)], written in place
+    db, dc = ens.dims
+    for x, (p, state) in enumerate(ens.entries):
+        view = state.reshape(db, dc, db, dc).transpose(0, 2, 3, 1)
+        np.multiply(view, p, out=out[x].reshape(db, db, dc, dc))
+
+
+def _seesaw(bmat: Array, dims: tuple[int, int], starts: Array) -> list[SeesawResult]:
+    """Lockstep seesaw of every (key, start) pair; the best result per key.
+
+    ``bmat[k]`` holds key k's ensemble as :func:`_key_matrices` lays it
+    out, and ``starts[k, s]`` is Charlie's start POVM ``s`` for key k.
+    With ``B = bmat[k, x]``, Bob's conditional operator
+    ``p_x tr_C((I ⊗ Q_x) rho_x)`` is ``B vec(Q_x)`` and Charlie's
+    ``p_x tr_B((P_x ⊗ I) rho_x)`` is ``(Bᵀ vec(P_xᵀ))ᵀ``: one batched
+    matmul per side and sweep for all problems.  Each problem stops on
+    its own once a sweep gains less than ``_SEESAW_EPS``.
+    """
+    db, dc = dims
+    keys, per_key, n = starts.shape[:3]
+
+    def conditional(mat: Array, eff: Array, d_in: int, d_out: int) -> Array:
+        # mat_kx vec(eff_px) for every problem, as (keys, starts, n, d_out, d_out)
+        cols = eff.reshape(keys, per_key, n, d_in * d_in).transpose(0, 2, 3, 1)
+        return (mat @ cols).transpose(0, 3, 1, 2).reshape(keys, per_key, n, d_out, d_out)
+
+    total = keys * per_key
+    q_eff = starts.reshape(total, n, dc, dc).astype(complex)
+    p_eff = np.zeros((total, n, db, db), dtype=complex)
+    # sweep-major, so only the rows of sweeps that ran are ever touched
+    trajectory = np.zeros((_SEESAW_ITERS, total))
+    sweeps = np.zeros(total, dtype=int)
+    converged = np.zeros(total, dtype=bool)
+    live = np.arange(total)
+    for sweep in range(_SEESAW_ITERS):
+        cond_b = conditional(bmat, q_eff, dc, db).reshape(total, n, db, db)[live]
+        p_init = None if sweep == 0 else p_eff[live]
+        p_eff[live] = _discriminate(_herm(cond_b), p_init)[1]
+        p_t = np.swapaxes(p_eff, -1, -2)
+        cond_c = conditional(np.swapaxes(bmat, -1, -2), p_t, db, dc)
+        cond_c = np.swapaxes(cond_c, -1, -2).reshape(total, n, dc, dc)[live]
+        val, q_eff[live], _ = _discriminate(_herm(cond_c), q_eff[live])
+        trajectory[sweep, live] = val
+        sweeps[live] = sweep + 1
+        if sweep:
+            done = val - trajectory[sweep - 1, live] < _SEESAW_EPS
+            converged[live[done]] = True
+            live = live[~done]
+            if not live.size:
+                break
+    values = trajectory[sweeps - 1, np.arange(total)].reshape(keys, per_key)
+    results = []
+    for k, s in enumerate(np.argmax(values, axis=1)):
+        i = k * per_key + s
+        results.append(
+            SeesawResult(
+                value=float(values[k, s]),
+                bob_povm=Povm(db, tuple(p_eff[i])),
+                charlie_povm=Povm(dc, tuple(q_eff[i])),
+                iterations_used=int(sweeps[i]),
+                trajectory=tuple(float(t) for t in trajectory[: sweeps[i], i]),
+                converged=bool(converged[i]),
+            )
         )
-    )
+    return results
 
 
 def seesaw_pguess(ens: GuessingEnsemble, cfg: SeesawConfig) -> SeesawResult:
@@ -232,63 +353,34 @@ def seesaw_pguess(ens: GuessingEnsemble, cfg: SeesawConfig) -> SeesawResult:
     Each sweep fixes Charlie's POVM, reduces Bob's side to a single-party
     discrimination of the conditional operators
     ``p_x tr_C((I ⊗ Q_x) rho_x)`` and solves it, then does the same for
-    Charlie.  The trajectory of objective values is nondecreasing and
-    every iterate is feasible, so the result is a lower bound.
+    Charlie.  The trajectory of Charlie's best-response values, which are
+    the objective of the product measurement, is nondecreasing and every
+    iterate is feasible, so the result is a lower bound.
 
     Starting points tried, best result returned: every POVM in
     ``cfg.warm_starts``, the constant-guess POVM for the likeliest label
     (which pins the value to at least ``max_x p_x``), and
     ``cfg.restarts`` Haar-random projective POVMs.
     """
-    n = ens.n_outcomes
     db, dc = ens.dims
-    ps = [p for p, _ in ens.entries]
-    rhos4 = [s.reshape(db, dc, db, dc) for _, s in ens.entries]
+    bmat = np.empty((1, ens.n_outcomes, db * db, dc * dc), dtype=complex)
+    _key_matrices(ens, bmat[0])
+    return _seesaw(bmat, ens.dims, _starts(ens, cfg.warm_starts, cfg)[None])[0]
 
-    constant_guess = [np.zeros((dc, dc), dtype=complex) for _ in range(n)]
-    constant_guess[int(np.argmax(ps))] = np.eye(dc, dtype=complex)
 
-    best: SeesawResult | None = None
-    for r in range(len(cfg.warm_starts) + 1 + cfg.restarts):
-        if r < len(cfg.warm_starts):
-            start = cfg.warm_starts[r]
-            if start.dim != dc or start.n_outcomes != n:
-                raise DimensionMismatch("warm start does not match the ensemble")
-            q_eff: list[Array] = list(start.effects)
-        elif r == len(cfg.warm_starts):
-            q_eff = list(constant_guess)
-        else:
-            q_eff = _random_projective_povm(dc, n, cfg.rng)
-        p_eff: list[Array] | None = None
-        trajectory: list[float] = []
-        converged = False
-        for _ in range(_SEESAW_ITERS):
-            cond_b = [
-                _herm(p * np.einsum("ja,iakj->ik", q, r4))
-                for p, q, r4 in zip(ps, q_eff, rhos4)
-            ]
-            p_eff = discriminate(cond_b, init=p_eff).effects
-            cond_c = [
-                _herm(p * np.einsum("ia,ajil->jl", pe, r4))
-                for p, pe, r4 in zip(ps, p_eff, rhos4)
-            ]
-            q_eff = discriminate(cond_c, init=q_eff).effects
-            trajectory.append(_objective(ps, rhos4, p_eff, q_eff))
-            if len(trajectory) >= 2 and trajectory[-1] - trajectory[-2] < _SEESAW_EPS:
-                converged = True
-                break
-        result = SeesawResult(
-            value=trajectory[-1],
-            bob_povm=Povm(db, tuple(p_eff)),
-            charlie_povm=Povm(dc, tuple(q_eff)),
-            iterations_used=len(trajectory),
-            trajectory=tuple(trajectory),
-            converged=converged,
+def seesaw_key_entries(message_count: int, out_dim: int) -> int:
+    """Complex entries of one key's seesaw ensemble, ``M out_dim²``.
+
+    Raises ``ValueError`` above ``_KEY_ENTRIES_CAP``, so a size that cannot
+    fit in memory is refused before any channel or ensemble is built.
+    """
+    entries = message_count * out_dim * out_dim
+    if entries > _KEY_ENTRIES_CAP:
+        raise ValueError(
+            f"one key's seesaw ensemble needs {message_count} x {out_dim}^2 = {entries} "
+            f"complex entries, more than the cap of {_KEY_ENTRIES_CAP}"
         )
-        if best is None or result.value > best.value:
-            best = result
-    assert best is not None
-    return best
+    return entries
 
 
 def pwin_unif_seesaw(
@@ -303,19 +395,35 @@ def pwin_unif_seesaw(
 
     With the cloning channel fixed, the per-key POVM optimizations
     decouple, so this averages per-key seesaw values over sampled keys.
-    ``warm_start(e, key)`` may supply per-key initial Charlie POVMs.
+    ``warm_start(e, key)`` may supply per-key initial Charlie POVMs; it
+    must return the same number for every key.  Keys are solved in chunks
+    of at most ``_CHUNK_ENTRIES`` ensemble entries, every (key, start)
+    pair of a chunk as one lockstep stack; restarts are drawn key by key.
     Returns the sample mean and standard error of a statistical lower
     bound estimate.
     """
     key_list = e.keys_for(key_samples, cfg.rng, keys)
-    vals = np.empty(len(key_list))
-    for i, key in enumerate(key_list):
-        ens = ensemble_from_scheme_key(e, key, ch)
-        sub_cfg = cfg
-        if warm_start is not None:
-            ws = tuple(warm_start(e, key)) + cfg.warm_starts
-            sub_cfg = replace(cfg, warm_starts=ws)
-        vals[i] = seesaw_pguess(ens, sub_cfg).value
+    chunk = max(1, _CHUNK_ENTRIES // seesaw_key_entries(e.message_count, ch.out_dim))
+    side = math.isqrt(ch.out_dim)
+    n_warm = None
+    vals = []
+    for lo in range(0, len(key_list), chunk):
+        chunk_keys = key_list[lo : lo + chunk]
+        bmat = np.empty((len(chunk_keys), e.message_count, side**2, side**2), dtype=complex)
+        starts = []
+        for k, key in enumerate(chunk_keys):
+            ens = ensemble_from_scheme_key(e, key, ch)
+            warm = tuple(warm_start(e, key)) if warm_start is not None else ()
+            if n_warm is None:
+                n_warm = len(warm)
+            elif len(warm) != n_warm:
+                raise DimensionMismatch(
+                    f"warm_start gave {len(warm)} POVMs for one key and {n_warm} for another"
+                )
+            _key_matrices(ens, bmat[k])
+            starts.append(_starts(ens, warm + cfg.warm_starts, cfg))
+        vals += [r.value for r in _seesaw(bmat, (side, side), np.stack(starts))]
+    vals = np.array(vals)
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
     return mean, stderr

@@ -20,6 +20,7 @@ statistic used by the indistinguishability attack bound.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Sequence
 
@@ -70,18 +71,18 @@ class Povm:
         psd_tol: float = TOL.effect_psd,
         completeness_tol: float = TOL.completeness,
     ) -> None:
-        total = np.zeros((self.dim, self.dim), dtype=complex)
+        """Check shapes, Hermiticity and positivity of the stacked effects, and completeness."""
         for e in self.effects:
             if e.shape != (self.dim, self.dim):
                 raise DimensionMismatch(f"effect shape {e.shape} != ({self.dim}, {self.dim})")
-            dev = max_abs(e - dagger(e))
-            if dev > herm_tol:
-                raise InvalidOperator(f"effect Hermiticity deviation {dev}")
-            w = np.linalg.eigvalsh((e + dagger(e)) / 2)
-            if w[0] < -psd_tol:
-                raise InvalidOperator(f"effect eigenvalue {w[0]} below -{psd_tol}")
-            total += e
-        dev = max_abs(total - np.eye(self.dim))
+        stack = np.stack(self.effects) if self.effects else np.zeros((0, self.dim, self.dim))
+        dev = max_abs(stack - dagger(stack))
+        if dev > herm_tol:
+            raise InvalidOperator(f"effect Hermiticity deviation {dev}")
+        low = float(np.linalg.eigvalsh((stack + dagger(stack)) / 2)[:, :1].min(initial=0.0))
+        if low < -psd_tol:
+            raise InvalidOperator(f"effect eigenvalue {low} below -{psd_tol}")
+        dev = max_abs(stack.sum(axis=0) - np.eye(self.dim))
         if dev > completeness_tol:
             raise InvalidOperator(f"POVM completeness deviation {dev}")
 
@@ -98,6 +99,10 @@ class RankDistribution:
     probabilities: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        # a rank that is a bool or not an integer (1.5, 2.0) is refused, not truncated
+        ranks = [x for t in self.support for x in t]
+        if any(isinstance(x, bool) or not isinstance(x, numbers.Integral) for x in ranks):
+            raise InvalidRanks(f"ranks must be integers, got {[list(t) for t in self.support]}")
         support = tuple(tuple(int(x) for x in t) for t in self.support)
         probs = tuple(float(p) for p in self.probabilities)
         object.__setattr__(self, "support", support)

@@ -1,12 +1,16 @@
+import csv
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from uncloneq import optimize
 from uncloneq.cli import main
 
 
@@ -119,6 +123,75 @@ def test_fixed_point_effects_stay_psd(args, capsys):
     assert verdicts and all(v in ("true", "") for v in verdicts)
 
 
+def _columns(out: str, name: str) -> list[str]:
+    return [row[name] for row in csv.DictReader(io.StringIO(out))]
+
+
+# value and reference columns of seesaw reports, recorded before the seesaw
+# ran as one stacked problem; None is an empty reference column
+_GOLDEN_SEESAW = [
+    (["seesaw", "--scheme", "bb84:2", "--channel", "cloner", "--trials", "4", "--seed", "7"],
+     [0.33100596729824394], [0.25]),
+    (["seesaw", "--scheme", "uniform_haar:2,3", "--channel", "measure_share",
+      "--trials", "60", "--seed", "3"],
+     [0.6532867029611094], [0.6532867029611094]),
+    (["conjecture-scan", "--M", "2", "--d", "8", "--trials", "6", "--seed", "11"],
+     [0.5624999999999999, 0.5312499999999997, 0.520833333333333, 0.5156249999999999],
+     [None] * 4),
+    (["conjecture-scan", "--M", "3", "--d", "6", "--trials", "3", "--seed", "40"],
+     [0.40161973665164225, 0.39200371419516933, 0.3720842277021726], [None] * 3),
+]
+
+
+@pytest.mark.parametrize("args, values, references", _GOLDEN_SEESAW)
+def test_seesaw_golden_values(args, values, references, capsys):
+    code, out = run_cli(args, capsys)
+    assert code == 0
+    got = [float(v) for v in _columns(out, "value")]
+    assert got == pytest.approx(values, abs=1e-9, rel=0)
+    for text, ref in zip(_columns(out, "reference"), references, strict=True):
+        assert text == "" if ref is None else abs(float(text) - ref) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["seesaw", "--scheme", "uniform_haar:2,3", "--channel", "measure_share",
+         "--trials", "60", "--seed", "3"],
+        ["seesaw", "--scheme", "bb84:2", "--channel", "cloner", "--trials", "4", "--seed", "7"],
+        ["conjecture-scan", "--M", "3", "--d", "6", "--trials", "3", "--seed", "40"],
+    ],
+)
+def test_key_chunking_does_not_change_reports(args, capsys, monkeypatch):
+    # one key per chunk must print what the default multi-key chunks print
+    _, default = run_cli(args, capsys)
+    monkeypatch.setattr(optimize, "_CHUNK_ENTRIES", 1)
+    _, one_key = run_cli(args, capsys)
+    assert one_key == default
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["conjecture-scan", "--M", "2", "--d", "200", "--trials", "2", "--seed", "1"],
+        ["seesaw", "--scheme", "uniform_haar:2,100", "--channel", "measure_share",
+         "--trials", "2", "--seed", "1"],
+    ],
+)
+def test_oversize_seesaw_is_refused_before_allocating(args, capsys):
+    tracemalloc.start()
+    try:
+        code = main(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "config error" in captured.err and "d = 200" in captured.err
+    assert peak < 8 * 2**20
+
+
 class TestDeterminism:
     def test_byte_identical_csv(self, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
@@ -208,6 +281,9 @@ class TestExitCodes:
             ["lemma1", "--scheme", '{"type":"haar"}'],
             ["lemma1", "--scheme", '{"type":"haar","M":2,"d":2,"tdist":5}'],
             ["lemma1", "--scheme", '{"type":"bb84","n":null}'],
+            # ranks that are not integers are refused, not truncated
+            ["lemma1", "--scheme", '{"type":"haar","M":2,"d":2,"tdist":[[[1,1.5],1.0]]}'],
+            ["lemma1", "--scheme", '{"type":"haar","M":2,"d":3,"tdist":[[[true,2],1.0]]}'],
         ],
     )
     def test_out_of_range_input_is_config_error(self, args, capsys):

@@ -54,6 +54,19 @@ class TestHermEig:
         with pytest.raises(NotHermitian):
             herm_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    def test_stack_matches_each_slice(self, rng):
+        hs = np.stack([rand_hermitian(4, rng) for _ in range(5)])
+        w, v = herm_eig(hs)
+        for h, ws, vs in zip(hs, w, v):
+            w1, v1 = herm_eig(h)
+            assert np.array_equal(ws, w1) and np.array_equal(vs, v1)
+
+    def test_stack_checks_every_slice(self, rng):
+        hs = np.stack([rand_hermitian(3, rng) for _ in range(4)])
+        hs[2, 0, 1] += 1e-6
+        with pytest.raises(NotHermitian):
+            herm_eig(hs)
+
 
 class TestHaarUnitary:
     def test_dim_one_is_phase(self, rng):
@@ -243,6 +256,12 @@ class TestPseudoInvSqrt:
     def test_rank_one_plus(self):
         rho = np.outer(PLUS, PLUS)
         assert np.max(np.abs(pseudo_inv_sqrt(rho, 1e-12) - rho)) < 1e-10
+
+    def test_stack_matches_each_slice(self, rng):
+        rhos = np.stack([rand_density(3, rng), np.diag([0.5, 0.5, 0.0]).astype(complex)])
+        out = pseudo_inv_sqrt(rhos, 1e-12)
+        for rho, o in zip(rhos, out):
+            assert np.array_equal(o, pseudo_inv_sqrt(rho, 1e-12))
 
 
 class TestReproducibility:

@@ -12,7 +12,9 @@ from uncloneq.attacks import (
     superposition_cloner,
 )
 from uncloneq import optimize
-from uncloneq.errors import CrossCheckFailed
+from uncloneq.cli import main
+from uncloneq.config import TOL
+from uncloneq.errors import CrossCheckFailed, DimensionMismatch
 from uncloneq.linalg import KrausChannel, dagger, haar_unitary, herm_eig, make_rng
 from uncloneq.optimize import (
     SeesawConfig,
@@ -64,7 +66,7 @@ class TestHelstrom:
         # a trace-norm value the projector does not reach is an invariant failure
         def shifted_eig(h):
             w, v = herm_eig(h)
-            return w + np.eye(len(w))[0] * 1e-6, v
+            return w + np.eye(w.shape[-1])[0] * 1e-6, v
 
         monkeypatch.setattr(optimize, "herm_eig", shifted_eig)
         with pytest.raises(CrossCheckFailed):
@@ -85,7 +87,8 @@ class TestDiscriminationFixedPoint:
             p = float(rng.random())
             gs = [p * rho0, (1 - p) * rho1]
             hv = discriminate(gs).value
-            fv, _, _ = optimize._fixed_point(gs, optimize._pgm(gs, 2))
+            stack = np.array(gs)[None]
+            fv = optimize._fixed_point(stack, optimize._pgm(stack))[0][0]
             assert abs(hv - fv) < 1e-6
 
     def test_three_orthogonal_pure_states(self):
@@ -117,6 +120,56 @@ class TestDiscriminationFixedPoint:
             res = discriminate(gs)
             povm = Povm(dim=3, effects=tuple(res.effects))
             povm.validate(herm_tol=1e-8, psd_tol=1e-8, completeness_tol=1e-8)
+
+    def test_stacked_problems_each_get_their_solo_result(self, monkeypatch):
+        # a PSD-guard stop, a one-sweep convergence and a constant-guess floor,
+        # solved as one stack, each equal to discriminate on its own
+        captured = []
+        fixed_point = optimize._fixed_point
+
+        def capture(gs, effects):
+            captured.extend(zip(gs.copy(), np.array(effects)))
+            return fixed_point(gs, effects)
+
+        monkeypatch.setattr(optimize, "_fixed_point", capture)
+        main(["seesaw", "--scheme", "uniform_haar:3,2", "--channel", "measure_share",
+              "--trials", "6", "--seed", "17"])
+        monkeypatch.setattr(optimize, "_fixed_point", fixed_point)
+        eigvalsh, lows = np.linalg.eigvalsh, []
+
+        def record(a):
+            w = eigvalsh(a)
+            lows.append(w[..., 0].min())
+            return w
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", record)
+        guard_stops = []
+        for gs, init in captured:
+            lows.clear()
+            discriminate(gs, init)
+            if min(lows) < -TOL.effect_psd:
+                guard_stops.append((gs, init))
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        assert guard_stops
+
+        rho = rand_density(6, make_rng(9))
+        blocks = [np.diag(np.repeat(np.eye(3)[x], 2)).astype(complex) for x in range(3)]
+        zero = np.zeros((6, 6), dtype=complex)
+        problems = [
+            guard_stops[0],
+            ([b / 6 for b in blocks], blocks),
+            ([0.6 * rho, 0.2 * rho, 0.2 * rho], [zero, np.eye(6), zero]),
+        ]
+        vals, effects, converged = optimize._discriminate(
+            np.array([gs for gs, _ in problems]), np.array([init for _, init in problems])
+        )
+        for i, (gs, init) in enumerate(problems):
+            solo = discriminate(gs, init)
+            assert vals[i] == solo.value
+            assert np.array_equal(effects[i], solo.effects)
+            assert converged[i] == solo.converged
+        assert converged.tolist() == [False, True, True]
+        assert vals[1] == pytest.approx(1.0, abs=1e-12) and vals[2] == pytest.approx(0.6, abs=1e-12)
 
     def test_value_at_least_best_prior(self, rng):
         for _ in range(10):
@@ -222,6 +275,42 @@ class TestPwinUnifSeesaw:
             np.mean([optimal_decode_for_measure_share(e, k, basis)[1] for k in keys])
         )
         assert abs(mean - classical) < 1e-6
+
+    @pytest.mark.parametrize("channel", ["cloner", "measure_share"])
+    def test_lockstep_equals_keys_in_sequence(self, channel):
+        # five Haar keys as one stack give the per-key seesaw values in sequence
+        if channel == "cloner":
+            e, ch, warm = uniform_haar_scheme(3, 1), superposition_cloner(3), None
+        else:
+            e, basis = uniform_haar_scheme(2, 2), np.eye(4, dtype=complex)
+            ch = measure_share_attack(4, basis)
+
+            def warm(scheme, key):
+                return (optimal_decode_for_measure_share(scheme, key, basis)[0][0],)
+
+        keys = e.keys_for(5, make_rng(7))
+        mean, _ = pwin_unif_seesaw(
+            e, ch, len(keys), SeesawConfig(rng=make_rng(8), restarts=2), warm_start=warm, keys=keys
+        )
+        rng = make_rng(8)
+        vals = []
+        for key in keys:
+            ws = tuple(warm(e, key)) if warm else ()
+            cfg = SeesawConfig(rng=rng, restarts=2, warm_starts=ws)
+            vals.append(seesaw_pguess(ensemble_from_scheme_key(e, key, ch), cfg).value)
+        assert abs(mean - np.mean(vals)) < 1e-12
+
+    def test_warm_start_count_must_not_vary(self, rng):
+        e = bb84_scheme(1)
+        keys = e.enumerate_keys()
+        atk = projector_cloning_attack(e)
+
+        def warm(scheme, key):
+            return (atk.bob_povm(key),) * (1 + (key == keys[-1]))
+
+        cfg = SeesawConfig(rng=make_rng(3))
+        with pytest.raises(DimensionMismatch):
+            pwin_unif_seesaw(e, superposition_cloner(2), 0, cfg, warm_start=warm, keys=keys)
 
     def test_identity_to_bob_floor(self, rng):
         e = uniform_haar_scheme(2, 1)

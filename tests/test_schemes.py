@@ -76,6 +76,12 @@ class TestHaarScheme:
         with pytest.raises(InvalidRanks):
             RankDistribution(((1, 1),), (0.7,))
 
+    @pytest.mark.parametrize("support", [((1, 1.5),), ((True, 2),), ((1.0, 1),)])
+    def test_non_integer_ranks_rejected(self, support):
+        # int() would truncate 1.5 to 1 and read True as 1
+        with pytest.raises(InvalidRanks):
+            RankDistribution(support, (1.0,))
+
 
 class TestUniformHaarScheme:
     def test_small_cases(self, rng):
@@ -284,6 +290,16 @@ class TestPovm:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             Povm(dim=3, effects=(np.eye(2, dtype=complex),))
+
+    @pytest.mark.parametrize("low, ok", [(-2e-9, False), (-5e-10, True)])
+    def test_effect_psd_threshold(self, low, ok):
+        # the stacked check keeps the -TOL.effect_psd = -1e-9 threshold
+        effects = (np.diag([1.0 - low, 0.5]).astype(complex), np.diag([low, 0.5]).astype(complex))
+        if ok:
+            Povm(dim=2, effects=effects)
+        else:
+            with pytest.raises(InvalidOperator):
+                Povm(dim=2, effects=effects)
 
 
 def _two_point_haar():
