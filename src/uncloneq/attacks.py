@@ -66,6 +66,9 @@ __all__ = [
     "superposition_cloner",
 ]
 
+# complex entries of one chunk's stack of bases (4 MB), at least one trial
+_CHUNK_ENTRIES = 2**18
+
 
 @dataclass(frozen=True)
 class CloningAttack:
@@ -321,18 +324,6 @@ def _outcome_likelihoods(e: QecmScheme, key: Any, basis: Array) -> Array:
     return probs
 
 
-def _stacked_likelihoods(e: QecmScheme, keys: Sequence, bases: Array) -> Array:
-    # entry (j, i, m) holds <e_i| Enc_k(m) |e_i> for key j and basis bases[j]
-    factors = [e.factor(key) for key in keys]
-    r = max(f.shape[1] for f, _ in factors)
-    stacked = np.zeros((len(keys), e.cipher_dim, r), dtype=complex)
-    owners = np.zeros((len(keys), r, e.message_count))
-    for j, (f, owner) in enumerate(factors):
-        stacked[j, :, : f.shape[1]] = f
-        owners[j, np.arange(owner.size), owner] = 1.0
-    return np.abs(bases.conj().transpose(0, 2, 1) @ stacked) ** 2 @ owners
-
-
 def optimal_decode_for_measure_share(
     e: QecmScheme, key: Any, basis: Array
 ) -> tuple[tuple[Povm, Povm], float]:
@@ -363,28 +354,35 @@ def random_basis_attack_estimate(
     maximum-likelihood decode value; returns the sample mean and its
     standard error.
 
-    Trials run in chunks of ``c`` with ``c d²`` at most ``2**18`` (about
-    4 MB per complex stack).  A chunk draws ``c`` keys, stacks their
-    ciphertext factors ``F`` (:meth:`QecmScheme.factor`) zero-padded to
-    ``(c, d, r)`` with a one-hot ``(c, r, M)`` owner matrix ``S``, draws
-    ``c`` bases ``B`` in one batched :func:`haar_unitary` call and reads
-    every likelihood ``<e_i| Enc_k(m) |e_i>`` from ``|B† F|² @ S``; no
-    ciphertext density matrix is formed.
+    Trials run in chunks of ``c`` with ``c d²`` at most ``_CHUNK_ENTRIES
+    = 2**18`` (about 4 MB per complex stack, at least one trial).  A chunk
+    draws, in this order, the ``c`` keys' stacked ciphertext factors ``F``
+    with their one-hot owner matrix ``S`` (:meth:`QecmScheme.sample_factors`;
+    for Haar schemes the ranks in one draw, then the key unitaries in one
+    batched :func:`haar_unitary` call) and then ``c`` bases ``B`` in one
+    batched :func:`haar_unitary` call.  Every likelihood ``<e_i| Enc_k(m)
+    |e_i>`` is read from ``|B† F|² @ S``; no ciphertext density matrix is
+    formed.  Chunk means and squared deviations are combined as they come
+    (Chan et al.'s pairwise update), so memory does not grow with
+    ``trials``.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     big_m, d = e.message_count, e.cipher_dim
     if big_m == 1:
         return 1.0, 0.0  # the single message is always decoded
-    chunk = max(1, min(trials, (1 << 18) // (d * d)))
-    vals = np.empty(trials)
-    for start in range(0, trials, chunk):
-        c = min(chunk, trials - start)
-        keys = [e.key_sampler(rng) for _ in range(c)]
-        probs = _stacked_likelihoods(e, keys, haar_unitary(d, rng, c))
-        vals[start : start + c] = probs.max(axis=2).sum(axis=1) / big_m
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    chunk = max(1, min(trials, _CHUNK_ENTRIES // (d * d)))
+    mean, sq_dev = 0.0, 0.0
+    for done in range(0, trials, chunk):
+        c = min(chunk, trials - done)
+        f, owners = e.sample_factors(rng, c)
+        probs = np.abs(dagger(haar_unitary(d, rng, c)) @ f) ** 2 @ owners
+        vals = probs.max(axis=2).sum(axis=1) / big_m
+        chunk_mean = float(vals.mean())
+        delta = chunk_mean - mean
+        mean += delta * c / (done + c)
+        sq_dev += float(((vals - chunk_mean) ** 2).sum()) + delta * delta * done * c / (done + c)
+    stderr = math.sqrt(sq_dev / (trials - 1) / trials) if trials > 1 else 0.0
     return mean, stderr
 
 

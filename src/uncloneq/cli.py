@@ -44,6 +44,9 @@ _SEESAW_SLACK = 1e-6
 _MEG_GAP_TOL = 1e-8
 # the max-over-sum constant floored to the four decimals the paper quotes
 _ERLANG_C = math.floor(stats.ERLANG_MAX_CONSTANT * 1e4) / 1e4
+# entries one theorem2 key, erlang sample row or meg Kraus set may hold (256 MB
+# of complex entries), the same cap as a seesaw key ensemble's
+_ENTRIES_CAP = 2**24
 
 
 class _Parser(argparse.ArgumentParser):
@@ -138,6 +141,12 @@ def _check_message_count(big_m: int, d: int, source: str) -> None:
         raise ValueError(f"{source}: need 1 <= M <= d, got M={big_m}, d={d}")
 
 
+def _check_entries(entries: int, what: str) -> None:
+    # a size that cannot fit is refused before anything is allocated
+    if entries > _ENTRIES_CAP:
+        raise ValueError(f"{what} needs {entries} entries, more than the cap of {_ENTRIES_CAP}")
+
+
 def _stderr_trials(opts: dict) -> int:
     # a gate of value >= reference - 3 * stderr needs a sample with an error bar
     trials = opts["trials"]
@@ -187,8 +196,8 @@ def run_lemma1(opts: dict) -> list[dict]:
 
 def run_theorem2(opts: dict) -> list[dict]:
     trials = _stderr_trials(opts)
-    rows = []
-    for i, case in enumerate(opts["cases"].split(";")):
+    cases = []
+    for case in opts["cases"].split(";"):
         m_str, _, d_str = case.partition("x")
         try:
             big_m, d = int(m_str), int(d_str)
@@ -197,6 +206,10 @@ def run_theorem2(opts: dict) -> list[dict]:
         _check_message_count(big_m, d, f"--cases item {case!r}")
         if d % big_m:
             raise ValueError(f"--cases item {case!r}: d must be a multiple of M")
+        _check_entries(d * d, f"--cases item {case!r}: one {d} x {d} key")
+        cases.append((big_m, d))
+    rows = []
+    for i, (big_m, d) in enumerate(cases):
         scheme = uniform_haar_scheme(big_m, d // big_m)
         mean, stderr = attacks.random_basis_attack_estimate(
             scheme, trials, make_rng(opts["seed"], stream=i)
@@ -251,14 +264,18 @@ def run_o2h(opts: dict) -> list[dict]:
 
 def run_erlang(opts: dict) -> list[dict]:
     trials = _stderr_trials(opts)
-    rows = []
-    for i, n_str in enumerate(opts["ns"].split(",")):
+    ns = []
+    for n_str in opts["ns"].split(","):
         try:
             n = int(n_str)
         except ValueError:
             n = 0
         if n < 1:
             raise ValueError(f"--ns {opts['ns']!r}: item {n_str!r} is not a positive integer")
+        _check_entries(n, f"--ns item {n_str!r}: one sample row")
+        ns.append(n)
+    rows = []
+    for i, n in enumerate(ns):
         mean, stderr = stats.max_over_sum_estimate(
             [1] * n, opts["rate"], trials, make_rng(opts["seed"], stream=i)
         )
@@ -350,21 +367,30 @@ def run_seesaw(opts: dict) -> list[dict]:
 
 def run_meg(opts: dict) -> list[dict]:
     scheme = _parse_scheme(opts["scheme"])
-    rng = make_rng(opts["seed"])
-    keys = scheme.keys_for(opts["trials"], rng)
     attack_name = opts["attack"]
+    d = scheme.cipher_dim
     if attack_name == "cloner":
         if scheme.message_count != 2:
             raise ValueError(
                 f"--attack cloner guesses a binary message; --scheme {opts['scheme']!r} "
                 f"has {scheme.message_count}"
             )
-        atk = attacks.projector_cloning_attack(scheme)
+        n_kraus, out_dim = 1, (d + 1) ** 2
     elif attack_name == "measure_share":
-        basis = _measurement_basis("standard", scheme.cipher_dim)
-        atk = attacks.measure_share_ml_attack(scheme, basis)
+        n_kraus, out_dim = d, d * d
     else:
         raise ValueError(f"--attack {attack_name!r} is not a known attack")
+    # the Choi factor has a d * out_dim column per Kraus op, as many entries as the ops
+    _check_entries(
+        n_kraus * out_dim * d,
+        f"--attack {attack_name} at d = {d}: its Kraus ops ({n_kraus} x {out_dim} x {d})",
+    )
+    rng = make_rng(opts["seed"])
+    keys = scheme.keys_for(opts["trials"], rng)
+    if attack_name == "cloner":
+        atk = attacks.projector_cloning_attack(scheme)
+    else:
+        atk = attacks.measure_share_ml_attack(scheme, _measurement_basis("standard", d))
     lhs, rhs, gap = meg.verify_reduction(scheme, atk, len(keys), keys=keys)
     return [
         {

@@ -132,9 +132,14 @@ class RankDistribution:
     def message_count(self) -> int:
         return len(self.support[0])
 
-    def sample(self, rng: np.random.Generator) -> tuple[int, ...]:
-        idx = int(rng.choice(len(self.support), p=self.probabilities))
-        return self.support[idx]
+    def sample(
+        self, rng: np.random.Generator, n: int | None = None
+    ) -> tuple[int, ...] | Array:
+        """One rank vector, or an ``(n, M)`` array of ``n`` from one batched draw."""
+        idx = rng.choice(len(self.support), size=n, p=self.probabilities)
+        if n is None:
+            return self.support[int(idx)]
+        return np.array(self.support)[idx]
 
     def to_json(self) -> list:
         return [[list(t), p] for t, p in zip(self.support, self.probabilities)]
@@ -167,6 +172,8 @@ class QecmScheme:
     spaces may expose ``enumerate_keys`` for exact key expectations.
     Schemes whose ciphertexts have a closed-form factorization may set
     ``cipher_factor``; :meth:`factor` falls back to eigendecomposition.
+    Schemes that can draw many keys at once may set ``factor_sampler``;
+    :meth:`sample_factors` falls back to a loop over ``key_sampler``.
     """
 
     message_count: int
@@ -177,6 +184,7 @@ class QecmScheme:
     descriptor: dict = field(default_factory=dict)
     enumerate_keys: Callable[[], list] | None = None
     cipher_factor: Callable[[Any], tuple[Array, Array]] | None = None
+    factor_sampler: Callable[[np.random.Generator, int], tuple[Array, Array]] | None = None
 
     def factor(self, key: Any) -> tuple[Array, Array]:
         """All ciphertexts of ``key`` as one factor ``F`` and column owners.
@@ -196,6 +204,27 @@ class QecmScheme:
             cols.append(v[:, keep] * np.sqrt(w[keep]))
             owner.append(np.full(int(keep.sum()), m))
         return np.concatenate(cols, axis=1), np.concatenate(owner)
+
+    def sample_factors(self, rng: np.random.Generator, n: int) -> tuple[Array, Array]:
+        """Factors of ``n`` freshly drawn keys, stacked, with one-hot owners.
+
+        Returns ``F`` of shape ``(n, cipher_dim, r)`` and ``S`` of shape
+        ``(n, r, message_count)``: key ``j``'s :meth:`factor` sits in
+        ``F[j]``, zero-padded to the widest factor ``r``, and
+        ``S[j, c, m] = 1`` when column ``c`` belongs to message ``m``, so
+        ``Enc_j(m) = F[j] diag(S[j, :, m]) F[j]†``.  Without a
+        ``factor_sampler`` the keys come from ``n`` calls of ``key_sampler``.
+        """
+        if self.factor_sampler is not None:
+            return self.factor_sampler(rng, n)
+        factors = [self.factor(self.key_sampler(rng)) for _ in range(n)]
+        r = max(f.shape[1] for f, _ in factors)
+        stacked = np.zeros((n, self.cipher_dim, r), dtype=complex)
+        owners = np.zeros((n, r, self.message_count))
+        for j, (f, owner) in enumerate(factors):
+            stacked[j, :, : f.shape[1]] = f
+            owners[j, np.arange(owner.size), owner] = 1.0
+        return stacked, owners
 
     def keys_for(
         self,
@@ -252,6 +281,15 @@ def haar_scheme(M: int, d: int, tdist: RankDistribution) -> QecmScheme:
         owner = np.repeat(np.arange(M), t)
         return key.unitary / np.sqrt(t[owner]), owner
 
+    def factor_sampler(rng: np.random.Generator, n: int) -> tuple[Array, Array]:
+        # the ranks of all n keys in one draw, then their n unitaries in one QR;
+        # column c of key j belongs to the first message whose block ends past c
+        t = tdist.sample(rng, n)
+        u = haar_unitary(d, rng, n)
+        owner = (np.arange(d)[:, None] >= np.cumsum(t, axis=1)[:, None, :]).sum(axis=2)
+        scale = np.sqrt(np.take_along_axis(t, owner, axis=1))
+        return u / scale[:, None, :], (owner[..., None] == np.arange(M)).astype(float)
+
     def decrypt_povm(key: HaarKey) -> Povm:
         effects = []
         for block in _block_slices(key.ranks):
@@ -267,6 +305,7 @@ def haar_scheme(M: int, d: int, tdist: RankDistribution) -> QecmScheme:
         decrypt_povm=decrypt_povm,
         descriptor={"type": "haar", "M": M, "d": d, "tdist": tdist.to_json()},
         cipher_factor=cipher_factor,
+        factor_sampler=factor_sampler,
     )
 
 

@@ -29,6 +29,9 @@ __all__ = [
     "max_over_sum_estimate",
 ]
 
+# float64 entries of the reused sample block of max_over_sum_estimate (512 KB)
+_BLOCK_ENTRIES = 2**16
+
 #: explicit constant in the max-over-sum lower bound, (1 - 1/e - 1/2)/(2 log2 e)
 ERLANG_MAX_CONSTANT = (1.0 - math.exp(-1.0) - 0.5) / (2.0 * math.log2(math.e))
 
@@ -99,6 +102,13 @@ def max_over_sum_estimate(
     ``X_i`` are independent Erlang(``ks[i]``, ``rate``) variables drawn
     as sums of exponentials.  The ratio is scale free, so the value does
     not depend on ``rate``.
+
+    Each trial takes one row of ``sum(ks)`` exponentials from the stream,
+    in trial order.  The rows are drawn into one block, allocated once,
+    of at most ``_BLOCK_ENTRIES = 2**16`` float64 entries (512 KB) and at
+    least one row, so memory is about ``max(512 KB, 8 sum(ks) bytes)``
+    whatever ``trials`` is, and the estimate does not depend on the block
+    size beyond rounding.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -112,20 +122,20 @@ def max_over_sum_estimate(
         return 1.0, 0.0
     k_total = sum(ks)
     offsets = np.cumsum([0] + ks)[:-1]
-    # chunk trials to keep the exponential sample block under ~32 MB
-    chunk = max(1, min(trials, (1 << 22) // k_total))
+    block = np.empty((max(1, min(trials, _BLOCK_ENTRIES // k_total)), k_total))
     acc = 0.0
     acc_sq = 0.0
     done = 0
     while done < trials:
-        c = min(chunk, trials - done)
-        block = rng.standard_exponential((c, k_total)) / rate
+        rows = block[: min(len(block), trials - done)]
+        rng.standard_exponential(out=rows)
+        rows /= rate
         # with every shape 1 the block sums are the draws themselves
-        sums = block if k_total == n else np.add.reduceat(block, offsets, axis=1)
+        sums = rows if k_total == n else np.add.reduceat(rows, offsets, axis=1)
         ratios = sums.max(axis=1) / sums.sum(axis=1)
         acc += float(ratios.sum())
         acc_sq += float((ratios * ratios).sum())
-        done += c
+        done += len(rows)
     mean = acc / trials
     if trials == 1:
         return mean, 0.0

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from uncloneq.attacks import (
     CloningAttack,
@@ -20,7 +22,8 @@ from uncloneq.attacks import (
     random_basis_attack_estimate,
     superposition_cloner,
 )
-from uncloneq.attacks import _outcome_likelihoods, _stacked_likelihoods
+from uncloneq import attacks
+from uncloneq.attacks import _outcome_likelihoods
 from uncloneq.errors import DegenerateTop, DimensionMismatch, NotOrthogonalPair
 from uncloneq.linalg import (
     KrausChannel,
@@ -32,6 +35,7 @@ from uncloneq.linalg import (
     make_rng,
 )
 from uncloneq.schemes import (
+    HaarKey,
     Povm,
     QecmScheme,
     RankDistribution,
@@ -42,7 +46,7 @@ from uncloneq.schemes import (
     mu_statistic,
     uniform_haar_scheme,
 )
-from uncloneq.stats import max_over_sum_estimate
+from uncloneq.stats import ErlangParams, erlang_cdf
 
 from conftest import orthogonal_support_pair
 
@@ -299,6 +303,25 @@ def _mixed_rank_scheme() -> QecmScheme:
     )
 
 
+_EVEN_4X2 = RankDistribution.deterministic((2, 2, 2, 2))
+_TWO_SUPPORT = RankDistribution(((1, 1, 4), (3, 2, 1)), (0.5, 0.5))
+
+
+def _haar_keys(tdist: RankDistribution, d: int):
+    # the Haar factor_sampler's draw order: every key's ranks, then every unitary
+    def draw(rng, n):
+        ranks = tdist.sample(rng, n)
+        unitaries = haar_unitary(d, rng, n)
+        return [HaarKey(tuple(int(x) for x in t), u) for t, u in zip(ranks, unitaries)]
+
+    return draw
+
+
+def _looped(e: QecmScheme):
+    # schemes without a factor_sampler draw their keys one key_sampler call at a time
+    return e, lambda rng, n: [e.key_sampler(rng) for _ in range(n)]
+
+
 class TestRandomBasisEstimate:
     def test_qubit_pure_pair(self):
         e = uniform_haar_scheme(2, 1)
@@ -320,49 +343,84 @@ class TestRandomBasisEstimate:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: uniform_haar_scheme(4, 2),
-            lambda: haar_scheme(
-                3, 6, RankDistribution(((1, 1, 4), (3, 2, 1)), (0.5, 0.5))
+            lambda: (uniform_haar_scheme(4, 2), _haar_keys(_EVEN_4X2, 8)),
+            lambda: (haar_scheme(3, 6, _TWO_SUPPORT), _haar_keys(_TWO_SUPPORT, 6)),
+            lambda: _looped(bb84_scheme(2)),
+            lambda: _looped(
+                extend_scheme(uniform_haar_scheme(2, 2), np.eye(6, 4, dtype=complex))
             ),
-            lambda: bb84_scheme(2),
-            lambda: extend_scheme(uniform_haar_scheme(2, 2), np.eye(6, 4, dtype=complex)),
-            lambda: expurgate_scheme(uniform_haar_scheme(4, 1), 2, lambda key, m: 3 - m),
-            _mixed_rank_scheme,
+            lambda: _looped(expurgate_scheme(uniform_haar_scheme(4, 1), 2, lambda key, m: 3 - m)),
+            pytest.param(lambda: _looped(_mixed_rank_scheme()), id="_mixed_rank_scheme"),
         ],
     )
     def test_stacked_likelihoods_match_dense(self, make, rng):
-        e = make()
-        keys = [e.key_sampler(rng) for _ in range(12)]
+        # sample_factors and a replay of its key draws from the same seed
+        e, draw_keys = make()
+        f, owners = e.sample_factors(make_rng(5), 12)
+        keys = draw_keys(make_rng(5), 12)
+        assert f.shape[:2] == (12, e.cipher_dim)
+        assert owners.shape == (12, f.shape[2], e.message_count)
         bases = haar_unitary(e.cipher_dim, rng, len(keys))
         dense = np.stack([_outcome_likelihoods(e, k, b) for k, b in zip(keys, bases)])
-        assert np.max(np.abs(_stacked_likelihoods(e, keys, bases) - dense)) < 1e-12
+        assert np.max(np.abs(np.abs(dagger(bases) @ f) ** 2 @ owners - dense)) < 1e-12
+
+    def test_haar_factor_sampler_rebuilds_ciphertexts(self):
+        e = haar_scheme(3, 6, _TWO_SUPPORT)
+        f, owners = e.sample_factors(make_rng(9), 10)
+        keys = _haar_keys(_TWO_SUPPORT, 6)(make_rng(9), 10)
+        assert {key.ranks for key in keys} == set(_TWO_SUPPORT.support)
+        for j, key in enumerate(keys):
+            for m in range(3):
+                rebuilt = (f[j] * owners[j, :, m]) @ dagger(f[j])
+                assert np.max(np.abs(rebuilt - e.encrypt(key, m))) < 1e-12
 
     def test_estimate_matches_dense_oracle_across_chunks(self):
         # d = 32 puts 256 trials in a chunk, so 300 trials take two chunks;
-        # each chunk draws its keys and then its bases from the stream
+        # each chunk draws its ranks, then its key unitaries, then its bases
         e = uniform_haar_scheme(2, 16)
         trials, chunk = 300, 256
         mean, stderr = random_basis_attack_estimate(e, trials, make_rng(41))
         gen = make_rng(41)
+        draw_keys = _haar_keys(RankDistribution.deterministic((16, 16)), 32)
         vals = []
         for c in (chunk, trials - chunk):
-            keys = [e.key_sampler(gen) for _ in range(c)]
+            keys = draw_keys(gen, c)
             for key, basis in zip(keys, haar_unitary(32, gen, c)):
                 vals.append(_outcome_likelihoods(e, key, basis).max(axis=1).sum() / 2)
         vals = np.array(vals)
         assert abs(mean - vals.mean()) < 1e-12
         assert abs(stderr - vals.std(ddof=1) / math.sqrt(trials)) < 1e-12
 
+    def test_memory_does_not_grow_with_trials(self, monkeypatch):
+        # chunks of 1024 qubit trials; 200 000 trials held at once would add 1.6 MB
+        monkeypatch.setattr(attacks, "_CHUNK_ENTRIES", 2**12)
+        e = uniform_haar_scheme(2, 1)
+        random_basis_attack_estimate(e, 3000, make_rng(0))  # numpy's lazy set-up
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                random_basis_attack_estimate(e, trials, make_rng(1))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(200_000) <= 1.1 * peak(2_000)
+
     @pytest.mark.parametrize("big_m, L, seed", [(16, 1, 301), (4, 2, 302)])
     def test_agrees_with_erlang_law(self, big_m, L, seed):
         # a Haar row's squared overlaps with the M blocks of L columns are
-        # M i.i.d. Erlang(L) draws over their sum, so both routes estimate
-        # E[max_m X_m / sum_m X_m]
+        # M i.i.d. Erlang(L) draws over their sum, so the attack's mean is
+        # E[max_m X_m / sum_m X_m] = (1/d) int_0^inf (1 - F_L(x)^M) dx
         attack, s_attack = random_basis_attack_estimate(
             uniform_haar_scheme(big_m, L), 10_000, make_rng(seed)
         )
-        erlang, s_erlang = max_over_sum_estimate([L] * big_m, 0.5, 100_000, make_rng(seed, 1))
-        assert abs(attack - erlang) <= 4 * math.hypot(s_attack, s_erlang)
+        law = ErlangParams(L, 1.0)
+        tail, _ = integrate.quad(lambda x: 1.0 - erlang_cdf(law, x) ** big_m, 0, np.inf)
+        exact = tail / (big_m * L)
+        if L == 1:
+            assert abs(exact - sum(1 / k for k in range(1, big_m + 1)) / big_m) < 1e-12
+        assert abs(attack - exact) <= 4 * s_attack
 
 
 class TestPwinUnif:

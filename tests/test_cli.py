@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from uncloneq import optimize
+from uncloneq import optimize, stats
 from uncloneq.cli import main
 
 
@@ -190,6 +190,73 @@ def test_oversize_seesaw_is_refused_before_allocating(args, capsys):
     assert captured.out == ""
     assert "config error" in captured.err and "d = 200" in captured.err
     assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["theorem2", "--cases", "4x4;2x5000", "--seed", "1"],
+        ["erlang", "--ns", "2,16777217", "--seed", "1"],
+        ["meg", "--scheme", "uniform_haar:2,64", "--attack", "measure_share", "--seed", "1"],
+        ["meg", "--scheme", "uniform_haar:2,300", "--attack", "cloner", "--seed", "1"],
+    ],
+)
+def test_oversize_monte_carlo_and_meg_input_is_refused_before_allocating(args, capsys):
+    tracemalloc.start()
+    try:
+        code = main(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "config error" in captured.err and "more than the cap of 16777216" in captured.err
+    assert peak < 8 * 2**20
+
+
+# erlang reports recorded before the samples streamed through one reused block;
+# the last has a rate that is not a power of two and a row wider than the block
+_PINNED_ERLANG = [
+    (
+        ["erlang", "--ns", "2,4,64,1024", "--trials", "16000", "--seed", "1"],
+        "n,trials,value,stderr,reference,tolerance,pass\r\n"
+        "2,16000,0.747487761492,0.00114501302095,0.02285,0.00343503906285,true\r\n"
+        "4,16000,0.518646765484,0.00102951457429,0.02285,0.00308854372287,true\r\n"
+        "64,16000,0.0741042549764,0.000138206244011,0.004284375,0.000414618732033,true\r\n"
+        "1024,16000,0.00731841766421,9.61162798741e-06,0.0004462890625,2.88348839622e-05,true\r\n",
+    ),
+    (
+        ["erlang", "--ns", "2,4,64,1024", "--trials", "16000", "--seed", "7919"],
+        "n,trials,value,stderr,reference,tolerance,pass\r\n"
+        "2,16000,0.749723215928,0.00114510986746,0.02285,0.00343532960238,true\r\n"
+        "4,16000,0.520640966281,0.00102008376104,0.02285,0.00306025128312,true\r\n"
+        "64,16000,0.0741330964587,0.000139155632938,0.004284375,0.000417466898815,true\r\n"
+        "1024,16000,0.0073528655676,9.79518340991e-06,0.0004462890625,2.93855502297e-05,true\r\n",
+    ),
+    (
+        ["erlang", "--ns", "3,1000,70000", "--trials", "200", "--rate", "0.3", "--seed", "9"],
+        "n,trials,value,stderr,reference,tolerance,pass\r\n"
+        "3,200,0.625984645028,0.0104493842781,0.0241442620943,0.0313481528343,true\r\n"
+        "1000,200,0.00761405885241,8.94789024227e-05,0.000455436341809,0.000268436707268,true\r\n"
+        "70000,200,0.000167045032009,1.162705609e-06,1.05077796526e-05,3.488116827e-06,true\r\n",
+    ),
+]
+
+
+_PINNED_IDS = ["seed-1", "seed-7919", "seed-9-rate-0.3"]
+
+
+@pytest.mark.parametrize("args, report", _PINNED_ERLANG, ids=_PINNED_IDS)
+def test_erlang_reports_are_pinned(args, report, capsys):
+    assert run_cli(args, capsys) == (0, report)
+
+
+@pytest.mark.parametrize("args, report", _PINNED_ERLANG, ids=_PINNED_IDS)
+def test_erlang_block_size_does_not_change_reports(args, report, capsys, monkeypatch):
+    # a block of one row draws the same exponentials in the same order
+    monkeypatch.setattr(stats, "_BLOCK_ENTRIES", 1)
+    assert run_cli(args, capsys) == (0, report)
 
 
 class TestDeterminism:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,6 +145,16 @@ class TestMaxOverSum:
         var = (float((ratios * ratios).sum()) - trials * want * want) / (trials - 1)
         assert mean == want
         assert stderr == math.sqrt(var / trials)
+
+    def test_memory_is_one_block(self, rng):
+        # one reused block of 2**16 entries (512 KB), not 16000 x 1024 draws
+        tracemalloc.start()
+        try:
+            max_over_sum_estimate([1] * 1024, 0.5, 16000, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_input_validation(self, rng):
         with pytest.raises(ValueError):
