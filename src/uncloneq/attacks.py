@@ -14,8 +14,10 @@ The attacks implemented here:
   maximum likelihood.
 
 Two success-probability functionals are provided: the uniform-message
-cloning value and the two-message indistinguishability value, both
-averaged over sampled (or explicitly enumerated) keys.
+cloning value and the two-message indistinguishability value.  Each
+evaluator that averages over keys takes the key list itself, drawn by
+:meth:`QecmScheme.sample_keys` or enumerated, so the keys an attack was
+built on and the keys it is scored on are both named at the call site.
 """
 
 from __future__ import annotations
@@ -27,12 +29,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .config import TOL
-from .errors import (
-    CrossCheckFailed,
-    DegenerateTop,
-    DimensionMismatch,
-    NotOrthogonalPair,
-)
+from .errors import CrossCheckFailed, DimensionMismatch, NotOrthogonalPair
 from .linalg import (
     Array,
     KrausChannel,
@@ -68,6 +65,8 @@ __all__ = [
 
 # complex entries of one chunk's stack of bases (4 MB), at least one trial
 _CHUNK_ENTRIES = 2**18
+# mixing weight of the projector cloning attack, where it reaches 1/2 + lambda/16
+_PROJECTOR_ALPHA = 0.25
 
 
 @dataclass(frozen=True)
@@ -135,12 +134,7 @@ def superposition_cloner(d: int) -> KrausChannel:
     return KrausChannel(in_dim=d, out_dim=dp * dp, kraus_ops=(v,))
 
 
-def guessing_projector(
-    rho: Array,
-    sigma: Array,
-    alpha: float,
-    require_unique_top: bool = False,
-) -> Array:
+def guessing_projector(rho: Array, sigma: Array, alpha: float) -> Array:
     """Guessing projector for an orthogonal-support state pair.
 
     For ``rho`` with top eigenvector ``|a_0>`` the projector is
@@ -150,9 +144,8 @@ def guessing_projector(
     eigenvalue.
 
     With a degenerate top eigenvalue the decomposition's arbitrary top
-    eigenvector is used (the achieved guessing value does not depend on
-    the choice); pass ``require_unique_top=True`` to raise
-    :class:`DegenerateTop` instead.
+    eigenvector is used; the achieved guessing value does not depend on
+    the choice.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
@@ -163,9 +156,6 @@ def guessing_projector(
     if dev > TOL.orthogonal:
         raise NotOrthogonalPair(f"max |rho sigma| = {dev} exceeds {TOL.orthogonal}")
     w, v = herm_eig(rho)
-    if require_unique_top and d >= 2 and w[0] - w[1] < TOL.orthogonal:
-        raise DegenerateTop(f"top eigenvalue gap {w[0] - w[1]} below {TOL.orthogonal}")
-
     vecs = np.zeros((d + 1, d + 1), dtype=complex)
     vecs[:d, :d] = v
     phi = math.sqrt(1.0 - alpha) * vecs[:, 0] + math.sqrt(alpha) * np.eye(d + 1)[:, d]
@@ -248,39 +238,25 @@ def _projector_attack(
     )
 
 
-def ind_attack_build(
-    e: QecmScheme,
-    m0: int,
-    alpha: float,
-    key_samples: int,
-    rng: np.random.Generator | None = None,
-    keys: Sequence | None = None,
-) -> CloningAttack:
+def ind_attack_build(e: QecmScheme, m0: int, alpha: float, keys: Sequence) -> CloningAttack:
     """Indistinguishability attack from the superposition cloner.
 
-    Picks ``m1`` as the message (other than ``m0``) with the largest
-    key-averaged top ciphertext eigenvalue (estimated on the key sample),
-    then plays the projector strategy per key on both sides.  Outcome 0
+    Picks ``m1`` as the message (other than ``m0``) with the largest top
+    ciphertext eigenvalue averaged over ``keys``, then plays the
+    projector strategy per key on both sides.  Outcome 0
     votes for ``m0`` and outcome 1 for ``m1``; the chosen ``m1`` is
     recorded as ``descriptor["m1"]``, where :func:`pwin_ind_eval` reads it.
     """
     if e.message_count < 2:
         raise DimensionMismatch("need at least two messages")
-    means = top_eigenvalue_means(e, e.keys_for(key_samples, rng, keys))
+    means = top_eigenvalue_means(e, keys)
     means[m0] = -np.inf
     m1 = int(np.argmax(means))
     return _projector_attack(e, m0, m1, alpha, m0=m0, m1=m1)
 
 
-def pwin_ind_eval(
-    e: QecmScheme,
-    m0: int,
-    atk: CloningAttack,
-    key_samples: int,
-    rng: np.random.Generator | None = None,
-    keys: Sequence | None = None,
-) -> float:
-    """Key-averaged success probability of an indistinguishability attack.
+def pwin_ind_eval(e: QecmScheme, m0: int, atk: CloningAttack, keys: Sequence) -> float:
+    """Success probability of an indistinguishability attack over ``keys``.
 
     ``(1/2) sum_b E_k tr((P_b ⊗ Q_b) N(Enc_k(m_b)))`` with ``m_0 = m0``
     and ``m_1 = atk.descriptor["m1"]``, the message chosen by
@@ -289,7 +265,7 @@ def pwin_ind_eval(
     """
     messages = (m0, atk.descriptor["m1"])
     pair = expurgate_scheme(e, 2, lambda key, b: messages[b])
-    return pwin_unif_eval(pair, atk, key_samples, rng, keys)
+    return pwin_unif_eval(pair, atk, keys)
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +362,7 @@ def random_basis_attack_estimate(
     return mean, stderr
 
 
-def measure_share_ml_attack(
-    e: QecmScheme, basis: Array, basis_label: str = "standard"
-) -> CloningAttack:
+def measure_share_ml_attack(e: QecmScheme, basis: Array) -> CloningAttack:
     """Full cloning attack: measure-and-share plus per-key ML decoding."""
     d = e.cipher_dim
 
@@ -401,15 +375,15 @@ def measure_share_ml_attack(
         bob_povm=povm,
         charlie_povm=povm,
         dims=(d, d),
-        descriptor={"channel": "measure_share", "basis": basis_label},
+        descriptor={"channel": "measure_share"},
     )
 
 
-def projector_cloning_attack(e: QecmScheme, alpha: float = 0.25) -> CloningAttack:
-    """Projector-strategy cloning attack for a two-message scheme."""
+def projector_cloning_attack(e: QecmScheme) -> CloningAttack:
+    """Projector-strategy cloning attack for a two-message scheme, at ``alpha = 1/4``."""
     if e.message_count != 2:
         raise DimensionMismatch("the projector strategy guesses a binary message")
-    return _projector_attack(e, 0, 1, alpha)
+    return _projector_attack(e, 0, 1, _PROJECTOR_ALPHA)
 
 
 # ---------------------------------------------------------------------------
@@ -417,22 +391,16 @@ def projector_cloning_attack(e: QecmScheme, alpha: float = 0.25) -> CloningAttac
 # ---------------------------------------------------------------------------
 
 
-def pwin_unif_eval(
-    e: QecmScheme,
-    atk: CloningAttack,
-    key_samples: int,
-    rng: np.random.Generator | None = None,
-    keys: Sequence | None = None,
-) -> float:
-    """Key-averaged uniform-message success probability of a cloning attack.
+def pwin_unif_eval(e: QecmScheme, atk: CloningAttack, keys: Sequence) -> float:
+    """Uniform-message success probability of a cloning attack over ``keys``.
 
-    ``(1/M) sum_m E_k tr((P_m ⊗ Q_m) N(Enc_k(m)))``.
+    ``(1/M) sum_m E_k tr((P_m ⊗ Q_m) N(Enc_k(m)))`` with ``E_k`` the
+    mean over ``keys``.
     """
     if atk.channel.in_dim != e.cipher_dim:
         raise DimensionMismatch("attack channel does not match the scheme dimension")
-    key_list = e.keys_for(key_samples, rng, keys)
     total = 0.0
-    for key in key_list:
+    for key in keys:
         bob = atk.bob_povm(key)
         charlie = atk.charlie_povm(key)
         if bob.n_outcomes != e.message_count or charlie.n_outcomes != e.message_count:
@@ -441,7 +409,7 @@ def pwin_unif_eval(
             effects = (bob.effects[m], charlie.effects[m])
             rho = e.encrypt(key, m)
             total += joint_expectation(effects, atk.channel.kraus_ops, rho) / e.message_count
-    return total / len(key_list)
+    return total / len(keys)
 
 
 def ensemble_from_scheme_key(e: QecmScheme, key: Any, ch: KrausChannel) -> GuessingEnsemble:

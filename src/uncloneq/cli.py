@@ -173,10 +173,10 @@ def run_lemma1(opts: dict) -> list[dict]:
     if scheme.enumerate_keys is not None:
         keys = scheme.enumerate_keys()
     else:
-        keys = scheme.keys_for(opts["trials"], rng)
-    atk = attacks.ind_attack_build(scheme, m0, alpha, len(keys), keys=keys)
-    value = attacks.pwin_ind_eval(scheme, m0, atk, len(keys), keys=keys)
-    mu = mu_statistic(scheme, len(keys), keys=keys)
+        keys = scheme.sample_keys(rng, opts["trials"])
+    atk = attacks.ind_attack_build(scheme, m0, alpha, keys)
+    value = attacks.pwin_ind_eval(scheme, m0, atk, keys)
+    mu = mu_statistic(scheme, keys)
     bound = 0.5 + mu / 16.0
     reference = attacks.projector_strategy_closed_form(alpha, mu)
     return [
@@ -295,22 +295,28 @@ def run_erlang(opts: dict) -> list[dict]:
     return rows
 
 
-def _seesaw_setup(scheme: QecmScheme, channel_name: str):
+def _seesaw_setup(scheme: QecmScheme, channel_name: str, trials: int, restarts: int):
     """Channel, per-key warm start and reference for a seesaw channel name.
 
     The reference maps the key sample to the value the warm start already
     achieves: ``1/2 + mu/16`` for the two-message cloner, the
     maximum-likelihood decode value for measure-and-share, and the
     constant-guess value ``1/M`` when there is no warm start.  A key
-    ensemble too large for the seesaw is refused before the channel is
-    built.
+    ensemble, or a lockstep stack of ``trials`` keys with ``restarts``
+    restarts each, too large for the seesaw is refused before the channel
+    is built and before any key is drawn.
     """
-    d = scheme.cipher_dim
-    out_dim = (d + 1) ** 2 if channel_name == "cloner" else d * d
+    d, big_m = scheme.cipher_dim, scheme.message_count
+    cloner = channel_name == "cloner"
+    out_dim = (d + 1) ** 2 if cloner else d * d
+    # one warm start per key, except for the cloner beyond two messages
+    starts = (0 if cloner and big_m != 2 else 1) + 1 + restarts
     try:
-        optimize.seesaw_key_entries(scheme.message_count, out_dim)
+        optimize.seesaw_stack_entries(big_m, out_dim, trials, starts)
     except ValueError as exc:
-        raise ValueError(f"the {channel_name} channel at d = {d}: {exc}") from exc
+        raise ValueError(
+            f"the {channel_name} channel at d = {d} with {restarts} restarts: {exc}"
+        ) from exc
     if channel_name == "cloner":
         ch = attacks.superposition_cloner(scheme.cipher_dim)
         if scheme.message_count != 2:
@@ -321,7 +327,7 @@ def _seesaw_setup(scheme: QecmScheme, channel_name: str):
             return (atk.bob_povm(key),)
 
         def reference(keys: Sequence) -> float:
-            return 0.5 + mu_statistic(scheme, len(keys), keys=keys) / 16.0
+            return 0.5 + mu_statistic(scheme, keys) / 16.0
 
         return ch, warm, reference
     if channel_name in ("measure_share", "measure_share:breidbart"):
@@ -344,11 +350,11 @@ def _seesaw_setup(scheme: QecmScheme, channel_name: str):
 def run_seesaw(opts: dict) -> list[dict]:
     trials = _stderr_trials(opts)
     scheme = _parse_scheme(opts["scheme"])
-    ch, warm, reference_of = _seesaw_setup(scheme, opts["channel"])
+    ch, warm, reference_of = _seesaw_setup(scheme, opts["channel"], trials, opts["restarts"])
     rng = make_rng(opts["seed"])
-    keys = scheme.keys_for(trials, rng)
+    keys = scheme.sample_keys(rng, trials)
     cfg = optimize.SeesawConfig(rng=make_rng(opts["seed"], stream=1), restarts=opts["restarts"])
-    mean, stderr = optimize.pwin_unif_seesaw(scheme, ch, len(keys), cfg, warm_start=warm, keys=keys)
+    mean, stderr = optimize.pwin_unif_seesaw(scheme, ch, keys, cfg, warm_start=warm)
     reference = reference_of(keys)
     tolerance = _SEESAW_SLACK + 3.0 * stderr
     return [
@@ -386,12 +392,12 @@ def run_meg(opts: dict) -> list[dict]:
         f"--attack {attack_name} at d = {d}: its Kraus ops ({n_kraus} x {out_dim} x {d})",
     )
     rng = make_rng(opts["seed"])
-    keys = scheme.keys_for(opts["trials"], rng)
+    keys = scheme.sample_keys(rng, opts["trials"])
     if attack_name == "cloner":
         atk = attacks.projector_cloning_attack(scheme)
     else:
         atk = attacks.measure_share_ml_attack(scheme, _measurement_basis("standard", d))
-    lhs, rhs, gap = meg.verify_reduction(scheme, atk, len(keys), keys=keys)
+    lhs, rhs, gap = meg.verify_reduction(scheme, atk, keys)
     return [
         {
             "scheme": opts["scheme"],
@@ -426,12 +432,10 @@ def run_conjecture_scan(opts: dict) -> list[dict]:
     rows = []
     for i, t in enumerate(_partitions(d, big_m)):
         scheme = haar_scheme(big_m, d, RankDistribution.deterministic(t))
-        ch, warm, _ = _seesaw_setup(scheme, "cloner")
-        keys = scheme.keys_for(opts["trials"], rng)
+        ch, warm, _ = _seesaw_setup(scheme, "cloner", opts["trials"], opts["restarts"])
+        keys = scheme.sample_keys(rng, opts["trials"])
         cfg = optimize.SeesawConfig(rng=make_rng(opts["seed"], stream=i + 1), restarts=opts["restarts"])
-        mean, stderr = optimize.pwin_unif_seesaw(
-            scheme, ch, len(keys), cfg, warm_start=warm, keys=keys
-        )
+        mean, stderr = optimize.pwin_unif_seesaw(scheme, ch, keys, cfg, warm_start=warm)
         rows.append(
             {
                 "M": big_m,
@@ -465,7 +469,7 @@ def run_selftest(opts: dict) -> list[dict]:
     scheme = bb84_scheme(1)
     keys = scheme.enumerate_keys()
     atk = attacks.measure_share_ml_attack(scheme, attacks.breidbart_basis())
-    val = attacks.pwin_unif_eval(scheme, atk, len(keys), keys=keys)
+    val = attacks.pwin_unif_eval(scheme, atk, keys)
     ref = 0.5 + 0.5 / math.sqrt(2.0)
     rows.append(
         {
@@ -493,7 +497,7 @@ def run_selftest(opts: dict) -> list[dict]:
         }
     )
 
-    _, _, gap = meg.verify_reduction(scheme, atk, len(keys), keys=keys)
+    _, _, gap = meg.verify_reduction(scheme, atk, keys)
     rows.append(
         {
             "check": "meg_reduction_gap",

@@ -1,8 +1,7 @@
 """Numerical tolerances used by validity checks across the package.
 
-All checks use absolute tolerances.  The defaults below are the single
-source of truth; functions that validate operators take an optional
-``tol`` override but default to these values.
+All checks use absolute tolerances.  The values below are the single
+source of truth; the validators read them and take no override.
 """
 
 from dataclasses import dataclass
@@ -12,8 +11,6 @@ from dataclasses import dataclass
 class Tolerances:
     """Absolute tolerances for operator and distribution validity checks."""
 
-    #: Euclidean-norm deviation allowed for pure states.
-    norm: float = 1e-10
     #: max-entry deviation from Hermiticity.
     herm: float = 1e-10
     #: most negative admissible eigenvalue of a density operator.
@@ -30,8 +27,6 @@ class Tolerances:
     effect_psd: float = 1e-9
     #: max-entry bound on rho @ sigma for orthogonal-support pairs.
     orthogonal: float = 1e-9
-    #: Hermitian eigendecomposition reconstruction error bound.
-    reconstruction: float = 1e-9
     #: deviation of probability vectors from summing to 1.
     prob_sum: float = 1e-12
     #: eigenvalue cutoff below which pseudo-inverses treat a mode as zero.

@@ -21,10 +21,6 @@ class NotOrthogonalPair(UncloneqError):
     """rho @ sigma deviates from zero beyond tolerance."""
 
 
-class DegenerateTop(UncloneqError):
-    """Top eigenvalue is degenerate where a unique one was required."""
-
-
 class NotIsometry(UncloneqError):
     """Matrix is not an isometry within tolerance."""
 

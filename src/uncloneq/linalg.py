@@ -2,10 +2,10 @@
 
 Hermitian eigendecompositions, partial traces, Kraus channels, the
 contraction kernel :func:`joint_expectation` for product measurements on a
-channel output, pseudo-inverse square roots, and Haar / uniform-spherical
-random sampling.  States and operators are plain complex ``numpy`` arrays; the
-``assert_*`` validators enforce the validity contracts with the absolute
-tolerances from :mod:`uncloneq.config`.
+channel output, pseudo-inverse square roots, and Haar-random unitaries.
+States and operators are plain complex ``numpy`` arrays; the ``assert_*``
+validators enforce the validity contracts with the absolute tolerances
+from :mod:`uncloneq.config`, which they take no override of.
 
 Randomness is drawn from ``numpy.random.Generator`` instances (PCG64),
 which are seedable and splittable: create one with :func:`make_rng` and
@@ -42,8 +42,10 @@ __all__ = [
     "max_abs",
     "partial_trace",
     "pseudo_inv_sqrt",
-    "uniform_sphere_vector",
 ]
+
+# eigenvalues at or below this are outside the support of pseudo_inv_sqrt
+_PSEUDO_INV_CUTOFF = 1e-14
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -82,7 +84,7 @@ def assert_finite(a: Array) -> None:
         raise InvalidOperator("array contains NaN or Inf entries")
 
 
-def assert_hermitian(h: Array, tol: float = TOL.herm) -> None:
+def assert_hermitian(h: Array) -> None:
     """Check max-entry deviation of ``h`` from its conjugate transpose.
 
     ``h`` may be a stack of matrices; each one is checked.
@@ -91,43 +93,36 @@ def assert_hermitian(h: Array, tol: float = TOL.herm) -> None:
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise DimensionMismatch(f"expected square matrices, got shape {h.shape}")
     dev = np.abs(h - dagger(h)).max(axis=(-2, -1), initial=0.0)
-    if np.any(dev > tol):
-        raise NotHermitian(f"Hermiticity deviation {dev.max()} exceeds {tol}")
+    if np.any(dev > TOL.herm):
+        raise NotHermitian(f"Hermiticity deviation {dev.max()} exceeds {TOL.herm}")
 
 
-def assert_density_operator(
-    rho: Array,
-    herm_tol: float = TOL.herm,
-    psd_tol: float = TOL.density_psd,
-    trace_tol: float = TOL.trace,
-) -> None:
+def assert_density_operator(rho: Array) -> None:
     """Check Hermiticity, positivity and unit trace of a density operator."""
-    assert_hermitian(rho, herm_tol)
+    assert_hermitian(rho)
     w = np.linalg.eigvalsh(rho)
-    if w[0] < -psd_tol:
-        raise InvalidOperator(f"smallest eigenvalue {w[0]} below -{psd_tol}")
+    if w[0] < -TOL.density_psd:
+        raise InvalidOperator(f"smallest eigenvalue {w[0]} below -{TOL.density_psd}")
     tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > trace_tol:
-        raise InvalidOperator(f"trace {tr} deviates from 1 by more than {trace_tol}")
+    if abs(tr - 1.0) > TOL.trace:
+        raise InvalidOperator(f"trace {tr} deviates from 1 by more than {TOL.trace}")
 
 
-def assert_unitary(u: Array, tol: float = TOL.unitary) -> None:
-    """Check ``u @ u.conj().T == I`` within ``tol`` (max entry deviation)."""
+def assert_unitary(u: Array) -> None:
+    """Check ``u @ u.conj().T == I`` within ``TOL.unitary`` (max entry deviation)."""
     assert_finite(u)
     d = _require_square(u)
     dev = max_abs(u @ dagger(u) - np.eye(d))
-    if dev > tol:
-        raise InvalidOperator(f"unitarity deviation {dev} exceeds {tol}")
+    if dev > TOL.unitary:
+        raise InvalidOperator(f"unitarity deviation {dev} exceeds {TOL.unitary}")
 
 
-def assert_projector(
-    p: Array, herm_tol: float = TOL.herm, idem_tol: float = TOL.idempotent
-) -> None:
+def assert_projector(p: Array) -> None:
     """Check Hermiticity and idempotence of a projector."""
-    assert_hermitian(p, herm_tol)
+    assert_hermitian(p)
     dev = max_abs(p @ p - p)
-    if dev > idem_tol:
-        raise InvalidOperator(f"idempotence deviation {dev} exceeds {idem_tol}")
+    if dev > TOL.idempotent:
+        raise InvalidOperator(f"idempotence deviation {dev} exceeds {TOL.idempotent}")
 
 
 # ---------------------------------------------------------------------------
@@ -135,14 +130,14 @@ def assert_projector(
 # ---------------------------------------------------------------------------
 
 
-def herm_eig(h: Array, tol: float = TOL.herm) -> tuple[Array, Array]:
+def herm_eig(h: Array) -> tuple[Array, Array]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Parameters
     ----------
     h : Array
         Hermitian matrix, or a stack of them in the last two axes (each
-        checked within ``tol`` max entry deviation).
+        checked within ``TOL.herm`` max entry deviation).
 
     Returns
     -------
@@ -154,7 +149,7 @@ def herm_eig(h: Array, tol: float = TOL.herm) -> tuple[Array, Array]:
     Eigenvector choice inside degenerate subspaces is an arbitrary (but
     deterministic) orthonormal basis; callers must not rely on it.
     """
-    assert_hermitian(h, tol)
+    assert_hermitian(h)
     w, v = np.linalg.eigh(h)
     return w[..., ::-1].copy(), v[..., ::-1].copy()
 
@@ -175,17 +170,6 @@ def haar_unitary(d: int, rng: np.random.Generator, n: int | None = None) -> Arra
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[..., None, :]
-
-
-def uniform_sphere_vector(d: int, rng: np.random.Generator) -> Array:
-    """Unit vector drawn from the uniform spherical measure on C^d.
-
-    A vector of independent standard complex normals, normalized.
-    """
-    if d < 1:
-        raise DimensionMismatch("dimension must be at least 1")
-    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return z / np.linalg.norm(z)
 
 
 def partial_trace(
@@ -244,9 +228,6 @@ class KrausChannel:
         if dev > TOL.completeness:
             raise InvalidOperator(f"Kraus completeness deviation {dev}")
 
-    def __call__(self, rho: Array) -> Array:
-        return apply_channel(self, rho)
-
 
 def apply_channel(ch: KrausChannel, rho: Array) -> Array:
     """Apply a Kraus channel: ``sum(K @ rho @ K.conj().T)``."""
@@ -285,14 +266,14 @@ def joint_expectation(
     return float(total)
 
 
-def pseudo_inv_sqrt(rho: Array, cutoff: float = TOL.support_cutoff) -> Array:
-    """Inverse square root on eigenspaces above ``cutoff``, zero elsewhere.
+def pseudo_inv_sqrt(rho: Array) -> Array:
+    """Inverse square root on eigenspaces above ``1e-14``, zero elsewhere.
 
     ``rho`` may be a stack of matrices; each is treated on its own.
     """
-    if cutoff <= 0:
-        raise ValueError("cutoff must be positive")
     w, v = herm_eig(rho)
-    inv = np.where(w > cutoff, 1.0 / np.sqrt(np.maximum(w, cutoff)), 0.0)
+    inv = np.where(
+        w > _PSEUDO_INV_CUTOFF, 1.0 / np.sqrt(np.maximum(w, _PSEUDO_INV_CUTOFF)), 0.0
+    )
     out = (v * inv[..., None, :]) @ dagger(v)
     return (out + dagger(out)) / 2

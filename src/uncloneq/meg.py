@@ -9,7 +9,8 @@ the eigenbasis of ``rho_bar``), and any cloning attack maps to a game
 strategy through the Choi state of its channel taken with respect to
 ``rho_bar``.  The induced game value equals the attack's success
 probability exactly; :func:`verify_reduction` checks the two evaluation
-routes against each other on a shared key sample.
+routes against each other on one key list.  The game, the average
+ciphertext and the reduction check all take that key list explicitly.
 
 A strategy holds its tripartite state in factored form, one column per
 Kraus operator of the attack channel, so the d(d+1)^2-dimensional density
@@ -46,6 +47,9 @@ __all__ = [
     "strategy_from_attack",
     "verify_reduction",
 ]
+
+# entry deviation between per-key average ciphertexts still read as key independent
+_KEY_INDEPENDENCE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -130,15 +134,11 @@ def choi_state(ch: KrausChannel, rho_bar: Array) -> Array:
     return np.stack([(s @ k.T).ravel() for k in ch.kraus_ops], axis=1)
 
 
-def mean_ciphertext(
-    e: QecmScheme,
-    keys: Sequence,
-    dev_tol: float = 1e-6,
-) -> Array:
+def mean_ciphertext(e: QecmScheme, keys: Sequence) -> Array:
     """Message-averaged ciphertext, checked to be key independent.
 
     Raises :class:`NotKeyIndependent` when the per-key averages differ
-    pairwise by more than ``dev_tol`` in any entry.
+    pairwise by more than ``1e-6`` in any entry.
     """
     per_key = []
     for key in keys:
@@ -148,9 +148,9 @@ def mean_ciphertext(
     dev = max_abs(stack.max(axis=0).real - stack.min(axis=0).real) + max_abs(
         stack.imag.max(axis=0) - stack.imag.min(axis=0)
     )
-    if dev > dev_tol:
+    if dev > _KEY_INDEPENDENCE_TOL:
         raise NotKeyIndependent(
-            f"per-key average ciphertexts differ by {dev} (> {dev_tol})"
+            f"per-key average ciphertexts differ by {dev} (> {_KEY_INDEPENDENCE_TOL})"
         )
     mean = stack.mean(axis=0)
     return (mean + dagger(mean)) / 2
@@ -161,26 +161,18 @@ def _transpose_in_basis(x: Array, basis: Array) -> Array:
     return basis @ (dagger(basis) @ x @ basis).T @ dagger(basis)
 
 
-def meg_from_qecm(
-    e: QecmScheme,
-    key_samples: int,
-    rng: np.random.Generator | None = None,
-    cutoff: float = TOL.support_cutoff,
-    keys: Sequence | None = None,
-) -> MegGame:
-    """Monogamy game induced by a QECM over a sampled key set.
+def meg_from_qecm(e: QecmScheme, keys: Sequence) -> MegGame:
+    """Monogamy game induced by a QECM over the key set ``keys``.
 
     Alice's effects are ``(1/M) rho_bar^(-1/2) Enc_k(m)^T
     rho_bar^(-1/2)`` with the transpose taken in the eigenbasis of the
     key-independent average ciphertext ``rho_bar``.  If ``rho_bar`` is
-    rank deficient, the complement of its support (which no induced
-    strategy can populate) is folded into outcome 0 so the POVM is
-    complete on the whole space.
+    rank deficient (eigenvalues at or below ``TOL.support_cutoff``), the
+    complement of its support (which no induced strategy can populate)
+    is folded into outcome 0 so the POVM is complete on the whole space.
     """
-    if cutoff <= 0:
-        raise ValueError("cutoff must be positive")
-    key_list = e.keys_for(key_samples, rng, keys)
-    rho_bar = mean_ciphertext(e, key_list)
+    cutoff = TOL.support_cutoff
+    rho_bar = mean_ciphertext(e, keys)
     # one eigendecomposition gives the transpose basis, the pseudo-inverse
     # square root on the support and the projector onto its complement
     w, v = herm_eig(rho_bar)
@@ -200,11 +192,11 @@ def meg_from_qecm(
             effects[0] = effects[0] + deficiency
         return Povm(dim=e.cipher_dim, effects=tuple(effects))
 
-    weights = (1.0 / len(key_list),) * len(key_list)
+    weights = (1.0 / len(keys),) * len(keys)
     return MegGame(
         message_count=m_count,
         alice_dim=e.cipher_dim,
-        keys=tuple(key_list),
+        keys=tuple(keys),
         weights=weights,
         alice_povm=alice_povm,
     )
@@ -227,23 +219,18 @@ def strategy_from_attack(
 
 
 def verify_reduction(
-    e: QecmScheme,
-    atk: CloningAttack,
-    key_samples: int,
-    rng: np.random.Generator | None = None,
-    keys: Sequence | None = None,
+    e: QecmScheme, atk: CloningAttack, keys: Sequence
 ) -> tuple[float, float, float]:
-    """Game value vs. attack value on the same key sample.
+    """Game value vs. attack value on the same key list ``keys``.
 
     Returns ``(lhs, rhs, gap)`` where ``lhs`` is the induced monogamy
     game value of the induced strategy, ``rhs`` the attack's uniform
     success probability, and ``gap`` their absolute difference (expected
     to vanish to numerical precision).
     """
-    key_list = e.keys_for(key_samples, rng, keys)
-    game = meg_from_qecm(e, len(key_list), keys=key_list)
-    rho_bar = mean_ciphertext(e, key_list)
+    game = meg_from_qecm(e, keys)
+    rho_bar = mean_ciphertext(e, keys)
     strategy = strategy_from_attack(e, atk, rho_bar)
     lhs = meg_win_prob(game, strategy)
-    rhs = pwin_unif_eval(e, atk, len(key_list), keys=key_list)
+    rhs = pwin_unif_eval(e, atk, keys)
     return lhs, rhs, abs(lhs - rhs)

@@ -75,16 +75,17 @@ def side_embedding() -> Array:
     return w
 
 
-def side_measurement(alpha: float = 0.25) -> tuple[Array, Array]:
+def side_measurement() -> tuple[Array, Array]:
     """Binary projective measurement each party uses to guess ``H(0)``.
 
-    Outcome ``b`` projector: outcome 0 is the guessing projector built
-    for the orthogonal pair ``|0,0>`` vs ``|0,1>`` with the extra
-    direction embedded as ``|1,+>``; outcome 1 is its complement.
+    Outcome ``b`` projector: outcome 0 is the guessing projector built at
+    ``alpha = 1/4`` for the orthogonal pair ``|0,0>`` vs ``|0,1>`` with
+    the extra direction embedded as ``|1,+>``; outcome 1 is its
+    complement.
     """
     rho = np.diag([1.0, 0.0]).astype(complex)
     sigma = np.diag([0.0, 1.0]).astype(complex)
-    pi_small = guessing_projector(rho, sigma, alpha)
+    pi_small = guessing_projector(rho, sigma, 0.25)
     w = side_embedding()
     pi0 = w @ pi_small @ dagger(w)
     return pi0, np.eye(4, dtype=complex) - pi0

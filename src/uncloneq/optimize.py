@@ -12,12 +12,14 @@ The solver works on stacks of problems.  Operators and effects are
 ``(P, n, d, d)`` arrays, one row per problem; the Helstrom branch is one
 batched eigendecomposition, and the fixed point and the seesaw run all
 problems in lockstep while each keeps its own stop rule, PSD guard, best
-iterate and constant-guess floor.  :func:`pwin_unif_seesaw` stacks every
-(key, start) pair of a chunk of keys; a chunk holds at most
-``_CHUNK_ENTRIES`` complex entries of per-key matrices (at least one key),
-and a single key may need at most ``_KEY_ENTRIES_CAP``.
-:func:`discriminate` and :func:`seesaw_pguess` are the same code on a
-stack of one.
+iterate and constant-guess floor.  :func:`pwin_unif_seesaw` takes its
+key list explicitly and stacks every (key, start) pair of a chunk of
+keys; a chunk holds at most ``_CHUNK_ENTRIES`` complex entries of
+per-key matrices (at least one key).  A single key's ensemble, and one
+chunk's lockstep stack, may each need at most ``_KEY_ENTRIES_CAP``
+entries (:func:`seesaw_stack_entries` refuses larger sizes before
+anything is drawn).  :func:`discriminate` and :func:`seesaw_pguess` are
+the same code on a stack of one.
 
 A grid search over products of projective qubit measurements is included
 as an independent cross-check oracle for 2-outcome qubit-pair ensembles.
@@ -51,8 +53,8 @@ __all__ = [
     "brute_force_pguess_qubit",
     "discriminate",
     "pwin_unif_seesaw",
-    "seesaw_key_entries",
     "seesaw_pguess",
+    "seesaw_stack_entries",
 ]
 
 # fixed-point budget of one single-party solve, and of the seesaw around it
@@ -61,7 +63,8 @@ _FP_EPS = 1e-12
 _SEESAW_ITERS = 500
 _SEESAW_EPS = 1e-9
 # complex entries of per-key matrices stacked in one chunk of keys (256 KB),
-# and the most one key's ensemble may hold (256 MB) before it is refused
+# and the most one key's ensemble or one chunk's stack may hold (256 MB)
+# before it is refused
 _CHUNK_ENTRIES = 2**14
 _KEY_ENTRIES_CAP = 2**24
 
@@ -106,7 +109,7 @@ def _pgm(gs: Array) -> Array:
     ok = scale >= 1e-30
     if ok.any():
         g, s = gs[ok], scale[ok][:, None, None]
-        inv = (pseudo_inv_sqrt(total[ok] / s, cutoff=1e-14) / np.sqrt(s))[:, None]
+        inv = (pseudo_inv_sqrt(total[ok] / s) / np.sqrt(s))[:, None]
         eff = _herm(inv @ g @ inv)
         comp = _herm(np.eye(dim) - eff.sum(axis=1))
         eff[np.arange(len(g)), np.argmax(_traces(g), axis=1)] += comp
@@ -144,7 +147,7 @@ def _fixed_point(gs: Array, effects: Array) -> tuple[Array, Array, Array]:
         converged[live[vanished]] = True
         live, g, cur, geg, r, scale = _rows(~vanished, live, g, cur, geg, r, scale)
         s = scale[:, None, None]
-        inv = (pseudo_inv_sqrt(r / s, cutoff=1e-14) / np.sqrt(s))[:, None]
+        inv = (pseudo_inv_sqrt(r / s) / np.sqrt(s))[:, None]
         new = _herm(inv @ geg @ inv)
         comp = _herm(np.eye(dim) - new.sum(axis=1))
         new[np.arange(len(g)), np.argmax(_pair_traces(comp[:, None], g), axis=1)] += comp
@@ -232,8 +235,6 @@ class SeesawConfig:
 
     rng: np.random.Generator
     restarts: int = 1
-    #: initial Charlie POVMs tried before random restarts kick in
-    warm_starts: tuple[Povm, ...] = ()
 
     def __post_init__(self) -> None:
         if self.restarts < 1:
@@ -347,7 +348,9 @@ def _seesaw(bmat: Array, dims: tuple[int, int], starts: Array) -> list[SeesawRes
     return results
 
 
-def seesaw_pguess(ens: GuessingEnsemble, cfg: SeesawConfig) -> SeesawResult:
+def seesaw_pguess(
+    ens: GuessingEnsemble, cfg: SeesawConfig, warm_starts: Sequence[Povm] = ()
+) -> SeesawResult:
     """Alternating lower bound on the simultaneous guessing probability.
 
     Each sweep fixes Charlie's POVM, reduces Bob's side to a single-party
@@ -358,21 +361,21 @@ def seesaw_pguess(ens: GuessingEnsemble, cfg: SeesawConfig) -> SeesawResult:
     iterate is feasible, so the result is a lower bound.
 
     Starting points tried, best result returned: every POVM in
-    ``cfg.warm_starts``, the constant-guess POVM for the likeliest label
+    ``warm_starts``, the constant-guess POVM for the likeliest label
     (which pins the value to at least ``max_x p_x``), and
     ``cfg.restarts`` Haar-random projective POVMs.
     """
     db, dc = ens.dims
     bmat = np.empty((1, ens.n_outcomes, db * db, dc * dc), dtype=complex)
     _key_matrices(ens, bmat[0])
-    return _seesaw(bmat, ens.dims, _starts(ens, cfg.warm_starts, cfg)[None])[0]
+    return _seesaw(bmat, ens.dims, _starts(ens, warm_starts, cfg)[None])[0]
 
 
-def seesaw_key_entries(message_count: int, out_dim: int) -> int:
-    """Complex entries of one key's seesaw ensemble, ``M out_dim²``.
+def _chunk_keys(message_count: int, out_dim: int) -> int:
+    """Keys per lockstep chunk of :func:`pwin_unif_seesaw`, at least one.
 
-    Raises ``ValueError`` above ``_KEY_ENTRIES_CAP``, so a size that cannot
-    fit in memory is refused before any channel or ensemble is built.
+    Raises ``ValueError`` when one key's ensemble, ``M out_dim²`` complex
+    entries, is above ``_KEY_ENTRIES_CAP``.
     """
     entries = message_count * out_dim * out_dim
     if entries > _KEY_ENTRIES_CAP:
@@ -380,35 +383,55 @@ def seesaw_key_entries(message_count: int, out_dim: int) -> int:
             f"one key's seesaw ensemble needs {message_count} x {out_dim}^2 = {entries} "
             f"complex entries, more than the cap of {_KEY_ENTRIES_CAP}"
         )
+    return max(1, _CHUNK_ENTRIES // entries)
+
+
+def seesaw_stack_entries(message_count: int, out_dim: int, keys: int, starts: int) -> int:
+    """Entries of the largest lockstep stack :func:`pwin_unif_seesaw` builds.
+
+    One chunk holds ``min(keys, c)`` keys, ``c`` the keys per chunk, times
+    ``starts`` problems per key (warm starts, the constant guess and the
+    restarts); each problem holds a ``_SEESAW_ITERS`` trajectory row and
+    Bob's and Charlie's effect stacks, ``2 M out_dim`` entries.  Raises
+    ``ValueError`` when one key's ensemble or this stack is above
+    ``_KEY_ENTRIES_CAP``, so a size that cannot fit in memory, an
+    oversize restart count included, is refused before any channel is
+    built or key is drawn.
+    """
+    chunk = min(keys, _chunk_keys(message_count, out_dim))
+    entries = chunk * starts * (_SEESAW_ITERS + 2 * message_count * out_dim)
+    if entries > _KEY_ENTRIES_CAP:
+        raise ValueError(
+            f"one chunk's seesaw stack of {chunk} keys x {starts} starts needs {entries} "
+            f"entries, more than the cap of {_KEY_ENTRIES_CAP}"
+        )
     return entries
 
 
 def pwin_unif_seesaw(
     e: QecmScheme,
     ch: KrausChannel,
-    key_samples: int,
+    keys: Sequence,
     cfg: SeesawConfig,
     warm_start: Callable[[QecmScheme, Any], Sequence[Povm]] | None = None,
-    keys: Sequence | None = None,
 ) -> tuple[float, float]:
     """Seesaw estimate of the uniform-message success for a fixed channel.
 
     With the cloning channel fixed, the per-key POVM optimizations
-    decouple, so this averages per-key seesaw values over sampled keys.
+    decouple, so this averages per-key seesaw values over ``keys``.
     ``warm_start(e, key)`` may supply per-key initial Charlie POVMs; it
     must return the same number for every key.  Keys are solved in chunks
     of at most ``_CHUNK_ENTRIES`` ensemble entries, every (key, start)
-    pair of a chunk as one lockstep stack; restarts are drawn key by key.
-    Returns the sample mean and standard error of a statistical lower
-    bound estimate.
+    pair of a chunk as one lockstep stack; restarts are drawn from
+    ``cfg.rng`` key by key.  Returns the sample mean and standard error
+    of a statistical lower bound estimate.
     """
-    key_list = e.keys_for(key_samples, cfg.rng, keys)
-    chunk = max(1, _CHUNK_ENTRIES // seesaw_key_entries(e.message_count, ch.out_dim))
+    chunk = _chunk_keys(e.message_count, ch.out_dim)
     side = math.isqrt(ch.out_dim)
     n_warm = None
     vals = []
-    for lo in range(0, len(key_list), chunk):
-        chunk_keys = key_list[lo : lo + chunk]
+    for lo in range(0, len(keys), chunk):
+        chunk_keys = keys[lo : lo + chunk]
         bmat = np.empty((len(chunk_keys), e.message_count, side**2, side**2), dtype=complex)
         starts = []
         for k, key in enumerate(chunk_keys):
@@ -421,7 +444,7 @@ def pwin_unif_seesaw(
                     f"warm_start gave {len(warm)} POVMs for one key and {n_warm} for another"
                 )
             _key_matrices(ens, bmat[k])
-            starts.append(_starts(ens, warm + cfg.warm_starts, cfg))
+            starts.append(_starts(ens, warm, cfg))
         vals += [r.value for r in _seesaw(bmat, (side, side), np.stack(starts))]
     vals = np.array(vals)
     mean = float(vals.mean())

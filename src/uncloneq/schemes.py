@@ -65,25 +65,20 @@ class Povm:
         object.__setattr__(self, "effects", tuple(np.asarray(e, dtype=complex) for e in self.effects))
         self.validate()
 
-    def validate(
-        self,
-        herm_tol: float = TOL.herm,
-        psd_tol: float = TOL.effect_psd,
-        completeness_tol: float = TOL.completeness,
-    ) -> None:
+    def validate(self) -> None:
         """Check shapes, Hermiticity and positivity of the stacked effects, and completeness."""
         for e in self.effects:
             if e.shape != (self.dim, self.dim):
                 raise DimensionMismatch(f"effect shape {e.shape} != ({self.dim}, {self.dim})")
         stack = np.stack(self.effects) if self.effects else np.zeros((0, self.dim, self.dim))
         dev = max_abs(stack - dagger(stack))
-        if dev > herm_tol:
+        if dev > TOL.herm:
             raise InvalidOperator(f"effect Hermiticity deviation {dev}")
         low = float(np.linalg.eigvalsh((stack + dagger(stack)) / 2)[:, :1].min(initial=0.0))
-        if low < -psd_tol:
-            raise InvalidOperator(f"effect eigenvalue {low} below -{psd_tol}")
+        if low < -TOL.effect_psd:
+            raise InvalidOperator(f"effect eigenvalue {low} below -{TOL.effect_psd}")
         dev = max_abs(stack.sum(axis=0) - np.eye(self.dim))
-        if dev > completeness_tol:
+        if dev > TOL.completeness:
             raise InvalidOperator(f"POVM completeness deviation {dev}")
 
     @property
@@ -170,8 +165,6 @@ class QecmScheme:
     POVM with ``message_count`` outcomes.  Continuous-key schemes carry a
     sampler rather than an enumerable key set; schemes with finite key
     spaces may expose ``enumerate_keys`` for exact key expectations.
-    Schemes whose ciphertexts have a closed-form factorization may set
-    ``cipher_factor``; :meth:`factor` falls back to eigendecomposition.
     Schemes that can draw many keys at once may set ``factor_sampler``;
     :meth:`sample_factors` falls back to a loop over ``key_sampler``.
     """
@@ -183,7 +176,6 @@ class QecmScheme:
     decrypt_povm: Callable[[Any], Povm]
     descriptor: dict = field(default_factory=dict)
     enumerate_keys: Callable[[], list] | None = None
-    cipher_factor: Callable[[Any], tuple[Array, Array]] | None = None
     factor_sampler: Callable[[np.random.Generator, int], tuple[Array, Array]] | None = None
 
     def factor(self, key: Any) -> tuple[Array, Array]:
@@ -191,12 +183,10 @@ class QecmScheme:
 
         ``F`` has shape ``(cipher_dim, r)`` and ``owner[j]`` is the message
         of column ``j``, with ``encrypt(key, m) == F_m F_m†`` for ``F_m``
-        the columns owned by ``m``.  Without a ``cipher_factor`` the columns
-        are the eigenvectors of each ciphertext scaled by the square roots
-        of their eigenvalues above ``TOL.support_cutoff``.
+        the columns owned by ``m``: the eigenvectors of each ciphertext
+        scaled by the square roots of their eigenvalues above
+        ``TOL.support_cutoff``.
         """
-        if self.cipher_factor is not None:
-            return self.cipher_factor(key)
         cols, owner = [], []
         for m in range(self.message_count):
             w, v = herm_eig(self.encrypt(key, m))
@@ -213,11 +203,11 @@ class QecmScheme:
         ``F[j]``, zero-padded to the widest factor ``r``, and
         ``S[j, c, m] = 1`` when column ``c`` belongs to message ``m``, so
         ``Enc_j(m) = F[j] diag(S[j, :, m]) F[j]†``.  Without a
-        ``factor_sampler`` the keys come from ``n`` calls of ``key_sampler``.
+        ``factor_sampler`` the keys come from :meth:`sample_keys`.
         """
         if self.factor_sampler is not None:
             return self.factor_sampler(rng, n)
-        factors = [self.factor(self.key_sampler(rng)) for _ in range(n)]
+        factors = [self.factor(key) for key in self.sample_keys(rng, n)]
         r = max(f.shape[1] for f, _ in factors)
         stacked = np.zeros((n, self.cipher_dim, r), dtype=complex)
         owners = np.zeros((n, r, self.message_count))
@@ -226,20 +216,11 @@ class QecmScheme:
             owners[j, np.arange(owner.size), owner] = 1.0
         return stacked, owners
 
-    def keys_for(
-        self,
-        key_samples: int,
-        rng: np.random.Generator | None = None,
-        keys: Sequence | None = None,
-    ) -> list:
-        """Explicit key list if given, else ``key_samples`` sampled keys."""
-        if keys is not None:
-            return list(keys)
-        if rng is None:
-            raise ValueError("an rng is required when no explicit keys are given")
-        if key_samples < 1:
-            raise ValueError("key_samples must be at least 1")
-        return [self.key_sampler(rng) for _ in range(key_samples)]
+    def sample_keys(self, rng: np.random.Generator, n: int) -> list:
+        """``n`` keys from ``n`` calls of ``key_sampler``, in draw order."""
+        if n < 1:
+            raise ValueError(f"need at least 1 key sample, got {n}")
+        return [self.key_sampler(rng) for _ in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +257,6 @@ def haar_scheme(M: int, d: int, tdist: RankDistribution) -> QecmScheme:
         cols = key.unitary[:, block]
         return (cols @ dagger(cols)) / key.ranks[m]
 
-    def cipher_factor(key: HaarKey) -> tuple[Array, Array]:
-        t = np.asarray(key.ranks)
-        owner = np.repeat(np.arange(M), t)
-        return key.unitary / np.sqrt(t[owner]), owner
-
     def factor_sampler(rng: np.random.Generator, n: int) -> tuple[Array, Array]:
         # the ranks of all n keys in one draw, then their n unitaries in one QR;
         # column c of key j belongs to the first message whose block ends past c
@@ -304,7 +280,6 @@ def haar_scheme(M: int, d: int, tdist: RankDistribution) -> QecmScheme:
         encrypt=encrypt,
         decrypt_povm=decrypt_povm,
         descriptor={"type": "haar", "M": M, "d": d, "tdist": tdist.to_json()},
-        cipher_factor=cipher_factor,
         factor_sampler=factor_sampler,
     )
 
@@ -385,20 +360,15 @@ def bb84_scheme(n: int) -> QecmScheme:
 # ---------------------------------------------------------------------------
 
 
-def check_correctness(
-    e: QecmScheme,
-    key_samples: int,
-    rng: np.random.Generator | None = None,
-    keys: Sequence | None = None,
-) -> float:
-    """Worst decryption failure over sampled keys and all messages.
+def check_correctness(e: QecmScheme, keys: Sequence) -> float:
+    """Worst decryption failure over ``keys`` and all messages.
 
     Returns ``max_{k,m} 1 - tr(D_m^k Enc_k(m))``; 0 means the scheme is
-    perfectly correct on the sample.  Uses exact traces, not sampled
+    perfectly correct on the keys.  Uses exact traces, not sampled
     measurement outcomes.
     """
     worst = 0.0
-    for key in e.keys_for(key_samples, rng, keys):
+    for key in keys:
         povm = e.decrypt_povm(key)
         for m in range(e.message_count):
             hit = float(np.trace(povm.effects[m] @ e.encrypt(key, m)).real)
@@ -406,14 +376,9 @@ def check_correctness(
     return worst
 
 
-def mu_statistic(
-    e: QecmScheme,
-    key_samples: int,
-    rng: np.random.Generator | None = None,
-    keys: Sequence | None = None,
-) -> float:
-    """Largest (over messages) key-averaged top ciphertext eigenvalue."""
-    return float(np.max(top_eigenvalue_means(e, e.keys_for(key_samples, rng, keys))))
+def mu_statistic(e: QecmScheme, keys: Sequence) -> float:
+    """Largest (over messages) top ciphertext eigenvalue averaged over ``keys``."""
+    return float(np.max(top_eigenvalue_means(e, keys)))
 
 
 def top_eigenvalue_means(e: QecmScheme, keys: Sequence) -> Array:

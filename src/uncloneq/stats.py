@@ -23,9 +23,6 @@ __all__ = [
     "ERLANG_MAX_CONSTANT",
     "ErlangParams",
     "erlang_cdf",
-    "erlang_pdf",
-    "erlang_sample",
-    "erlang_sample_from_normals",
     "max_over_sum_estimate",
 ]
 
@@ -50,16 +47,6 @@ class ErlangParams:
             raise ValueError("rate must be positive")
 
 
-def erlang_pdf(p: ErlangParams, x: float) -> float:
-    """Density ``rate^k x^(k-1) exp(-rate x) / (k-1)!`` at ``x >= 0``."""
-    if x < 0:
-        raise NegativeX(f"x must be nonnegative, got {x}")
-    k, lam = p.shape, p.rate
-    if x == 0:
-        return lam if k == 1 else 0.0
-    return lam**k * x ** (k - 1) * math.exp(-lam * x) / math.factorial(k - 1)
-
-
 def erlang_cdf(p: ErlangParams, x: float) -> float:
     """``P[X <= x] = 1 - exp(-rate x) sum_{i<k} (rate x)^i / i!``."""
     if x < 0:
@@ -74,23 +61,6 @@ def erlang_cdf(p: ErlangParams, x: float) -> float:
     return 1.0 - math.exp(-z) * tail
 
 
-def erlang_sample(p: ErlangParams, rng: np.random.Generator) -> float:
-    """One draw as a sum of ``shape`` exponentials ``-ln(U) / rate``."""
-    u = rng.random(p.shape)
-    return float(-np.log1p(-u).sum() / p.rate)
-
-
-def erlang_sample_from_normals(p: ErlangParams, rng: np.random.Generator) -> float:
-    """One draw as a scaled sum of ``2 shape`` squared standard normals.
-
-    A sum of ``2k`` squared standard normals is Erlang(k, 1/2); rescaling
-    by ``1/(2 rate)`` moves it to the requested rate.  Slower than
-    :func:`erlang_sample`; kept as an independent sampling route.
-    """
-    g = rng.standard_normal(2 * p.shape)
-    return float((g * g).sum() / (2.0 * p.rate))
-
-
 def max_over_sum_estimate(
     ks: Sequence[int],
     rate: float,
@@ -100,8 +70,8 @@ def max_over_sum_estimate(
     """Monte Carlo mean and standard error of ``max_i X_i / sum_i X_i``.
 
     ``X_i`` are independent Erlang(``ks[i]``, ``rate``) variables drawn
-    as sums of exponentials.  The ratio is scale free, so the value does
-    not depend on ``rate``.
+    as sums of exponentials.  The ratio is scale free: ``rate`` is
+    validated but does not enter it, so the draws are unit-rate.
 
     Each trial takes one row of ``sum(ks)`` exponentials from the stream,
     in trial order.  The rows are drawn into one block, allocated once,
@@ -129,7 +99,6 @@ def max_over_sum_estimate(
     while done < trials:
         rows = block[: min(len(block), trials - done)]
         rng.standard_exponential(out=rows)
-        rows /= rate
         # with every shape 1 the block sums are the draws themselves
         sums = rows if k_total == n else np.add.reduceat(rows, offsets, axis=1)
         ratios = sums.max(axis=1) / sums.sum(axis=1)

@@ -86,9 +86,9 @@ def test_criterion_02_projector_strategy_bound_property():
 def test_criterion_03_bb84_indistinguishability_attack():
     e = bb84_scheme(1)
     keys = e.enumerate_keys()
-    mu = mu_statistic(e, len(keys), keys=keys)
-    atk = ind_attack_build(e, 0, 0.25, len(keys), keys=keys)
-    value = pwin_ind_eval(e, 0, atk, len(keys), keys=keys)
+    mu = mu_statistic(e, keys)
+    atk = ind_attack_build(e, 0, 0.25, keys)
+    value = pwin_ind_eval(e, 0, atk, keys)
     ok = abs(value - 0.5625) <= 1e-9 and abs(mu - 1.0) <= 1e-12
     _report(3, "single-bit conjugate-coding attack", ok, f"value={value!r} mu={mu!r}")
 
@@ -110,7 +110,7 @@ def test_criterion_05_bb84_breidbart_attack_value():
     e = bb84_scheme(1)
     keys = e.enumerate_keys()
     atk = measure_share_ml_attack(e, breidbart_basis())
-    value = pwin_unif_eval(e, atk, len(keys), keys=keys)
+    value = pwin_unif_eval(e, atk, keys)
     target = 0.5 + 0.5 / math.sqrt(2.0)
     ok = abs(value - target) <= 1e-9
     _report(5, "intermediate-basis attack on single-bit scheme", ok, f"value={value!r}")
@@ -164,7 +164,7 @@ def test_criterion_09_seesaw_soundness():
     ens = ensemble_from_scheme_key(e, key, superposition_cloner(2))
     warm = projector_cloning_attack(e).bob_povm(key)
     res = seesaw_pguess(
-        ens, SeesawConfig(rng=make_rng(209, stream=99), restarts=2, warm_starts=(warm,))
+        ens, SeesawConfig(rng=make_rng(209, stream=99), restarts=2), warm_starts=(warm,)
     )
     warm_ok = res.value >= 0.5625 - 1e-6
 
@@ -214,7 +214,7 @@ def test_criterion_10_monogamy_game_reduction():
         ),
     ]
     for label, scheme, atk, keys in cases:
-        _, _, gap = verify_reduction(scheme, atk, len(keys), keys=keys)
+        _, _, gap = verify_reduction(scheme, atk, keys)
         ok = ok and gap < 1e-8
         details.append(f"{label}: gap={gap:.2e}")
     _report(10, "monogamy-game reduction", ok, "; ".join(details))

@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 
@@ -24,7 +25,7 @@ from uncloneq.attacks import (
 )
 from uncloneq import attacks
 from uncloneq.attacks import _outcome_likelihoods
-from uncloneq.errors import DegenerateTop, DimensionMismatch, NotOrthogonalPair
+from uncloneq.errors import DimensionMismatch, NotOrthogonalPair
 from uncloneq.linalg import (
     KrausChannel,
     apply_channel,
@@ -40,12 +41,15 @@ from uncloneq.schemes import (
     QecmScheme,
     RankDistribution,
     bb84_scheme,
+    check_correctness,
     expurgate_scheme,
     extend_scheme,
     haar_scheme,
     mu_statistic,
     uniform_haar_scheme,
 )
+from uncloneq.meg import meg_from_qecm, verify_reduction
+from uncloneq.optimize import pwin_unif_seesaw
 from uncloneq.stats import ErlangParams, erlang_cdf
 
 from conftest import orthogonal_support_pair
@@ -107,7 +111,7 @@ class TestPiProjector:
             r2 = int(rng.integers(1, d - r1 + 1))
             rho, sigma = orthogonal_support_pair(d, r1, r2, rng)
             pi = guessing_projector(rho, sigma, 0.25)
-            assert_projector(pi, idem_tol=1e-9)
+            assert_projector(pi)
             w, v = herm_eig(sigma)
             for i in range(r2):
                 vec = np.zeros(d + 1, dtype=complex)
@@ -122,9 +126,7 @@ class TestPiProjector:
     def test_degenerate_top_flag(self):
         rho = np.diag([0.5, 0.5, 0.0]).astype(complex)
         sigma = np.diag([0.0, 0.0, 1.0]).astype(complex)
-        with pytest.raises(DegenerateTop):
-            guessing_projector(rho, sigma, 0.25, require_unique_top=True)
-        guessing_projector(rho, sigma, 0.25)  # tolerated by default
+        guessing_projector(rho, sigma, 0.25)  # a degenerate top is tolerated
 
     def test_alpha_range(self):
         with pytest.raises(ValueError):
@@ -174,22 +176,22 @@ class TestIndAttack:
     def test_bb84_single_bit(self):
         e = bb84_scheme(1)
         keys = e.enumerate_keys()
-        atk = ind_attack_build(e, 0, 0.25, len(keys), keys=keys)
+        atk = ind_attack_build(e, 0, 0.25, keys)
         assert atk.descriptor["m1"] == 1
-        val = pwin_ind_eval(e, 0, atk, len(keys), keys=keys)
+        val = pwin_ind_eval(e, 0, atk, keys)
         assert abs(val - 9 / 16) < 1e-9
 
     def test_uniform_haar_rank_two(self, rng):
         e = uniform_haar_scheme(2, 2)
         keys = [e.key_sampler(rng) for _ in range(8)]
-        atk = ind_attack_build(e, 0, 0.25, len(keys), keys=keys)
-        val = pwin_ind_eval(e, 0, atk, len(keys), keys=keys)
+        atk = ind_attack_build(e, 0, 0.25, keys)
+        val = pwin_ind_eval(e, 0, atk, keys)
         assert abs(val - 0.53125) < 1e-9
 
     def test_m1_prefers_largest_eigenvalue(self, rng):
         e = haar_scheme(3, 4, RankDistribution.deterministic((1, 1, 2)))
         keys = [e.key_sampler(rng) for _ in range(4)]
-        atk = ind_attack_build(e, 0, 0.25, len(keys), keys=keys)
+        atk = ind_attack_build(e, 0, 0.25, keys)
         assert atk.descriptor["m1"] == 1  # the remaining rank-1 message
 
     def test_swap_reaches_mu_bound(self, rng):
@@ -197,9 +199,9 @@ class TestIndAttack:
         # still deliver 1/2 + mu/16 with mu driven by the other message
         e = haar_scheme(2, 3, RankDistribution.deterministic((2, 1)))
         keys = [e.key_sampler(rng) for _ in range(6)]
-        atk = ind_attack_build(e, 0, 0.25, len(keys), keys=keys)
-        val = pwin_ind_eval(e, 0, atk, len(keys), keys=keys)
-        mu = mu_statistic(e, len(keys), keys=keys)
+        atk = ind_attack_build(e, 0, 0.25, keys)
+        val = pwin_ind_eval(e, 0, atk, keys)
+        mu = mu_statistic(e, keys)
         assert abs(mu - 1.0) < 1e-10
         assert val >= 0.5 + mu / 16 - 1e-9
 
@@ -207,13 +209,13 @@ class TestIndAttack:
         # per-key values fluctuate when the rank split itself is random
         e = haar_scheme(2, 4, RankDistribution(((1, 3), (2, 2)), (0.5, 0.5)))
         keys = [e.key_sampler(rng) for _ in range(24)]
-        atk = ind_attack_build(e, 0, 0.25, len(keys), keys=keys)
+        atk = ind_attack_build(e, 0, 0.25, keys)
         per_key = np.array(
-            [pwin_ind_eval(e, 0, atk, 1, keys=[k]) for k in keys]
+            [pwin_ind_eval(e, 0, atk, [k]) for k in keys]
         )
         assert per_key.std() > 0  # genuinely key dependent
         stderr = per_key.std(ddof=1) / math.sqrt(len(keys))
-        mu = mu_statistic(e, len(keys), keys=keys)
+        mu = mu_statistic(e, keys)
         assert per_key.mean() >= 0.5 + mu / 16 - 3 * stderr - 1e-12
 
     def test_trivial_attack_scores_half(self, rng):
@@ -226,7 +228,7 @@ class TestIndAttack:
             ops.append(k)
         ch = KrausChannel(2, 9, tuple(ops))
         guess_zero = Povm(dim=3, effects=(np.eye(3, dtype=complex), np.zeros((3, 3), complex)))
-        atk = ind_attack_build(e, 0, 0.25, 2, rng)
+        atk = ind_attack_build(e, 0, 0.25, e.sample_keys(rng, 2))
         lazy = CloningAttack(
             channel=ch,
             bob_povm=lambda k: guess_zero,
@@ -234,7 +236,7 @@ class TestIndAttack:
             dims=(3, 3),
             descriptor=atk.descriptor,
         )
-        val = pwin_ind_eval(e, 0, lazy, 3, rng)
+        val = pwin_ind_eval(e, 0, lazy, e.sample_keys(rng, 3))
         assert abs(val - 0.5) < 1e-12
 
 
@@ -440,7 +442,7 @@ class TestPwinUnif:
             charlie_povm=lambda key: zero_guess,
             dims=(d, 3),
         )
-        val = pwin_unif_eval(e, atk, 6, rng)
+        val = pwin_unif_eval(e, atk, e.sample_keys(rng, 6))
         assert abs(val - 0.5) < 1e-10
 
     def test_constant_guess_scores_one_over_m(self, rng):
@@ -458,13 +460,13 @@ class TestPwinUnif:
             charlie_povm=lambda key: constant,
             dims=(d, d),
         )
-        assert abs(pwin_unif_eval(e, atk, 5, rng) - 0.25) < 1e-10
+        assert abs(pwin_unif_eval(e, atk, e.sample_keys(rng, 5)) - 0.25) < 1e-10
 
     def test_bb84_breidbart_value(self):
         e = bb84_scheme(1)
         keys = e.enumerate_keys()
         atk = measure_share_ml_attack(e, breidbart_basis())
-        val = pwin_unif_eval(e, atk, len(keys), keys=keys)
+        val = pwin_unif_eval(e, atk, keys)
         assert abs(val - (0.5 + 0.5 / math.sqrt(2))) < 1e-9
 
     def test_relabeling_invariance(self, rng):
@@ -490,15 +492,15 @@ class TestPwinUnif:
             charlie_povm=permuted_povm,
             dims=atk.dims,
         )
-        v0 = pwin_unif_eval(e, atk, len(keys), keys=keys)
-        v1 = pwin_unif_eval(flipped, relabeled, len(keys), keys=keys)
+        v0 = pwin_unif_eval(e, atk, keys)
+        v1 = pwin_unif_eval(flipped, relabeled, keys)
         assert abs(v0 - v1) < 1e-12
 
     def test_dimension_mismatch(self, rng):
         e = uniform_haar_scheme(2, 2)
         atk = projector_cloning_attack(uniform_haar_scheme(2, 1))
         with pytest.raises(DimensionMismatch):
-            pwin_unif_eval(e, atk, 2, rng)
+            pwin_unif_eval(e, atk, e.sample_keys(rng, 2))
 
 
 class TestGuessingEnsemble:
@@ -547,3 +549,25 @@ class TestBreidbartBasis:
         c2 = math.cos(math.pi / 8) ** 2
         assert abs(abs(b[0, 0]) ** 2 - c2) < 1e-12
         assert abs(abs(np.vdot(plus, b[:, 0])) ** 2 - c2) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "evaluator",
+    [
+        ind_attack_build,
+        pwin_ind_eval,
+        pwin_unif_eval,
+        check_correctness,
+        mu_statistic,
+        meg_from_qecm,
+        verify_reduction,
+        pwin_unif_seesaw,
+    ],
+    ids=lambda f: f.__name__,
+)
+def test_key_averaging_evaluator_takes_one_required_key_list(evaluator):
+    # the keys an attack is built and scored on are the caller's, never a count
+    # drawn again inside; the benchmark tracer reads ``keys`` from bound arguments
+    params = inspect.signature(evaluator).parameters
+    assert "key_samples" not in params and "rng" not in params
+    assert params["keys"].default is inspect.Parameter.empty

@@ -12,6 +12,7 @@ import pytest
 
 from uncloneq import optimize, stats
 from uncloneq.cli import main
+from uncloneq.schemes import QecmScheme
 
 
 def run_cli(args, capsys):
@@ -192,6 +193,27 @@ def test_oversize_seesaw_is_refused_before_allocating(args, capsys):
     assert peak < 8 * 2**20
 
 
+@pytest.mark.parametrize("command", ["seesaw", "conjecture-scan"])
+def test_oversize_restarts_are_refused_before_any_key_is_drawn(command, capsys, monkeypatch):
+    # a few keys x 1000002 starts, each with a trajectory row and two effect stacks
+    def no_draw(self, rng, n):
+        raise AssertionError("a key was drawn")
+
+    monkeypatch.setattr(QecmScheme, "sample_keys", no_draw)
+    tracemalloc.start()
+    try:
+        code = main([command, "--restarts", "1000000", "--seed", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "config error" in captured.err and "with 1000000 restarts" in captured.err
+    assert "more than the cap of 16777216" in captured.err
+    assert peak < 8 * 2**20
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -246,6 +268,39 @@ _PINNED_ERLANG = [
 
 _PINNED_IDS = ["seed-1", "seed-7919", "seed-9-rate-0.3"]
 
+# reports of subcommands that run every key-averaging evaluator, recorded while
+# those evaluators still took a key count and a generator next to the key list
+_PINNED_REPORTS = [
+    (
+        ["lemma1", "--seed", "1"],
+        "scheme,m0,alpha,mu,value,bound,reference,tolerance,pass\r\n"
+        "bb84:1,0,0.25,1,0.5625,0.5625,0.5625,1e-09,true\r\n",
+    ),
+    (
+        ["lemma1", "--scheme", "uniform_haar:2,4", "--trials", "4", "--seed", "1"],
+        "scheme,m0,alpha,mu,value,bound,reference,tolerance,pass\r\n"
+        '"uniform_haar:2,4",0,0.25,0.25,0.515625,0.515625,0.515625,1e-09,true\r\n',
+    ),
+    (
+        ["theorem2", "--cases", "4x4;16x16", "--trials", "300", "--seed", "2"],
+        "M,d,trials,value,stderr,floor,reference,tolerance,pass\r\n"
+        "4,4,300,0.525273999333,0.00434954108597,0.25,0.0057125,0.0130486232579,true\r\n"
+        "16,16,300,0.21064701019,0.000883757136911,0.0625,0.004284375,0.00265127141073,true\r\n",
+    ),
+    (
+        ["meg", "--seed", "5"],
+        "scheme,attack,key_samples,lhs,rhs,value,reference,tolerance,pass\r\n"
+        "bb84:1,measure_share,16,0.625,0.625,0,0,1e-08,true\r\n",
+    ),
+    (
+        ["o2h"],
+        "quantity,value,reference,tolerance,pass\r\n"
+        "success,0.5625,0.5625,1e-09,true\r\n"
+        "extraction,0,0,1e-12,true\r\n"
+        "rhs,4.5,4.5,0,true\r\n",
+    ),
+]
+
 
 @pytest.mark.parametrize("args, report", _PINNED_ERLANG, ids=_PINNED_IDS)
 def test_erlang_reports_are_pinned(args, report, capsys):
@@ -256,6 +311,13 @@ def test_erlang_reports_are_pinned(args, report, capsys):
 def test_erlang_block_size_does_not_change_reports(args, report, capsys, monkeypatch):
     # a block of one row draws the same exponentials in the same order
     monkeypatch.setattr(stats, "_BLOCK_ENTRIES", 1)
+    assert run_cli(args, capsys) == (0, report)
+
+
+@pytest.mark.parametrize(
+    "args, report", _PINNED_REPORTS, ids=["lemma1", "lemma1-haar", "theorem2", "meg", "o2h"]
+)
+def test_key_averaged_reports_are_pinned(args, report, capsys):
     assert run_cli(args, capsys) == (0, report)
 
 

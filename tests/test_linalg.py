@@ -13,7 +13,6 @@ from uncloneq.linalg import (
     make_rng,
     partial_trace,
     pseudo_inv_sqrt,
-    uniform_sphere_vector,
 )
 
 from conftest import rand_hermitian, rand_density
@@ -114,26 +113,6 @@ class TestHaarUnitary:
         for u in us:
             linalg.assert_unitary(u)
         assert np.max(np.abs(us[0] - us[1])) > 1e-3
-
-
-class TestUniformSphere:
-    def test_dim_one(self, rng):
-        v = uniform_sphere_vector(1, rng)
-        assert abs(abs(v[0]) - 1.0) < 1e-12
-
-    def test_norms(self, rng):
-        for d in (2, 3, 7):
-            for _ in range(20):
-                v = uniform_sphere_vector(d, rng)
-                assert abs(np.linalg.norm(v) - 1.0) < 1e-10
-
-    def test_qubit_first_component_mean(self):
-        gen = make_rng(11)
-        n = 100_000
-        acc = 0.0
-        for _ in range(n):
-            acc += abs(uniform_sphere_vector(2, gen)[0]) ** 2
-        assert abs(acc / n - 0.5) < 0.01
 
 
 class TestPartialTrace:
@@ -245,23 +224,23 @@ class TestJointExpectation:
 class TestPseudoInvSqrt:
     def test_maximally_mixed(self):
         d = 3
-        out = pseudo_inv_sqrt(np.eye(d, dtype=complex) / d, 1e-12)
+        out = pseudo_inv_sqrt(np.eye(d, dtype=complex) / d)
         assert np.max(np.abs(out - np.sqrt(d) * np.eye(d))) < 1e-10
 
     def test_rank_deficient_diagonal(self):
         rho = np.diag([0.5, 0.5, 0.0]).astype(complex)
-        out = pseudo_inv_sqrt(rho, 1e-12)
+        out = pseudo_inv_sqrt(rho)
         assert np.max(np.abs(out - np.diag([np.sqrt(2), np.sqrt(2), 0.0]))) < 1e-10
 
     def test_rank_one_plus(self):
         rho = np.outer(PLUS, PLUS)
-        assert np.max(np.abs(pseudo_inv_sqrt(rho, 1e-12) - rho)) < 1e-10
+        assert np.max(np.abs(pseudo_inv_sqrt(rho) - rho)) < 1e-10
 
     def test_stack_matches_each_slice(self, rng):
         rhos = np.stack([rand_density(3, rng), np.diag([0.5, 0.5, 0.0]).astype(complex)])
-        out = pseudo_inv_sqrt(rhos, 1e-12)
+        out = pseudo_inv_sqrt(rhos)
         for rho, o in zip(rhos, out):
-            assert np.array_equal(o, pseudo_inv_sqrt(rho, 1e-12))
+            assert np.array_equal(o, pseudo_inv_sqrt(rho))
 
 
 class TestReproducibility:
@@ -269,9 +248,6 @@ class TestReproducibility:
         a = haar_unitary(5, make_rng(1234))
         b = haar_unitary(5, make_rng(1234))
         assert a.tobytes() == b.tobytes()
-        va = uniform_sphere_vector(7, make_rng(77, stream=3))
-        vb = uniform_sphere_vector(7, make_rng(77, stream=3))
-        assert va.tobytes() == vb.tobytes()
 
     def test_streams_are_independent(self):
         a = haar_unitary(4, make_rng(5, stream=0))

@@ -121,7 +121,7 @@ class TestMegWinProb:
         # constant guessing both sides achieves max_m E_k tr(F_m rho_A)
         e = uniform_haar_scheme(2, 2)
         keys = [e.key_sampler(rng) for _ in range(5)]
-        game = meg_from_qecm(e, len(keys), keys=keys)
+        game = meg_from_qecm(e, keys)
         rho_bar = mean_ciphertext(e, keys)
         atk = projector_cloning_attack(e)
         strategy = strategy_from_attack(e, atk, rho_bar)
@@ -185,10 +185,10 @@ class TestMegFromQecm:
     def test_uniform_haar_effects_are_projectors(self, rng):
         e = uniform_haar_scheme(2, 2)
         keys = [e.key_sampler(rng) for _ in range(4)]
-        game = meg_from_qecm(e, len(keys), keys=keys)
+        game = meg_from_qecm(e, keys)
         for key in game.keys:
             povm = game.alice_povm(key)
-            povm.validate(herm_tol=1e-8, psd_tol=1e-8, completeness_tol=1e-8)
+            povm.validate()
             for m, eff in enumerate(povm.effects):
                 w = np.sort(np.linalg.eigvalsh(eff))[::-1]
                 # rank-L projector spectrum, matching the decrypt effect
@@ -198,7 +198,7 @@ class TestMegFromQecm:
     def test_bb84_effects_equal_keyed_basis_projectors(self):
         e = bb84_scheme(1)
         keys = e.enumerate_keys()
-        game = meg_from_qecm(e, len(keys), keys=keys)
+        game = meg_from_qecm(e, keys)
         for key in keys:
             povm = game.alice_povm(key)
             decrypt = e.decrypt_povm(key)
@@ -230,7 +230,7 @@ class TestMegFromQecm:
             decrypt_povm=decrypt_povm,
         )
         with pytest.raises(NotKeyIndependent):
-            meg_from_qecm(blocky, 2, keys=[0, 1])
+            meg_from_qecm(blocky, [0, 1])
 
     def test_rank_deficient_average_supported(self, rng):
         # embed a qubit scheme into d=3; the average misses one direction
@@ -240,11 +240,9 @@ class TestMegFromQecm:
         iso[0, 0] = iso[1, 1] = 1.0
         e = extend_scheme(uniform_haar_scheme(2, 1), iso)
         keys = [e.key_sampler(rng) for _ in range(3)]
-        game = meg_from_qecm(e, len(keys), keys=keys)
+        game = meg_from_qecm(e, keys)
         for key in keys:
-            game.alice_povm(key).validate(
-                herm_tol=1e-8, psd_tol=1e-8, completeness_tol=1e-8
-            )
+            game.alice_povm(key).validate()
 
 
 class TestStrategyFromAttack:
@@ -283,13 +281,13 @@ class TestVerifyReduction:
             charlie_povm=lambda key: constant,
             dims=(d, d),
         )
-        lhs, rhs, gap = verify_reduction(e, atk, 5, rng)
+        lhs, rhs, gap = verify_reduction(e, atk, e.sample_keys(rng, 5))
         assert abs(rhs - 0.5) < 1e-10
         assert gap < 1e-12
 
     def test_cloner_attack_small(self, rng):
         e = uniform_haar_scheme(2, 2)
         keys = [e.key_sampler(rng) for _ in range(8)]
-        lhs, rhs, gap = verify_reduction(e, projector_cloning_attack(e), len(keys), keys=keys)
+        lhs, rhs, gap = verify_reduction(e, projector_cloning_attack(e), keys)
         assert abs(rhs - 0.53125) < 1e-9
         assert gap < 1e-8

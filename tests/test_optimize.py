@@ -119,7 +119,7 @@ class TestDiscriminationFixedPoint:
             monkeypatch.setattr(optimize, "_FP_ITERS", iters)
             res = discriminate(gs)
             povm = Povm(dim=3, effects=tuple(res.effects))
-            povm.validate(herm_tol=1e-8, psd_tol=1e-8, completeness_tol=1e-8)
+            povm.validate()
 
     def test_stacked_problems_each_get_their_solo_result(self, monkeypatch):
         # a PSD-guard stop, a one-sweep convergence and a constant-guess floor,
@@ -198,8 +198,8 @@ class TestSeesaw:
         key = e.enumerate_keys()[0]
         ens = ensemble_from_scheme_key(e, key, superposition_cloner(2))
         warm = projector_cloning_attack(e).bob_povm(key)
-        cfg = SeesawConfig(rng=make_rng(1), restarts=2, warm_starts=(warm,))
-        res = seesaw_pguess(ens, cfg)
+        cfg = SeesawConfig(rng=make_rng(1), restarts=2)
+        res = seesaw_pguess(ens, cfg, warm_starts=(warm,))
         assert res.value >= 9 / 16 - 1e-6
 
     def test_uninformative_charlie_floor(self, rng):
@@ -235,9 +235,9 @@ class TestSeesaw:
         from uncloneq.errors import DimensionMismatch
 
         bad = Povm(dim=3, effects=(np.eye(3, dtype=complex), np.zeros((3, 3), complex)))
-        cfg = SeesawConfig(rng=make_rng(1), warm_starts=(bad,))
+        cfg = SeesawConfig(rng=make_rng(1))
         with pytest.raises(DimensionMismatch):
-            seesaw_pguess(ens, cfg)
+            seesaw_pguess(ens, cfg, warm_starts=(bad,))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -254,9 +254,7 @@ class TestPwinUnifSeesaw:
             return (atk.bob_povm(key),)
 
         cfg = SeesawConfig(rng=make_rng(3), restarts=1)
-        mean, stderr = pwin_unif_seesaw(
-            e, superposition_cloner(2), len(keys), cfg, warm_start=warm, keys=keys
-        )
+        mean, stderr = pwin_unif_seesaw(e, superposition_cloner(2), keys, cfg, warm_start=warm)
         assert mean >= 9 / 16 - 3 * stderr - 1e-9
 
     def test_measure_share_matches_classical_decode(self, rng):
@@ -270,7 +268,7 @@ class TestPwinUnifSeesaw:
             return (bob,)
 
         cfg = SeesawConfig(rng=make_rng(4), restarts=2)
-        mean, _ = pwin_unif_seesaw(e, ch, len(keys), cfg, warm_start=warm, keys=keys)
+        mean, _ = pwin_unif_seesaw(e, ch, keys, cfg, warm_start=warm)
         classical = float(
             np.mean([optimal_decode_for_measure_share(e, k, basis)[1] for k in keys])
         )
@@ -288,16 +286,16 @@ class TestPwinUnifSeesaw:
             def warm(scheme, key):
                 return (optimal_decode_for_measure_share(scheme, key, basis)[0][0],)
 
-        keys = e.keys_for(5, make_rng(7))
+        keys = e.sample_keys(make_rng(7), 5)
         mean, _ = pwin_unif_seesaw(
-            e, ch, len(keys), SeesawConfig(rng=make_rng(8), restarts=2), warm_start=warm, keys=keys
+            e, ch, keys, SeesawConfig(rng=make_rng(8), restarts=2), warm_start=warm
         )
         rng = make_rng(8)
         vals = []
         for key in keys:
             ws = tuple(warm(e, key)) if warm else ()
-            cfg = SeesawConfig(rng=rng, restarts=2, warm_starts=ws)
-            vals.append(seesaw_pguess(ensemble_from_scheme_key(e, key, ch), cfg).value)
+            cfg = SeesawConfig(rng=rng, restarts=2)
+            vals.append(seesaw_pguess(ensemble_from_scheme_key(e, key, ch), cfg, ws).value)
         assert abs(mean - np.mean(vals)) < 1e-12
 
     def test_warm_start_count_must_not_vary(self, rng):
@@ -310,7 +308,7 @@ class TestPwinUnifSeesaw:
 
         cfg = SeesawConfig(rng=make_rng(3))
         with pytest.raises(DimensionMismatch):
-            pwin_unif_seesaw(e, superposition_cloner(2), 0, cfg, warm_start=warm, keys=keys)
+            pwin_unif_seesaw(e, superposition_cloner(2), keys, cfg, warm_start=warm)
 
     def test_identity_to_bob_floor(self, rng):
         e = uniform_haar_scheme(2, 1)
@@ -318,7 +316,7 @@ class TestPwinUnifSeesaw:
         ket0[0] = 1.0
         ch = KrausChannel(2, 4, (np.kron(np.eye(2, dtype=complex), ket0[:, None]),))
         cfg = SeesawConfig(rng=make_rng(5), restarts=2)
-        mean, _ = pwin_unif_seesaw(e, ch, 3, cfg)
+        mean, _ = pwin_unif_seesaw(e, ch, e.sample_keys(cfg.rng, 3), cfg)
         assert mean >= 0.5 - 1e-9
 
 

@@ -45,7 +45,7 @@ class TestHaarScheme:
 
     def test_correctness_many_keys(self, rng):
         e = haar_scheme(4, 8, RankDistribution.deterministic((2, 2, 2, 2)))
-        assert check_correctness(e, 100, rng) < 1e-9
+        assert check_correctness(e, e.sample_keys(rng, 100)) < 1e-9
 
     def test_ciphertexts_and_povms_valid(self, rng):
         from uncloneq.linalg import assert_density_operator
@@ -114,9 +114,9 @@ class TestBb84Scheme:
 
     def test_perfect_correctness_all_keys(self):
         e = bb84_scheme(1)
-        assert check_correctness(e, 4, keys=e.enumerate_keys()) < 1e-12
+        assert check_correctness(e, e.enumerate_keys()) < 1e-12
         e2 = bb84_scheme(2)
-        assert check_correctness(e2, 16, keys=e2.enumerate_keys()) < 1e-12
+        assert check_correctness(e2, e2.enumerate_keys()) < 1e-12
 
     def test_key_enumeration_count(self):
         assert len(bb84_scheme(2).enumerate_keys()) == 16
@@ -125,6 +125,13 @@ class TestBb84Scheme:
         e = bb84_scheme(2)
         key = e.key_sampler(rng)
         e.decrypt_povm(key).validate()
+
+    def test_sample_keys_draws_from_the_key_sampler_in_order(self):
+        e = bb84_scheme(2)
+        gen = make_rng(3)
+        assert e.sample_keys(make_rng(3), 5) == [e.key_sampler(gen) for _ in range(5)]
+        with pytest.raises(ValueError):
+            e.sample_keys(gen, 0)
 
 
 class TestCheckCorrectness:
@@ -140,7 +147,7 @@ class TestCheckCorrectness:
             encrypt=base.encrypt,
             decrypt_povm=lambda key: eye_share,
         )
-        assert abs(check_correctness(broken, 5, rng) - 0.75) < 1e-12
+        assert abs(check_correctness(broken, broken.sample_keys(rng, 5)) - 0.75) < 1e-12
 
 
 class TestExtendScheme:
@@ -160,7 +167,7 @@ class TestExtendScheme:
         w_old = np.linalg.eigvalsh(e.encrypt(key, 0))
         w_new = np.linalg.eigvalsh(ext.encrypt(key, 0))
         assert np.allclose(np.sort(w_new)[-2:], np.sort(w_old), atol=1e-12)
-        assert check_correctness(ext, 50, rng) < 1e-9
+        assert check_correctness(ext, ext.sample_keys(rng, 50)) < 1e-9
 
     def test_haar_isometry_preserves_attack_value(self, rng):
         from uncloneq.attacks import (
@@ -176,8 +183,8 @@ class TestExtendScheme:
         keys = [e.key_sampler(rng) for _ in range(5)]
         atk = projector_cloning_attack(e)
         lifted = conjugate_attack_by_isometry(atk, iso)
-        v0 = pwin_unif_eval(e, atk, len(keys), keys=keys)
-        v1 = pwin_unif_eval(ext, lifted, len(keys), keys=keys)
+        v0 = pwin_unif_eval(e, atk, keys)
+        v1 = pwin_unif_eval(ext, lifted, keys)
         assert abs(v0 - v1) < 1e-12
 
     def test_rejects_non_isometry(self):
@@ -198,7 +205,7 @@ class TestExpurgateScheme:
         e = uniform_haar_scheme(4, 1)
         exp = expurgate_scheme(e, 2, lambda key, m: m)
         assert (exp.message_count, exp.cipher_dim) == (2, 4)
-        assert check_correctness(exp, 20, rng) < 1e-9
+        assert check_correctness(exp, exp.sample_keys(rng, 20)) < 1e-9
 
     def test_collision_detected(self, rng):
         e = uniform_haar_scheme(4, 1)
@@ -223,7 +230,7 @@ class TestExpurgateScheme:
             for m in range(mprime):
                 rank = int(np.sum(np.linalg.eigvalsh(exp.encrypt(key, m)) > 1e-9))
                 assert rank <= cap
-        assert check_correctness(exp, 10, rng) < 1e-9
+        assert check_correctness(exp, exp.sample_keys(rng, 10)) < 1e-9
 
     def test_expurgation_value_inequality(self, rng):
         # (M'/M) pwin(e') <= pwin(e) for the scheme pair, via seesaw estimates
@@ -235,8 +242,8 @@ class TestExpurgateScheme:
         keys = [e.key_sampler(rng) for _ in range(3)]
         ch = superposition_cloner(4)
         cfg = SeesawConfig(rng=make_rng(5), restarts=2)
-        full, se_full = pwin_unif_seesaw(e, ch, len(keys), cfg, keys=keys)
-        part, se_part = pwin_unif_seesaw(exp, ch, len(keys), cfg, keys=keys)
+        full, se_full = pwin_unif_seesaw(e, ch, keys, cfg)
+        part, se_part = pwin_unif_seesaw(exp, ch, keys, cfg)
         slack = 3.0 * (se_full + se_part) + 1e-6
         assert 0.5 * part <= full + slack
 
@@ -244,13 +251,15 @@ class TestExpurgateScheme:
 class TestMuStatistic:
     def test_pure_ciphertexts(self):
         e = bb84_scheme(1)
-        assert abs(mu_statistic(e, 4, keys=e.enumerate_keys()) - 1.0) < 1e-12
+        assert abs(mu_statistic(e, e.enumerate_keys()) - 1.0) < 1e-12
 
     def test_flat_rank_two(self, rng):
-        assert abs(mu_statistic(uniform_haar_scheme(2, 2), 10, rng) - 0.5) < 1e-10
+        e = uniform_haar_scheme(2, 2)
+        assert abs(mu_statistic(e, e.sample_keys(rng, 10)) - 0.5) < 1e-10
 
     def test_rank_one_haar(self, rng):
-        assert abs(mu_statistic(uniform_haar_scheme(2, 1), 10, rng) - 1.0) < 1e-10
+        e = uniform_haar_scheme(2, 1)
+        assert abs(mu_statistic(e, e.sample_keys(rng, 10)) - 1.0) < 1e-10
 
 
 class TestSerialization:
@@ -268,7 +277,7 @@ class TestSerialization:
         e2 = scheme_from_descriptor(e.descriptor)
         assert e2.message_count == e.message_count
         assert e2.cipher_dim == e.cipher_dim
-        assert check_correctness(e2, 5, rng) < 1e-9
+        assert check_correctness(e2, e2.sample_keys(rng, 5)) < 1e-9
 
     def test_unknown_type(self):
         with pytest.raises(ValueError):
@@ -320,7 +329,7 @@ class TestFactor:
     )
     def test_factor_rebuilds_every_ciphertext(self, make, closed_form, rng):
         e = make()
-        assert (e.cipher_factor is not None) == closed_form
+        assert (e.factor_sampler is not None) == closed_form
         ranks_seen = set()
         for _ in range(8):
             key = e.key_sampler(rng)
