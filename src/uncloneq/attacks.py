@@ -28,7 +28,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .config import TOL
+from .config import TOL, check_keys
 from .errors import CrossCheckFailed, DimensionMismatch, NotOrthogonalPair
 from .linalg import (
     Array,
@@ -302,23 +302,20 @@ def _outcome_likelihoods(e: QecmScheme, key: Any, basis: Array) -> Array:
 
 def optimal_decode_for_measure_share(
     e: QecmScheme, key: Any, basis: Array
-) -> tuple[tuple[Povm, Povm], float]:
+) -> tuple[Povm, float]:
     """Maximum-likelihood decoding of a shared measurement outcome.
 
     Both parties decode outcome ``i`` as the message maximizing
     ``<e_i| Enc_k(m) |e_i>`` (ties to the smallest index).  Returns the
-    two diagonal decoding POVMs and the per-key success value
-    ``(1/M) sum_i max_m <e_i| Enc_k(m) |e_i>``.
+    diagonal decoding POVM, which both parties use, and the per-key
+    success value ``(1/M) sum_i max_m <e_i| Enc_k(m) |e_i>``.
     """
     d = e.cipher_dim
     probs = _outcome_likelihoods(e, key, basis)
     decode = np.argmax(probs, axis=1)
     value = float(probs[np.arange(d), decode].sum() / e.message_count)
-    effects = []
-    for m in range(e.message_count):
-        effects.append(np.diag((decode == m).astype(complex)))
-    povm = Povm(dim=d, effects=tuple(effects))
-    return (povm, povm), value
+    effects = tuple(np.diag((decode == m).astype(complex)) for m in range(e.message_count))
+    return Povm(dim=d, effects=effects), value
 
 
 def random_basis_attack_estimate(
@@ -367,8 +364,7 @@ def measure_share_ml_attack(e: QecmScheme, basis: Array) -> CloningAttack:
     d = e.cipher_dim
 
     def povm(key: Any) -> Povm:
-        (bob, _), _ = optimal_decode_for_measure_share(e, key, basis)
-        return bob
+        return optimal_decode_for_measure_share(e, key, basis)[0]
 
     return CloningAttack(
         channel=measure_share_attack(d, basis),
@@ -397,6 +393,7 @@ def pwin_unif_eval(e: QecmScheme, atk: CloningAttack, keys: Sequence) -> float:
     ``(1/M) sum_m E_k tr((P_m ⊗ Q_m) N(Enc_k(m)))`` with ``E_k`` the
     mean over ``keys``.
     """
+    check_keys(keys)
     if atk.channel.in_dim != e.cipher_dim:
         raise DimensionMismatch("attack channel does not match the scheme dimension")
     total = 0.0

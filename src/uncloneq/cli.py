@@ -26,6 +26,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import attacks, meg, o2h, optimize, stats
+from .config import check_entries
 from .errors import UncloneqError
 from .linalg import make_rng
 from .schemes import (
@@ -44,9 +45,6 @@ _SEESAW_SLACK = 1e-6
 _MEG_GAP_TOL = 1e-8
 # the max-over-sum constant floored to the four decimals the paper quotes
 _ERLANG_C = math.floor(stats.ERLANG_MAX_CONSTANT * 1e4) / 1e4
-# entries one theorem2 key, erlang sample row or meg Kraus set may hold (256 MB
-# of complex entries), the same cap as a seesaw key ensemble's
-_ENTRIES_CAP = 2**24
 
 
 class _Parser(argparse.ArgumentParser):
@@ -125,26 +123,10 @@ def _parse_scheme(text: str) -> QecmScheme:
     )
 
 
-def _measurement_basis(name: str, dim: int) -> np.ndarray:
-    if name == "standard":
-        return np.eye(dim, dtype=complex)
-    if name == "breidbart":
-        if dim != 2:
-            raise ValueError("the breidbart basis is a qubit basis")
-        return attacks.breidbart_basis()
-    raise ValueError(f"unknown basis {name!r}")
-
-
 def _check_message_count(big_m: int, d: int, source: str) -> None:
     # M messages need at least M ciphertext dimensions
     if not 1 <= big_m <= d:
         raise ValueError(f"{source}: need 1 <= M <= d, got M={big_m}, d={d}")
-
-
-def _check_entries(entries: int, what: str) -> None:
-    # a size that cannot fit is refused before anything is allocated
-    if entries > _ENTRIES_CAP:
-        raise ValueError(f"{what} needs {entries} entries, more than the cap of {_ENTRIES_CAP}")
 
 
 def _stderr_trials(opts: dict) -> int:
@@ -163,17 +145,21 @@ def _stderr_trials(opts: dict) -> int:
 def run_lemma1(opts: dict) -> list[dict]:
     scheme = _parse_scheme(opts["scheme"])
     rng = make_rng(opts["seed"])
-    m0, alpha = opts["m0"], opts["alpha"]
-    big_m = scheme.message_count
+    m0, alpha, trials = opts["m0"], opts["alpha"], opts["trials"]
+    big_m, d = scheme.message_count, scheme.cipher_dim
     if big_m < 2 or not 0 <= m0 < big_m:
         raise ValueError(
             f"lemma1 needs a --scheme with M >= 2 messages and 0 <= --m0 < M, "
             f"got --scheme {opts['scheme']!r} (M={big_m}) and --m0 {m0}"
         )
+    if trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {trials}")
+    # the superposition cloner's Kraus op, as meg --attack cloner checks it
+    check_entries((d + 1) ** 2 * d, f"lemma1 at d = {d}: its cloner ({(d + 1) ** 2} x {d})")
     if scheme.enumerate_keys is not None:
         keys = scheme.enumerate_keys()
     else:
-        keys = scheme.sample_keys(rng, opts["trials"])
+        keys = scheme.sample_keys(rng, trials)
     atk = attacks.ind_attack_build(scheme, m0, alpha, keys)
     value = attacks.pwin_ind_eval(scheme, m0, atk, keys)
     mu = mu_statistic(scheme, keys)
@@ -206,7 +192,7 @@ def run_theorem2(opts: dict) -> list[dict]:
         _check_message_count(big_m, d, f"--cases item {case!r}")
         if d % big_m:
             raise ValueError(f"--cases item {case!r}: d must be a multiple of M")
-        _check_entries(d * d, f"--cases item {case!r}: one {d} x {d} key")
+        check_entries(d * d, f"--cases item {case!r}: one {d} x {d} key")
         cases.append((big_m, d))
     rows = []
     for i, (big_m, d) in enumerate(cases):
@@ -272,7 +258,7 @@ def run_erlang(opts: dict) -> list[dict]:
             n = 0
         if n < 1:
             raise ValueError(f"--ns {opts['ns']!r}: item {n_str!r} is not a positive integer")
-        _check_entries(n, f"--ns item {n_str!r}: one sample row")
+        check_entries(n, f"--ns item {n_str!r}: one sample row")
         ns.append(n)
     rows = []
     for i, n in enumerate(ns):
@@ -298,7 +284,8 @@ def run_erlang(opts: dict) -> list[dict]:
 def _seesaw_setup(scheme: QecmScheme, channel_name: str, trials: int, restarts: int):
     """Channel, per-key warm start and reference for a seesaw channel name.
 
-    The reference maps the key sample to the value the warm start already
+    The warm start is Bob's POVM of the attack the channel belongs to, and
+    the reference maps the key sample to the value that start already
     achieves: ``1/2 + mu/16`` for the two-message cloner, the
     maximum-likelihood decode value for measure-and-share, and the
     constant-guess value ``1/M`` when there is no warm start.  A key
@@ -309,41 +296,38 @@ def _seesaw_setup(scheme: QecmScheme, channel_name: str, trials: int, restarts: 
     d, big_m = scheme.cipher_dim, scheme.message_count
     cloner = channel_name == "cloner"
     out_dim = (d + 1) ** 2 if cloner else d * d
-    # one warm start per key, except for the cloner beyond two messages
-    starts = (0 if cloner and big_m != 2 else 1) + 1 + restarts
     try:
-        optimize.seesaw_stack_entries(big_m, out_dim, trials, starts)
+        # every key has a warm start, except under the cloner beyond two messages
+        optimize.seesaw_stack_entries(big_m, out_dim, trials, restarts, not cloner or big_m == 2)
     except ValueError as exc:
         raise ValueError(
             f"the {channel_name} channel at d = {d} with {restarts} restarts: {exc}"
         ) from exc
-    if channel_name == "cloner":
-        ch = attacks.superposition_cloner(scheme.cipher_dim)
-        if scheme.message_count != 2:
-            return ch, None, lambda keys: 1.0 / scheme.message_count
+    if cloner:
+        if big_m != 2:
+            return attacks.superposition_cloner(d), None, lambda keys: 1.0 / big_m
         atk = attacks.projector_cloning_attack(scheme)
-
-        def warm(e: QecmScheme, key: Any):
-            return (atk.bob_povm(key),)
 
         def reference(keys: Sequence) -> float:
             return 0.5 + mu_statistic(scheme, keys) / 16.0
 
-        return ch, warm, reference
+        return atk.channel, atk.bob_povm, reference
     if channel_name in ("measure_share", "measure_share:breidbart"):
-        basis_name = "breidbart" if channel_name.endswith("breidbart") else "standard"
-        basis = _measurement_basis(basis_name, scheme.cipher_dim)
-        ch = attacks.measure_share_attack(scheme.cipher_dim, basis)
-
-        def warm(e: QecmScheme, key: Any):
-            (bob, _), _ = attacks.optimal_decode_for_measure_share(e, key, basis)
-            return (bob,)
+        basis = np.eye(d, dtype=complex)
+        if channel_name.endswith(":breidbart"):
+            if d != 2:
+                raise ValueError(
+                    f"--channel {channel_name!r} measures in the breidbart basis, a qubit "
+                    f"basis, but the scheme has d = {d}"
+                )
+            basis = attacks.breidbart_basis()
+        atk = attacks.measure_share_ml_attack(scheme, basis)
 
         def reference(keys: Sequence) -> float:
             decode = attacks.optimal_decode_for_measure_share
             return float(np.mean([decode(scheme, k, basis)[1] for k in keys]))
 
-        return ch, warm, reference
+        return atk.channel, atk.bob_povm, reference
     raise ValueError(f"--channel {channel_name!r} is not a known channel")
 
 
@@ -387,7 +371,7 @@ def run_meg(opts: dict) -> list[dict]:
     else:
         raise ValueError(f"--attack {attack_name!r} is not a known attack")
     # the Choi factor has a d * out_dim column per Kraus op, as many entries as the ops
-    _check_entries(
+    check_entries(
         n_kraus * out_dim * d,
         f"--attack {attack_name} at d = {d}: its Kraus ops ({n_kraus} x {out_dim} x {d})",
     )
@@ -396,7 +380,7 @@ def run_meg(opts: dict) -> list[dict]:
     if attack_name == "cloner":
         atk = attacks.projector_cloning_attack(scheme)
     else:
-        atk = attacks.measure_share_ml_attack(scheme, _measurement_basis("standard", d))
+        atk = attacks.measure_share_ml_attack(scheme, np.eye(d, dtype=complex))
     lhs, rhs, gap = meg.verify_reduction(scheme, atk, keys)
     return [
         {

@@ -1,10 +1,11 @@
-"""Numerical tolerances used by validity checks across the package.
+"""Numerical tolerances and size limits used by checks across the package.
 
 All checks use absolute tolerances.  The values below are the single
 source of truth; the validators read them and take no override.
 """
 
 from dataclasses import dataclass
+from typing import Sized
 
 
 @dataclass(frozen=True)
@@ -34,3 +35,18 @@ class Tolerances:
 
 
 TOL = Tolerances()
+
+#: complex entries (256 MB) that one array, key list or lockstep stack may hold
+ENTRIES_CAP = 2**24
+
+
+def check_entries(entries: int, what: str) -> None:
+    """Refuse a size above ``ENTRIES_CAP`` before anything is allocated."""
+    if entries > ENTRIES_CAP:
+        raise ValueError(f"{what} needs {entries} entries, more than the cap of {ENTRIES_CAP}")
+
+
+def check_keys(keys: Sized) -> None:
+    """Refuse an empty key list, over which no average is defined."""
+    if not len(keys):
+        raise ValueError("keys must hold at least one key")

@@ -25,7 +25,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .attacks import CloningAttack, pwin_unif_eval
-from .config import TOL
+from .config import TOL, check_keys
 from .errors import DimensionMismatch, NotKeyIndependent
 from .linalg import (
     Array,
@@ -140,6 +140,7 @@ def mean_ciphertext(e: QecmScheme, keys: Sequence) -> Array:
     Raises :class:`NotKeyIndependent` when the per-key averages differ
     pairwise by more than ``1e-6`` in any entry.
     """
+    check_keys(keys)
     per_key = []
     for key in keys:
         avg = sum(e.encrypt(key, m) for m in range(e.message_count)) / e.message_count

@@ -16,10 +16,11 @@ iterate and constant-guess floor.  :func:`pwin_unif_seesaw` takes its
 key list explicitly and stacks every (key, start) pair of a chunk of
 keys; a chunk holds at most ``_CHUNK_ENTRIES`` complex entries of
 per-key matrices (at least one key).  A single key's ensemble, and one
-chunk's lockstep stack, may each need at most ``_KEY_ENTRIES_CAP``
+chunk's lockstep stack, may each need at most ``config.ENTRIES_CAP``
 entries (:func:`seesaw_stack_entries` refuses larger sizes before
-anything is drawn).  :func:`discriminate` and :func:`seesaw_pguess` are
-the same code on a stack of one.
+anything is drawn).  The stacked seesaw hands back one row per key, its
+best start's value and both receivers' effects; :func:`discriminate`
+and :func:`seesaw_pguess` are the same code on a stack of one.
 
 A grid search over products of projective qubit measurements is included
 as an independent cross-check oracle for 2-outcome qubit-pair ensembles.
@@ -34,7 +35,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 import numpy as np
 
 from .attacks import GuessingEnsemble, ensemble_from_scheme_key
-from .config import TOL
+from .config import TOL, check_entries, check_keys
 from .errors import CrossCheckFailed, DimensionMismatch
 from .linalg import (
     Array,
@@ -62,11 +63,8 @@ _FP_ITERS = 300
 _FP_EPS = 1e-12
 _SEESAW_ITERS = 500
 _SEESAW_EPS = 1e-9
-# complex entries of per-key matrices stacked in one chunk of keys (256 KB),
-# and the most one key's ensemble or one chunk's stack may hold (256 MB)
-# before it is refused
+# complex entries of per-key matrices stacked in one chunk of keys (256 KB)
 _CHUNK_ENTRIES = 2**14
-_KEY_ENTRIES_CAP = 2**24
 
 
 def _herm(a: Array) -> Array:
@@ -288,8 +286,8 @@ def _key_matrices(ens: GuessingEnsemble, out: Array) -> None:
         np.multiply(view, p, out=out[x].reshape(db, db, dc, dc))
 
 
-def _seesaw(bmat: Array, dims: tuple[int, int], starts: Array) -> list[SeesawResult]:
-    """Lockstep seesaw of every (key, start) pair; the best result per key.
+def _seesaw(bmat: Array, dims: tuple[int, int], starts: Array) -> tuple[Array, ...]:
+    """Lockstep seesaw of every (key, start) pair; the best start's row per key.
 
     ``bmat[k]`` holds key k's ensemble as :func:`_key_matrices` lays it
     out, and ``starts[k, s]`` is Charlie's start POVM ``s`` for key k.
@@ -298,6 +296,9 @@ def _seesaw(bmat: Array, dims: tuple[int, int], starts: Array) -> list[SeesawRes
     ``p_x tr_B((P_x ⊗ I) rho_x)`` is ``(Bᵀ vec(P_xᵀ))ᵀ``: one batched
     matmul per side and sweep for all problems.  Each problem stops on
     its own once a sweep gains less than ``_SEESAW_EPS``.
+    Returns each key's best start: values, Bob's and Charlie's effect
+    stacks, sweep counts, convergence flags, and trajectories as the
+    columns of a ``(_SEESAW_ITERS, keys)`` array, zero past each count.
     """
     db, dc = dims
     keys, per_key, n = starts.shape[:3]
@@ -331,21 +332,11 @@ def _seesaw(bmat: Array, dims: tuple[int, int], starts: Array) -> list[SeesawRes
             live = live[~done]
             if not live.size:
                 break
-    values = trajectory[sweeps - 1, np.arange(total)].reshape(keys, per_key)
-    results = []
-    for k, s in enumerate(np.argmax(values, axis=1)):
-        i = k * per_key + s
-        results.append(
-            SeesawResult(
-                value=float(values[k, s]),
-                bob_povm=Povm(db, tuple(p_eff[i])),
-                charlie_povm=Povm(dc, tuple(q_eff[i])),
-                iterations_used=int(sweeps[i]),
-                trajectory=tuple(float(t) for t in trajectory[: sweeps[i], i]),
-                converged=bool(converged[i]),
-            )
-        )
-    return results
+    values = trajectory[sweeps - 1, np.arange(total)]
+    best = np.arange(keys) * per_key + np.argmax(values.reshape(keys, per_key), axis=1)
+    return (
+        values[best], p_eff[best], q_eff[best], sweeps[best], converged[best], trajectory[:, best]
+    )
 
 
 def seesaw_pguess(
@@ -368,43 +359,47 @@ def seesaw_pguess(
     db, dc = ens.dims
     bmat = np.empty((1, ens.n_outcomes, db * db, dc * dc), dtype=complex)
     _key_matrices(ens, bmat[0])
-    return _seesaw(bmat, ens.dims, _starts(ens, warm_starts, cfg)[None])[0]
+    starts = _starts(ens, warm_starts, cfg)[None]
+    value, bob, charlie, sweeps, converged, trajectory = _seesaw(bmat, ens.dims, starts)
+    return SeesawResult(
+        value=float(value[0]),
+        bob_povm=Povm(db, tuple(bob[0])),
+        charlie_povm=Povm(dc, tuple(charlie[0])),
+        iterations_used=int(sweeps[0]),
+        trajectory=tuple(float(t) for t in trajectory[: sweeps[0], 0]),
+        converged=bool(converged[0]),
+    )
 
 
 def _chunk_keys(message_count: int, out_dim: int) -> int:
     """Keys per lockstep chunk of :func:`pwin_unif_seesaw`, at least one.
 
     Raises ``ValueError`` when one key's ensemble, ``M out_dim²`` complex
-    entries, is above ``_KEY_ENTRIES_CAP``.
+    entries, is above ``config.ENTRIES_CAP``.
     """
     entries = message_count * out_dim * out_dim
-    if entries > _KEY_ENTRIES_CAP:
-        raise ValueError(
-            f"one key's seesaw ensemble needs {message_count} x {out_dim}^2 = {entries} "
-            f"complex entries, more than the cap of {_KEY_ENTRIES_CAP}"
-        )
+    check_entries(entries, f"one key's seesaw ensemble ({message_count} x {out_dim}^2)")
     return max(1, _CHUNK_ENTRIES // entries)
 
 
-def seesaw_stack_entries(message_count: int, out_dim: int, keys: int, starts: int) -> int:
+def seesaw_stack_entries(
+    message_count: int, out_dim: int, keys: int, restarts: int, warm: bool
+) -> int:
     """Entries of the largest lockstep stack :func:`pwin_unif_seesaw` builds.
 
     One chunk holds ``min(keys, c)`` keys, ``c`` the keys per chunk, times
-    ``starts`` problems per key (warm starts, the constant guess and the
-    restarts); each problem holds a ``_SEESAW_ITERS`` trajectory row and
-    Bob's and Charlie's effect stacks, ``2 M out_dim`` entries.  Raises
-    ``ValueError`` when one key's ensemble or this stack is above
-    ``_KEY_ENTRIES_CAP``, so a size that cannot fit in memory, an
-    oversize restart count included, is refused before any channel is
+    the starts per key: the warm start when ``warm``, the constant guess
+    and ``restarts`` restarts.  Each start holds a ``_SEESAW_ITERS``
+    trajectory row and Bob's and Charlie's effect stacks, ``2 M out_dim``
+    entries.  Raises ``ValueError`` when one key's ensemble or this stack
+    is above ``config.ENTRIES_CAP``, so a size that cannot fit in memory,
+    an oversize restart count included, is refused before any channel is
     built or key is drawn.
     """
     chunk = min(keys, _chunk_keys(message_count, out_dim))
+    starts = int(warm) + 1 + restarts
     entries = chunk * starts * (_SEESAW_ITERS + 2 * message_count * out_dim)
-    if entries > _KEY_ENTRIES_CAP:
-        raise ValueError(
-            f"one chunk's seesaw stack of {chunk} keys x {starts} starts needs {entries} "
-            f"entries, more than the cap of {_KEY_ENTRIES_CAP}"
-        )
+    check_entries(entries, f"one chunk's seesaw stack of {chunk} keys x {starts} starts")
     return entries
 
 
@@ -413,22 +408,21 @@ def pwin_unif_seesaw(
     ch: KrausChannel,
     keys: Sequence,
     cfg: SeesawConfig,
-    warm_start: Callable[[QecmScheme, Any], Sequence[Povm]] | None = None,
+    warm_start: Callable[[Any], Povm] | None = None,
 ) -> tuple[float, float]:
     """Seesaw estimate of the uniform-message success for a fixed channel.
 
     With the cloning channel fixed, the per-key POVM optimizations
     decouple, so this averages per-key seesaw values over ``keys``.
-    ``warm_start(e, key)`` may supply per-key initial Charlie POVMs; it
-    must return the same number for every key.  Keys are solved in chunks
-    of at most ``_CHUNK_ENTRIES`` ensemble entries, every (key, start)
-    pair of a chunk as one lockstep stack; restarts are drawn from
-    ``cfg.rng`` key by key.  Returns the sample mean and standard error
-    of a statistical lower bound estimate.
+    ``warm_start(key)``, when given, is Charlie's first start for that
+    key.  Keys are solved in chunks of at most ``_CHUNK_ENTRIES`` ensemble
+    entries, every (key, start) pair of a chunk as one lockstep stack;
+    restarts are drawn from ``cfg.rng`` key by key.  Returns the sample
+    mean and standard error of a statistical lower bound estimate.
     """
+    check_keys(keys)
     chunk = _chunk_keys(e.message_count, ch.out_dim)
     side = math.isqrt(ch.out_dim)
-    n_warm = None
     vals = []
     for lo in range(0, len(keys), chunk):
         chunk_keys = keys[lo : lo + chunk]
@@ -436,17 +430,11 @@ def pwin_unif_seesaw(
         starts = []
         for k, key in enumerate(chunk_keys):
             ens = ensemble_from_scheme_key(e, key, ch)
-            warm = tuple(warm_start(e, key)) if warm_start is not None else ()
-            if n_warm is None:
-                n_warm = len(warm)
-            elif len(warm) != n_warm:
-                raise DimensionMismatch(
-                    f"warm_start gave {len(warm)} POVMs for one key and {n_warm} for another"
-                )
             _key_matrices(ens, bmat[k])
+            warm = () if warm_start is None else (warm_start(key),)
             starts.append(_starts(ens, warm, cfg))
-        vals += [r.value for r in _seesaw(bmat, (side, side), np.stack(starts))]
-    vals = np.array(vals)
+        vals.append(_seesaw(bmat, (side, side), np.stack(starts))[0])
+    vals = np.concatenate(vals)
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
     return mean, stderr

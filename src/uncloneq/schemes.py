@@ -26,7 +26,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .config import TOL
+from .config import TOL, check_entries, check_keys
 from .errors import (
     DimensionMismatch,
     InvalidOperator,
@@ -217,9 +217,14 @@ class QecmScheme:
         return stacked, owners
 
     def sample_keys(self, rng: np.random.Generator, n: int) -> list:
-        """``n`` keys from ``n`` calls of ``key_sampler``, in draw order."""
+        """``n`` keys from ``n`` calls of ``key_sampler``, in draw order.
+
+        A list whose keys may hold more than ``config.ENTRIES_CAP`` entries,
+        ``n cipher_dim²``, is refused before any key is drawn.
+        """
         if n < 1:
             raise ValueError(f"need at least 1 key sample, got {n}")
+        check_entries(n * self.cipher_dim**2, f"a list of {n} keys at d = {self.cipher_dim}")
         return [self.key_sampler(rng) for _ in range(n)]
 
 
@@ -367,6 +372,7 @@ def check_correctness(e: QecmScheme, keys: Sequence) -> float:
     perfectly correct on the keys.  Uses exact traces, not sampled
     measurement outcomes.
     """
+    check_keys(keys)
     worst = 0.0
     for key in keys:
         povm = e.decrypt_povm(key)
@@ -383,6 +389,7 @@ def mu_statistic(e: QecmScheme, keys: Sequence) -> float:
 
 def top_eigenvalue_means(e: QecmScheme, keys: Sequence) -> Array:
     """Per message, the top ciphertext eigenvalue averaged over ``keys``."""
+    check_keys(keys)
     sums = np.zeros(e.message_count)
     for key in keys:
         for m in range(e.message_count):

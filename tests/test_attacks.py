@@ -49,7 +49,7 @@ from uncloneq.schemes import (
     uniform_haar_scheme,
 )
 from uncloneq.meg import meg_from_qecm, verify_reduction
-from uncloneq.optimize import pwin_unif_seesaw
+from uncloneq.optimize import SeesawConfig, pwin_unif_seesaw
 from uncloneq.stats import ErlangParams, erlang_cdf
 
 from conftest import orthogonal_support_pair
@@ -257,10 +257,9 @@ class TestMeasureShare:
     def test_ml_decode_aligned_basis(self, rng):
         e = uniform_haar_scheme(2, 1)
         key = e.key_sampler(rng)
-        (bob, charlie), value = optimal_decode_for_measure_share(e, key, key.unitary)
+        povm, value = optimal_decode_for_measure_share(e, key, key.unitary)
         assert abs(value - 1.0) < 1e-10
-        bob.validate()
-        charlie.validate()
+        povm.validate()
 
     def test_ml_decode_haar_basis_expectation(self):
         # orthogonal pure qubit pair vs a random basis: E max(X, 1-X) = 3/4
@@ -551,23 +550,35 @@ class TestBreidbartBasis:
         assert abs(abs(np.vdot(plus, b[:, 0])) ** 2 - c2) < 1e-12
 
 
-@pytest.mark.parametrize(
-    "evaluator",
-    [
-        ind_attack_build,
-        pwin_ind_eval,
-        pwin_unif_eval,
-        check_correctness,
-        mu_statistic,
-        meg_from_qecm,
-        verify_reduction,
-        pwin_unif_seesaw,
-    ],
-    ids=lambda f: f.__name__,
-)
+_KEY_AVERAGING_EVALUATORS = [
+    ind_attack_build,
+    pwin_ind_eval,
+    pwin_unif_eval,
+    check_correctness,
+    mu_statistic,
+    meg_from_qecm,
+    verify_reduction,
+    pwin_unif_seesaw,
+]
+
+
+@pytest.mark.parametrize("evaluator", _KEY_AVERAGING_EVALUATORS, ids=lambda f: f.__name__)
 def test_key_averaging_evaluator_takes_one_required_key_list(evaluator):
     # the keys an attack is built and scored on are the caller's, never a count
     # drawn again inside; the benchmark tracer reads ``keys`` from bound arguments
     params = inspect.signature(evaluator).parameters
     assert "key_samples" not in params and "rng" not in params
     assert params["keys"].default is inspect.Parameter.empty
+
+
+@pytest.mark.parametrize("evaluator", _KEY_AVERAGING_EVALUATORS, ids=lambda f: f.__name__)
+def test_key_averaging_evaluator_refuses_an_empty_key_list(evaluator):
+    # no average is defined over no keys, and none may be reported
+    e = bb84_scheme(1)
+    atk = ind_attack_build(e, 0, 0.25, e.enumerate_keys())
+    given = {"e": e, "m0": 0, "alpha": 0.25, "atk": atk, "ch": atk.channel, "keys": []}
+    given["cfg"] = SeesawConfig(rng=make_rng(0))
+    params = inspect.signature(evaluator).parameters
+    args = {name: given[name] for name, p in params.items() if p.default is p.empty}
+    with pytest.raises(ValueError, match="keys"):
+        evaluator(**args)

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from uncloneq import optimize, stats
-from uncloneq.cli import main
+from uncloneq.cli import _build_parser, _merge_options, main
 from uncloneq.schemes import QecmScheme
 
 
@@ -141,6 +142,10 @@ _GOLDEN_SEESAW = [
      [None] * 4),
     (["conjecture-scan", "--M", "3", "--d", "6", "--trials", "3", "--seed", "40"],
      [0.40161973665164225, 0.39200371419516933, 0.3720842277021726], [None] * 3),
+    # the Breidbart optimum 1/2 + 1/(2 sqrt 2), warm start and reference alike
+    (["seesaw", "--scheme", "bb84:1", "--channel", "measure_share:breidbart",
+      "--trials", "4", "--seed", "1"],
+     [0.8535533905932736], [0.8535533905932736]),
 ]
 
 
@@ -221,6 +226,13 @@ def test_oversize_restarts_are_refused_before_any_key_is_drawn(command, capsys, 
         ["erlang", "--ns", "2,16777217", "--seed", "1"],
         ["meg", "--scheme", "uniform_haar:2,64", "--attack", "measure_share", "--seed", "1"],
         ["meg", "--scheme", "uniform_haar:2,300", "--attack", "cloner", "--seed", "1"],
+        # lemma1's cloner, and key lists refused before any key is drawn
+        ["lemma1", "--scheme", "uniform_haar:2,5000", "--trials", "2", "--seed", "1"],
+        ["lemma1", "--scheme", "uniform_haar:2,8", "--trials", "1000000", "--seed", "1"],
+        ["seesaw", "--scheme", "uniform_haar:2,3", "--channel", "measure_share",
+         "--trials", "1000000", "--seed", "1"],
+        ["meg", "--scheme", "uniform_haar:2,5", "--trials", "1000000", "--seed", "1"],
+        ["conjecture-scan", "--M", "2", "--d", "8", "--trials", "1000000", "--seed", "1"],
     ],
 )
 def test_oversize_monte_carlo_and_meg_input_is_refused_before_allocating(args, capsys):
@@ -413,6 +425,14 @@ class TestExitCodes:
             # ranks that are not integers are refused, not truncated
             ["lemma1", "--scheme", '{"type":"haar","M":2,"d":2,"tdist":[[[1,1.5],1.0]]}'],
             ["lemma1", "--scheme", '{"type":"haar","M":2,"d":3,"tdist":[[[true,2],1.0]]}'],
+            # key counts are checked whether keys are drawn or enumerated
+            ["lemma1", "--trials", "0"],
+            ["lemma1", "--trials", "-5"],
+            # a non-qubit Breidbart basis, unknown names, d not a multiple of M
+            ["seesaw", "--scheme", "uniform_haar:3,2", "--channel", "measure_share:breidbart"],
+            ["seesaw", "--channel", "bogus"],
+            ["meg", "--attack", "bogus"],
+            ["theorem2", "--cases", "2x3"],
         ],
     )
     def test_out_of_range_input_is_config_error(self, args, capsys):
@@ -427,7 +447,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "config",
-        [{"trails": 5}, {"trials": None}, {"trials": "many"}, {"scheme": 5}, {"alpha": True}],
+        [
+            {"trails": 5},
+            {"trials": None},
+            {"trials": "many"},
+            {"scheme": 5},
+            {"alpha": True},
+            [1, 2],
+        ],
     )
     def test_bad_config_entry_is_config_error(self, config, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -488,3 +515,18 @@ def test_console_script_installed():
     )
     assert out.returncode == 0
     assert "0.5625" in out.stdout
+
+
+def test_readme_command_lines_parse():
+    # each uncloneq line of README's code blocks parses and merges, unrun
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```\n(.*?)^```", readme, flags=re.S | re.M)
+    lines = [line for block in blocks for line in block.splitlines()]
+    commands = [
+        shlex.split(line, comments=True)[1:] for line in lines if line.startswith("uncloneq ")
+    ]
+    assert commands
+    parser = _build_parser()
+    for argv in commands:
+        # an unknown flag or bad value exits; a missing --seed raises ValueError
+        _merge_options(parser.parse_args(argv))

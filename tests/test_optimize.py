@@ -14,7 +14,7 @@ from uncloneq.attacks import (
 from uncloneq import optimize
 from uncloneq.cli import main
 from uncloneq.config import TOL
-from uncloneq.errors import CrossCheckFailed, DimensionMismatch
+from uncloneq.errors import CrossCheckFailed
 from uncloneq.linalg import KrausChannel, dagger, haar_unitary, herm_eig, make_rng
 from uncloneq.optimize import (
     SeesawConfig,
@@ -250,8 +250,8 @@ class TestPwinUnifSeesaw:
         keys = e.enumerate_keys()
         atk = projector_cloning_attack(e)
 
-        def warm(scheme, key):
-            return (atk.bob_povm(key),)
+        def warm(key):
+            return atk.bob_povm(key)
 
         cfg = SeesawConfig(rng=make_rng(3), restarts=1)
         mean, stderr = pwin_unif_seesaw(e, superposition_cloner(2), keys, cfg, warm_start=warm)
@@ -263,9 +263,8 @@ class TestPwinUnifSeesaw:
         basis = np.eye(2, dtype=complex)
         ch = measure_share_attack(2, basis)
 
-        def warm(scheme, key):
-            (bob, _), _ = optimal_decode_for_measure_share(scheme, key, basis)
-            return (bob,)
+        def warm(key):
+            return optimal_decode_for_measure_share(e, key, basis)[0]
 
         cfg = SeesawConfig(rng=make_rng(4), restarts=2)
         mean, _ = pwin_unif_seesaw(e, ch, keys, cfg, warm_start=warm)
@@ -283,8 +282,8 @@ class TestPwinUnifSeesaw:
             e, basis = uniform_haar_scheme(2, 2), np.eye(4, dtype=complex)
             ch = measure_share_attack(4, basis)
 
-            def warm(scheme, key):
-                return (optimal_decode_for_measure_share(scheme, key, basis)[0][0],)
+            def warm(key):
+                return optimal_decode_for_measure_share(e, key, basis)[0]
 
         keys = e.sample_keys(make_rng(7), 5)
         mean, _ = pwin_unif_seesaw(
@@ -293,22 +292,10 @@ class TestPwinUnifSeesaw:
         rng = make_rng(8)
         vals = []
         for key in keys:
-            ws = tuple(warm(e, key)) if warm else ()
+            ws = (warm(key),) if warm else ()
             cfg = SeesawConfig(rng=rng, restarts=2)
             vals.append(seesaw_pguess(ensemble_from_scheme_key(e, key, ch), cfg, ws).value)
         assert abs(mean - np.mean(vals)) < 1e-12
-
-    def test_warm_start_count_must_not_vary(self, rng):
-        e = bb84_scheme(1)
-        keys = e.enumerate_keys()
-        atk = projector_cloning_attack(e)
-
-        def warm(scheme, key):
-            return (atk.bob_povm(key),) * (1 + (key == keys[-1]))
-
-        cfg = SeesawConfig(rng=make_rng(3))
-        with pytest.raises(DimensionMismatch):
-            pwin_unif_seesaw(e, superposition_cloner(2), keys, cfg, warm_start=warm)
 
     def test_identity_to_bob_floor(self, rng):
         e = uniform_haar_scheme(2, 1)
