@@ -50,6 +50,7 @@ __all__ = [
     "conjugate_attack_by_isometry",
     "ensemble_from_scheme_key",
     "ind_attack_build",
+    "key_success",
     "projector_cloning_attack",
     "projector_strategy_closed_form",
     "projector_strategy_value",
@@ -60,6 +61,7 @@ __all__ = [
     "pwin_ind_eval",
     "pwin_unif_eval",
     "random_basis_attack_estimate",
+    "receiver_effects",
     "superposition_cloner",
 ]
 
@@ -126,12 +128,12 @@ def superposition_cloner(d: int) -> KrausChannel:
     if d < 1:
         raise DimensionMismatch("d must be at least 1")
     dp = d + 1
-    v = np.zeros((dp * dp, d), dtype=complex)
+    v = np.zeros((1, dp * dp, d), dtype=complex)  # the one Kraus operator V
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     for j in range(d):
-        v[d * dp + j, j] += inv_sqrt2  # |bot>_B |j>_C
-        v[j * dp + d, j] += inv_sqrt2  # |j>_B |bot>_C
-    return KrausChannel(in_dim=d, out_dim=dp * dp, kraus_ops=(v,))
+        v[0, d * dp + j, j] += inv_sqrt2  # |bot>_B |j>_C
+        v[0, j * dp + d, j] += inv_sqrt2  # |j>_B |bot>_C
+    return KrausChannel(in_dim=d, out_dim=dp * dp, left=v)
 
 
 def guessing_projector(rho: Array, sigma: Array, alpha: float) -> Array:
@@ -191,11 +193,10 @@ def projector_strategy_value(rho: Array, sigma: Array, alpha: float) -> float:
         lam_rho = lam_sig
     d = rho.shape[0]
     pi = guessing_projector(rho, sigma, alpha)
-    miss = np.eye(d + 1) - pi
-    cloner = superposition_cloner(d).kraus_ops
-    hit0 = joint_expectation((pi, pi), cloner, rho)
-    hit1 = joint_expectation((miss, miss), cloner, sigma)
-    direct = 0.5 * (hit0 + hit1)
+    hit = np.stack([pi, np.eye(d + 1) - pi])
+    cloner = superposition_cloner(d)
+    hits = joint_expectation((hit, hit), cloner.left, cloner.compress(np.stack([rho, sigma])))
+    direct = 0.5 * float(hits.sum())
     closed = projector_strategy_closed_form(alpha, lam_rho)
     if abs(direct - closed) > 1e-9:
         raise CrossCheckFailed(
@@ -276,18 +277,15 @@ def pwin_ind_eval(e: QecmScheme, m0: int, atk: CloningAttack, keys: Sequence) ->
 def measure_share_attack(d: int, basis: Array) -> KrausChannel:
     """Measure in ``basis`` and hand the classical outcome to both parties.
 
-    Kraus operators ``K_i = |i>_B |i>_C <e_i|`` with ``|e_i>`` the basis
-    columns; the output is a classically correlated state on two
-    d-dimensional registers.
+    Rank-one Kraus operators ``K_i = |i>_B |i>_C <e_i|`` with ``|e_i>`` the
+    basis columns (``left_i = |ii>``, ``right_i = |e_i>``); the output is a
+    classically correlated state on two d-dimensional registers.
     """
     if basis.shape != (d, d):
         raise DimensionMismatch(f"basis shape {basis.shape} != ({d}, {d})")
-    ops = []
-    for i in range(d):
-        k = np.zeros((d * d, d), dtype=complex)
-        k[i * d + i, :] = basis[:, i].conj()
-        ops.append(k)
-    return KrausChannel(in_dim=d, out_dim=d * d, kraus_ops=tuple(ops))
+    left = np.zeros((d, d * d, 1), dtype=complex)
+    left[np.arange(d), np.arange(d) * (d + 1), 0] = 1.0
+    return KrausChannel(in_dim=d, out_dim=d * d, left=left, right=basis.T[:, :, None])
 
 
 def _outcome_likelihoods(e: QecmScheme, key: Any, basis: Array) -> Array:
@@ -387,25 +385,48 @@ def projector_cloning_attack(e: QecmScheme) -> CloningAttack:
 # ---------------------------------------------------------------------------
 
 
+def receiver_effects(
+    bob_povm: Callable[[Any], Povm],
+    charlie_povm: Callable[[Any], Povm],
+    key: Any,
+    message_count: int,
+) -> tuple[Array, Array]:
+    """Bob's and Charlie's effects for ``key`` as two ``(M, d, d)`` stacks.
+
+    A POVM map both receivers share, as in every attack built here, is
+    evaluated once.
+    """
+    bob = bob_povm(key)
+    charlie = bob if charlie_povm is bob_povm else charlie_povm(key)
+    if bob.n_outcomes != message_count or charlie.n_outcomes != message_count:
+        raise DimensionMismatch("POVM outcome count does not match message count")
+    return np.stack(bob.effects), np.stack(charlie.effects)
+
+
+def key_success(e: QecmScheme, ch: KrausChannel, key: Any, bob: Array, charlie: Array) -> float:
+    """``(1/M) sum_m tr((P_m ⊗ Q_m) N(Enc_k(m)))`` for one key's effect stacks.
+
+    Every message is one problem of a single :func:`joint_expectation`
+    call on the channel's factors.
+    """
+    rho = np.stack([e.encrypt(key, m) for m in range(e.message_count)])
+    values = joint_expectation((bob, charlie), ch.left, ch.compress(rho))
+    return float(values.sum()) / e.message_count
+
+
 def pwin_unif_eval(e: QecmScheme, atk: CloningAttack, keys: Sequence) -> float:
     """Uniform-message success probability of a cloning attack over ``keys``.
 
     ``(1/M) sum_m E_k tr((P_m ⊗ Q_m) N(Enc_k(m)))`` with ``E_k`` the
-    mean over ``keys``.
+    mean over ``keys`` (:func:`key_success` per key).
     """
     check_keys(keys)
     if atk.channel.in_dim != e.cipher_dim:
         raise DimensionMismatch("attack channel does not match the scheme dimension")
     total = 0.0
     for key in keys:
-        bob = atk.bob_povm(key)
-        charlie = atk.charlie_povm(key)
-        if bob.n_outcomes != e.message_count or charlie.n_outcomes != e.message_count:
-            raise DimensionMismatch("POVM outcome count does not match message count")
-        for m in range(e.message_count):
-            effects = (bob.effects[m], charlie.effects[m])
-            rho = e.encrypt(key, m)
-            total += joint_expectation(effects, atk.channel.kraus_ops, rho) / e.message_count
+        bob, charlie = receiver_effects(atk.bob_povm, atk.charlie_povm, key, e.message_count)
+        total += key_success(e, atk.channel, key, bob, charlie)
     return total / len(keys)
 
 
@@ -451,16 +472,20 @@ def conjugate_attack_by_isometry(atk: CloningAttack, iso: Array) -> CloningAttac
     output state so the Kraus set stays trace preserving.
     """
     iso = np.asarray(iso, dtype=complex)
-    d_new = iso.shape[0]
-    ops = [k @ dagger(iso) for k in atk.channel.kraus_ops]
-    complement = np.eye(d_new) - iso @ dagger(iso)
-    w, v = herm_eig(complement)
-    for i in range(d_new):
-        if w[i] > 0.5:
-            k = np.zeros((atk.channel.out_dim, d_new), dtype=complex)
-            k[0, :] = v[:, i].conj()
-            ops.append(k)
-    channel = KrausChannel(in_dim=d_new, out_dim=atk.channel.out_dim, kraus_ops=tuple(ops))
+    ch = atk.channel
+    w, v = herm_eig(np.eye(iso.shape[0]) - iso @ dagger(iso))
+    lost = v[:, w > 0.5]  # orthonormal basis of the complement of range(iso)
+    # K_j iso† = left_j (iso right_j)†, then |0><v| for each complement direction v
+    left = np.zeros((lost.shape[1], ch.out_dim, ch.left.shape[2]), dtype=complex)
+    left[:, 0, 0] = 1.0
+    right = np.zeros((lost.shape[1], iso.shape[0], ch.left.shape[2]), dtype=complex)
+    right[:, :, 0] = lost.T
+    channel = KrausChannel(
+        in_dim=iso.shape[0],
+        out_dim=ch.out_dim,
+        left=np.concatenate([ch.left, left]),
+        right=np.concatenate([iso @ ch.right, right]),
+    )
     return CloningAttack(
         channel=channel,
         bob_povm=atk.bob_povm,

@@ -30,6 +30,7 @@ from .config import check_entries
 from .errors import UncloneqError
 from .linalg import make_rng
 from .schemes import (
+    Povm,
     QecmScheme,
     RankDistribution,
     bb84_scheme,
@@ -130,10 +131,10 @@ def _check_message_count(big_m: int, d: int, source: str) -> None:
 
 
 def _stderr_trials(opts: dict) -> int:
-    # a gate of value >= reference - 3 * stderr needs a sample with an error bar
+    # a reported stderr, and a gate of value >= reference - 3 * stderr, need two samples
     trials = opts["trials"]
     if trials < 2:
-        raise ValueError(f"trials must be at least 2 for a standard-error gate, got {trials}")
+        raise ValueError(f"--trials must be at least 2 for a standard-error gate, got {trials}")
     return trials
 
 
@@ -288,7 +289,10 @@ def _seesaw_setup(scheme: QecmScheme, channel_name: str, trials: int, restarts: 
     the reference maps the key sample to the value that start already
     achieves: ``1/2 + mu/16`` for the two-message cloner, the
     maximum-likelihood decode value for measure-and-share, and the
-    constant-guess value ``1/M`` when there is no warm start.  A key
+    constant-guess value ``1/M`` when there is no warm start.  The
+    measure-and-share warm start records each key's decode value, and its
+    reference averages the recorded values, so no key is decoded twice and
+    that reference is read after the seesaw.  A key
     ensemble, or a lockstep stack of ``trials`` keys with ``restarts``
     restarts each, too large for the seesaw is refused before the channel
     is built and before any key is drawn.
@@ -321,13 +325,15 @@ def _seesaw_setup(scheme: QecmScheme, channel_name: str, trials: int, restarts: 
                     f"basis, but the scheme has d = {d}"
                 )
             basis = attacks.breidbart_basis()
-        atk = attacks.measure_share_ml_attack(scheme, basis)
+        # each key is decoded once: its warm start, and the value the reference averages
+        values: list[float] = []
 
-        def reference(keys: Sequence) -> float:
-            decode = attacks.optimal_decode_for_measure_share
-            return float(np.mean([decode(scheme, k, basis)[1] for k in keys]))
+        def warm(key: Any) -> Povm:
+            povm, value = attacks.optimal_decode_for_measure_share(scheme, key, basis)
+            values.append(value)
+            return povm
 
-        return atk.channel, atk.bob_povm, reference
+        return attacks.measure_share_attack(d, basis), warm, lambda keys: float(np.mean(values))
     raise ValueError(f"--channel {channel_name!r} is not a known channel")
 
 
@@ -365,15 +371,17 @@ def run_meg(opts: dict) -> list[dict]:
                 f"--attack cloner guesses a binary message; --scheme {opts['scheme']!r} "
                 f"has {scheme.message_count}"
             )
-        n_kraus, out_dim = 1, (d + 1) ** 2
+        n_kraus, out_dim, rank = 1, (d + 1) ** 2, d
     elif attack_name == "measure_share":
-        n_kraus, out_dim = d, d * d
+        n_kraus, out_dim, rank = d, d * d, 1
     else:
         raise ValueError(f"--attack {attack_name!r} is not a known attack")
-    # the Choi factor has a d * out_dim column per Kraus op, as many entries as the ops
+    if opts["trials"] < 1:
+        raise ValueError(f"--trials must be at least 1, got {opts['trials']}")
+    # the left Kraus factors; the Choi factor and each message's kernel terms are no larger
     check_entries(
-        n_kraus * out_dim * d,
-        f"--attack {attack_name} at d = {d}: its Kraus ops ({n_kraus} x {out_dim} x {d})",
+        n_kraus * out_dim * rank,
+        f"--attack {attack_name} at d = {d}: its Kraus factors ({n_kraus} x {out_dim} x {rank})",
     )
     rng = make_rng(opts["seed"])
     keys = scheme.sample_keys(rng, opts["trials"])
@@ -410,14 +418,15 @@ def _partitions(total: int, parts: int, cap: int | None = None) -> list[tuple[in
 
 
 def run_conjecture_scan(opts: dict) -> list[dict]:
+    trials = _stderr_trials(opts)
     big_m, d = opts["M"], opts["d"]
     _check_message_count(big_m, d, f"--M {big_m} and --d {d}")
     rng = make_rng(opts["seed"])
     rows = []
     for i, t in enumerate(_partitions(d, big_m)):
         scheme = haar_scheme(big_m, d, RankDistribution.deterministic(t))
-        ch, warm, _ = _seesaw_setup(scheme, "cloner", opts["trials"], opts["restarts"])
-        keys = scheme.sample_keys(rng, opts["trials"])
+        ch, warm, _ = _seesaw_setup(scheme, "cloner", trials, opts["restarts"])
+        keys = scheme.sample_keys(rng, trials)
         cfg = optimize.SeesawConfig(rng=make_rng(opts["seed"], stream=i + 1), restarts=opts["restarts"])
         mean, stderr = optimize.pwin_unif_seesaw(scheme, ch, keys, cfg, warm_start=warm)
         rows.append(

@@ -1,8 +1,9 @@
 """Dense complex linear-algebra kernel.
 
-Hermitian eigendecompositions, partial traces, Kraus channels, the
-contraction kernel :func:`joint_expectation` for product measurements on a
-channel output, pseudo-inverse square roots, and Haar-random unitaries.
+Hermitian eigendecompositions, partial traces, Kraus channels held as
+stacked factor pairs, the contraction kernel :func:`joint_expectation` for
+product measurements on a channel output, pseudo-inverse square roots, and
+Haar-random unitaries.
 States and operators are plain complex ``numpy`` arrays; the ``assert_*``
 validators enforce the validity contracts with the absolute tolerances
 from :mod:`uncloneq.config`, which they take no override of.
@@ -46,6 +47,8 @@ __all__ = [
 
 # eigenvalues at or below this are outside the support of pseudo_inv_sqrt
 _PSEUDO_INV_CUTOFF = 1e-14
+# complex entries (512 KB) of one chunk of joint_expectation's intermediates
+_KERNEL_ENTRIES = 2**15
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -200,70 +203,101 @@ def partial_trace(
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """Completely positive trace-preserving map given by Kraus operators.
+    """Completely positive trace-preserving map with factored Kraus operators.
 
-    Attributes
-    ----------
-    in_dim, out_dim : int
-        Input and output dimensions.
-    kraus_ops : tuple of Array
-        Operators of shape ``(out_dim, in_dim)`` with
-        ``sum(K.conj().T @ K) == I`` within the completeness tolerance.
+    Operator ``j`` is ``K_j = left_j right_j†``, held as one stacked factor
+    pair: ``left`` of shape ``(n, out_dim, r)`` and ``right`` of shape
+    ``(n, in_dim, r)``.  A rank-one operator such as ``|ii><e_i|`` has
+    ``r = 1`` (``d³`` entries for measure-and-share's ``d`` operators, not
+    ``d⁴``).  Without ``right``, ``left`` is a sequence of dense
+    ``(out_dim, in_dim)`` operators ``K``, held as ``left = K`` and
+    ``right = I``.  Completeness ``sum_j K_j† K_j = I`` is checked within
+    ``TOL.completeness``.
     """
 
     in_dim: int
     out_dim: int
-    kraus_ops: tuple[Array, ...]
+    left: Array
+    right: Array | None = None
 
     def __post_init__(self) -> None:
-        if not self.kraus_ops:
+        if not len(self.left):
             raise InvalidOperator("a channel needs at least one Kraus operator")
-        for k in self.kraus_ops:
-            if k.shape != (self.out_dim, self.in_dim):
-                raise DimensionMismatch(
-                    f"Kraus operator shape {k.shape} != ({self.out_dim}, {self.in_dim})"
-                )
-        acc = sum(dagger(k) @ k for k in self.kraus_ops)
+        if self.right is None:
+            for k in self.left:
+                if k.shape != (self.out_dim, self.in_dim):
+                    raise DimensionMismatch(
+                        f"Kraus operator shape {k.shape} != ({self.out_dim}, {self.in_dim})"
+                    )
+            eye = np.eye(self.in_dim, dtype=complex)
+            right = np.broadcast_to(eye, (len(self.left), self.in_dim, self.in_dim))
+        else:
+            right = np.asarray(self.right, dtype=complex)
+        left = np.asarray(self.left, dtype=complex)
+        n, r = left.shape[0], left.shape[-1]
+        if left.shape != (n, self.out_dim, r) or right.shape != (n, self.in_dim, r):
+            raise DimensionMismatch(
+                f"Kraus factors {left.shape} and {right.shape} do not match "
+                f"(n, {self.out_dim}, r) and (n, {self.in_dim}, r)"
+            )
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        # sum_j right_j (left_j† left_j) right_j†, contracted over j and r at once
+        acc = np.tensordot(right @ (dagger(left) @ left), right.conj(), axes=([0, 2], [0, 2]))
         dev = max_abs(acc - np.eye(self.in_dim))
         if dev > TOL.completeness:
             raise InvalidOperator(f"Kraus completeness deviation {dev}")
 
+    def compress(self, rho: Array) -> Array:
+        """Inner operators ``sigma_j = right_j† rho right_j`` of every operator.
+
+        ``K_j rho K_j† = left_j sigma_j left_j†``.  For a stack ``(...,
+        in_dim, in_dim)`` of states the result has shape ``(..., n, r, r)``.
+        """
+        return dagger(self.right) @ rho[..., None, :, :] @ self.right
+
 
 def apply_channel(ch: KrausChannel, rho: Array) -> Array:
-    """Apply a Kraus channel: ``sum(K @ rho @ K.conj().T)``."""
+    """Apply a Kraus channel: ``sum_j left_j (right_j† rho right_j) left_j†``.
+
+    The sum over ``j`` and the rank index is one ``(out, n r) x (n r, out)``
+    matmul, so no per-operator output is formed.
+    """
     n = _require_square(rho)
     if n != ch.in_dim:
         raise DimensionMismatch(f"state dim {n} != channel input dim {ch.in_dim}")
-    out = np.zeros((ch.out_dim, ch.out_dim), dtype=complex)
-    for k in ch.kraus_ops:
-        out += k @ rho @ dagger(k)
-    return out
+    t = np.swapaxes(ch.left @ ch.compress(rho), 0, 1).reshape(ch.out_dim, -1)
+    left = np.swapaxes(ch.left, 0, 1).reshape(ch.out_dim, -1)
+    return t @ dagger(left)
 
 
-def joint_expectation(
-    effects: Sequence[Array], kraus_ops: Sequence[Array], rho: Array
-) -> float:
-    """``sum_K tr((E_1 ⊗ ... ⊗ E_n) K rho K†)`` without forming either product.
+def joint_expectation(effects: Sequence[Array], left: Array, sigma: Array) -> Array:
+    """``sum_j tr((E_1 ⊗ ... ⊗ E_p) left_j sigma_j left_j†)`` for a stack of problems.
 
-    The rows of ``K @ rho`` are indexed by ``(i_1, ..., i_n)`` in kron
-    order, with ``d_i`` the dimension of effect ``E_i``.  Each effect is
-    applied along its own index as one batched matmul over the reshape
-    ``(d_1 ... d_{i-1}, d_i, rest)``, and the result is contracted with
-    ``K`` in one ``vdot``.  Neither the Kronecker product of the effects
-    nor the channel output ``K rho K†`` is built.
+    ``effects`` holds one ``(B, d_i, d_i)`` stack per tensor factor, in
+    kron order, ``left`` the ``(n, d_1 ... d_p, r)`` left Kraus factors and
+    ``sigma`` the ``(B, n, r, r)`` inner operators; returns the ``B``
+    values.  With ``sigma = ch.compress(rho)`` this is the expectation of
+    the product measurement on ``ch(rho)``.  Each effect is applied along
+    its own index as one batched matmul, and each problem's result is
+    contracted with ``left`` in one ``vdot``, so neither the Kronecker
+    product of the effects nor a channel output is built.  Problems run in
+    chunks of at most ``_KERNEL_ENTRIES`` complex entries (at least one).
     """
-    dims = tuple(e.shape[0] for e in effects)
-    total = 0.0
-    for k in kraus_ops:
-        if math.prod(dims) != k.shape[0]:
-            raise DimensionMismatch(
-                f"effect dims {dims} do not factor Kraus output dim {k.shape[0]}"
-            )
-        t = k @ rho
+    n, out, r = left.shape
+    dims = tuple(e.shape[-1] for e in effects)
+    if math.prod(dims) != out:
+        raise DimensionMismatch(f"effect dims {dims} do not factor Kraus output dim {out}")
+    values = np.empty(len(sigma))
+    step = max(1, _KERNEL_ENTRIES // (n * out * r))
+    for lo in range(0, len(sigma), step):
+        hi = min(lo + step, len(sigma))
+        t = left @ sigma[lo:hi]
         for i, eff in enumerate(effects):
-            t = eff @ t.reshape(math.prod(dims[:i]), dims[i], -1)
-        total += np.vdot(k, t).real
-    return float(total)
+            t = eff[lo:hi, None] @ t.reshape(hi - lo, n * math.prod(dims[:i]), dims[i], -1)
+        # a comprehension, so no view of this chunk stays alive into the next
+        values[lo:hi] = [np.vdot(left, tp).real for tp in t.reshape(hi - lo, -1)]
+    return values
 
 
 def pseudo_inv_sqrt(rho: Array) -> Array:

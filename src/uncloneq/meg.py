@@ -12,9 +12,12 @@ probability exactly; :func:`verify_reduction` checks the two evaluation
 routes against each other on one key list.  The game, the average
 ciphertext and the reduction check all take that key list explicitly.
 
-A strategy holds its tripartite state in factored form, one column per
-Kraus operator of the attack channel, so the d(d+1)^2-dimensional density
-matrix of the Choi state is never built.
+A strategy holds its tripartite state in factored form: component ``j``
+is ``vec(U_j left_jᵀ)``, with ``left`` the attack channel's left Kraus
+factors and ``U`` its Choi factor (:func:`choi_state`).  Alice's effect
+is folded into ``sigma_j = (U_j† F U_j)ᵀ``, so the game value is the
+same :func:`joint_expectation` contraction as the attack's, and neither
+the Choi state's density matrix nor its ``(d out, n)`` vectors are built.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .attacks import CloningAttack, pwin_unif_eval
+from .attacks import CloningAttack, key_success, receiver_effects
 from .config import TOL, check_keys
 from .errors import DimensionMismatch, NotKeyIndependent
 from .linalg import (
@@ -73,44 +76,53 @@ class MegGame:
 class MegStrategy:
     """Bob and Charlie's prepared state plus their keyed POVMs.
 
-    The ABC state is ``vectors @ vectors.conj().T``: each column of
-    ``vectors`` is one (unnormalized) pure component on ``A ⊗ B ⊗ C``.
+    The ABC state is ``sum_j |v_j><v_j|`` with ``|v_j>`` the row-major
+    ``vec(u_j left_jᵀ)`` on ``A ⊗ (B ⊗ C)``: ``u`` is an ``(n, d_A, r)``
+    and ``left`` an ``(n, d_B d_C, r)`` stack.  Explicit (unnormalized)
+    pure components ``v_j``, each read as a ``d_A x d_B d_C`` matrix
+    ``X_j``, are ``u_j = I`` and ``left_j = X_jᵀ``.
     """
 
-    vectors: Array
+    u: Array
+    left: Array
     dims: tuple[int, int, int]
     bob_povm: Callable[[Any], Povm]
     charlie_povm: Callable[[Any], Povm]
 
     def __post_init__(self) -> None:
         da, db, dc = self.dims
-        if self.vectors.ndim != 2 or self.vectors.shape[0] != da * db * dc:
+        n, r = self.u.shape[0], self.u.shape[-1]
+        if self.u.shape != (n, da, r) or self.left.shape != (n, db * dc, r):
             raise DimensionMismatch(
-                f"vectors shape {self.vectors.shape} incompatible with dims {self.dims}"
+                f"factors {self.u.shape} and {self.left.shape} incompatible with dims {self.dims}"
             )
+
+
+def _key_game_value(
+    g: MegGame, key: Any, u: Array, left: Array, bob: Array, charlie: Array
+) -> float:
+    # sum_m <v| F_m ⊗ P_m ⊗ Q_m |v> with sigma_mj = (u_j† F_m u_j)ᵀ
+    alice = g.alice_povm(key)
+    if alice.n_outcomes != g.message_count:
+        raise DimensionMismatch("POVM outcome counts do not match the message set")
+    sigma = np.swapaxes(dagger(u) @ np.stack(alice.effects)[:, None] @ u, -1, -2)
+    return float(joint_expectation((bob, charlie), left, sigma).sum())
 
 
 def meg_win_prob(g: MegGame, s: MegStrategy) -> float:
     """Probability that all three parties obtain the same outcome.
 
-    ``E_k sum_m tr((F_m^k ⊗ P_m^k ⊗ Q_m^k) V V†)`` for the strategy's
-    state vectors ``V``, evaluated as a channel with the single Kraus
-    operator ``V`` acting on the identity.
+    ``E_k sum_m tr((F_m^k ⊗ P_m^k ⊗ Q_m^k) rho_ABC)``.  Per key, Alice's
+    effects become the inner operators ``(u_j† F_m u_j)ᵀ`` and every
+    message is one problem of a single :func:`joint_expectation` call on
+    ``left``.
     """
     if s.dims[0] != g.alice_dim:
         raise DimensionMismatch("strategy A register does not match the game")
-    kraus = (s.vectors,)
-    trivial = np.eye(s.vectors.shape[1])
     total = 0.0
     for key, weight in zip(g.keys, g.weights):
-        alice = g.alice_povm(key)
-        bob = s.bob_povm(key)
-        charlie = s.charlie_povm(key)
-        if not (alice.n_outcomes == bob.n_outcomes == charlie.n_outcomes == g.message_count):
-            raise DimensionMismatch("POVM outcome counts do not match the message set")
-        for m in range(g.message_count):
-            effects = (alice.effects[m], bob.effects[m], charlie.effects[m])
-            total += weight * joint_expectation(effects, kraus, trivial)
+        bob, charlie = receiver_effects(s.bob_povm, s.charlie_povm, key, g.message_count)
+        total += weight * _key_game_value(g, key, s.u, s.left, bob, charlie)
     return total
 
 
@@ -119,19 +131,20 @@ def choi_state(ch: KrausChannel, rho_bar: Array) -> Array:
 
     The state is ``(id ⊗ N)(|Phi><Phi|)`` with ``|Phi> = sum_i
     sqrt(lambda_i) |e_i>|e_i>`` built from the eigendecomposition of
-    ``rho_bar``.  Returns the matrix ``V`` whose column ``j`` is
-    ``(I ⊗ K_j)|Phi>`` for the ``j``-th Kraus operator, so the state is
-    ``V V†``.  Read as a ``d x d`` matrix, ``|Phi>`` is ``S = E
-    sqrt(Lambda) E^T`` and ``(I ⊗ K)|Phi>`` is ``S K^T`` flattened
-    row-major.  The marginal on the input copy reproduces ``rho_bar``
-    (its transpose in its own eigenbasis equals itself).
+    ``rho_bar``.  Read as a ``d x d`` matrix, ``|Phi>`` is ``S = E
+    sqrt(Lambda) E^T``, and ``(I ⊗ K_j)|Phi>`` is ``S K_jᵀ = U_j left_jᵀ``
+    flattened row-major, with ``U_j = S conj(right_j)``.  Returns the
+    ``(n, d, r)`` stack ``U``; the state is ``sum_j |v_j><v_j|`` with
+    ``v_j = vec(U_j left_jᵀ)`` (see :class:`MegStrategy`).  The marginal
+    on the input copy reproduces ``rho_bar`` (its transpose in its own
+    eigenbasis equals itself).
     """
     d = rho_bar.shape[0]
     if ch.in_dim != d:
         raise DimensionMismatch(f"channel input {ch.in_dim} != reference dim {d}")
     w, v = herm_eig(rho_bar)
     s = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
-    return np.stack([(s @ k.T).ravel() for k in ch.kraus_ops], axis=1)
+    return s @ ch.right.conj()
 
 
 def mean_ciphertext(e: QecmScheme, keys: Sequence) -> Array:
@@ -172,8 +185,12 @@ def meg_from_qecm(e: QecmScheme, keys: Sequence) -> MegGame:
     complement of its support (which no induced strategy can populate)
     is folded into outcome 0 so the POVM is complete on the whole space.
     """
+    return _induced_game(e, keys, mean_ciphertext(e, keys))
+
+
+def _induced_game(e: QecmScheme, keys: Sequence, rho_bar: Array) -> MegGame:
+    # meg_from_qecm on a reference rho_bar = mean_ciphertext(e, keys) already computed
     cutoff = TOL.support_cutoff
-    rho_bar = mean_ciphertext(e, keys)
     # one eigendecomposition gives the transpose basis, the pseudo-inverse
     # square root on the support and the projector onto its complement
     w, v = herm_eig(rho_bar)
@@ -212,7 +229,8 @@ def strategy_from_attack(
     respect to ``rho_bar`` and keep their original keyed POVMs.
     """
     return MegStrategy(
-        vectors=choi_state(atk.channel, rho_bar),
+        u=choi_state(atk.channel, rho_bar),
+        left=atk.channel.left,
         dims=(e.cipher_dim, atk.dims[0], atk.dims[1]),
         bob_povm=atk.bob_povm,
         charlie_povm=atk.charlie_povm,
@@ -225,13 +243,19 @@ def verify_reduction(
     """Game value vs. attack value on the same key list ``keys``.
 
     Returns ``(lhs, rhs, gap)`` where ``lhs`` is the induced monogamy
-    game value of the induced strategy, ``rhs`` the attack's uniform
-    success probability, and ``gap`` their absolute difference (expected
-    to vanish to numerical precision).
+    game value of the induced strategy (:func:`meg_win_prob`), ``rhs`` the
+    attack's uniform success probability (:func:`pwin_unif_eval`), and
+    ``gap`` their absolute difference (expected to vanish to numerical
+    precision).  ``rho_bar`` and each key's receiver effects are built
+    once and serve both routes.
     """
-    game = meg_from_qecm(e, keys)
     rho_bar = mean_ciphertext(e, keys)
-    strategy = strategy_from_attack(e, atk, rho_bar)
-    lhs = meg_win_prob(game, strategy)
-    rhs = pwin_unif_eval(e, atk, keys)
+    game = _induced_game(e, keys, rho_bar)
+    s = strategy_from_attack(e, atk, rho_bar)
+    lhs, rhs = 0.0, 0.0
+    for key, weight in zip(game.keys, game.weights):
+        bob, charlie = receiver_effects(s.bob_povm, s.charlie_povm, key, e.message_count)
+        lhs += weight * _key_game_value(game, key, s.u, s.left, bob, charlie)
+        rhs += key_success(e, atk.channel, key, bob, charlie)
+    rhs /= len(keys)
     return lhs, rhs, abs(lhs - rhs)

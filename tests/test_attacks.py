@@ -60,12 +60,12 @@ KET1 = np.diag([0.0, 1.0]).astype(complex)
 
 class TestSuperpositionCloner:
     def test_scalar_input_normalized(self):
-        v = superposition_cloner(1).kraus_ops[0]
+        v = superposition_cloner(1).left[0]
         out = v[:, 0]
         assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
     def test_qubit_overlap(self):
-        v = superposition_cloner(2).kraus_ops[0]
+        v = superposition_cloner(2).left[0]
         out = v[:, 0]  # V|0>
         bot_zero = np.zeros(9)
         bot_zero[2 * 3 + 0] = 1.0  # |bot>|0>
@@ -73,7 +73,7 @@ class TestSuperpositionCloner:
 
     def test_isometry(self):
         for d in (1, 2, 5):
-            v = superposition_cloner(d).kraus_ops[0]
+            v = superposition_cloner(d).left[0]
             assert np.max(np.abs(dagger(v) @ v - np.eye(d))) < 1e-12
 
 
@@ -251,7 +251,8 @@ class TestMeasureShare:
     def test_kraus_completeness_random_basis(self, rng):
         basis = haar_unitary(4, rng)
         ch = measure_share_attack(4, basis)
-        acc = sum(dagger(k) @ k for k in ch.kraus_ops)
+        assert ch.left.shape == (4, 16, 1)  # rank one: d^3 entries, not d^4
+        acc = sum(dagger(k) @ k for k in ch.left @ dagger(ch.right))
         assert np.max(np.abs(acc - np.eye(4))) < 1e-12
 
     def test_ml_decode_aligned_basis(self, rng):

@@ -224,7 +224,8 @@ def test_oversize_restarts_are_refused_before_any_key_is_drawn(command, capsys, 
     [
         ["theorem2", "--cases", "4x4;2x5000", "--seed", "1"],
         ["erlang", "--ns", "2,16777217", "--seed", "1"],
-        ["meg", "--scheme", "uniform_haar:2,64", "--attack", "measure_share", "--seed", "1"],
+        # rank-one measure-and-share factors hold d^3 entries: 258^3 > 2^24
+        ["meg", "--scheme", "uniform_haar:2,129", "--attack", "measure_share", "--seed", "1"],
         ["meg", "--scheme", "uniform_haar:2,300", "--attack", "cloner", "--seed", "1"],
         # lemma1's cloner, and key lists refused before any key is drawn
         ["lemma1", "--scheme", "uniform_haar:2,5000", "--trials", "2", "--seed", "1"],
@@ -247,6 +248,20 @@ def test_oversize_monte_carlo_and_meg_input_is_refused_before_allocating(args, c
     assert captured.out == ""
     assert "config error" in captured.err and "more than the cap of 16777216" in captured.err
     assert peak < 8 * 2**20
+
+
+def test_meg_at_d64_runs_in_bounded_memory(capsys):
+    # d rank-one Kraus factors (d^3 entries) and their Choi factor, never d^4
+    tracemalloc.start()
+    try:
+        code = main(["meg", "--scheme", "uniform_haar:2,32", "--attack", "measure_share",
+                     "--trials", "1", "--seed", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert capsys.readouterr().out.endswith(",1e-08,true\r\n")
+    assert peak < 64 * 2**20
 
 
 # erlang reports recorded before the samples streamed through one reused block;
@@ -394,6 +409,7 @@ class TestExitCodes:
             ["theorem2", "--cases", "4x4", "--trials", "1", "--seed", "1"],
             ["erlang", "--ns", "2,4", "--trials", "1", "--seed", "1"],
             ["seesaw", "--trials", "1", "--seed", "1"],
+            ["conjecture-scan", "--trials", "1", "--seed", "1"],
         ],
     )
     def test_single_trial_has_no_stderr_gate(self, args, capsys):
@@ -428,6 +444,8 @@ class TestExitCodes:
             # key counts are checked whether keys are drawn or enumerated
             ["lemma1", "--trials", "0"],
             ["lemma1", "--trials", "-5"],
+            ["meg", "--trials", "0"],
+            ["conjecture-scan", "--trials", "0"],
             # a non-qubit Breidbart basis, unknown names, d not a multiple of M
             ["seesaw", "--scheme", "uniform_haar:3,2", "--channel", "measure_share:breidbart"],
             ["seesaw", "--channel", "bogus"],

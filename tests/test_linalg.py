@@ -151,7 +151,19 @@ def _random_channel(d_out: int, d_in: int, n_kraus: int, rng) -> KrausChannel:
     )
     q, _ = np.linalg.qr(g)
     ops = tuple(q[i * d_out : (i + 1) * d_out, :] for i in range(n_kraus))
-    return KrausChannel(in_dim=d_in, out_dim=d_out, kraus_ops=ops)
+    return KrausChannel(d_in, d_out, ops)
+
+
+def _random_rank_one(d_out: int, d_in: int, n_kraus: int, rng) -> tuple[KrausChannel, list]:
+    # K_j = |a_j><b_j| with unit a_j and the b_j the columns of a co-isometry,
+    # so sum_j K_j† K_j = sum_j |b_j><b_j| = I; returned with its dense operators
+    n = n_kraus * d_in
+    q, _ = np.linalg.qr(rng.standard_normal((n, d_in)) + 1j * rng.standard_normal((n, d_in)))
+    b = q.conj()
+    a = rng.standard_normal((n, d_out)) + 1j * rng.standard_normal((n, d_out))
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    ch = KrausChannel(d_in, d_out, left=a[:, :, None], right=b[:, :, None])
+    return ch, [np.outer(a[j], b[j].conj()) for j in range(n)]
 
 
 class TestChannels:
@@ -191,6 +203,16 @@ class TestChannels:
     def test_incomplete_kraus_rejected(self):
         with pytest.raises(InvalidOperator):
             KrausChannel(2, 2, (np.eye(2, dtype=complex) * 0.5,))
+        with pytest.raises(InvalidOperator):
+            KrausChannel(2, 2, left=np.ones((1, 2, 1)), right=np.ones((1, 2, 1)))
+
+    def test_rank_one_matches_dense_kraus_sum(self, rng):
+        for d_out, d_in in ((4, 2), (9, 3), (3, 5)):
+            ch, ops = _random_rank_one(d_out, d_in, 2, rng)
+            rho = rand_density(d_in, rng)
+            dense = sum(k @ rho @ dagger(k) for k in ops)
+            assert np.max(np.abs(apply_channel(ch, rho) - dense)) < 1e-12
+            assert ch.left.shape == (2 * d_in, d_out, 1)
 
 
 def _dense_joint_expectation(effects, kraus_ops, rho) -> float:
@@ -202,23 +224,44 @@ def _dense_joint_expectation(effects, kraus_ops, rho) -> float:
     return float(np.trace(joint @ out).real)
 
 
+def _joint(effects, ch: KrausChannel, rho) -> float:
+    # the stacked kernel on a stack of one problem
+    sigma = ch.compress(rho[None])
+    return float(joint_expectation([e[None] for e in effects], ch.left, sigma)[0])
+
+
 class TestJointExpectation:
     @pytest.mark.parametrize("dims", [(5,), (2, 3), (3, 2, 4)])
     @pytest.mark.parametrize("n_kraus", [1, 3])
     def test_matches_dense_route(self, dims, n_kraus, rng):
         d_out = int(np.prod(dims))
         for d_in in (1, 3, 4):
-            kraus = _random_channel(d_out, d_in, n_kraus, rng).kraus_ops
-            for _ in range(5):
-                effects = [rand_density(d, rng) for d in dims]  # PSD, norm <= 1
-                rho = rand_density(d_in, rng)
-                value = joint_expectation(effects, kraus, rho)
-                assert abs(value - _dense_joint_expectation(effects, kraus, rho)) < 1e-12
+            dense = _random_channel(d_out, d_in, n_kraus, rng)
+            rank_one = _random_rank_one(d_out, d_in, n_kraus, rng)
+            for ch, kraus in ((dense, dense.left), rank_one):  # dense: right = I
+                for _ in range(5):
+                    effects = [rand_density(d, rng) for d in dims]  # PSD, norm <= 1
+                    rho = rand_density(d_in, rng)
+                    value = _joint(effects, ch, rho)
+                    assert abs(value - _dense_joint_expectation(effects, kraus, rho)) < 1e-12
+
+    def test_stacked_problems_in_any_chunking(self, rng, monkeypatch):
+        # each problem has its own effects and state; chunks of one give the same values
+        ch, kraus = _random_rank_one(6, 3, 2, rng)
+        effects = [np.stack([rand_density(d, rng) for _ in range(5)]) for d in (2, 3)]
+        rhos = np.stack([rand_density(3, rng) for _ in range(5)])
+        values = joint_expectation(effects, ch.left, ch.compress(rhos))
+        for p in range(5):
+            expected = _dense_joint_expectation([e[p] for e in effects], kraus, rhos[p])
+            assert abs(values[p] - expected) < 1e-12
+        monkeypatch.setattr(linalg, "_KERNEL_ENTRIES", 1)
+        chunked = joint_expectation(effects, ch.left, ch.compress(rhos))
+        assert np.max(np.abs(chunked - values)) < 1e-15
 
     def test_dimension_mismatch(self, rng):
-        kraus = _random_channel(6, 2, 1, rng).kraus_ops
+        ch = _random_channel(6, 2, 1, rng)
         with pytest.raises(DimensionMismatch):
-            joint_expectation([np.eye(2), np.eye(2)], kraus, rand_density(2, rng))
+            _joint([np.eye(2), np.eye(2)], ch, rand_density(2, rng))
 
 
 class TestPseudoInvSqrt:

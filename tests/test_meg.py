@@ -1,15 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from uncloneq.attacks import (
     CloningAttack,
+    breidbart_basis,
     projector_cloning_attack,
     measure_share_attack,
     measure_share_ml_attack,
+    optimal_decode_for_measure_share,
     superposition_cloner,
 )
 from uncloneq.errors import NotKeyIndependent
-from uncloneq.linalg import KrausChannel
+from uncloneq.linalg import KrausChannel, haar_unitary
 from uncloneq.meg import (
     MegGame,
     MegStrategy,
@@ -44,6 +48,19 @@ def _dense(vectors: np.ndarray) -> np.ndarray:
     return vectors @ vectors.conj().T
 
 
+def _vectors(u: np.ndarray, left: np.ndarray) -> np.ndarray:
+    # the explicit ABC components: column j is vec(u_j left_jᵀ), row-major
+    return np.stack([(uj @ lj.T).ravel() for uj, lj in zip(u, left)], axis=1)
+
+
+def _explicit(vectors: np.ndarray, dims, bob_povm, charlie_povm) -> MegStrategy:
+    # a strategy from explicit components v_j: u_j = I and left_j = X_jᵀ
+    n, da = vectors.shape[1], dims[0]
+    left = vectors.T.reshape(n, da, -1).transpose(0, 2, 1)
+    u = np.broadcast_to(np.eye(da, dtype=complex), (n, da, da))
+    return MegStrategy(u, left, dims, bob_povm, charlie_povm)
+
+
 class TestMegWinProb:
     def test_classical_copy_game(self):
         m_count = 3
@@ -57,8 +74,8 @@ class TestMegWinProb:
             weights=(1.0,),
             alice_povm=lambda key: _basis_povm(3),
         )
-        strategy = MegStrategy(
-            vectors=vectors,
+        strategy = _explicit(
+            vectors,
             dims=(3, 3, 3),
             bob_povm=lambda key: _basis_povm(3),
             charlie_povm=lambda key: _basis_povm(3),
@@ -79,8 +96,8 @@ class TestMegWinProb:
             weights=(1.0,),
             alice_povm=lambda key: _basis_povm(d),
         )
-        strategy = MegStrategy(
-            vectors=_factor(rho),
+        strategy = _explicit(
+            _factor(rho),
             dims=(d, 2, 2),
             bob_povm=lambda key: uniform,
             charlie_povm=lambda key: uniform,
@@ -102,8 +119,8 @@ class TestMegWinProb:
             weights=(1.0,),
             alice_povm=lambda key: alice,
         )
-        strategy = MegStrategy(
-            vectors=vectors, dims=(d, 2, 2), bob_povm=lambda key: bob, charlie_povm=lambda key: bob
+        strategy = _explicit(
+            vectors, dims=(d, 2, 2), bob_povm=lambda key: bob, charlie_povm=lambda key: bob
         )
         value = meg_win_prob(game, strategy)
         expected = 0.0
@@ -127,7 +144,7 @@ class TestMegWinProb:
         strategy = strategy_from_attack(e, atk, rho_bar)
         rho_a = np.einsum(
             "ijkj->ik",
-            _dense(strategy.vectors).reshape(4, 25, 4, 25),
+            _dense(_vectors(strategy.u, strategy.left)).reshape(4, 25, 4, 25),
         )
         floors = []
         for m in range(2):
@@ -140,11 +157,8 @@ class TestMegWinProb:
             dim=d_bc,
             effects=(np.eye(d_bc, dtype=complex), np.zeros((d_bc, d_bc), complex)),
         )
-        const_strategy = MegStrategy(
-            vectors=strategy.vectors,
-            dims=strategy.dims,
-            bob_povm=lambda key: constant,
-            charlie_povm=lambda key: constant,
+        const_strategy = replace(
+            strategy, bob_povm=lambda key: constant, charlie_povm=lambda key: constant
         )
         assert abs(meg_win_prob(game, const_strategy) - floors[0]) < 1e-10
 
@@ -154,7 +168,7 @@ class TestChoiState:
         d = 3
         ch = KrausChannel(d, d, (np.eye(d, dtype=complex),))
         rho_bar = np.eye(d, dtype=complex) / d
-        state = _dense(choi_state(ch, rho_bar))
+        state = _dense(_vectors(choi_state(ch, rho_bar), ch.left))
         phi = np.zeros(d * d, dtype=complex)
         for i in range(d):
             phi[i * d + i] = 1.0 / np.sqrt(d)
@@ -162,21 +176,22 @@ class TestChoiState:
 
     def test_marginal_reproduces_reference(self, rng):
         d = 3
-        ops = []
         g = rng.standard_normal((d * 2, d)) + 1j * rng.standard_normal((d * 2, d))
         q, _ = np.linalg.qr(g)
         ops = tuple(q[i * d : (i + 1) * d, :] for i in range(2))
-        ch = KrausChannel(d, d, ops)
-        rho_bar = rand_density(d, rng)
-        state = _dense(choi_state(ch, rho_bar))
-        marg = np.einsum("ijkj->ik", state.reshape(d, d, d, d))
-        assert np.max(np.abs(marg - rho_bar)) < 1e-9
+        # a dense Kraus pair, and rank-one measure-and-share in a complex basis
+        for ch in (KrausChannel(d, d, ops), measure_share_attack(d, haar_unitary(d, rng))):
+            rho_bar = rand_density(d, rng)
+            vectors = _vectors(choi_state(ch, rho_bar), ch.left)
+            out = ch.out_dim
+            marg = np.einsum("ijkj->ik", _dense(vectors).reshape(d, out, d, out))
+            assert np.max(np.abs(marg - rho_bar)) < 1e-9
 
     def test_cloner_choi_is_valid_state(self):
         from uncloneq.linalg import assert_density_operator
 
         ch = superposition_cloner(2)
-        state = _dense(choi_state(ch, np.eye(2, dtype=complex) / 2))
+        state = _dense(_vectors(choi_state(ch, np.eye(2, dtype=complex) / 2), ch.left))
         assert state.shape == (18, 18)
         assert_density_operator(state)
 
@@ -252,7 +267,7 @@ class TestStrategyFromAttack:
         rho_bar = mean_ciphertext(e, keys)
         atk = projector_cloning_attack(e)
         strategy = strategy_from_attack(e, atk, rho_bar)
-        assert abs(np.trace(_dense(strategy.vectors)).real - 1.0) < 1e-9
+        assert abs(np.trace(_dense(_vectors(strategy.u, strategy.left))).real - 1.0) < 1e-9
         assert strategy.dims == (2, 3, 3)
 
     def test_measure_share_choi_is_classical(self, rng):
@@ -262,7 +277,7 @@ class TestStrategyFromAttack:
         atk = measure_share_ml_attack(e, np.eye(2, dtype=complex))
         strategy = strategy_from_attack(e, atk, rho_bar)
         # BC part is diagonal in the shared-outcome basis
-        state = _dense(strategy.vectors).reshape(2, 4, 2, 4)
+        state = _dense(_vectors(strategy.u, strategy.left)).reshape(2, 4, 2, 4)
         bc = np.einsum("ijil->jl", state)
         off = bc - np.diag(np.diag(bc))
         assert np.max(np.abs(off)) < 1e-12
@@ -291,3 +306,41 @@ class TestVerifyReduction:
         lhs, rhs, gap = verify_reduction(e, projector_cloning_attack(e), keys)
         assert abs(rhs - 0.53125) < 1e-9
         assert gap < 1e-8
+
+    @pytest.mark.parametrize("basis", ["identity", "haar"])
+    def test_measure_share_at_d32(self, basis, rng):
+        # rank-one Kraus factors and their Choi factor at d = 32; both routes
+        # also meet the per-key maximum-likelihood decode value
+        e = uniform_haar_scheme(2, 16)
+        b = np.eye(32, dtype=complex) if basis == "identity" else haar_unitary(32, rng)
+        keys = e.sample_keys(rng, 3)
+        lhs, rhs, gap = verify_reduction(e, measure_share_ml_attack(e, b), keys)
+        decoded = np.mean([optimal_decode_for_measure_share(e, k, b)[1] for k in keys])
+        assert gap < 1e-8
+        assert abs(rhs - decoded) < 1e-12
+
+    def test_breidbart_measure_share(self):
+        e = bb84_scheme(1)
+        atk = measure_share_ml_attack(e, breidbart_basis())
+        lhs, rhs, gap = verify_reduction(e, atk, e.enumerate_keys())
+        assert abs(rhs - (0.5 + 0.5 / np.sqrt(2.0))) < 1e-12
+        assert gap < 1e-8
+
+    def test_each_key_povm_is_built_once_for_both_routes(self, rng):
+        e = uniform_haar_scheme(2, 2)
+        keys = e.sample_keys(rng, 4)
+        atk = measure_share_ml_attack(e, np.eye(4, dtype=complex))
+        calls = []
+
+        def counted(key):
+            calls.append(key)
+            return atk.bob_povm(key)
+
+        shared = replace(atk, bob_povm=counted, charlie_povm=counted)
+        verify_reduction(e, shared, keys)
+        assert len(calls) == len(keys)
+        # two maps are two POVMs per key
+        split = replace(atk, bob_povm=counted, charlie_povm=lambda key: counted(key))
+        calls.clear()
+        verify_reduction(e, split, keys)
+        assert len(calls) == 2 * len(keys)

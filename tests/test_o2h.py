@@ -98,7 +98,7 @@ class TestSuccess:
     def test_post_query_state_is_cloner_output(self):
         # (O^H ⊗ O^H)|psi> equals the superposition cloner applied to |0>|H(0)>
         psi = build_counterexample_state()
-        v = superposition_cloner(2).kraus_ops[0]
+        v = superposition_cloner(2).left[0]
         w = side_embedding()
         lift = np.kron(w, w)
         for h0, h1 in product((0, 1), repeat=2):
