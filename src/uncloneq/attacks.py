@@ -61,6 +61,7 @@ __all__ = [
     "pwin_ind_eval",
     "pwin_unif_eval",
     "random_basis_attack_estimate",
+    "receiver_dim",
     "receiver_effects",
     "superposition_cloner",
 ]
@@ -246,14 +247,17 @@ def ind_attack_build(e: QecmScheme, m0: int, alpha: float, keys: Sequence) -> Cl
     ciphertext eigenvalue averaged over ``keys``, then plays the
     projector strategy per key on both sides.  Outcome 0
     votes for ``m0`` and outcome 1 for ``m1``; the chosen ``m1`` is
-    recorded as ``descriptor["m1"]``, where :func:`pwin_ind_eval` reads it.
+    recorded as ``descriptor["m1"]``, where :func:`pwin_ind_eval` reads it,
+    and the largest mean over all messages, ``mu_statistic(e, keys)``, as
+    ``descriptor["mu"]``.
     """
     if e.message_count < 2:
         raise DimensionMismatch("need at least two messages")
     means = top_eigenvalue_means(e, keys)
+    mu = float(np.max(means))
     means[m0] = -np.inf
     m1 = int(np.argmax(means))
-    return _projector_attack(e, m0, m1, alpha, m0=m0, m1=m1)
+    return _projector_attack(e, m0, m1, alpha, m0=m0, m1=m1, mu=mu)
 
 
 def pwin_ind_eval(e: QecmScheme, m0: int, atk: CloningAttack, keys: Sequence) -> float:
@@ -436,6 +440,20 @@ def ensemble_from_scheme_key(e: QecmScheme, key: Any, ch: KrausChannel) -> Guess
     The channel output splits evenly between the two receivers, so its
     dimension must be a square.
     """
+    side = receiver_dim(e, ch)
+    p = 1.0 / e.message_count
+    entries = tuple(
+        (p, apply_channel(ch, e.encrypt(key, m))) for m in range(e.message_count)
+    )
+    return GuessingEnsemble(entries=entries, dims=(side, side))
+
+
+def receiver_dim(e: QecmScheme, ch: KrausChannel) -> int:
+    """Each receiver's dimension when ``ch`` splits ``e``'s ciphertexts in two.
+
+    Raises :class:`DimensionMismatch` when the channel input is not the
+    ciphertext space or the output dimension is not a square.
+    """
     if ch.in_dim != e.cipher_dim:
         raise DimensionMismatch("channel does not match the scheme dimension")
     side = math.isqrt(ch.out_dim)
@@ -443,11 +461,7 @@ def ensemble_from_scheme_key(e: QecmScheme, key: Any, ch: KrausChannel) -> Guess
         raise DimensionMismatch(
             f"channel output dimension {ch.out_dim} has no symmetric B/C split"
         )
-    p = 1.0 / e.message_count
-    entries = tuple(
-        (p, apply_channel(ch, e.encrypt(key, m))) for m in range(e.message_count)
-    )
-    return GuessingEnsemble(entries=entries, dims=(side, side))
+    return side
 
 
 def breidbart_basis() -> Array:

@@ -163,7 +163,7 @@ def run_lemma1(opts: dict) -> list[dict]:
         keys = scheme.sample_keys(rng, trials)
     atk = attacks.ind_attack_build(scheme, m0, alpha, keys)
     value = attacks.pwin_ind_eval(scheme, m0, atk, keys)
-    mu = mu_statistic(scheme, keys)
+    mu = atk.descriptor["mu"]
     bound = 0.5 + mu / 16.0
     reference = attacks.projector_strategy_closed_form(alpha, mu)
     return [

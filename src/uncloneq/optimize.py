@@ -14,13 +14,15 @@ batched eigendecomposition, and the fixed point and the seesaw run all
 problems in lockstep while each keeps its own stop rule, PSD guard, best
 iterate and constant-guess floor.  :func:`pwin_unif_seesaw` takes its
 key list explicitly and stacks every (key, start) pair of a chunk of
-keys; a chunk holds at most ``_CHUNK_ENTRIES`` complex entries of
-per-key matrices (at least one key).  A single key's ensemble, and one
-chunk's lockstep stack, may each need at most ``config.ENTRIES_CAP``
-entries (:func:`seesaw_stack_entries` refuses larger sizes before
-anything is drawn).  The stacked seesaw hands back one row per key, its
-best start's value and both receivers' effects; :func:`discriminate`
-and :func:`seesaw_pguess` are the same code on a stack of one.
+keys.  A chunk's ciphertexts go through the channel as one stack, and
+the chunk holds at most ``_CHUNK_ENTRIES`` complex entries of per-key
+matrices and lockstep rows (at least one key).  A single key's
+ensemble, and one chunk's lockstep stack, may each need at most
+``config.ENTRIES_CAP`` entries (:func:`seesaw_stack_entries` refuses
+larger sizes before anything is drawn).  The stacked seesaw hands back
+one row per key, its best start's value and both receivers' effects;
+:func:`discriminate` and :func:`seesaw_pguess` are the same code on a
+stack of one.
 
 A grid search over products of projective qubit measurements is included
 as an independent cross-check oracle for 2-outcome qubit-pair ensembles.
@@ -34,12 +36,13 @@ from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .attacks import GuessingEnsemble, ensemble_from_scheme_key
+from .attacks import GuessingEnsemble, receiver_dim
 from .config import TOL, check_entries, check_keys
 from .errors import CrossCheckFailed, DimensionMismatch
 from .linalg import (
     Array,
     KrausChannel,
+    assert_hermitian,
     dagger,
     haar_unitary,
     herm_eig,
@@ -63,8 +66,9 @@ _FP_ITERS = 300
 _FP_EPS = 1e-12
 _SEESAW_ITERS = 500
 _SEESAW_EPS = 1e-9
-# complex entries of per-key matrices stacked in one chunk of keys (256 KB)
-_CHUNK_ENTRIES = 2**14
+# complex entries one chunk of keys may hold (2 MB, at least one key): each
+# key's per-key matrices plus its starts' lockstep rows, as _chunk_keys counts
+_CHUNK_ENTRIES = 2**17
 
 
 def _herm(a: Array) -> Array:
@@ -115,6 +119,22 @@ def _pgm(gs: Array) -> Array:
     return effects
 
 
+def _povm_rows(effects: Array) -> Array:
+    """Rows of a ``(P, n, d, d)`` stack whose effects are all PSD to ``TOL.effect_psd``.
+
+    A row passes when no effect has an eigenvalue below
+    ``-TOL.effect_psd``.  One stacked Cholesky of ``E + TOL.effect_psd I`` clears every row at
+    once; only when it fails does the smallest eigenvalue of each effect
+    decide which rows fail.
+    """
+    shift = TOL.effect_psd * np.eye(effects.shape[-1])
+    try:
+        np.linalg.cholesky(effects + shift)
+    except np.linalg.LinAlgError:
+        return np.linalg.eigvalsh(effects)[..., 0].min(axis=1) >= -TOL.effect_psd
+    return np.ones(len(effects), dtype=bool)
+
+
 def _fixed_point(gs: Array, effects: Array) -> tuple[Array, Array, Array]:
     """Operator fixed-point ascent for max_POVM sum_x tr(P_x G_x), per problem.
 
@@ -149,8 +169,7 @@ def _fixed_point(gs: Array, effects: Array) -> tuple[Array, Array, Array]:
         new = _herm(inv @ geg @ inv)
         comp = _herm(np.eye(dim) - new.sum(axis=1))
         new[np.arange(len(g)), np.argmax(_pair_traces(comp[:, None], g), axis=1)] += comp
-        povm = np.linalg.eigvalsh(new)[..., 0].min(axis=1) >= -TOL.effect_psd
-        live, g, cur, new = _rows(povm, live, g, cur, new)
+        live, g, cur, new = _rows(_povm_rows(new), live, g, cur, new)
         val = _pair_traces(new, g).sum(axis=1)
         better = val > best_val[live]
         best_val[live[better]] = val[better]
@@ -261,29 +280,59 @@ def _random_projective_povm(dim: int, n: int, rng: np.random.Generator) -> list[
     return effects
 
 
-def _starts(ens: GuessingEnsemble, warm: Sequence[Povm], cfg: SeesawConfig) -> Array:
+def _starts(
+    n: int, dc: int, probabilities: Sequence[float], warm: Sequence[Povm], cfg: SeesawConfig
+) -> Array:
     """Charlie's start POVMs for one ensemble, as an ``(S, n, dc, dc)`` stack.
 
-    Every POVM in ``warm``, then the constant-guess POVM for the likeliest
-    label (which pins the value to at least ``max_x p_x``), then
-    ``cfg.restarts`` Haar-random projective POVMs drawn from ``cfg.rng``.
+    The ensemble has ``n`` labels with the given ``probabilities`` and
+    Charlie's side has dimension ``dc``.  Every POVM in ``warm``, then the
+    constant-guess POVM for the likeliest label (which pins the value to
+    at least ``max_x p_x``), then ``cfg.restarts`` Haar-random projective
+    POVMs drawn from ``cfg.rng``.
     """
-    n, dc = ens.n_outcomes, ens.dims[1]
     for start in warm:
         if start.dim != dc or start.n_outcomes != n:
             raise DimensionMismatch("warm start does not match the ensemble")
     constant = np.zeros((n, dc, dc), dtype=complex)
-    constant[np.argmax([p for p, _ in ens.entries])] = np.eye(dc)
+    constant[np.argmax(probabilities)] = np.eye(dc)
     randoms = [_random_projective_povm(dc, n, cfg.rng) for _ in range(cfg.restarts)]
     return np.stack([np.stack(s.effects) for s in warm] + [constant] + randoms)
 
 
-def _key_matrices(ens: GuessingEnsemble, out: Array) -> None:
-    # out[x, (i,k), (j,a)] = p_x rho_x[(i,a),(k,j)], written in place
-    db, dc = ens.dims
-    for x, (p, state) in enumerate(ens.entries):
-        view = state.reshape(db, dc, db, dc).transpose(0, 2, 3, 1)
-        np.multiply(view, p, out=out[x].reshape(db, db, dc, dc))
+def _key_matrices(
+    states: Array, probabilities: Sequence[float], dims: tuple[int, int], out: Array
+) -> None:
+    # out[x, (i,k), (j,a)] = p_x rho_x[(i,a),(k,j)] for an (n, db dc, db dc) stack, in place
+    db, dc = dims
+    n = len(states)
+    view = states.reshape(n, db, dc, db, dc).transpose(0, 1, 3, 4, 2)
+    p = np.reshape(probabilities, (n, 1, 1, 1, 1))
+    np.multiply(view, p, out=out.reshape(n, db, db, dc, dc))
+
+
+def _chunk_matrices(e: QecmScheme, ch: KrausChannel, keys: Sequence, side: int) -> Array:
+    """Per-key matrices of a chunk of keys under uniform messages.
+
+    The chunk's ciphertexts go through the channel as one ``(keys, M, d,
+    d)`` stack, as :func:`linalg.apply_channel` applies it to one state.
+    Each key's output states are checked Hermitian, as
+    :class:`GuessingEnsemble` checks them, and written straight into that
+    key's rows by :func:`_key_matrices`, so no chunk-sized stack of output
+    states is held.
+    """
+    m = e.message_count
+    cipher = np.array([[e.encrypt(key, x) for x in range(m)] for key in keys], dtype=complex)
+    factors = np.swapaxes(ch.left @ ch.compress(cipher), -3, -2)
+    factors = factors.reshape(len(keys), m, ch.out_dim, -1)
+    left = dagger(np.swapaxes(ch.left, 0, 1).reshape(ch.out_dim, -1))
+    probabilities = np.full(m, 1.0 / m)
+    bmat = np.empty((len(keys), m, side * side, side * side), dtype=complex)
+    for k in range(len(keys)):
+        states = factors[k] @ left
+        assert_hermitian(states)
+        _key_matrices(states, probabilities, (side, side), bmat[k])
+    return bmat
 
 
 def _seesaw(bmat: Array, dims: tuple[int, int], starts: Array) -> tuple[Array, ...]:
@@ -357,9 +406,10 @@ def seesaw_pguess(
     ``cfg.restarts`` Haar-random projective POVMs.
     """
     db, dc = ens.dims
+    probabilities = [p for p, _ in ens.entries]
     bmat = np.empty((1, ens.n_outcomes, db * db, dc * dc), dtype=complex)
-    _key_matrices(ens, bmat[0])
-    starts = _starts(ens, warm_starts, cfg)[None]
+    _key_matrices(np.array([s for _, s in ens.entries]), probabilities, ens.dims, bmat[0])
+    starts = _starts(ens.n_outcomes, dc, probabilities, warm_starts, cfg)[None]
     value, bob, charlie, sweeps, converged, trajectory = _seesaw(bmat, ens.dims, starts)
     return SeesawResult(
         value=float(value[0]),
@@ -371,15 +421,19 @@ def seesaw_pguess(
     )
 
 
-def _chunk_keys(message_count: int, out_dim: int) -> int:
+def _chunk_keys(message_count: int, out_dim: int, starts: int) -> int:
     """Keys per lockstep chunk of :func:`pwin_unif_seesaw`, at least one.
 
-    Raises ``ValueError`` when one key's ensemble, ``M out_dim²`` complex
-    entries, is above ``config.ENTRIES_CAP``.
+    A key with ``starts`` starts costs its ensemble, ``M out_dim²``
+    complex entries of per-key matrices, plus ``starts`` rows of the
+    lockstep stack, each a ``_SEESAW_ITERS`` trajectory row and Bob's and
+    Charlie's effect stacks (``2 M out_dim``).  Raises ``ValueError`` when
+    one key's ensemble is above ``config.ENTRIES_CAP``.
     """
     entries = message_count * out_dim * out_dim
     check_entries(entries, f"one key's seesaw ensemble ({message_count} x {out_dim}^2)")
-    return max(1, _CHUNK_ENTRIES // entries)
+    per_key = entries + starts * (_SEESAW_ITERS + 2 * message_count * out_dim)
+    return max(1, _CHUNK_ENTRIES // per_key)
 
 
 def seesaw_stack_entries(
@@ -396,8 +450,8 @@ def seesaw_stack_entries(
     an oversize restart count included, is refused before any channel is
     built or key is drawn.
     """
-    chunk = min(keys, _chunk_keys(message_count, out_dim))
     starts = int(warm) + 1 + restarts
+    chunk = min(keys, _chunk_keys(message_count, out_dim, starts))
     entries = chunk * starts * (_SEESAW_ITERS + 2 * message_count * out_dim)
     check_entries(entries, f"one chunk's seesaw stack of {chunk} keys x {starts} starts")
     return entries
@@ -415,24 +469,26 @@ def pwin_unif_seesaw(
     With the cloning channel fixed, the per-key POVM optimizations
     decouple, so this averages per-key seesaw values over ``keys``.
     ``warm_start(key)``, when given, is Charlie's first start for that
-    key.  Keys are solved in chunks of at most ``_CHUNK_ENTRIES`` ensemble
-    entries, every (key, start) pair of a chunk as one lockstep stack;
+    key.  Keys are solved in chunks of at most ``_CHUNK_ENTRIES`` entries
+    of per-key matrices and lockstep rows, every (key, start) pair of a
+    chunk as one lockstep stack.  A chunk's ciphertexts go through the
+    channel as one stack, written straight into the per-key matrices;
     restarts are drawn from ``cfg.rng`` key by key.  Returns the sample
     mean and standard error of a statistical lower bound estimate.
     """
     check_keys(keys)
-    chunk = _chunk_keys(e.message_count, ch.out_dim)
-    side = math.isqrt(ch.out_dim)
+    n = e.message_count
+    chunk = _chunk_keys(n, ch.out_dim, int(warm_start is not None) + 1 + cfg.restarts)
+    side = receiver_dim(e, ch)
+    probabilities = np.full(n, 1.0 / n)
     vals = []
     for lo in range(0, len(keys), chunk):
         chunk_keys = keys[lo : lo + chunk]
-        bmat = np.empty((len(chunk_keys), e.message_count, side**2, side**2), dtype=complex)
+        bmat = _chunk_matrices(e, ch, chunk_keys, side)
         starts = []
-        for k, key in enumerate(chunk_keys):
-            ens = ensemble_from_scheme_key(e, key, ch)
-            _key_matrices(ens, bmat[k])
+        for key in chunk_keys:
             warm = () if warm_start is None else (warm_start(key),)
-            starts.append(_starts(ens, warm, cfg))
+            starts.append(_starts(n, side, probabilities, warm, cfg))
         vals.append(_seesaw(bmat, (side, side), np.stack(starts))[0])
     vals = np.concatenate(vals)
     mean = float(vals.mean())

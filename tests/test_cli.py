@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from uncloneq import optimize, stats
+from uncloneq import attacks, optimize, schemes, stats
 from uncloneq.cli import _build_parser, _merge_options, main
 from uncloneq.schemes import QecmScheme
 
@@ -36,6 +36,28 @@ class TestBasicRuns:
         code, out = run_cli(["lemma1", "--seed", "1"], capsys)
         assert code == 0
         assert "0.5625" in out
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["lemma1", "--seed", "1"],
+            ["lemma1", "--scheme", "uniform_haar:2,4", "--trials", "2", "--seed", "1"],
+        ],
+    )
+    def test_lemma1_computes_top_eigenvalue_means_once(self, args, capsys, monkeypatch):
+        # m1 and the reported mu come from one pass over the run's keys
+        calls = []
+        means = schemes.top_eigenvalue_means
+
+        def counted(e, keys):
+            calls.append(len(keys))
+            return means(e, keys)
+
+        monkeypatch.setattr(attacks, "top_eigenvalue_means", counted)
+        monkeypatch.setattr(schemes, "top_eigenvalue_means", counted)
+        code, _ = run_cli(args, capsys)
+        assert code == 0
+        assert len(calls) == 1
 
     def test_theorem2_single_case(self, capsys):
         code, out = run_cli(
@@ -166,6 +188,7 @@ def test_seesaw_golden_values(args, values, references, capsys):
          "--trials", "60", "--seed", "3"],
         ["seesaw", "--scheme", "bb84:2", "--channel", "cloner", "--trials", "4", "--seed", "7"],
         ["conjecture-scan", "--M", "3", "--d", "6", "--trials", "3", "--seed", "40"],
+        ["conjecture-scan", "--M", "2", "--d", "8", "--trials", "6", "--seed", "5"],
     ],
 )
 def test_key_chunking_does_not_change_reports(args, capsys, monkeypatch):

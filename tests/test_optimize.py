@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from uncloneq.attacks import (
     GuessingEnsemble,
     ensemble_from_scheme_key,
     projector_cloning_attack,
+    receiver_dim,
     measure_share_attack,
     optimal_decode_for_measure_share,
     superposition_cloner,
@@ -14,7 +16,7 @@ from uncloneq.attacks import (
 from uncloneq import optimize
 from uncloneq.cli import main
 from uncloneq.config import TOL
-from uncloneq.errors import CrossCheckFailed
+from uncloneq.errors import CrossCheckFailed, NotHermitian
 from uncloneq.linalg import KrausChannel, dagger, haar_unitary, herm_eig, make_rng
 from uncloneq.optimize import (
     SeesawConfig,
@@ -135,21 +137,21 @@ class TestDiscriminationFixedPoint:
         main(["seesaw", "--scheme", "uniform_haar:3,2", "--channel", "measure_share",
               "--trials", "6", "--seed", "17"])
         monkeypatch.setattr(optimize, "_fixed_point", fixed_point)
-        eigvalsh, lows = np.linalg.eigvalsh, []
+        # every iterate the guard sees, with its smallest effect eigenvalue
+        povm_rows, lows = optimize._povm_rows, []
 
-        def record(a):
-            w = eigvalsh(a)
-            lows.append(w[..., 0].min())
-            return w
+        def record(new):
+            lows.append(np.linalg.eigvalsh(new)[..., 0].min())
+            return povm_rows(new)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", record)
+        monkeypatch.setattr(optimize, "_povm_rows", record)
         guard_stops = []
         for gs, init in captured:
             lows.clear()
             discriminate(gs, init)
             if min(lows) < -TOL.effect_psd:
                 guard_stops.append((gs, init))
-        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        monkeypatch.setattr(optimize, "_povm_rows", povm_rows)
         assert guard_stops
 
         rho = rand_density(6, make_rng(9))
@@ -170,6 +172,24 @@ class TestDiscriminationFixedPoint:
             assert converged[i] == solo.converged
         assert converged.tolist() == [False, True, True]
         assert vals[1] == pytest.approx(1.0, abs=1e-12) and vals[2] == pytest.approx(0.6, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "lows",
+        [(0.0,), (0.0, -5e-10), (-2e-9,), (0.0, -5e-10, -2e-9)],
+        ids=["psd", "within-tolerance", "below", "mixed"],
+    )
+    def test_povm_guard_fast_path_matches_eigenvalues(self, lows):
+        # rows whose smallest effect eigenvalue is each of ``lows``
+        rng = make_rng(11)
+        stack = []
+        for low in lows:
+            u = haar_unitary(4, rng)
+            tilted = (u * np.array([low, 0.2, 0.5, 0.9])) @ dagger(u)
+            stack.append([rand_density(4, rng), tilted, rand_density(4, rng)])
+        stack = np.array(stack)
+        mask = np.linalg.eigvalsh(stack)[..., 0].min(axis=1) >= -TOL.effect_psd
+        assert mask.tolist() == [low >= -TOL.effect_psd for low in lows]
+        assert np.array_equal(optimize._povm_rows(stack), mask)
 
     def test_value_at_least_best_prior(self, rng):
         for _ in range(10):
@@ -296,6 +316,34 @@ class TestPwinUnifSeesaw:
             cfg = SeesawConfig(rng=rng, restarts=2)
             vals.append(seesaw_pguess(ensemble_from_scheme_key(e, key, ch), cfg, ws).value)
         assert abs(mean - np.mean(vals)) < 1e-12
+
+    @pytest.mark.parametrize("channel", ["cloner", "measure_share"])
+    def test_chunk_build_equals_per_key_ensembles(self, channel):
+        # the batched chunk set-up writes what each key's own ensemble lays out
+        e = uniform_haar_scheme(2, 2)
+        if channel == "cloner":
+            ch = superposition_cloner(4)
+        else:
+            ch = measure_share_attack(4, np.eye(4, dtype=complex))
+        keys = e.sample_keys(make_rng(12), 3)
+        bmat = optimize._chunk_matrices(e, ch, keys, receiver_dim(e, ch))
+        for k, key in enumerate(keys):
+            ens = ensemble_from_scheme_key(e, key, ch)
+            one = np.empty_like(bmat[k])
+            states = np.array([state for _, state in ens.entries])
+            optimize._key_matrices(states, [p for p, _ in ens.entries], ens.dims, one)
+            assert np.array_equal(bmat[k], one)
+
+    def test_chunk_build_checks_hermiticity(self, rng):
+        # a non-Hermitian channel output is refused, as GuessingEnsemble refuses it
+        e = uniform_haar_scheme(2, 1)
+        skew = replace(e, encrypt=lambda key, m: np.array([[0.5, 0.1], [0.0, 0.5]], complex))
+        ch = superposition_cloner(2)
+        keys = e.sample_keys(rng, 2)
+        with pytest.raises(NotHermitian):
+            ensemble_from_scheme_key(skew, keys[0], ch)
+        with pytest.raises(NotHermitian):
+            optimize._chunk_matrices(skew, ch, keys, 3)
 
     def test_identity_to_bob_floor(self, rng):
         e = uniform_haar_scheme(2, 1)
