@@ -260,13 +260,14 @@ class KrausChannel:
 def apply_channel(ch: KrausChannel, rho: Array) -> Array:
     """Apply a Kraus channel: ``sum_j left_j (right_j† rho right_j) left_j†``.
 
-    The sum over ``j`` and the rank index is one ``(out, n r) x (n r, out)``
-    matmul, so no per-operator output is formed.
+    ``rho`` is one state or a ``(..., in_dim, in_dim)`` stack of states.
+    The sum over ``j`` and the rank index is one ``(out, n r) x (n r,
+    out)`` matmul per state, so no per-operator output is formed.
     """
-    n = _require_square(rho)
-    if n != ch.in_dim:
-        raise DimensionMismatch(f"state dim {n} != channel input dim {ch.in_dim}")
-    t = np.swapaxes(ch.left @ ch.compress(rho), 0, 1).reshape(ch.out_dim, -1)
+    if rho.ndim < 2 or rho.shape[-2:] != (ch.in_dim, ch.in_dim):
+        raise DimensionMismatch(f"state shape {rho.shape} != (..., {ch.in_dim}, {ch.in_dim})")
+    t = np.swapaxes(ch.left @ ch.compress(rho), -3, -2)
+    t = t.reshape(*rho.shape[:-2], ch.out_dim, -1)
     left = np.swapaxes(ch.left, 0, 1).reshape(ch.out_dim, -1)
     return t @ dagger(left)
 

@@ -14,8 +14,8 @@ batched eigendecomposition, and the fixed point and the seesaw run all
 problems in lockstep while each keeps its own stop rule, PSD guard, best
 iterate and constant-guess floor.  :func:`pwin_unif_seesaw` takes its
 key list explicitly and stacks every (key, start) pair of a chunk of
-keys.  A chunk's ciphertexts go through the channel as one stack, and
-the chunk holds at most ``_CHUNK_ENTRIES`` complex entries of per-key
+keys.  Each key's ciphertexts go through the channel as one stack, and
+a chunk holds at most ``_CHUNK_ENTRIES`` complex entries of per-key
 matrices and lockstep rows (at least one key).  A single key's
 ensemble, and one chunk's lockstep stack, may each need at most
 ``config.ENTRIES_CAP`` entries (:func:`seesaw_stack_entries` refuses
@@ -42,6 +42,7 @@ from .errors import CrossCheckFailed, DimensionMismatch
 from .linalg import (
     Array,
     KrausChannel,
+    apply_channel,
     assert_hermitian,
     dagger,
     haar_unitary,
@@ -314,22 +315,18 @@ def _key_matrices(
 def _chunk_matrices(e: QecmScheme, ch: KrausChannel, keys: Sequence, side: int) -> Array:
     """Per-key matrices of a chunk of keys under uniform messages.
 
-    The chunk's ciphertexts go through the channel as one ``(keys, M, d,
-    d)`` stack, as :func:`linalg.apply_channel` applies it to one state.
-    Each key's output states are checked Hermitian, as
+    Each key's ``M`` ciphertexts go through :func:`linalg.apply_channel`
+    as one stack; the output states are checked Hermitian, as
     :class:`GuessingEnsemble` checks them, and written straight into that
     key's rows by :func:`_key_matrices`, so no chunk-sized stack of output
     states is held.
     """
     m = e.message_count
-    cipher = np.array([[e.encrypt(key, x) for x in range(m)] for key in keys], dtype=complex)
-    factors = np.swapaxes(ch.left @ ch.compress(cipher), -3, -2)
-    factors = factors.reshape(len(keys), m, ch.out_dim, -1)
-    left = dagger(np.swapaxes(ch.left, 0, 1).reshape(ch.out_dim, -1))
     probabilities = np.full(m, 1.0 / m)
     bmat = np.empty((len(keys), m, side * side, side * side), dtype=complex)
-    for k in range(len(keys)):
-        states = factors[k] @ left
+    for k, key in enumerate(keys):
+        cipher = np.array([e.encrypt(key, x) for x in range(m)], dtype=complex)
+        states = apply_channel(ch, cipher)
         assert_hermitian(states)
         _key_matrices(states, probabilities, (side, side), bmat[k])
     return bmat
@@ -471,8 +468,8 @@ def pwin_unif_seesaw(
     ``warm_start(key)``, when given, is Charlie's first start for that
     key.  Keys are solved in chunks of at most ``_CHUNK_ENTRIES`` entries
     of per-key matrices and lockstep rows, every (key, start) pair of a
-    chunk as one lockstep stack.  A chunk's ciphertexts go through the
-    channel as one stack, written straight into the per-key matrices;
+    chunk as one lockstep stack.  Each key's ciphertexts go through the
+    channel as one stack, written straight into its per-key matrices;
     restarts are drawn from ``cfg.rng`` key by key.  Returns the sample
     mean and standard error of a statistical lower bound estimate.
     """

@@ -214,6 +214,17 @@ class TestChannels:
             assert np.max(np.abs(apply_channel(ch, rho) - dense)) < 1e-12
             assert ch.left.shape == (2 * d_in, d_out, 1)
 
+    def test_stack_of_states_matches_each_state(self, rng):
+        ch = _random_channel(2, 3, 2, rng)
+        rho = np.array([[rand_density(3, rng) for _ in range(4)] for _ in range(2)])
+        out = apply_channel(ch, rho)
+        assert out.shape == (2, 4, 2, 2)
+        for i in range(2):
+            for j in range(4):
+                assert np.array_equal(out[i, j], apply_channel(ch, rho[i, j]))
+        with pytest.raises(DimensionMismatch):
+            apply_channel(ch, rho[..., :2])
+
 
 def _dense_joint_expectation(effects, kraus_ops, rho) -> float:
     # reference route: Kronecker product of the effects against the full output
