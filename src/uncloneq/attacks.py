@@ -23,7 +23,7 @@ built on and the keys it is scored on are both named at the call site.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -47,7 +47,6 @@ __all__ = [
     "CloningAttack",
     "GuessingEnsemble",
     "breidbart_basis",
-    "conjugate_attack_by_isometry",
     "ensemble_from_scheme_key",
     "ind_attack_build",
     "key_success",
@@ -80,7 +79,6 @@ class CloningAttack:
     bob_povm: Callable[[Any], Povm]
     charlie_povm: Callable[[Any], Povm]
     dims: tuple[int, int]
-    descriptor: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         db, dc = self.dims
@@ -206,16 +204,12 @@ def projector_strategy_value(rho: Array, sigma: Array, alpha: float) -> float:
     return direct
 
 
-def _projector_attack(
-    e: QecmScheme, m0: int, m1: int, alpha: float, /, **descriptor: Any
-) -> CloningAttack:
+def _projector_attack(e: QecmScheme, m0: int, m1: int, alpha: float) -> CloningAttack:
     """Superposition cloner plus the projector strategy on both sides.
 
     Outcome 0 votes for ``m0`` and outcome 1 for ``m1``.  Per key, the
     projector is built for whichever ciphertext has the larger top
-    eigenvalue and the outcome labels are oriented to match.  The
-    descriptor records the channel, ``alpha`` and any ``descriptor``
-    entries given.
+    eigenvalue and the outcome labels are oriented to match.
     """
 
     def build(key: Any) -> Povm:
@@ -236,20 +230,19 @@ def _projector_attack(
         bob_povm=build,
         charlie_povm=build,
         dims=(dp, dp),
-        descriptor={"channel": "superposition_cloner", "alpha": alpha, **descriptor},
     )
 
 
-def ind_attack_build(e: QecmScheme, m0: int, alpha: float, keys: Sequence) -> CloningAttack:
+def ind_attack_build(
+    e: QecmScheme, m0: int, alpha: float, keys: Sequence
+) -> tuple[CloningAttack, int, float]:
     """Indistinguishability attack from the superposition cloner.
 
     Picks ``m1`` as the message (other than ``m0``) with the largest top
     ciphertext eigenvalue averaged over ``keys``, then plays the
-    projector strategy per key on both sides.  Outcome 0
-    votes for ``m0`` and outcome 1 for ``m1``; the chosen ``m1`` is
-    recorded as ``descriptor["m1"]``, where :func:`pwin_ind_eval` reads it,
-    and the largest mean over all messages, ``mu_statistic(e, keys)``, as
-    ``descriptor["mu"]``.
+    projector strategy per key on both sides.  Outcome 0 votes for ``m0``
+    and outcome 1 for ``m1``.  Returns ``(attack, m1, mu)`` with ``mu``
+    the largest mean over all messages, ``mu_statistic(e, keys)``.
     """
     if e.message_count < 2:
         raise DimensionMismatch("need at least two messages")
@@ -257,18 +250,20 @@ def ind_attack_build(e: QecmScheme, m0: int, alpha: float, keys: Sequence) -> Cl
     mu = float(np.max(means))
     means[m0] = -np.inf
     m1 = int(np.argmax(means))
-    return _projector_attack(e, m0, m1, alpha, m0=m0, m1=m1, mu=mu)
+    return _projector_attack(e, m0, m1, alpha), m1, mu
 
 
-def pwin_ind_eval(e: QecmScheme, m0: int, atk: CloningAttack, keys: Sequence) -> float:
+def pwin_ind_eval(
+    e: QecmScheme, m0: int, m1: int, atk: CloningAttack, keys: Sequence
+) -> float:
     """Success probability of an indistinguishability attack over ``keys``.
 
-    ``(1/2) sum_b E_k tr((P_b ⊗ Q_b) N(Enc_k(m_b)))`` with ``m_0 = m0``
-    and ``m_1 = atk.descriptor["m1"]``, the message chosen by
-    :func:`ind_attack_build`: the uniform-message value
-    (:func:`pwin_unif_eval`) of the scheme restricted to ``(m_0, m_1)``.
+    ``(1/2) sum_b E_k tr((P_b ⊗ Q_b) N(Enc_k(m_b)))`` for the pair
+    ``(m_0, m_1) = (m0, m1)``, with ``m1`` as :func:`ind_attack_build`
+    returns it: the uniform-message value (:func:`pwin_unif_eval`) of the
+    scheme restricted to the pair.
     """
-    messages = (m0, atk.descriptor["m1"])
+    messages = (m0, m1)
     pair = expurgate_scheme(e, 2, lambda key, b: messages[b])
     return pwin_unif_eval(pair, atk, keys)
 
@@ -373,7 +368,6 @@ def measure_share_ml_attack(e: QecmScheme, basis: Array) -> CloningAttack:
         bob_povm=povm,
         charlie_povm=povm,
         dims=(d, d),
-        descriptor={"channel": "measure_share"},
     )
 
 
@@ -475,35 +469,3 @@ def breidbart_basis() -> Array:
     op = np.diag([1.0, 0.0]) + np.outer(plus, plus)
     _, v = herm_eig(op.astype(complex))
     return v
-
-
-def conjugate_attack_by_isometry(atk: CloningAttack, iso: Array) -> CloningAttack:
-    """Lift an attack to an extended ciphertext space.
-
-    The new channel first maps back through ``iso`` and then applies the
-    original cloning channel; the orthogonal complement of ``range(iso)``
-    (never populated by extended ciphertexts) is discarded into a fixed
-    output state so the Kraus set stays trace preserving.
-    """
-    iso = np.asarray(iso, dtype=complex)
-    ch = atk.channel
-    w, v = herm_eig(np.eye(iso.shape[0]) - iso @ dagger(iso))
-    lost = v[:, w > 0.5]  # orthonormal basis of the complement of range(iso)
-    # K_j iso† = left_j (iso right_j)†, then |0><v| for each complement direction v
-    left = np.zeros((lost.shape[1], ch.out_dim, ch.left.shape[2]), dtype=complex)
-    left[:, 0, 0] = 1.0
-    right = np.zeros((lost.shape[1], iso.shape[0], ch.left.shape[2]), dtype=complex)
-    right[:, :, 0] = lost.T
-    channel = KrausChannel(
-        in_dim=iso.shape[0],
-        out_dim=ch.out_dim,
-        left=np.concatenate([ch.left, left]),
-        right=np.concatenate([iso @ ch.right, right]),
-    )
-    return CloningAttack(
-        channel=channel,
-        bob_povm=atk.bob_povm,
-        charlie_povm=atk.charlie_povm,
-        dims=atk.dims,
-        descriptor=dict(atk.descriptor),
-    )

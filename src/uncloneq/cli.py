@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -161,9 +162,8 @@ def run_lemma1(opts: dict) -> list[dict]:
         keys = scheme.enumerate_keys()
     else:
         keys = scheme.sample_keys(rng, trials)
-    atk = attacks.ind_attack_build(scheme, m0, alpha, keys)
-    value = attacks.pwin_ind_eval(scheme, m0, atk, keys)
-    mu = atk.descriptor["mu"]
+    atk, m1, mu = attacks.ind_attack_build(scheme, m0, alpha, keys)
+    value = attacks.pwin_ind_eval(scheme, m0, m1, atk, keys)
     bound = 0.5 + mu / 16.0
     reference = attacks.projector_strategy_closed_form(alpha, mu)
     return [
@@ -251,6 +251,8 @@ def run_o2h(opts: dict) -> list[dict]:
 
 def run_erlang(opts: dict) -> list[dict]:
     trials = _stderr_trials(opts)
+    if not 0 < opts["rate"] < math.inf:
+        raise ValueError(f"--rate must be positive and finite, got {opts['rate']}")
     ns = []
     for n_str in opts["ns"].split(","):
         try:
@@ -549,7 +551,9 @@ def _option_types(command: str) -> dict[str, type]:
     return types
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built once per process and shared, unmodified, by every main() call in it
     parser = _Parser(prog="uncloneq", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -564,10 +568,11 @@ def _build_parser() -> _Parser:
 
 
 def _config_value(key: str, val: Any, kind: type) -> Any:
-    # JSON null and booleans are no option's value (str(None) would pass)
+    # a value is read as its flag's text would be, so 2.7 is no int; JSON null
+    # and booleans are no option's value (str(None) would pass)
     if val is not None and not isinstance(val, bool):
         try:
-            return kind(val)
+            return kind(str(val))
         except (TypeError, ValueError):
             pass
     raise ValueError(f"config key {key!r} takes a {kind.__name__} value, got {val!r}")

@@ -21,10 +21,6 @@ class NotOrthogonalPair(UncloneqError):
     """rho @ sigma deviates from zero beyond tolerance."""
 
 
-class NotIsometry(UncloneqError):
-    """Matrix is not an isometry within tolerance."""
-
-
 class NotInjective(UncloneqError):
     """A keyed message relabeling exposed a collision."""
 

@@ -1,8 +1,8 @@
 """Dense complex linear-algebra kernel.
 
-Hermitian eigendecompositions, partial traces, Kraus channels held as
-stacked factor pairs, the contraction kernel :func:`joint_expectation` for
-product measurements on a channel output, pseudo-inverse square roots, and
+Hermitian eigendecompositions, Kraus channels held as stacked factor
+pairs, the contraction kernel :func:`joint_expectation` for product
+measurements on a channel output, pseudo-inverse square roots, and
 Haar-random unitaries.
 States and operators are plain complex ``numpy`` arrays; the ``assert_*``
 validators enforce the validity contracts with the absolute tolerances
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,7 +41,6 @@ __all__ = [
     "joint_expectation",
     "make_rng",
     "max_abs",
-    "partial_trace",
     "pseudo_inv_sqrt",
 ]
 
@@ -173,32 +172,6 @@ def haar_unitary(d: int, rng: np.random.Generator, n: int | None = None) -> Arra
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[..., None, :]
-
-
-def partial_trace(
-    op: Array, dims: tuple[int, int], keep: Literal["first", "second"]
-) -> Array:
-    """Trace out one tensor factor of an operator on a bipartite space.
-
-    Parameters
-    ----------
-    op : Array
-        Operator on a space of dimension ``dims[0] * dims[1]``.
-    dims : (int, int)
-        Dimensions of the two tensor factors, in kron order.
-    keep : "first" or "second"
-        Which factor the result acts on.
-    """
-    d0, d1 = dims
-    n = _require_square(op)
-    if n != d0 * d1:
-        raise DimensionMismatch(f"operator dim {n} != {d0}*{d1}")
-    four = op.reshape(d0, d1, d0, d1)
-    if keep == "first":
-        return np.einsum("ijkj->ik", four)
-    if keep == "second":
-        return np.einsum("ijil->jl", four)
-    raise ValueError(f"keep must be 'first' or 'second', got {keep!r}")
 
 
 @dataclass(frozen=True)

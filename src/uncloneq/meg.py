@@ -57,19 +57,16 @@ _KEY_INDEPENDENCE_TOL = 1e-6
 
 @dataclass(frozen=True)
 class MegGame:
-    """Finite-key monogamy game: keyed Alice POVMs with sampling weights."""
+    """Finite-key monogamy game: keyed Alice POVMs over equally likely keys."""
 
     message_count: int
     alice_dim: int
     keys: tuple
-    weights: tuple[float, ...]
     alice_povm: Callable[[Any], Povm]
 
     def __post_init__(self) -> None:
-        if len(self.keys) != len(self.weights) or not self.keys:
-            raise DimensionMismatch("keys and weights must be non-empty and aligned")
-        if any(w < 0 for w in self.weights) or abs(sum(self.weights) - 1.0) > TOL.prob_sum:
-            raise DimensionMismatch("weights must be nonnegative and sum to 1")
+        if not self.keys:
+            raise DimensionMismatch("a game needs at least one key")
 
 
 @dataclass(frozen=True)
@@ -112,15 +109,15 @@ def _key_game_value(
 def meg_win_prob(g: MegGame, s: MegStrategy) -> float:
     """Probability that all three parties obtain the same outcome.
 
-    ``E_k sum_m tr((F_m^k ⊗ P_m^k ⊗ Q_m^k) rho_ABC)``.  Per key, Alice's
-    effects become the inner operators ``(u_j† F_m u_j)ᵀ`` and every
-    message is one problem of a single :func:`joint_expectation` call on
-    ``left``.
+    ``E_k sum_m tr((F_m^k ⊗ P_m^k ⊗ Q_m^k) rho_ABC)`` with ``E_k`` the
+    mean over ``g.keys``.  Per key, Alice's effects become the inner
+    operators ``(u_j† F_m u_j)ᵀ`` and every message is one problem of a
+    single :func:`joint_expectation` call on ``left``.
     """
     if s.dims[0] != g.alice_dim:
         raise DimensionMismatch("strategy A register does not match the game")
-    total = 0.0
-    for key, weight in zip(g.keys, g.weights):
+    total, weight = 0.0, 1.0 / len(g.keys)
+    for key in g.keys:
         bob, charlie = receiver_effects(s.bob_povm, s.charlie_povm, key, g.message_count)
         total += weight * _key_game_value(g, key, s.u, s.left, bob, charlie)
     return total
@@ -210,13 +207,8 @@ def _induced_game(e: QecmScheme, keys: Sequence, rho_bar: Array) -> MegGame:
             effects[0] = effects[0] + deficiency
         return Povm(dim=e.cipher_dim, effects=tuple(effects))
 
-    weights = (1.0 / len(keys),) * len(keys)
     return MegGame(
-        message_count=m_count,
-        alice_dim=e.cipher_dim,
-        keys=tuple(keys),
-        weights=weights,
-        alice_povm=alice_povm,
+        message_count=m_count, alice_dim=e.cipher_dim, keys=tuple(keys), alice_povm=alice_povm
     )
 
 
@@ -252,8 +244,8 @@ def verify_reduction(
     rho_bar = mean_ciphertext(e, keys)
     game = _induced_game(e, keys, rho_bar)
     s = strategy_from_attack(e, atk, rho_bar)
-    lhs, rhs = 0.0, 0.0
-    for key, weight in zip(game.keys, game.weights):
+    lhs, rhs, weight = 0.0, 0.0, 1.0 / len(keys)
+    for key in game.keys:
         bob, charlie = receiver_effects(s.bob_povm, s.charlie_povm, key, e.message_count)
         lhs += weight * _key_game_value(game, key, s.u, s.left, bob, charlie)
         rhs += key_success(e, atk.channel, key, bob, charlie)

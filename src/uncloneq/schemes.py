@@ -12,28 +12,23 @@ constructions:
 * :func:`bb84_scheme` -- each message bit encoded in a key-selected
   BB84 basis after XOR with a key pad.
 
-Also provided: correctness checking, ciphertext-space extension by an
-isometry, expurgation to a smaller message set, and the largest-eigenvalue
-statistic used by the indistinguishability attack bound.
+Also provided: correctness checking, expurgation to a smaller message
+set, the largest-eigenvalue statistic used by the indistinguishability
+attack bound, and :func:`scheme_from_descriptor`, which builds a scheme
+from a JSON descriptor.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from .config import TOL, check_entries, check_keys
-from .errors import (
-    DimensionMismatch,
-    InvalidOperator,
-    InvalidRanks,
-    NotInjective,
-    NotIsometry,
-)
+from .errors import DimensionMismatch, InvalidOperator, InvalidRanks, NotInjective
 from .linalg import Array, dagger, haar_unitary, herm_eig, max_abs
 
 __all__ = [
@@ -45,7 +40,6 @@ __all__ = [
     "bb84_scheme",
     "check_correctness",
     "expurgate_scheme",
-    "extend_scheme",
     "haar_scheme",
     "mu_statistic",
     "scheme_from_descriptor",
@@ -86,6 +80,11 @@ class Povm:
         return len(self.effects)
 
 
+def _is_integer(x: Any) -> bool:
+    # a bool or a non-integer number (1.5, 2.0) is refused, not truncated
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class RankDistribution:
     """Distribution over rank vectors ``t`` with positive entries summing to d."""
@@ -94,9 +93,7 @@ class RankDistribution:
     probabilities: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        # a rank that is a bool or not an integer (1.5, 2.0) is refused, not truncated
-        ranks = [x for t in self.support for x in t]
-        if any(isinstance(x, bool) or not isinstance(x, numbers.Integral) for x in ranks):
+        if not all(_is_integer(x) for t in self.support for x in t):
             raise InvalidRanks(f"ranks must be integers, got {[list(t) for t in self.support]}")
         support = tuple(tuple(int(x) for x in t) for t in self.support)
         probs = tuple(float(p) for p in self.probabilities)
@@ -136,9 +133,6 @@ class RankDistribution:
             return self.support[int(idx)]
         return np.array(self.support)[idx]
 
-    def to_json(self) -> list:
-        return [[list(t), p] for t, p in zip(self.support, self.probabilities)]
-
 
 @dataclass(frozen=True)
 class HaarKey:
@@ -174,7 +168,6 @@ class QecmScheme:
     key_sampler: Callable[[np.random.Generator], Any]
     encrypt: Callable[[Any, int], Array]
     decrypt_povm: Callable[[Any], Povm]
-    descriptor: dict = field(default_factory=dict)
     enumerate_keys: Callable[[], list] | None = None
     factor_sampler: Callable[[np.random.Generator, int], tuple[Array, Array]] | None = None
 
@@ -284,7 +277,6 @@ def haar_scheme(M: int, d: int, tdist: RankDistribution) -> QecmScheme:
         key_sampler=key_sampler,
         encrypt=encrypt,
         decrypt_povm=decrypt_povm,
-        descriptor={"type": "haar", "M": M, "d": d, "tdist": tdist.to_json()},
         factor_sampler=factor_sampler,
     )
 
@@ -293,8 +285,7 @@ def uniform_haar_scheme(M: int, L: int) -> QecmScheme:
     """Haar block scheme with the deterministic even split ``t = (L,...,L)``."""
     if M < 1 or L < 1:
         raise InvalidRanks("M and L must be at least 1")
-    scheme = haar_scheme(M, L * M, RankDistribution.deterministic((L,) * M))
-    return replace(scheme, descriptor={"type": "uniform_haar", "M": M, "L": L})
+    return haar_scheme(M, L * M, RankDistribution.deterministic((L,) * M))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +346,6 @@ def bb84_scheme(n: int) -> QecmScheme:
         key_sampler=key_sampler,
         encrypt=encrypt,
         decrypt_povm=decrypt_povm,
-        descriptor={"type": "bb84", "n": n},
         enumerate_keys=enumerate_keys,
     )
 
@@ -395,44 +385,6 @@ def top_eigenvalue_means(e: QecmScheme, keys: Sequence) -> Array:
         for m in range(e.message_count):
             sums[m] += np.linalg.eigvalsh(e.encrypt(key, m))[-1]
     return sums / len(keys)
-
-
-def extend_scheme(e: QecmScheme, iso: Array) -> QecmScheme:
-    """Embed the ciphertext space through an isometry ``iso``.
-
-    Encryption becomes ``V Enc V†`` and decryption conjugates back; the
-    part of the extended space outside ``range(V)`` is assigned to
-    decryption outcome 0, which never fires on valid ciphertexts.
-    """
-    iso = np.asarray(iso, dtype=complex)
-    if iso.ndim != 2 or iso.shape[1] != e.cipher_dim:
-        raise DimensionMismatch(f"isometry shape {iso.shape} incompatible with d={e.cipher_dim}")
-    d_new = iso.shape[0]
-    if d_new < e.cipher_dim:
-        raise NotIsometry("target dimension is smaller than the source")
-    dev = max_abs(dagger(iso) @ iso - np.eye(e.cipher_dim))
-    if dev > TOL.unitary:
-        raise NotIsometry(f"V†V deviates from identity by {dev}")
-    complement = np.eye(d_new) - iso @ dagger(iso)
-
-    def encrypt(key: Any, m: int) -> Array:
-        return iso @ e.encrypt(key, m) @ dagger(iso)
-
-    def decrypt_povm(key: Any) -> Povm:
-        base = e.decrypt_povm(key)
-        effects = [iso @ eff @ dagger(iso) for eff in base.effects]
-        effects[0] = effects[0] + complement
-        return Povm(dim=d_new, effects=tuple(effects))
-
-    return QecmScheme(
-        message_count=e.message_count,
-        cipher_dim=d_new,
-        key_sampler=e.key_sampler,
-        encrypt=encrypt,
-        decrypt_povm=decrypt_povm,
-        descriptor={"type": "extended", "base": e.descriptor, "d": d_new},
-        enumerate_keys=e.enumerate_keys,
-    )
 
 
 def expurgate_scheme(
@@ -475,22 +427,31 @@ def expurgate_scheme(
         key_sampler=e.key_sampler,
         encrypt=encrypt,
         decrypt_povm=decrypt_povm,
-        descriptor={"type": "expurgated", "base": e.descriptor, "M": mprime},
         enumerate_keys=e.enumerate_keys,
     )
 
 
+def _descriptor_int(desc: dict, key: str) -> int:
+    # int() keeps its message for null or non-numeric text; what it would
+    # accept but is no JSON integer (1.9, true, "2") is refused as a rank is
+    val = desc[key]
+    n = int(val)
+    if not _is_integer(val):
+        raise ValueError(f"descriptor key {key!r} must be an integer, got {val!r}")
+    return n
+
+
 def scheme_from_descriptor(desc: dict) -> QecmScheme:
-    """Rebuild a scheme from its JSON descriptor (haar / uniform_haar / bb84)."""
+    """Build a scheme from a JSON descriptor (haar / uniform_haar / bb84)."""
     kind = desc.get("type")
     if kind == "bb84":
-        return bb84_scheme(int(desc["n"]))
+        return bb84_scheme(_descriptor_int(desc, "n"))
     if kind == "uniform_haar":
-        return uniform_haar_scheme(int(desc["M"]), int(desc["L"]))
+        return uniform_haar_scheme(_descriptor_int(desc, "M"), _descriptor_int(desc, "L"))
     if kind == "haar":
         tdist = RankDistribution(
             support=tuple(tuple(t) for t, _ in desc["tdist"]),
             probabilities=tuple(p for _, p in desc["tdist"]),
         )
-        return haar_scheme(int(desc["M"]), int(desc["d"]), tdist)
+        return haar_scheme(_descriptor_int(desc, "M"), _descriptor_int(desc, "d"), tdist)
     raise ValueError(f"unknown scheme descriptor type {kind!r}")

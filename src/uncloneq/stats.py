@@ -33,9 +33,17 @@ _BLOCK_ENTRIES = 2**16
 ERLANG_MAX_CONSTANT = (1.0 - math.exp(-1.0) - 0.5) / (2.0 * math.log2(math.e))
 
 
+def _check_rate(rate: float) -> None:
+    # NaN fails every comparison, so finiteness is checked on its own
+    if rate <= 0:
+        raise ValueError("rate must be positive")
+    if not math.isfinite(rate):
+        raise ValueError(f"rate must be finite, got {rate}")
+
+
 @dataclass(frozen=True)
 class ErlangParams:
-    """Shape (positive integer) and rate (positive real) of an Erlang law."""
+    """Shape (positive integer) and rate (positive finite real) of an Erlang law."""
 
     shape: int
     rate: float
@@ -43,8 +51,7 @@ class ErlangParams:
     def __post_init__(self) -> None:
         if self.shape < 1 or int(self.shape) != self.shape:
             raise ValueError("shape must be a positive integer")
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
+        _check_rate(self.rate)
 
 
 def erlang_cdf(p: ErlangParams, x: float) -> float:
@@ -85,8 +92,7 @@ def max_over_sum_estimate(
     ks = [int(k) for k in ks]
     if not ks or any(k < 1 for k in ks):
         raise ValueError("all shapes must be positive integers")
-    if rate <= 0:
-        raise ValueError("rate must be positive")
+    _check_rate(rate)
     n = len(ks)
     if n == 1:
         return 1.0, 0.0

@@ -87,8 +87,8 @@ def test_criterion_03_bb84_indistinguishability_attack():
     e = bb84_scheme(1)
     keys = e.enumerate_keys()
     mu = mu_statistic(e, keys)
-    atk = ind_attack_build(e, 0, 0.25, keys)
-    value = pwin_ind_eval(e, 0, atk, keys)
+    atk, m1, _ = ind_attack_build(e, 0, 0.25, keys)
+    value = pwin_ind_eval(e, 0, m1, atk, keys)
     ok = abs(value - 0.5625) <= 1e-9 and abs(mu - 1.0) <= 1e-12
     _report(3, "single-bit conjugate-coding attack", ok, f"value={value!r} mu={mu!r}")
 

@@ -43,7 +43,6 @@ from uncloneq.schemes import (
     bb84_scheme,
     check_correctness,
     expurgate_scheme,
-    extend_scheme,
     haar_scheme,
     mu_statistic,
     uniform_haar_scheme,
@@ -176,32 +175,33 @@ class TestIndAttack:
     def test_bb84_single_bit(self):
         e = bb84_scheme(1)
         keys = e.enumerate_keys()
-        atk = ind_attack_build(e, 0, 0.25, keys)
-        assert atk.descriptor["m1"] == 1
-        val = pwin_ind_eval(e, 0, atk, keys)
+        atk, m1, mu = ind_attack_build(e, 0, 0.25, keys)
+        assert m1 == 1
+        assert abs(mu - 1.0) < 1e-12
+        val = pwin_ind_eval(e, 0, m1, atk, keys)
         assert abs(val - 9 / 16) < 1e-9
 
     def test_uniform_haar_rank_two(self, rng):
         e = uniform_haar_scheme(2, 2)
         keys = [e.key_sampler(rng) for _ in range(8)]
-        atk = ind_attack_build(e, 0, 0.25, keys)
-        val = pwin_ind_eval(e, 0, atk, keys)
+        atk, m1, _ = ind_attack_build(e, 0, 0.25, keys)
+        val = pwin_ind_eval(e, 0, m1, atk, keys)
         assert abs(val - 0.53125) < 1e-9
 
     def test_m1_prefers_largest_eigenvalue(self, rng):
         e = haar_scheme(3, 4, RankDistribution.deterministic((1, 1, 2)))
         keys = [e.key_sampler(rng) for _ in range(4)]
-        atk = ind_attack_build(e, 0, 0.25, keys)
-        assert atk.descriptor["m1"] == 1  # the remaining rank-1 message
+        _, m1, _ = ind_attack_build(e, 0, 0.25, keys)
+        assert m1 == 1  # the remaining rank-1 message
 
     def test_swap_reaches_mu_bound(self, rng):
         # m0 carries the low-eigenvalue ciphertext; the per-key swap must
         # still deliver 1/2 + mu/16 with mu driven by the other message
         e = haar_scheme(2, 3, RankDistribution.deterministic((2, 1)))
         keys = [e.key_sampler(rng) for _ in range(6)]
-        atk = ind_attack_build(e, 0, 0.25, keys)
-        val = pwin_ind_eval(e, 0, atk, keys)
-        mu = mu_statistic(e, keys)
+        atk, m1, mu = ind_attack_build(e, 0, 0.25, keys)
+        val = pwin_ind_eval(e, 0, m1, atk, keys)
+        assert mu == mu_statistic(e, keys)
         assert abs(mu - 1.0) < 1e-10
         assert val >= 0.5 + mu / 16 - 1e-9
 
@@ -209,10 +209,8 @@ class TestIndAttack:
         # per-key values fluctuate when the rank split itself is random
         e = haar_scheme(2, 4, RankDistribution(((1, 3), (2, 2)), (0.5, 0.5)))
         keys = [e.key_sampler(rng) for _ in range(24)]
-        atk = ind_attack_build(e, 0, 0.25, keys)
-        per_key = np.array(
-            [pwin_ind_eval(e, 0, atk, [k]) for k in keys]
-        )
+        atk, m1, _ = ind_attack_build(e, 0, 0.25, keys)
+        per_key = np.array([pwin_ind_eval(e, 0, m1, atk, [k]) for k in keys])
         assert per_key.std() > 0  # genuinely key dependent
         stderr = per_key.std(ddof=1) / math.sqrt(len(keys))
         mu = mu_statistic(e, keys)
@@ -228,15 +226,13 @@ class TestIndAttack:
             ops.append(k)
         ch = KrausChannel(2, 9, tuple(ops))
         guess_zero = Povm(dim=3, effects=(np.eye(3, dtype=complex), np.zeros((3, 3), complex)))
-        atk = ind_attack_build(e, 0, 0.25, e.sample_keys(rng, 2))
         lazy = CloningAttack(
             channel=ch,
             bob_povm=lambda k: guess_zero,
             charlie_povm=lambda k: guess_zero,
             dims=(3, 3),
-            descriptor=atk.descriptor,
         )
-        val = pwin_ind_eval(e, 0, lazy, e.sample_keys(rng, 3))
+        val = pwin_ind_eval(e, 0, 1, lazy, e.sample_keys(rng, 3))
         assert abs(val - 0.5) < 1e-12
 
 
@@ -348,9 +344,6 @@ class TestRandomBasisEstimate:
             lambda: (uniform_haar_scheme(4, 2), _haar_keys(_EVEN_4X2, 8)),
             lambda: (haar_scheme(3, 6, _TWO_SUPPORT), _haar_keys(_TWO_SUPPORT, 6)),
             lambda: _looped(bb84_scheme(2)),
-            lambda: _looped(
-                extend_scheme(uniform_haar_scheme(2, 2), np.eye(6, 4, dtype=complex))
-            ),
             lambda: _looped(expurgate_scheme(uniform_haar_scheme(4, 1), 2, lambda key, m: 3 - m)),
             pytest.param(lambda: _looped(_mixed_rank_scheme()), id="_mixed_rank_scheme"),
         ],
@@ -576,8 +569,8 @@ def test_key_averaging_evaluator_takes_one_required_key_list(evaluator):
 def test_key_averaging_evaluator_refuses_an_empty_key_list(evaluator):
     # no average is defined over no keys, and none may be reported
     e = bb84_scheme(1)
-    atk = ind_attack_build(e, 0, 0.25, e.enumerate_keys())
-    given = {"e": e, "m0": 0, "alpha": 0.25, "atk": atk, "ch": atk.channel, "keys": []}
+    atk, m1, _ = ind_attack_build(e, 0, 0.25, e.enumerate_keys())
+    given = {"e": e, "m0": 0, "m1": m1, "alpha": 0.25, "atk": atk, "ch": atk.channel, "keys": []}
     given["cfg"] = SeesawConfig(rng=make_rng(0))
     params = inspect.signature(evaluator).parameters
     args = {name: given[name] for name, p in params.items() if p.default is p.empty}

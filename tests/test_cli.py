@@ -474,6 +474,14 @@ class TestExitCodes:
             ["seesaw", "--channel", "bogus"],
             ["meg", "--attack", "bogus"],
             ["theorem2", "--cases", "2x3"],
+            # descriptor counts that int() would truncate, and rates that are not finite
+            ["lemma1", "--scheme", '{"type":"bb84","n":1.9}'],
+            ["lemma1", "--scheme", '{"type":"bb84","n":true}'],
+            ["lemma1", "--scheme", '{"type":"bb84","n":"2"}'],
+            ["lemma1", "--scheme", '{"type":"uniform_haar","M":2.5,"L":1}'],
+            ["lemma1", "--scheme", '{"type":"haar","M":2,"d":3.9,"tdist":[[[1,2],1.0]]}'],
+            ["erlang", "--rate", "nan"],
+            ["erlang", "--rate", "inf"],
         ],
     )
     def test_out_of_range_input_is_config_error(self, args, capsys):
@@ -495,15 +503,30 @@ class TestExitCodes:
             {"scheme": 5},
             {"alpha": True},
             [1, 2],
+            # read as the flag's text would be: --trials 2.7 is no int either
+            {"trials": 2.7},
+            {"seed": 1.5},
+            {"m0": 1.9},
+            {"restarts": 1.5},
         ],
     )
     def test_bad_config_entry_is_config_error(self, config, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
-        assert main(["lemma1", "--seed", "1", "--config", str(path)]) == 1
+        # restarts is a seesaw option, so its value is read, not refused as unknown
+        command = "seesaw" if "restarts" in config else "lemma1"
+        assert main([command, "--seed", "1", "--config", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "config error" in captured.err
+
+    def test_config_text_reads_as_its_flag(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"trials": "3000"}))
+        argv = ["erlang", "--seed", "9", "--ns", "4"]
+        code, from_config = run_cli(argv + ["--config", str(path)], capsys)
+        assert code == 0
+        assert from_config == run_cli(argv + ["--trials", "3000"], capsys)[1]
 
     @pytest.mark.parametrize(
         "args", [["seesaw", "--seed", "1", "--alpha", "2"], ["o2h", "--seed", "3"]]

@@ -71,7 +71,6 @@ class TestMegWinProb:
             message_count=m_count,
             alice_dim=3,
             keys=(0,),
-            weights=(1.0,),
             alice_povm=lambda key: _basis_povm(3),
         )
         strategy = _explicit(
@@ -93,7 +92,6 @@ class TestMegWinProb:
             message_count=m_count,
             alice_dim=d,
             keys=(0,),
-            weights=(1.0,),
             alice_povm=lambda key: _basis_povm(d),
         )
         strategy = _explicit(
@@ -116,7 +114,6 @@ class TestMegWinProb:
             message_count=m_count,
             alice_dim=d,
             keys=(0,),
-            weights=(1.0,),
             alice_povm=lambda key: alice,
         )
         strategy = _explicit(
@@ -149,9 +146,9 @@ class TestMegWinProb:
         floors = []
         for m in range(2):
             acc = 0.0
-            for key, w in zip(game.keys, game.weights):
-                acc += w * np.trace(game.alice_povm(key).effects[m] @ rho_a).real
-            floors.append(acc)
+            for key in game.keys:
+                acc += np.trace(game.alice_povm(key).effects[m] @ rho_a).real
+            floors.append(acc / len(game.keys))
         d_bc = atk.dims[0]
         constant = Povm(
             dim=d_bc,
@@ -248,12 +245,21 @@ class TestMegFromQecm:
             meg_from_qecm(blocky, [0, 1])
 
     def test_rank_deficient_average_supported(self, rng):
-        # embed a qubit scheme into d=3; the average misses one direction
-        from uncloneq.schemes import extend_scheme
+        # pad a qubit scheme into d=3; the average misses one direction
+        base = uniform_haar_scheme(2, 1)
 
-        iso = np.zeros((3, 2), dtype=complex)
-        iso[0, 0] = iso[1, 1] = 1.0
-        e = extend_scheme(uniform_haar_scheme(2, 1), iso)
+        def encrypt(key, m):
+            padded = np.zeros((3, 3), dtype=complex)
+            padded[:2, :2] = base.encrypt(key, m)
+            return padded
+
+        e = QecmScheme(
+            message_count=2,
+            cipher_dim=3,
+            key_sampler=base.key_sampler,
+            encrypt=encrypt,
+            decrypt_povm=lambda key: None,  # the game never decrypts
+        )
         keys = [e.key_sampler(rng) for _ in range(3)]
         game = meg_from_qecm(e, keys)
         for key in keys:

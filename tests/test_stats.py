@@ -46,6 +46,9 @@ class TestSampling:
             ErlangParams(0, 1.0)
         with pytest.raises(ValueError):
             ErlangParams(2, 0.0)
+        for rate in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                ErlangParams(2, rate)
 
 
 class TestMaxOverSum:
@@ -101,6 +104,9 @@ class TestMaxOverSum:
             max_over_sum_estimate([1, 0], 1.0, 10, rng)
         with pytest.raises(ValueError):
             max_over_sum_estimate([1], -1.0, 10, rng)
+        for rate in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                max_over_sum_estimate([1, 1], rate, 10, rng)
         with pytest.raises(ValueError):
             max_over_sum_estimate([1], 1.0, 0, rng)
 
