@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from uncloneq.linalg import dagger, haar_unitary, make_rng
+from uncloneq.schemes import QecmScheme
 
 
 def rand_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -40,6 +41,22 @@ def orthogonal_support_pair(
     rho = (cols_rho * w_rho) @ dagger(cols_rho)
     sigma = (cols_sigma * w_sigma) @ dagger(cols_sigma)
     return rho, sigma
+
+
+def padded_scheme(e: QecmScheme, d: int) -> QecmScheme:
+    """``e`` with its ciphertexts zero-padded into ``d`` dimensions.
+
+    The ciphertexts span only the first ``e.cipher_dim`` basis vectors, so
+    the factors of the padded scheme have more rows than nonzero ones.
+    """
+    iso = np.eye(d, e.cipher_dim, dtype=complex)
+    return QecmScheme(
+        message_count=e.message_count,
+        cipher_dim=d,
+        key_sampler=e.key_sampler,
+        encrypt=lambda key, m: iso @ e.encrypt(key, m) @ dagger(iso),
+        decrypt_povm=lambda key: None,
+    )
 
 
 @pytest.fixture

@@ -51,7 +51,7 @@ from uncloneq.meg import meg_from_qecm, verify_reduction
 from uncloneq.optimize import SeesawConfig, pwin_unif_seesaw
 from uncloneq.stats import ErlangParams, erlang_cdf
 
-from conftest import orthogonal_support_pair
+from conftest import orthogonal_support_pair, padded_scheme
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 KET1 = np.diag([0.0, 1.0]).astype(complex)
@@ -344,6 +344,7 @@ class TestRandomBasisEstimate:
             lambda: (uniform_haar_scheme(4, 2), _haar_keys(_EVEN_4X2, 8)),
             lambda: (haar_scheme(3, 6, _TWO_SUPPORT), _haar_keys(_TWO_SUPPORT, 6)),
             lambda: _looped(bb84_scheme(2)),
+            lambda: _looped(padded_scheme(uniform_haar_scheme(2, 2), 6)),
             lambda: _looped(expurgate_scheme(uniform_haar_scheme(4, 1), 2, lambda key, m: 3 - m)),
             pytest.param(lambda: _looped(_mixed_rank_scheme()), id="_mixed_rank_scheme"),
         ],

@@ -22,6 +22,8 @@ from uncloneq.schemes import (
     uniform_haar_scheme,
 )
 
+from conftest import padded_scheme
+
 KET_MINUS = np.array([1, -1], dtype=complex) / np.sqrt(2)
 
 
@@ -277,6 +279,7 @@ class TestFactor:
             (lambda: uniform_haar_scheme(4, 2), True),
             (_two_point_haar, True),
             (lambda: bb84_scheme(2), False),
+            (lambda: padded_scheme(uniform_haar_scheme(2, 2), 6), False),
             (lambda: expurgate_scheme(uniform_haar_scheme(4, 1), 2, lambda key, m: 3 - m), False),
         ],
     )
