@@ -18,6 +18,8 @@ cloning value and the two-message indistinguishability value.  Each
 evaluator that averages over keys takes the key list itself, drawn by
 :meth:`QecmScheme.sample_keys` or enumerated, so the keys an attack was
 built on and the keys it is scored on are both named at the call site.
+Per key it reads one ciphertext stack (:meth:`QecmScheme.ciphertexts`) and
+one effect array per receiver.
 """
 
 from __future__ import annotations
@@ -176,6 +178,22 @@ def projector_strategy_closed_form(alpha: float, lam: float) -> float:
     return 0.5 * (alpha + lam * alpha * (1.0 - 2.0 * alpha) + 1.0 - alpha)
 
 
+def _pair_effects(rho: Array, sigma: Array, alpha: float) -> tuple[Array, float]:
+    """Effects ``(2, d+1, d+1)`` of the projector strategy, and its larger top eigenvalue.
+
+    ``Pi`` is built for the state with the larger top eigenvalue, ``rho``
+    on a tie, and outcome 0 votes for ``rho``: ``(Pi, I - Pi)`` or ``(I - Pi, Pi)``.
+    """
+    lam_rho = float(np.linalg.eigvalsh(rho)[-1])
+    lam_sig = float(np.linalg.eigvalsh(sigma)[-1])
+    eye = np.eye(rho.shape[0] + 1)
+    if lam_rho >= lam_sig:
+        pi = guessing_projector(rho, sigma, alpha)
+        return np.stack([pi, eye - pi]), lam_rho
+    pi = guessing_projector(sigma, rho, alpha)
+    return np.stack([eye - pi, pi]), lam_sig
+
+
 def projector_strategy_value(rho: Array, sigma: Array, alpha: float) -> float:
     """Simultaneous guessing value of the projector strategy.
 
@@ -185,18 +203,11 @@ def projector_strategy_value(rho: Array, sigma: Array, alpha: float) -> float:
     The direct two-sided trace is cross-checked against the closed form
     ``(alpha + lambda_0 alpha (1 - 2 alpha) + 1 - alpha)/2`` and returned.
     """
-    lam_rho = float(np.linalg.eigvalsh(rho)[-1])
-    lam_sig = float(np.linalg.eigvalsh(sigma)[-1])
-    if lam_sig > lam_rho:
-        rho, sigma = sigma, rho
-        lam_rho = lam_sig
-    d = rho.shape[0]
-    pi = guessing_projector(rho, sigma, alpha)
-    hit = np.stack([pi, np.eye(d + 1) - pi])
-    cloner = superposition_cloner(d)
+    hit, lam = _pair_effects(rho, sigma, alpha)
+    cloner = superposition_cloner(rho.shape[0])
     hits = joint_expectation((hit, hit), cloner.left, cloner.compress(np.stack([rho, sigma])))
     direct = 0.5 * float(hits.sum())
-    closed = projector_strategy_closed_form(alpha, lam_rho)
+    closed = projector_strategy_closed_form(alpha, lam)
     if abs(direct - closed) > 1e-9:
         raise CrossCheckFailed(
             f"direct trace {direct} and closed form {closed} disagree beyond 1e-9"
@@ -213,15 +224,7 @@ def _projector_attack(e: QecmScheme, m0: int, m1: int, alpha: float) -> CloningA
     """
 
     def build(key: Any) -> Povm:
-        rho = e.encrypt(key, m0)
-        sigma = e.encrypt(key, m1)
-        eye = np.eye(e.cipher_dim + 1)
-        if np.linalg.eigvalsh(rho)[-1] >= np.linalg.eigvalsh(sigma)[-1]:
-            pi = guessing_projector(rho, sigma, alpha)
-            effects = (pi, eye - pi)
-        else:
-            pi = guessing_projector(sigma, rho, alpha)
-            effects = (eye - pi, pi)
+        effects, _ = _pair_effects(e.encrypt(key, m0), e.encrypt(key, m1), alpha)
         return Povm(dim=e.cipher_dim + 1, effects=effects)
 
     dp = e.cipher_dim + 1
@@ -289,12 +292,7 @@ def measure_share_attack(d: int, basis: Array) -> KrausChannel:
 
 def _outcome_likelihoods(e: QecmScheme, key: Any, basis: Array) -> Array:
     # entry (i, m) holds <e_i| Enc_k(m) |e_i>
-    d = e.cipher_dim
-    probs = np.empty((d, e.message_count))
-    adj = dagger(basis)
-    for m in range(e.message_count):
-        probs[:, m] = np.sum((adj @ e.encrypt(key, m)) * basis.T, axis=1).real
-    return probs
+    return np.sum((dagger(basis) @ e.ciphertexts(key)) * basis.T, axis=2).real.T
 
 
 def optimal_decode_for_measure_share(
@@ -311,7 +309,8 @@ def optimal_decode_for_measure_share(
     probs = _outcome_likelihoods(e, key, basis)
     decode = np.argmax(probs, axis=1)
     value = float(probs[np.arange(d), decode].sum() / e.message_count)
-    effects = tuple(np.diag((decode == m).astype(complex)) for m in range(e.message_count))
+    effects = np.zeros((e.message_count, d, d), dtype=complex)
+    effects[decode, np.arange(d), np.arange(d)] = 1.0
     return Povm(dim=d, effects=effects), value
 
 
@@ -398,7 +397,7 @@ def receiver_effects(
     charlie = bob if charlie_povm is bob_povm else charlie_povm(key)
     if bob.n_outcomes != message_count or charlie.n_outcomes != message_count:
         raise DimensionMismatch("POVM outcome count does not match message count")
-    return np.stack(bob.effects), np.stack(charlie.effects)
+    return bob.effects, charlie.effects
 
 
 def key_success(e: QecmScheme, ch: KrausChannel, key: Any, bob: Array, charlie: Array) -> float:
@@ -407,8 +406,7 @@ def key_success(e: QecmScheme, ch: KrausChannel, key: Any, bob: Array, charlie: 
     Every message is one problem of a single :func:`joint_expectation`
     call on the channel's factors.
     """
-    rho = np.stack([e.encrypt(key, m) for m in range(e.message_count)])
-    values = joint_expectation((bob, charlie), ch.left, ch.compress(rho))
+    values = joint_expectation((bob, charlie), ch.left, ch.compress(e.ciphertexts(key)))
     return float(values.sum()) / e.message_count
 
 
@@ -436,9 +434,7 @@ def ensemble_from_scheme_key(e: QecmScheme, key: Any, ch: KrausChannel) -> Guess
     """
     side = receiver_dim(e, ch)
     p = 1.0 / e.message_count
-    entries = tuple(
-        (p, apply_channel(ch, e.encrypt(key, m))) for m in range(e.message_count)
-    )
+    entries = tuple((p, state) for state in apply_channel(ch, e.ciphertexts(key)))
     return GuessingEnsemble(entries=entries, dims=(side, side))
 
 

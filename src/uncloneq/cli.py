@@ -139,6 +139,14 @@ def _stderr_trials(opts: dict) -> int:
     return trials
 
 
+def _restarts(opts: dict) -> int:
+    # checked before the seesaw sizes its lockstep stack from it
+    restarts = opts["restarts"]
+    if restarts < 1:
+        raise ValueError(f"--restarts must be at least 1, got {restarts}")
+    return restarts
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -156,6 +164,8 @@ def run_lemma1(opts: dict) -> list[dict]:
         )
     if trials < 1:
         raise ValueError(f"--trials must be at least 1, got {trials}")
+    if not 0 <= alpha <= 1:
+        raise ValueError(f"--alpha must lie in [0, 1], got {alpha}")
     # the superposition cloner's Kraus op, as meg --attack cloner checks it
     check_entries((d + 1) ** 2 * d, f"lemma1 at d = {d}: its cloner ({(d + 1) ** 2} x {d})")
     if scheme.enumerate_keys is not None:
@@ -340,12 +350,12 @@ def _seesaw_setup(scheme: QecmScheme, channel_name: str, trials: int, restarts: 
 
 
 def run_seesaw(opts: dict) -> list[dict]:
-    trials = _stderr_trials(opts)
+    trials, restarts = _stderr_trials(opts), _restarts(opts)
     scheme = _parse_scheme(opts["scheme"])
-    ch, warm, reference_of = _seesaw_setup(scheme, opts["channel"], trials, opts["restarts"])
+    ch, warm, reference_of = _seesaw_setup(scheme, opts["channel"], trials, restarts)
     rng = make_rng(opts["seed"])
     keys = scheme.sample_keys(rng, trials)
-    cfg = optimize.SeesawConfig(rng=make_rng(opts["seed"], stream=1), restarts=opts["restarts"])
+    cfg = optimize.SeesawConfig(rng=make_rng(opts["seed"], stream=1), restarts=restarts)
     mean, stderr = optimize.pwin_unif_seesaw(scheme, ch, keys, cfg, warm_start=warm)
     reference = reference_of(keys)
     tolerance = _SEESAW_SLACK + 3.0 * stderr
@@ -420,16 +430,16 @@ def _partitions(total: int, parts: int, cap: int | None = None) -> list[tuple[in
 
 
 def run_conjecture_scan(opts: dict) -> list[dict]:
-    trials = _stderr_trials(opts)
+    trials, restarts = _stderr_trials(opts), _restarts(opts)
     big_m, d = opts["M"], opts["d"]
     _check_message_count(big_m, d, f"--M {big_m} and --d {d}")
     rng = make_rng(opts["seed"])
     rows = []
     for i, t in enumerate(_partitions(d, big_m)):
         scheme = haar_scheme(big_m, d, RankDistribution.deterministic(t))
-        ch, warm, _ = _seesaw_setup(scheme, "cloner", trials, opts["restarts"])
+        ch, warm, _ = _seesaw_setup(scheme, "cloner", trials, restarts)
         keys = scheme.sample_keys(rng, trials)
-        cfg = optimize.SeesawConfig(rng=make_rng(opts["seed"], stream=i + 1), restarts=opts["restarts"])
+        cfg = optimize.SeesawConfig(rng=make_rng(opts["seed"], stream=i + 1), restarts=restarts)
         mean, stderr = optimize.pwin_unif_seesaw(scheme, ch, keys, cfg, warm_start=warm)
         rows.append(
             {

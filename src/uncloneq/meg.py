@@ -10,7 +10,8 @@ strategy through the Choi state of its channel taken with respect to
 ``rho_bar``.  The induced game value equals the attack's success
 probability exactly; :func:`verify_reduction` checks the two evaluation
 routes against each other on one key list.  The game, the average
-ciphertext and the reduction check all take that key list explicitly.
+ciphertext and the reduction check all take that key list explicitly,
+and read each key's ciphertexts as one stack (:meth:`QecmScheme.ciphertexts`).
 
 A strategy holds its tripartite state in factored form: component ``j``
 is ``vec(U_j left_jᵀ)``, with ``left`` the attack channel's left Kraus
@@ -102,7 +103,7 @@ def _key_game_value(
     alice = g.alice_povm(key)
     if alice.n_outcomes != g.message_count:
         raise DimensionMismatch("POVM outcome counts do not match the message set")
-    sigma = np.swapaxes(dagger(u) @ np.stack(alice.effects)[:, None] @ u, -1, -2)
+    sigma = np.swapaxes(dagger(u) @ alice.effects[:, None] @ u, -1, -2)
     return float(joint_expectation((bob, charlie), left, sigma).sum())
 
 
@@ -151,11 +152,7 @@ def mean_ciphertext(e: QecmScheme, keys: Sequence) -> Array:
     pairwise by more than ``1e-6`` in any entry.
     """
     check_keys(keys)
-    per_key = []
-    for key in keys:
-        avg = sum(e.encrypt(key, m) for m in range(e.message_count)) / e.message_count
-        per_key.append(avg)
-    stack = np.stack(per_key)
+    stack = np.stack([e.ciphertexts(key).sum(axis=0) / e.message_count for key in keys])
     dev = max_abs(stack.max(axis=0).real - stack.min(axis=0).real) + max_abs(
         stack.imag.max(axis=0) - stack.imag.min(axis=0)
     )
@@ -168,8 +165,8 @@ def mean_ciphertext(e: QecmScheme, keys: Sequence) -> Array:
 
 
 def _transpose_in_basis(x: Array, basis: Array) -> Array:
-    # transpose with matrix elements taken in the given orthonormal basis
-    return basis @ (dagger(basis) @ x @ basis).T @ dagger(basis)
+    # transpose (of each matrix in a stack) with elements taken in an orthonormal basis
+    return basis @ np.swapaxes(dagger(basis) @ x @ basis, -1, -2) @ dagger(basis)
 
 
 def meg_from_qecm(e: QecmScheme, keys: Sequence) -> MegGame:
@@ -198,14 +195,11 @@ def _induced_game(e: QecmScheme, keys: Sequence, rho_bar: Array) -> MegGame:
     m_count = e.message_count
 
     def alice_povm(key: Any) -> Povm:
-        effects = []
-        for m in range(m_count):
-            transposed = _transpose_in_basis(e.encrypt(key, m), v)
-            eff = inv_sqrt @ transposed @ inv_sqrt / m_count
-            effects.append((eff + dagger(eff)) / 2)
+        eff = inv_sqrt @ _transpose_in_basis(e.ciphertexts(key), v) @ inv_sqrt / m_count
+        effects = (eff + dagger(eff)) / 2
         if max_abs(deficiency) > TOL.completeness:
-            effects[0] = effects[0] + deficiency
-        return Povm(dim=e.cipher_dim, effects=tuple(effects))
+            effects[0] += deficiency
+        return Povm(dim=e.cipher_dim, effects=effects)
 
     return MegGame(
         message_count=m_count, alice_dim=e.cipher_dim, keys=tuple(keys), alice_povm=alice_povm

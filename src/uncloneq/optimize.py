@@ -298,7 +298,7 @@ def _starts(
     constant = np.zeros((n, dc, dc), dtype=complex)
     constant[np.argmax(probabilities)] = np.eye(dc)
     randoms = [_random_projective_povm(dc, n, cfg.rng) for _ in range(cfg.restarts)]
-    return np.stack([np.stack(s.effects) for s in warm] + [constant] + randoms)
+    return np.stack([s.effects for s in warm] + [constant] + randoms)
 
 
 def _key_matrices(
@@ -325,8 +325,7 @@ def _chunk_matrices(e: QecmScheme, ch: KrausChannel, keys: Sequence, side: int) 
     probabilities = np.full(m, 1.0 / m)
     bmat = np.empty((len(keys), m, side * side, side * side), dtype=complex)
     for k, key in enumerate(keys):
-        cipher = np.array([e.encrypt(key, x) for x in range(m)], dtype=complex)
-        states = apply_channel(ch, cipher)
+        states = apply_channel(ch, e.ciphertexts(key))
         assert_hermitian(states)
         _key_matrices(states, probabilities, (side, side), bmat[k])
     return bmat
@@ -410,8 +409,8 @@ def seesaw_pguess(
     value, bob, charlie, sweeps, converged, trajectory = _seesaw(bmat, ens.dims, starts)
     return SeesawResult(
         value=float(value[0]),
-        bob_povm=Povm(db, tuple(bob[0])),
-        charlie_povm=Povm(dc, tuple(charlie[0])),
+        bob_povm=Povm(db, bob[0]),
+        charlie_povm=Povm(dc, charlie[0]),
         iterations_used=int(sweeps[0]),
         trajectory=tuple(float(t) for t in trajectory[: sweeps[0], 0]),
         converged=bool(converged[0]),
@@ -442,11 +441,13 @@ def seesaw_stack_entries(
     the starts per key: the warm start when ``warm``, the constant guess
     and ``restarts`` restarts.  Each start holds a ``_SEESAW_ITERS``
     trajectory row and Bob's and Charlie's effect stacks, ``2 M out_dim``
-    entries.  Raises ``ValueError`` when one key's ensemble or this stack
-    is above ``config.ENTRIES_CAP``, so a size that cannot fit in memory,
-    an oversize restart count included, is refused before any channel is
-    built or key is drawn.
+    entries.  Raises ``ValueError`` when ``restarts`` is below 1, or when one
+    key's ensemble or this stack is above ``config.ENTRIES_CAP``, so a size
+    that cannot fit in memory, an oversize restart count included, is
+    refused before any channel is built or key is drawn.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     starts = int(warm) + 1 + restarts
     chunk = min(keys, _chunk_keys(message_count, out_dim, starts))
     entries = chunk * starts * (_SEESAW_ITERS + 2 * message_count * out_dim)

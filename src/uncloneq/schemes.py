@@ -1,8 +1,10 @@
 """Quantum encryption of classical messages (QECM): model and constructions.
 
 A scheme is a triple (key sampler, encrypt, decrypt POVM) over a classical
-message set ``[M]`` and a ``d``-dimensional ciphertext space.  Provided
-constructions:
+message set ``[M]`` and a ``d``-dimensional ciphertext space.  Evaluators
+read a key's ciphertexts as one ``(M, d, d)`` stack
+(:meth:`QecmScheme.ciphertexts`), and a :class:`Povm` holds its effects
+as one ``(n, d, d)`` array.  Provided constructions:
 
 * :func:`haar_scheme` -- message ``m`` encrypts to a Haar-rotated
   normalized projector onto a contiguous basis block of size ``t_m``;
@@ -50,21 +52,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Povm:
-    """Positive operator-valued measure: PSD effects summing to identity."""
+    """Positive operator-valued measure: PSD effects summing to identity.
+
+    Any sequence of ``(dim, dim)`` effects is held as one ``(n, dim, dim)`` array.
+    """
 
     dim: int
-    effects: tuple[Array, ...]
+    effects: Array
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "effects", tuple(np.asarray(e, dtype=complex) for e in self.effects))
+        effects = [np.asarray(e, dtype=complex) for e in self.effects]
+        for e in effects:
+            if e.shape != (self.dim, self.dim):
+                raise DimensionMismatch(f"effect shape {e.shape} != ({self.dim}, {self.dim})")
+        object.__setattr__(self, "effects", np.reshape(effects, (-1, self.dim, self.dim)))
         self.validate()
 
     def validate(self) -> None:
-        """Check shapes, Hermiticity and positivity of the stacked effects, and completeness."""
-        for e in self.effects:
-            if e.shape != (self.dim, self.dim):
-                raise DimensionMismatch(f"effect shape {e.shape} != ({self.dim}, {self.dim})")
-        stack = np.stack(self.effects) if self.effects else np.zeros((0, self.dim, self.dim))
+        """Check Hermiticity and positivity of the effects, and completeness."""
+        stack = self.effects
         dev = max_abs(stack - dagger(stack))
         if dev > TOL.herm:
             raise InvalidOperator(f"effect Hermiticity deviation {dev}")
@@ -155,7 +161,8 @@ class QecmScheme:
     """A QECM scheme: key sampler, encryption map and decryption POVM.
 
     ``encrypt(key, m)`` returns the ciphertext density operator of
-    dimension ``cipher_dim``; ``decrypt_povm(key)`` returns the decryption
+    dimension ``cipher_dim``, and :meth:`ciphertexts` all of a key's
+    ciphertexts as one stack; ``decrypt_povm(key)`` returns the decryption
     POVM with ``message_count`` outcomes.  Continuous-key schemes carry a
     sampler rather than an enumerable key set; schemes with finite key
     spaces may expose ``enumerate_keys`` for exact key expectations.
@@ -171,6 +178,10 @@ class QecmScheme:
     enumerate_keys: Callable[[], list] | None = None
     factor_sampler: Callable[[np.random.Generator, int], tuple[Array, Array]] | None = None
 
+    def ciphertexts(self, key: Any) -> Array:
+        """``encrypt(key, m)`` for every message, in order, as one complex ``(M, d, d)`` stack."""
+        return np.array([self.encrypt(key, m) for m in range(self.message_count)], dtype=complex)
+
     def factor(self, key: Any) -> tuple[Array, Array]:
         """All ciphertexts of ``key`` as one factor ``F`` and column owners.
 
@@ -178,15 +189,11 @@ class QecmScheme:
         of column ``j``, with ``encrypt(key, m) == F_m F_m†`` for ``F_m``
         the columns owned by ``m``: the eigenvectors of each ciphertext
         scaled by the square roots of their eigenvalues above
-        ``TOL.support_cutoff``.
+        ``TOL.support_cutoff``, from one eigendecomposition of the stack.
         """
-        cols, owner = [], []
-        for m in range(self.message_count):
-            w, v = herm_eig(self.encrypt(key, m))
-            keep = w > TOL.support_cutoff
-            cols.append(v[:, keep] * np.sqrt(w[keep]))
-            owner.append(np.full(int(keep.sum()), m))
-        return np.concatenate(cols, axis=1), np.concatenate(owner)
+        w, v = herm_eig(self.ciphertexts(key))
+        owner, col = np.nonzero(w > TOL.support_cutoff)
+        return (v[owner, :, col] * np.sqrt(w[owner, col])[:, None]).T, owner
 
     def sample_factors(self, rng: np.random.Generator, n: int) -> tuple[Array, Array]:
         """Factors of ``n`` freshly drawn keys, stacked, with one-hot owners.
@@ -226,12 +233,6 @@ class QecmScheme:
 # ---------------------------------------------------------------------------
 
 
-def _block_slices(t: Sequence[int]) -> list[slice]:
-    # message m owns the contiguous index block [sum(t[:m]), sum(t[:m+1]))
-    bounds = np.concatenate(([0], np.cumsum(t)))
-    return [slice(int(bounds[m]), int(bounds[m + 1])) for m in range(len(t))]
-
-
 def haar_scheme(M: int, d: int, tdist: RankDistribution) -> QecmScheme:
     """Haar-rotated block scheme with ranks drawn from ``tdist``.
 
@@ -251,8 +252,9 @@ def haar_scheme(M: int, d: int, tdist: RankDistribution) -> QecmScheme:
         return HaarKey(ranks=tdist.sample(rng), unitary=haar_unitary(d, rng))
 
     def encrypt(key: HaarKey, m: int) -> Array:
-        block = _block_slices(key.ranks)[m]
-        cols = key.unitary[:, block]
+        # message m owns the contiguous column block [sum(t[:m]), sum(t[:m+1]))
+        lo = sum(key.ranks[:m])
+        cols = key.unitary[:, lo : lo + key.ranks[m]]
         return (cols @ dagger(cols)) / key.ranks[m]
 
     def factor_sampler(rng: np.random.Generator, n: int) -> tuple[Array, Array]:
@@ -265,11 +267,8 @@ def haar_scheme(M: int, d: int, tdist: RankDistribution) -> QecmScheme:
         return u / scale[:, None, :], (owner[..., None] == np.arange(M)).astype(float)
 
     def decrypt_povm(key: HaarKey) -> Povm:
-        effects = []
-        for block in _block_slices(key.ranks):
-            cols = key.unitary[:, block]
-            effects.append(cols @ dagger(cols))
-        return Povm(dim=d, effects=tuple(effects))
+        blocks = np.split(key.unitary, np.cumsum(key.ranks)[:-1], axis=1)
+        return Povm(dim=d, effects=np.array([cols @ dagger(cols) for cols in blocks]))
 
     return QecmScheme(
         message_count=M,
@@ -365,10 +364,8 @@ def check_correctness(e: QecmScheme, keys: Sequence) -> float:
     check_keys(keys)
     worst = 0.0
     for key in keys:
-        povm = e.decrypt_povm(key)
-        for m in range(e.message_count):
-            hit = float(np.trace(povm.effects[m] @ e.encrypt(key, m)).real)
-            worst = max(worst, 1.0 - hit)
+        hits = np.trace(e.decrypt_povm(key).effects @ e.ciphertexts(key), axis1=1, axis2=2).real
+        worst = max(worst, float((1.0 - hits).max()))
     return worst
 
 
@@ -382,8 +379,7 @@ def top_eigenvalue_means(e: QecmScheme, keys: Sequence) -> Array:
     check_keys(keys)
     sums = np.zeros(e.message_count)
     for key in keys:
-        for m in range(e.message_count):
-            sums[m] += np.linalg.eigvalsh(e.encrypt(key, m))[-1]
+        sums += np.linalg.eigvalsh(e.ciphertexts(key))[:, -1]
     return sums / len(keys)
 
 
@@ -414,12 +410,10 @@ def expurgate_scheme(
 
     def decrypt_povm(key: Any) -> Povm:
         targets = image(key)
-        base = e.decrypt_povm(key)
-        effects = [np.array(base.effects[t]) for t in targets]
-        for t in range(e.message_count):
-            if t not in targets:
-                effects[0] = effects[0] + base.effects[t]
-        return Povm(dim=e.cipher_dim, effects=tuple(effects))
+        base = e.decrypt_povm(key).effects
+        effects = base[targets]
+        effects[0] += np.delete(base, targets, axis=0).sum(axis=0)
+        return Povm(dim=e.cipher_dim, effects=effects)
 
     return QecmScheme(
         message_count=mprime,

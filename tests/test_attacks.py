@@ -151,6 +151,42 @@ class TestLemma1Value:
         assert abs(projector_strategy_value(sigma, rho, 0.25) - 9 / 16) < 1e-9
         assert abs(projector_strategy_value(rho, sigma, 0.25) - 9 / 16) < 1e-9
 
+    @pytest.mark.parametrize(
+        "rho, sigma, owner",
+        [
+            (np.diag([0.5, 0.5, 0.0]), np.diag([0.0, 0.0, 1.0]), 1),
+            (np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0]), 0),
+        ],
+        ids=["sigma-larger", "tie-to-rho"],
+    )
+    def test_attack_and_value_orient_the_pair_alike(self, rho, sigma, owner, monkeypatch):
+        # the projector belongs to the state with the larger top eigenvalue,
+        # rho on a tie, in the strategy value and in the attack's effects
+        pair = (rho.astype(complex), sigma.astype(complex))
+        built_for = []
+
+        def recording(a, b, alpha):
+            built_for.append(a)
+            return guessing_projector(a, b, alpha)
+
+        monkeypatch.setattr(attacks, "guessing_projector", recording)
+        e = QecmScheme(
+            message_count=2,
+            cipher_dim=3,
+            key_sampler=lambda rng: 0,
+            encrypt=lambda key, m: pair[m],
+            decrypt_povm=lambda key: None,
+        )
+        atk = projector_cloning_attack(e)
+        effects = atk.bob_povm(0).effects
+        value = projector_strategy_value(*pair, 0.25)
+        assert len(built_for) == 2
+        assert all(np.array_equal(a, pair[owner]) for a in built_for)
+        pi = guessing_projector(pair[owner], pair[1 - owner], 0.25)
+        assert np.array_equal(effects[owner], pi)
+        assert np.array_equal(effects[1 - owner], np.eye(4) - pi)
+        assert abs(pwin_unif_eval(e, atk, [0]) - value) < 1e-12
+
     @pytest.mark.parametrize("alpha", [0.0, 0.125, 0.25, 0.5, 1.0])
     def test_closed_form_agreement(self, alpha, rng):
         # projector_strategy_value cross-checks direct trace vs closed form internally

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from uncloneq import attacks, optimize, schemes, stats
+from uncloneq import attacks, config, linalg, optimize, schemes, stats
 from uncloneq.cli import _build_parser, _merge_options, main
 from uncloneq.schemes import QecmScheme
 
@@ -482,6 +482,15 @@ class TestExitCodes:
             ["lemma1", "--scheme", '{"type":"haar","M":2,"d":3.9,"tdist":[[[1,2],1.0]]}'],
             ["erlang", "--rate", "nan"],
             ["erlang", "--rate", "inf"],
+            # a mixing weight outside [0, 1] and restart counts below 1, named by their flag
+            ["lemma1", "--alpha", "2"],
+            ["lemma1", "--alpha", "nan"],
+            ["seesaw", "--restarts", "0"],
+            ["conjecture-scan", "--restarts", "-3"],
+            # restart counts that would size an empty lockstep stack
+            ["seesaw", "--scheme", "uniform_haar:10,1", "--channel", "measure_share",
+             "--restarts", "-42", "--trials", "2"],
+            ["conjecture-scan", "--M", "15", "--d", "19", "--restarts", "-193", "--trials", "2"],
         ],
     )
     def test_out_of_range_input_is_config_error(self, args, capsys):
@@ -579,6 +588,23 @@ def test_console_script_installed():
     )
     assert out.returncode == 0
     assert "0.5625" in out.stdout
+
+
+def test_readme_quoted_budgets_match_the_code():
+    # each size budget README quotes, found by the words around it, is the constant's value
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    quoted = [
+        (r"in chunks of at most 2\^(\d+) complex entries", 2, linalg._KERNEL_ENTRIES),
+        (r"one reused block of at most 2\^(\d+) entries", 2, stats._BLOCK_ENTRIES),
+        (r"a chunk holds at most 2\^(\d+) complex entries", 2, optimize._CHUNK_ENTRIES),
+        (r"(?:exceeds|more than|cap of|>) 2\^(\d+)", 2, config.ENTRIES_CAP),
+        (r"(\d+)`?-sweep trajectory", None, optimize._SEESAW_ITERS),
+    ]
+    for pattern, base, value in quoted:
+        found = re.findall(pattern, readme)
+        assert found, pattern
+        for text in found:
+            assert (int(text) if base is None else base ** int(text)) == value, (pattern, text)
 
 
 def test_readme_command_lines_parse():

@@ -266,6 +266,15 @@ class TestPovm:
             with pytest.raises(InvalidOperator):
                 Povm(dim=2, effects=effects)
 
+    @pytest.mark.parametrize("wrap", [tuple, list, np.array], ids=["tuple", "list", "array"])
+    def test_effects_are_held_as_one_array(self, wrap):
+        effects = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+        povm = Povm(dim=2, effects=wrap(effects))
+        assert isinstance(povm.effects, np.ndarray)
+        assert povm.effects.shape == (2, 2, 2) and povm.effects.dtype == complex
+        assert np.array_equal(povm.effects, effects)
+        assert povm.n_outcomes == 2
+
 
 def _two_point_haar():
     tdist = RankDistribution(support=((1, 1, 4), (3, 2, 1)), probabilities=(0.5, 0.5))
@@ -297,6 +306,27 @@ class TestFactor:
                 assert np.max(np.abs(cols @ cols.conj().T - e.encrypt(key, m))) < 1e-12
         if make is _two_point_haar:
             assert ranks_seen == {(1, 1, 4), (3, 2, 1)}
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: uniform_haar_scheme(4, 2),
+            _two_point_haar,
+            lambda: bb84_scheme(2),
+            lambda: expurgate_scheme(uniform_haar_scheme(4, 1), 2, lambda key, m: 3 - m),
+            lambda: padded_scheme(uniform_haar_scheme(2, 2), 6),
+        ],
+        ids=["uniform_haar:4,2", "two_point_haar", "bb84:2", "expurgated", "padded"],
+    )
+    def test_ciphertexts_stack_every_encryption(self, make, rng):
+        e = make()
+        for _ in range(4):
+            key = e.key_sampler(rng)
+            stack = e.ciphertexts(key)
+            assert stack.dtype == complex
+            assert stack.shape == (e.message_count, e.cipher_dim, e.cipher_dim)
+            for m in range(e.message_count):
+                assert np.array_equal(stack[m], e.encrypt(key, m))
 
     def test_default_keeps_only_the_support(self):
         flat = QecmScheme(
