@@ -4,8 +4,9 @@ All checks use absolute tolerances.  The values below are the single
 source of truth; the validators read them and take no override.
 """
 
+import numbers
 from dataclasses import dataclass
-from typing import Sized
+from typing import Any, Sized
 
 
 @dataclass(frozen=True)
@@ -50,3 +51,8 @@ def check_keys(keys: Sized) -> None:
     """Refuse an empty key list, over which no average is defined."""
     if not len(keys):
         raise ValueError("keys must hold at least one key")
+
+
+def is_integer(x: Any) -> bool:
+    """True for an integer; a bool or a non-integer number (1.5, 2.0) is refused, not truncated."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)

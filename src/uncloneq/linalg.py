@@ -12,14 +12,20 @@ Randomness is drawn from ``numpy.random.Generator`` instances (PCG64),
 which are seedable and splittable: create one with :func:`make_rng` and
 derive independent worker streams with ``rng.spawn(n)`` or by passing a
 distinct ``stream`` index.  A fixed ``(seed, stream)`` pair reproduces the
-same outputs bit for bit.
+same outputs bit for bit.  :func:`lane_map` splits a Monte Carlo estimate's
+trials over ``_LANES = 2`` spawned streams and runs them on threads
+(numpy releases the interpreter lock while it fills arrays and in batched
+``qr`` and matmul), so its output depends on the seed and the lane count,
+never on how many CPUs ran the lanes.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -39,6 +45,7 @@ __all__ = [
     "haar_unitary",
     "herm_eig",
     "joint_expectation",
+    "lane_map",
     "make_rng",
     "max_abs",
     "pseudo_inv_sqrt",
@@ -48,6 +55,8 @@ __all__ = [
 _PSEUDO_INV_CUTOFF = 1e-14
 # complex entries (512 KB) of one chunk of joint_expectation's intermediates
 _KERNEL_ENTRIES = 2**15
+# independent substreams every Monte Carlo estimate splits its trials over
+_LANES = 2
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -58,6 +67,60 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
     return np.random.Generator(np.random.PCG64(ss))
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def lane_map(
+    fn: Callable[[np.random.Generator, int], Any], rng: np.random.Generator, trials: int
+) -> list:
+    """``fn(generator, share)`` for each of ``_LANES`` lanes; results in lane order.
+
+    Lane ``j`` gets ``rng.spawn(_LANES)[j]`` and the contiguous share
+    ``trials (j+1) // _LANES - trials j // _LANES`` of the trials; a lane
+    with no share is skipped.  The first lane runs on the calling thread
+    and up to ``min(_LANES, CPUs) - 1`` others on threads started and
+    joined here; the calling thread runs any further lane in turn, so on
+    one CPU every lane runs on it.  So long as ``fn`` shares no mutable
+    state between lanes, the results depend on ``rng``, ``trials`` and
+    ``_LANES`` but not on the CPU count.  An exception raised in any lane
+    is re-raised here once every thread has been joined.
+    """
+    lanes = [
+        (gen, trials * (j + 1) // _LANES - trials * j // _LANES)
+        for j, gen in enumerate(rng.spawn(_LANES))
+    ]
+    lanes = [lane for lane in lanes if lane[1]]
+    results: list = [None] * len(lanes)
+    errors: list = [None] * len(lanes)
+
+    def run(j: int) -> None:
+        try:
+            results[j] = fn(*lanes[j])
+        except BaseException as exc:  # re-raised by the caller after the join
+            errors[j] = exc
+
+    threads = [
+        threading.Thread(target=run, args=(j,))
+        for j in range(1, min(len(lanes), _LANES, _cpu_count()))
+    ]
+    for t in threads:
+        t.start()
+    # lanes 1 to len(threads) run on the threads, every other lane here
+    for j in range(len(lanes)):
+        if j == 0 or j > len(threads):
+            run(j)
+    for t in threads:
+        t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 def dagger(a: Array) -> Array:

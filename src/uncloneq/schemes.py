@@ -23,13 +23,12 @@ from a JSON descriptor.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .config import TOL, check_entries, check_keys
+from .config import TOL, check_entries, check_keys, is_integer
 from .errors import DimensionMismatch, InvalidOperator, InvalidRanks, NotInjective
 from .linalg import Array, dagger, haar_unitary, herm_eig, max_abs
 
@@ -86,11 +85,6 @@ class Povm:
         return len(self.effects)
 
 
-def _is_integer(x: Any) -> bool:
-    # a bool or a non-integer number (1.5, 2.0) is refused, not truncated
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
 @dataclass(frozen=True)
 class RankDistribution:
     """Distribution over rank vectors ``t`` with positive entries summing to d."""
@@ -99,7 +93,7 @@ class RankDistribution:
     probabilities: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not all(_is_integer(x) for t in self.support for x in t):
+        if not all(is_integer(x) for t in self.support for x in t):
             raise InvalidRanks(f"ranks must be integers, got {[list(t) for t in self.support]}")
         support = tuple(tuple(int(x) for x in t) for t in self.support)
         probs = tuple(float(p) for p in self.probabilities)
@@ -430,7 +424,7 @@ def _descriptor_int(desc: dict, key: str) -> int:
     # accept but is no JSON integer (1.9, true, "2") is refused as a rank is
     val = desc[key]
     n = int(val)
-    if not _is_integer(val):
+    if not is_integer(val):
         raise ValueError(f"descriptor key {key!r} must be an integer, got {val!r}")
     return n
 

@@ -17,7 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import is_integer
 from .errors import NegativeX
+from .linalg import lane_map
 
 __all__ = [
     "ERLANG_MAX_CONSTANT",
@@ -26,7 +28,7 @@ __all__ = [
     "max_over_sum_estimate",
 ]
 
-# float64 entries of the reused sample block of max_over_sum_estimate (512 KB)
+# float64 entries of each lane's reused sample block of max_over_sum_estimate (512 KB)
 _BLOCK_ENTRIES = 2**16
 
 #: explicit constant in the max-over-sum lower bound, (1 - 1/e - 1/2)/(2 log2 e)
@@ -49,14 +51,15 @@ class ErlangParams:
     rate: float
 
     def __post_init__(self) -> None:
-        if self.shape < 1 or int(self.shape) != self.shape:
-            raise ValueError("shape must be a positive integer")
+        if not is_integer(self.shape) or self.shape < 1:
+            raise ValueError(f"shape must be a positive integer, got {self.shape!r}")
         _check_rate(self.rate)
 
 
 def erlang_cdf(p: ErlangParams, x: float) -> float:
     """``P[X <= x] = 1 - exp(-rate x) sum_{i<k} (rate x)^i / i!``."""
-    if x < 0:
+    # NaN fails every comparison, so it is refused with the negatives
+    if not x >= 0:
         raise NegativeX(f"x must be nonnegative, got {x}")
     k, lam = p.shape, p.rate
     z = lam * x
@@ -66,6 +69,14 @@ def erlang_cdf(p: ErlangParams, x: float) -> float:
         term *= z / i
         tail += term
     return 1.0 - math.exp(-z) * tail
+
+
+def _running_sum(start: float, terms: np.ndarray) -> float:
+    """``start + terms[0] + terms[1] + ...``, added one after another.
+
+    A sum carried over blocks this way does not depend on the block size.
+    """
+    return float(np.cumsum(np.concatenate(([start], terms)))[-1])
 
 
 def max_over_sum_estimate(
@@ -80,17 +91,22 @@ def max_over_sum_estimate(
     as sums of exponentials.  The ratio is scale free: ``rate`` is
     validated but does not enter it, so the draws are unit-rate.
 
-    Each trial takes one row of ``sum(ks)`` exponentials from the stream,
-    in trial order.  The rows are drawn into one block, allocated once,
-    of at most ``_BLOCK_ENTRIES = 2**16`` float64 entries (512 KB) and at
-    least one row, so memory is about ``max(512 KB, 8 sum(ks) bytes)``
-    whatever ``trials`` is, and the estimate does not depend on the block
-    size beyond rounding.
+    The trials are split over :func:`~uncloneq.linalg.lane_map`'s two
+    lanes, each with its own spawned stream, run side by side.  In a lane
+    each trial takes one row of ``sum(ks)`` exponentials from the lane's
+    stream, in trial order.  Each lane draws its rows into its own block,
+    allocated once, of at most ``_BLOCK_ENTRIES = 2**16`` float64 entries
+    (512 KB) and at least one row, so memory is about ``2 max(512 KB, 8
+    sum(ks) bytes)`` whatever ``trials`` is.  A lane adds its ratios and
+    their squares one after another in trial order, and the lanes' sums
+    are added in lane order, so the estimate depends on the seed and the
+    lane count, bit for bit, but not on the block size or on how many CPUs
+    ran the lanes.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    ks = [int(k) for k in ks]
-    if not ks or any(k < 1 for k in ks):
+    if not is_integer(trials) or trials < 1:
+        raise ValueError(f"trials must be an integer of at least 1, got {trials!r}")
+    ks = list(ks)
+    if not ks or not all(is_integer(k) and k >= 1 for k in ks):
         raise ValueError("all shapes must be positive integers")
     _check_rate(rate)
     n = len(ks)
@@ -98,19 +114,28 @@ def max_over_sum_estimate(
         return 1.0, 0.0
     k_total = sum(ks)
     offsets = np.cumsum([0] + ks)[:-1]
-    block = np.empty((max(1, min(trials, _BLOCK_ENTRIES // k_total)), k_total))
+
+    def lane(gen: np.random.Generator, share: int) -> tuple[float, float]:
+        block = np.empty((max(1, min(share, _BLOCK_ENTRIES // k_total)), k_total))
+        acc = 0.0
+        acc_sq = 0.0
+        done = 0
+        while done < share:
+            rows = block[: min(len(block), share - done)]
+            gen.standard_exponential(out=rows)
+            # with every shape 1 the block sums are the draws themselves
+            sums = rows if k_total == n else np.add.reduceat(rows, offsets, axis=1)
+            ratios = sums.max(axis=1) / sums.sum(axis=1)
+            acc = _running_sum(acc, ratios)
+            acc_sq = _running_sum(acc_sq, ratios * ratios)
+            done += len(rows)
+        return acc, acc_sq
+
     acc = 0.0
     acc_sq = 0.0
-    done = 0
-    while done < trials:
-        rows = block[: min(len(block), trials - done)]
-        rng.standard_exponential(out=rows)
-        # with every shape 1 the block sums are the draws themselves
-        sums = rows if k_total == n else np.add.reduceat(rows, offsets, axis=1)
-        ratios = sums.max(axis=1) / sums.sum(axis=1)
-        acc += float(ratios.sum())
-        acc_sq += float((ratios * ratios).sum())
-        done += len(rows)
+    for lane_acc, lane_acc_sq in lane_map(lane, rng, trials):
+        acc += lane_acc
+        acc_sq += lane_acc_sq
     mean = acc / trials
     if trials == 1:
         return mean, 0.0

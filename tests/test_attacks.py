@@ -23,7 +23,7 @@ from uncloneq.attacks import (
     random_basis_attack_estimate,
     superposition_cloner,
 )
-from uncloneq import attacks
+from uncloneq import attacks, linalg
 from uncloneq.attacks import _outcome_likelihoods
 from uncloneq.errors import DimensionMismatch, NotOrthogonalPair
 from uncloneq.linalg import (
@@ -407,18 +407,19 @@ class TestRandomBasisEstimate:
                 assert np.max(np.abs(rebuilt - e.encrypt(key, m))) < 1e-12
 
     def test_estimate_matches_dense_oracle_across_chunks(self):
-        # d = 32 puts 256 trials in a chunk, so 300 trials take two chunks;
-        # each chunk draws its ranks, then its key unitaries, then its bases
+        # d = 32 puts 256 trials in a chunk, so each lane's 300 of the 600
+        # trials take two chunks; each lane replays its own spawned stream,
+        # and each chunk draws its ranks, then its key unitaries, then its bases
         e = uniform_haar_scheme(2, 16)
-        trials, chunk = 300, 256
+        trials, chunk = 600, 256
         mean, stderr = random_basis_attack_estimate(e, trials, make_rng(41))
-        gen = make_rng(41)
         draw_keys = _haar_keys(RankDistribution.deterministic((16, 16)), 32)
         vals = []
-        for c in (chunk, trials - chunk):
-            keys = draw_keys(gen, c)
-            for key, basis in zip(keys, haar_unitary(32, gen, c)):
-                vals.append(_outcome_likelihoods(e, key, basis).max(axis=1).sum() / 2)
+        for gen in make_rng(41).spawn(2):
+            for c in (chunk, trials // 2 - chunk):
+                keys = draw_keys(gen, c)
+                for key, basis in zip(keys, haar_unitary(32, gen, c)):
+                    vals.append(_outcome_likelihoods(e, key, basis).max(axis=1).sum() / 2)
         vals = np.array(vals)
         assert abs(mean - vals.mean()) < 1e-12
         assert abs(stderr - vals.std(ddof=1) / math.sqrt(trials)) < 1e-12
@@ -426,6 +427,7 @@ class TestRandomBasisEstimate:
     def test_memory_does_not_grow_with_trials(self, monkeypatch):
         # chunks of 1024 qubit trials; 200 000 trials held at once would add 1.6 MB
         monkeypatch.setattr(attacks, "_CHUNK_ENTRIES", 2**12)
+        monkeypatch.setattr(linalg, "_cpu_count", lambda: 1)  # the lanes run in turn
         e = uniform_haar_scheme(2, 1)
         random_basis_attack_estimate(e, 3000, make_rng(0))  # numpy's lazy set-up
 
@@ -438,6 +440,29 @@ class TestRandomBasisEstimate:
                 tracemalloc.stop()
 
         assert peak(200_000) <= 1.1 * peak(2_000)
+
+    def test_memory_of_threaded_lanes_is_one_chunk_each(self, monkeypatch):
+        # lanes side by side hold at most one chunk each
+        monkeypatch.setattr(attacks, "_CHUNK_ENTRIES", 2**12)
+        e = uniform_haar_scheme(2, 1)
+        random_basis_attack_estimate(e, 3000, make_rng(0))  # numpy's lazy set-up
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                random_basis_attack_estimate(e, trials, make_rng(1))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "_cpu_count", lambda: 1)
+            serial = peak(2_000)
+        assert peak(200_000) <= 1.1 * linalg._LANES * serial
+
+    def test_refuses_non_integer_trials(self):
+        with pytest.raises(ValueError, match="integer"):
+            random_basis_attack_estimate(uniform_haar_scheme(2, 1), 2.5, make_rng(0))
 
     @pytest.mark.parametrize("big_m, L, seed", [(16, 1, 301), (4, 2, 302)])
     def test_agrees_with_erlang_law(self, big_m, L, seed):

@@ -287,31 +287,32 @@ def test_meg_at_d64_runs_in_bounded_memory(capsys):
     assert peak < 64 * 2**20
 
 
-# erlang reports recorded before the samples streamed through one reused block;
-# the last has a rate that is not a power of two and a row wider than the block
+# erlang reports recorded when each row's trials were first split over two
+# spawned lanes; the last has a rate that is not a power of two and a row
+# wider than the block
 _PINNED_ERLANG = [
     (
         ["erlang", "--ns", "2,4,64,1024", "--trials", "16000", "--seed", "1"],
         "n,trials,value,stderr,reference,tolerance,pass\r\n"
-        "2,16000,0.747487761492,0.00114501302095,0.02285,0.00343503906285,true\r\n"
-        "4,16000,0.518646765484,0.00102951457429,0.02285,0.00308854372287,true\r\n"
-        "64,16000,0.0741042549764,0.000138206244011,0.004284375,0.000414618732033,true\r\n"
-        "1024,16000,0.00731841766421,9.61162798741e-06,0.0004462890625,2.88348839622e-05,true\r\n",
+        "2,16000,0.749446024534,0.00114563882026,0.02285,0.00343691646078,true\r\n"
+        "4,16000,0.521962974193,0.00103457608838,0.02285,0.00310372826514,true\r\n"
+        "64,16000,0.0742029953236,0.00014054730798,0.004284375,0.000421641923941,true\r\n"
+        "1024,16000,0.00732348650519,9.65740579049e-06,0.0004462890625,2.89722173715e-05,true\r\n",
     ),
     (
         ["erlang", "--ns", "2,4,64,1024", "--trials", "16000", "--seed", "7919"],
         "n,trials,value,stderr,reference,tolerance,pass\r\n"
-        "2,16000,0.749723215928,0.00114510986746,0.02285,0.00343532960238,true\r\n"
-        "4,16000,0.520640966281,0.00102008376104,0.02285,0.00306025128312,true\r\n"
-        "64,16000,0.0741330964587,0.000139155632938,0.004284375,0.000417466898815,true\r\n"
-        "1024,16000,0.0073528655676,9.79518340991e-06,0.0004462890625,2.93855502297e-05,true\r\n",
+        "2,16000,0.750523088382,0.00114066271838,0.02285,0.00342198815515,true\r\n"
+        "4,16000,0.521960209999,0.00104102880178,0.02285,0.00312308640534,true\r\n"
+        "64,16000,0.0742549726732,0.00013979892109,0.004284375,0.000419396763269,true\r\n"
+        "1024,16000,0.00733551709265,9.7102494195e-06,0.0004462890625,2.91307482585e-05,true\r\n",
     ),
     (
         ["erlang", "--ns", "3,1000,70000", "--trials", "200", "--rate", "0.3", "--seed", "9"],
         "n,trials,value,stderr,reference,tolerance,pass\r\n"
-        "3,200,0.625984645028,0.0104493842781,0.0241442620943,0.0313481528343,true\r\n"
-        "1000,200,0.00761405885241,8.94789024227e-05,0.000455436341809,0.000268436707268,true\r\n"
-        "70000,200,0.000167045032009,1.162705609e-06,1.05077796526e-05,3.488116827e-06,true\r\n",
+        "3,200,0.605823046804,0.00928816839069,0.0241442620943,0.0278645051721,true\r\n"
+        "1000,200,0.00741325058974,8.14497614701e-05,0.000455436341809,0.00024434928441,true\r\n"
+        "70000,200,0.000168902474999,1.264423036e-06,1.05077796526e-05,3.793269108e-06,true\r\n",
     ),
 ]
 
@@ -320,6 +321,7 @@ _PINNED_IDS = ["seed-1", "seed-7919", "seed-9-rate-0.3"]
 
 # reports of subcommands that run every key-averaging evaluator, recorded while
 # those evaluators still took a key count and a generator next to the key list
+# (theorem2's when its trials were first split over two spawned lanes)
 _PINNED_REPORTS = [
     (
         ["lemma1", "--seed", "1"],
@@ -334,8 +336,8 @@ _PINNED_REPORTS = [
     (
         ["theorem2", "--cases", "4x4;16x16", "--trials", "300", "--seed", "2"],
         "M,d,trials,value,stderr,floor,reference,tolerance,pass\r\n"
-        "4,4,300,0.525273999333,0.00434954108597,0.25,0.0057125,0.0130486232579,true\r\n"
-        "16,16,300,0.21064701019,0.000883757136911,0.0625,0.004284375,0.00265127141073,true\r\n",
+        "4,4,300,0.526743023948,0.00462210392767,0.25,0.0057125,0.013866311783,true\r\n"
+        "16,16,300,0.211075829446,0.000863710717172,0.0625,0.004284375,0.00259113215152,true\r\n",
     ),
     (
         ["meg", "--seed", "5"],
@@ -369,6 +371,21 @@ def test_erlang_block_size_does_not_change_reports(args, report, capsys, monkeyp
 )
 def test_key_averaged_reports_are_pinned(args, report, capsys):
     assert run_cli(args, capsys) == (0, report)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["theorem2", "--cases", "4x4;16x16", "--trials", "300", "--seed", "2"],
+        ["erlang", "--ns", "2,4,64,1024", "--trials", "16000", "--seed", "1"],
+    ],
+)
+def test_worker_count_does_not_change_reports(args, capsys, monkeypatch):
+    # the lanes run side by side or in turn on the caller; either way the same bytes
+    default = run_cli(args, capsys)
+    for cpus in (1, 2):
+        monkeypatch.setattr(linalg, "_cpu_count", lambda: cpus)
+        assert run_cli(args, capsys) == default
 
 
 class TestDeterminism:
@@ -596,6 +613,7 @@ def test_readme_quoted_budgets_match_the_code():
     quoted = [
         (r"in chunks of at most 2\^(\d+) complex entries", 2, linalg._KERNEL_ENTRIES),
         (r"one reused block of at most 2\^(\d+) entries", 2, stats._BLOCK_ENTRIES),
+        (r"over (\d+) (?:spawned )?lanes", None, linalg._LANES),
         (r"a chunk holds at most 2\^(\d+) complex entries", 2, optimize._CHUNK_ENTRIES),
         (r"(?:exceeds|more than|cap of|>) 2\^(\d+)", 2, config.ENTRIES_CAP),
         (r"(\d+)`?-sweep trajectory", None, optimize._SEESAW_ITERS),

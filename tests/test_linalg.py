@@ -1,3 +1,6 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -291,6 +294,46 @@ class TestReproducibility:
         a = haar_unitary(4, make_rng(5, stream=0))
         b = haar_unitary(4, make_rng(5, stream=1))
         assert np.max(np.abs(a - b)) > 1e-3
+
+
+class TestLaneMap:
+    @pytest.mark.parametrize("trials", [1, 2, 7])
+    def test_lanes_get_spawned_streams_and_contiguous_shares(self, trials):
+        got = linalg.lane_map(lambda gen, share: (share, gen.random()), make_rng(3), trials)
+        shares = [trials * (j + 1) // 2 - trials * j // 2 for j in range(2)]
+        want = [
+            (share, gen.random())
+            for share, gen in zip(shares, make_rng(3).spawn(2))
+            if share
+        ]
+        assert linalg._LANES == 2
+        assert got == want
+
+    @pytest.mark.parametrize("cpus, on_caller", [(1, [True, True]), (2, [True, False])])
+    def test_first_lane_runs_on_the_caller(self, cpus, on_caller, monkeypatch):
+        monkeypatch.setattr(linalg, "_cpu_count", lambda: cpus)
+        caller = threading.get_ident()
+        got = linalg.lane_map(lambda gen, share: threading.get_ident() == caller, make_rng(3), 4)
+        assert got == on_caller
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_lane_exception_reaches_the_caller_after_the_join(self, cpus, failing, monkeypatch):
+        # with 3 trials lane 0 has a share of 1 and lane 1 a share of 2
+        monkeypatch.setattr(linalg, "_cpu_count", lambda: cpus)
+        finished = []
+
+        def fn(gen, share):
+            if share - 1 == failing:
+                raise RuntimeError(f"lane {failing}")
+            time.sleep(0.05)
+            finished.append(share)
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"lane {failing}"):
+            linalg.lane_map(fn, make_rng(3), 3)
+        assert finished == [2 - failing]
+        assert threading.active_count() == before
 
 
 class TestValidators:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from uncloneq.errors import NegativeX
 from uncloneq.linalg import make_rng
 from uncloneq.stats import (
     ERLANG_MAX_CONSTANT,
@@ -49,6 +50,14 @@ class TestSampling:
         for rate in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
                 ErlangParams(2, rate)
+        # a float shape is refused, not read as an integer
+        for shape in (2.0, 1.5, True):
+            with pytest.raises(ValueError, match="positive integer"):
+                ErlangParams(shape, 1.0)
+
+    def test_cdf_refuses_nan(self):
+        with pytest.raises(NegativeX):
+            erlang_cdf(ErlangParams(2, 1.0), math.nan)
 
 
 class TestMaxOverSum:
@@ -78,14 +87,31 @@ class TestMaxOverSum:
 
     @pytest.mark.parametrize("rate", [0.5, 7.0])
     def test_unit_shapes_match_direct_ratio(self, rate):
+        # each lane draws its share of the rows from its own spawned stream and
+        # adds its ratios one after another; the lanes' sums are added in lane
+        # order.  The draws are unit-rate whatever the rate: dividing them by
+        # 7.0 moves about half the ratios by one ulp, which a sum in trial
+        # order shows
         n, trials = 6, 1000
         mean, stderr = max_over_sum_estimate([1] * n, rate, trials, make_rng(15))
-        block = make_rng(15).standard_exponential((trials, n)) / rate
-        ratios = block.max(axis=1) / block.sum(axis=1)
-        want = float(ratios.sum()) / trials
-        var = (float((ratios * ratios).sum()) - trials * want * want) / (trials - 1)
+        acc = acc_sq = 0.0
+        for gen in make_rng(15).spawn(2):
+            block = gen.standard_exponential((trials // 2, n))
+            ratios = block.max(axis=1) / block.sum(axis=1)
+            acc += float(np.cumsum(ratios)[-1])
+            acc_sq += float(np.cumsum(ratios * ratios)[-1])
+        want = acc / trials
+        var = (acc_sq - trials * want * want) / (trials - 1)
         assert mean == want
         assert stderr == math.sqrt(var / trials)
+
+    @pytest.mark.parametrize("n", [4, 64, 1024])
+    def test_unit_shapes_match_exact_mean(self, n):
+        # the normalized draws are independent of their sum, so the mean of
+        # max/sum over n unit exponentials is E[max]/E[sum] = H_n / n
+        mean, stderr = max_over_sum_estimate([1] * n, 1.0, 20_000, make_rng(16))
+        exact = sum(1.0 / k for k in range(1, n + 1)) / n
+        assert abs(mean - exact) <= 4 * stderr
 
     def test_memory_is_one_block(self, rng):
         # one reused block of 2**16 entries (512 KB), not 16000 x 1024 draws
@@ -109,6 +135,11 @@ class TestMaxOverSum:
                 max_over_sum_estimate([1, 1], rate, 10, rng)
         with pytest.raises(ValueError):
             max_over_sum_estimate([1], 1.0, 0, rng)
+        # non-integers are refused, not truncated
+        with pytest.raises(ValueError, match="positive integers"):
+            max_over_sum_estimate([1.7, 1], 1.0, 10, rng)
+        with pytest.raises(ValueError, match="integer"):
+            max_over_sum_estimate([1, 1], 1.0, 2.5, rng)
 
 
 def test_explicit_constant_value():

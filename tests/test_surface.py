@@ -1,9 +1,10 @@
 """Every public name of the library has a reader.
 
 One small argv per subcommand branch runs in-process under
-``sys.setprofile``.  Every function in a layer module's ``__all__``, and
-every public method or property of a class there, must be reached by one
-of them or be on ``ALLOWED`` with the reason it stays.  An allowed name
+``sys.setprofile``, and under ``threading.setprofile`` in the threads it
+starts.  Every function in a layer module's ``__all__``, and every public
+method or property of a class there, must be reached by one of them or be
+on ``ALLOWED`` with the reason it stays.  An allowed name
 that a subcommand does reach, or that no longer exists, fails too, so the
 list cannot go stale.
 """
@@ -13,6 +14,7 @@ import importlib
 import inspect
 import io
 import sys
+import threading
 
 import pytest
 
@@ -81,12 +83,15 @@ def reached() -> set:
     exits = []
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        # the Monte Carlo lanes also run on threads the calls start
+        threading.setprofile(profile)
         sys.setprofile(profile)
         try:
             for argv in BRANCHES:
                 exits.append(cli.main(argv))
         finally:
             sys.setprofile(None)
+            threading.setprofile(None)
     assert exits == [0] * len(BRANCHES), sink.getvalue()
     return codes
 
