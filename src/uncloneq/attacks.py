@@ -19,7 +19,10 @@ evaluator that averages over keys takes the key list itself, drawn by
 :meth:`QecmScheme.sample_keys` or enumerated, so the keys an attack was
 built on and the keys it is scored on are both named at the call site.
 Per key it reads one ciphertext stack (:meth:`QecmScheme.ciphertexts`) and
-one effect array per receiver.
+one effect array per receiver.  The Monte Carlo value of measure-and-share
+in a random basis hands a draw of one chunk of trials to
+:func:`~uncloneq.linalg.lane_estimate`, which owns the lanes, the chunking
+and the sums.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .linalg import (
     haar_unitary,
     herm_eig,
     joint_expectation,
-    lane_map,
+    lane_estimate,
     max_abs,
 )
 from .schemes import Povm, QecmScheme, expurgate_scheme, top_eigenvalue_means
@@ -315,27 +318,6 @@ def optimal_decode_for_measure_share(
     return Povm(dim=d, effects=effects), value
 
 
-_Moments = tuple[int, float, float]
-
-
-def _merge_moments(a: _Moments, b: _Moments) -> _Moments:
-    """Pool two ``(count, mean, squared deviation)`` triples (Chan et al.'s pairwise update)."""
-    n_a, mean_a, sq_a = a
-    n_b, mean_b, sq_b = b
-    n = n_a + n_b
-    delta = mean_b - mean_a
-    return n, mean_a + delta * n_b / n, sq_a + sq_b + delta * delta * n_a * n_b / n
-
-
-def _chunk_moments(e: QecmScheme, rng: np.random.Generator, c: int) -> _Moments:
-    # a function, so no array of this chunk stays alive into the next
-    f, owners = e.sample_factors(rng, c)
-    probs = np.abs(dagger(haar_unitary(e.cipher_dim, rng, c)) @ f) ** 2 @ owners
-    vals = probs.max(axis=2).sum(axis=1) / e.message_count
-    mean = float(vals.mean())
-    return c, mean, float(((vals - mean) ** 2).sum())
-
-
 def random_basis_attack_estimate(
     e: QecmScheme, trials: int, rng: np.random.Generator
 ) -> tuple[float, float]:
@@ -345,20 +327,19 @@ def random_basis_attack_estimate(
     maximum-likelihood decode value; returns the sample mean and its
     standard error.
 
-    The trials are split over :func:`~uncloneq.linalg.lane_map`'s two
-    lanes, each with its own spawned stream, run side by side.  A lane
-    runs its trials in chunks of ``c`` with ``c d²`` at most
-    ``_CHUNK_ENTRIES = 2**18`` (about 4 MB per complex stack per lane, at
-    least one trial).  A chunk draws from its lane's stream, in this
-    order, the ``c`` keys' stacked ciphertext factors ``F`` with their
-    one-hot owner matrix ``S`` (:meth:`QecmScheme.sample_factors`; for
-    Haar schemes the ranks in one draw, then the key unitaries in one
-    batched :func:`haar_unitary` call) and then ``c`` bases ``B`` in one
-    batched :func:`haar_unitary` call.  Every likelihood ``<e_i| Enc_k(m)
-    |e_i>`` is read from ``|B† F|² @ S``; no ciphertext density matrix is
-    formed.  Chunk means and squared deviations are pooled as they come,
-    and then the lanes' in lane order, with one pairwise update (Chan et
-    al.), so memory does not grow with ``trials``.
+    The trials run on :func:`~uncloneq.linalg.lane_estimate`: two lanes,
+    each with its own spawned stream, side by side, each running its trials
+    in chunks of ``c`` with ``c d²`` at most ``_CHUNK_ENTRIES = 2**18``
+    (about 4 MB per complex stack per lane, at least one trial).  A chunk
+    draws from its lane's stream, in this order, the ``c`` keys' stacked
+    ciphertext factors ``F`` with their one-hot owner matrix ``S``
+    (:meth:`QecmScheme.sample_factors`; for Haar schemes the ranks in one
+    draw, then the key unitaries in one batched :func:`haar_unitary` call)
+    and then ``c`` bases ``B`` in one batched :func:`haar_unitary` call.
+    Every likelihood ``<e_i| Enc_k(m) |e_i>`` is read from ``|B† F|² @ S``;
+    no ciphertext density matrix is formed.  The values and their squares
+    are added in trial order as the chunks come, so memory does not grow
+    with ``trials``.
     """
     if not is_integer(trials) or trials < 1:
         raise ValueError(f"trials must be an integer of at least 1, got {trials!r}")
@@ -366,19 +347,12 @@ def random_basis_attack_estimate(
     if big_m == 1:
         return 1.0, 0.0  # the single message is always decoded
 
-    def lane(gen: np.random.Generator, share: int) -> _Moments:
-        chunk = max(1, min(share, _CHUNK_ENTRIES // (d * d)))
-        moments = (0, 0.0, 0.0)
-        for done in range(0, share, chunk):
-            moments = _merge_moments(moments, _chunk_moments(e, gen, min(chunk, share - done)))
-        return moments
+    def draw(gen: np.random.Generator, c: int) -> Array:
+        f, owners = e.sample_factors(gen, c)
+        probs = np.abs(dagger(haar_unitary(d, gen, c)) @ f) ** 2 @ owners
+        return probs.max(axis=2).sum(axis=1) / big_m
 
-    moments = (0, 0.0, 0.0)
-    for lane_moments in lane_map(lane, rng, trials):
-        moments = _merge_moments(moments, lane_moments)
-    _, mean, sq_dev = moments
-    stderr = math.sqrt(sq_dev / (trials - 1) / trials) if trials > 1 else 0.0
-    return mean, stderr
+    return lane_estimate(draw, rng, trials, _CHUNK_ENTRIES // (d * d))
 
 
 def measure_share_ml_attack(e: QecmScheme, basis: Array) -> CloningAttack:

@@ -607,6 +607,8 @@ def _merge_options(args: argparse.Namespace) -> dict:
             opts[key] = val
     if "seed" in types and opts.get("seed") is None:
         raise ValueError(f"--seed is required for the {args.command} subcommand")
+    if opts.get("seed", 0) < 0:
+        raise ValueError(f"--seed must be non-negative, got {opts['seed']}")
     return opts
 
 
@@ -626,7 +628,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UncloneqError as exc:
         print(f"uncloneq: invariant violation: {exc}", file=sys.stderr)
         return 2
-    _write_report(rows, args.out, args.json)
+    try:
+        _write_report(rows, args.out, args.json)
+    except OSError as exc:
+        print(f"uncloneq: config error: cannot write --out {args.out}: {exc}", file=sys.stderr)
+        return 1
     failed = any(row.get("pass") is False for row in rows)
     return 2 if failed else 0
 

@@ -12,11 +12,13 @@ Randomness is drawn from ``numpy.random.Generator`` instances (PCG64),
 which are seedable and splittable: create one with :func:`make_rng` and
 derive independent worker streams with ``rng.spawn(n)`` or by passing a
 distinct ``stream`` index.  A fixed ``(seed, stream)`` pair reproduces the
-same outputs bit for bit.  :func:`lane_map` splits a Monte Carlo estimate's
-trials over ``_LANES = 2`` spawned streams and runs them on threads
-(numpy releases the interpreter lock while it fills arrays and in batched
-``qr`` and matmul), so its output depends on the seed and the lane count,
-never on how many CPUs ran the lanes.
+same outputs bit for bit.  :func:`lane_estimate` is the one Monte Carlo
+driver: it splits an estimate's trials over ``_LANES = 2`` spawned streams,
+runs them on threads (numpy releases the interpreter lock while it fills
+arrays and in batched ``qr`` and matmul), draws each lane's trials in
+chunks and adds the values and their squares in trial order, so its
+output depends on the seed and the lane count, never on the chunk size or
+on how many CPUs ran the lanes.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ __all__ = [
     "haar_unitary",
     "herm_eig",
     "joint_expectation",
-    "lane_map",
+    "lane_estimate",
     "make_rng",
     "max_abs",
     "pseudo_inv_sqrt",
@@ -76,7 +78,7 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def lane_map(
+def _lane_map(
     fn: Callable[[np.random.Generator, int], Any], rng: np.random.Generator, trials: int
 ) -> list:
     """``fn(generator, share)`` for each of ``_LANES`` lanes; results in lane order.
@@ -121,6 +123,41 @@ def lane_map(
         if exc is not None:
             raise exc
     return results
+
+
+def lane_estimate(
+    draw: Callable[[np.random.Generator, int], Array],
+    rng: np.random.Generator,
+    trials: int,
+    chunk: int,
+) -> tuple[float, float]:
+    """Monte Carlo mean and standard error of ``trials`` values from ``draw``.
+
+    ``draw(generator, c)`` returns the ``c`` values of one chunk of trials.
+    Each of :func:`_lane_map`'s lanes draws its share from its own stream
+    in chunks of at most ``max(1, chunk)`` trials, so memory is one chunk
+    per lane, and adds the values and their squares in trial order; the
+    lanes' sums are added in lane order.  The result does not depend on
+    how many CPUs ran the lanes, nor on ``chunk`` if ``draw`` reads its
+    stream row by row.  One trial has standard error 0.
+    """
+    step = max(1, chunk)
+
+    def lane(gen: np.random.Generator, share: int) -> tuple[float, float]:
+        acc = acc_sq = 0.0
+        for done in range(0, share, step):
+            vals = draw(gen, min(step, share - done))
+            # cumsum adds its terms one after another: one pass in trial order
+            acc = float(np.cumsum(np.concatenate(([acc], vals)))[-1])
+            acc_sq = float(np.cumsum(np.concatenate(([acc_sq], vals * vals)))[-1])
+        return acc, acc_sq
+
+    acc, acc_sq = map(sum, zip(*_lane_map(lane, rng, trials)))
+    mean = acc / trials
+    if trials == 1:
+        return mean, 0.0
+    var = max((acc_sq - trials * mean * mean) / (trials - 1), 0.0)
+    return mean, math.sqrt(var / trials)
 
 
 def dagger(a: Array) -> Array:

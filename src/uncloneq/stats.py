@@ -6,7 +6,10 @@ routines to random-basis measurement attacks: the ratio
 ``max_i X_i / sum_i X_i`` over independent Erlang blocks lower-bounds
 how much weight a random unit vector places on its best block.  Its
 expectation is at least ``c log2(n) / sum_i k_i`` with
-``c = (1 - 1/e - 1/2) / (2 log2 e) ~ 0.0457``.
+``c = (1 - 1/e - 1/2) / (2 log2 e) ~ 0.0457``.  The Monte Carlo estimate
+of the ratio hands a draw of one chunk of trials to
+:func:`~uncloneq.linalg.lane_estimate`, which owns the lanes, the chunking
+and the sums.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .config import is_integer
 from .errors import NegativeX
-from .linalg import lane_map
+from .linalg import lane_estimate
 
 __all__ = [
     "ERLANG_MAX_CONSTANT",
@@ -28,7 +31,7 @@ __all__ = [
     "max_over_sum_estimate",
 ]
 
-# float64 entries of each lane's reused sample block of max_over_sum_estimate (512 KB)
+# float64 entries of one chunk of max_over_sum_estimate's draws, per lane (512 KB)
 _BLOCK_ENTRIES = 2**16
 
 #: explicit constant in the max-over-sum lower bound, (1 - 1/e - 1/2)/(2 log2 e)
@@ -63,20 +66,20 @@ def erlang_cdf(p: ErlangParams, x: float) -> float:
         raise NegativeX(f"x must be nonnegative, got {x}")
     k, lam = p.shape, p.rate
     z = lam * x
+    if math.isinf(z):
+        return 1.0
     term = 1.0
     tail = term
     for i in range(1, k):
         term *= z / i
         tail += term
-    return 1.0 - math.exp(-z) * tail
-
-
-def _running_sum(start: float, terms: np.ndarray) -> float:
-    """``start + terms[0] + terms[1] + ...``, added one after another.
-
-    A sum carried over blocks this way does not depend on the block size.
-    """
-    return float(np.cumsum(np.concatenate(([start], terms)))[-1])
+    scale = math.exp(-z)
+    if scale > 0.0 and math.isfinite(tail):
+        return 1.0 - scale * tail
+    # exp(-z) underflows to 0 or the sum overflows, so the terms are added in log space
+    logs = [i * math.log(z) - math.lgamma(i + 1) for i in range(k)]
+    top = max(logs)
+    return 1.0 - math.exp(top - z + math.log(sum(math.exp(t - top) for t in logs)))
 
 
 def max_over_sum_estimate(
@@ -91,17 +94,15 @@ def max_over_sum_estimate(
     as sums of exponentials.  The ratio is scale free: ``rate`` is
     validated but does not enter it, so the draws are unit-rate.
 
-    The trials are split over :func:`~uncloneq.linalg.lane_map`'s two
-    lanes, each with its own spawned stream, run side by side.  In a lane
-    each trial takes one row of ``sum(ks)`` exponentials from the lane's
-    stream, in trial order.  Each lane draws its rows into its own block,
-    allocated once, of at most ``_BLOCK_ENTRIES = 2**16`` float64 entries
-    (512 KB) and at least one row, so memory is about ``2 max(512 KB, 8
-    sum(ks) bytes)`` whatever ``trials`` is.  A lane adds its ratios and
-    their squares one after another in trial order, and the lanes' sums
-    are added in lane order, so the estimate depends on the seed and the
-    lane count, bit for bit, but not on the block size or on how many CPUs
-    ran the lanes.
+    The trials run on :func:`~uncloneq.linalg.lane_estimate`: two lanes,
+    each with its own spawned stream, side by side.  In a lane each trial
+    takes one row of ``sum(ks)`` exponentials from the lane's stream, in
+    trial order, and a chunk draws its rows at once, at most
+    ``_BLOCK_ENTRIES = 2**16`` float64 entries (512 KB) and at least one
+    row, so memory is about ``2 max(512 KB, 8 sum(ks) bytes)`` whatever
+    ``trials`` is.  The ratios are added in trial order, so the estimate
+    depends on the seed and the lane count, bit for bit, but not on the
+    chunk size or on how many CPUs ran the lanes.
     """
     if not is_integer(trials) or trials < 1:
         raise ValueError(f"trials must be an integer of at least 1, got {trials!r}")
@@ -115,29 +116,10 @@ def max_over_sum_estimate(
     k_total = sum(ks)
     offsets = np.cumsum([0] + ks)[:-1]
 
-    def lane(gen: np.random.Generator, share: int) -> tuple[float, float]:
-        block = np.empty((max(1, min(share, _BLOCK_ENTRIES // k_total)), k_total))
-        acc = 0.0
-        acc_sq = 0.0
-        done = 0
-        while done < share:
-            rows = block[: min(len(block), share - done)]
-            gen.standard_exponential(out=rows)
-            # with every shape 1 the block sums are the draws themselves
-            sums = rows if k_total == n else np.add.reduceat(rows, offsets, axis=1)
-            ratios = sums.max(axis=1) / sums.sum(axis=1)
-            acc = _running_sum(acc, ratios)
-            acc_sq = _running_sum(acc_sq, ratios * ratios)
-            done += len(rows)
-        return acc, acc_sq
+    def draw(gen: np.random.Generator, c: int) -> np.ndarray:
+        rows = gen.standard_exponential((c, k_total))
+        # with every shape 1 the block sums are the draws themselves
+        sums = rows if k_total == n else np.add.reduceat(rows, offsets, axis=1)
+        return sums.max(axis=1) / sums.sum(axis=1)
 
-    acc = 0.0
-    acc_sq = 0.0
-    for lane_acc, lane_acc_sq in lane_map(lane, rng, trials):
-        acc += lane_acc
-        acc_sq += lane_acc_sq
-    mean = acc / trials
-    if trials == 1:
-        return mean, 0.0
-    var = max((acc_sq - trials * mean * mean) / (trials - 1), 0.0)
-    return mean, math.sqrt(var / trials)
+    return lane_estimate(draw, rng, trials, _BLOCK_ENTRIES // k_total)

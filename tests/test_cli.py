@@ -520,6 +520,28 @@ class TestExitCodes:
         flags = zip(args[1::2], args[2::2])
         assert any(flag in captured.err and value in captured.err for flag, value in flags)
 
+    @pytest.mark.parametrize("target", ["missing/x.csv", "."])
+    def test_unwritable_out_is_config_error(self, target, tmp_path, capsys):
+        # a path in a directory that does not exist, and a directory
+        out = str(tmp_path / target)
+        assert main(["o2h", "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err
+        assert out in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_negative_seed_is_named(self, from_config, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": -1}))
+        argv = ["--config", str(path)] if from_config else ["--seed", "-1"]
+        assert main(["erlang"] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--seed" in captured.err and "-1" in captured.err
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize(
         "config",
         [
@@ -612,7 +634,7 @@ def test_readme_quoted_budgets_match_the_code():
     readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
     quoted = [
         (r"in chunks of at most 2\^(\d+) complex entries", 2, linalg._KERNEL_ENTRIES),
-        (r"one reused block of at most 2\^(\d+) entries", 2, stats._BLOCK_ENTRIES),
+        (r"in chunks of at most 2\^(\d+) entries", 2, stats._BLOCK_ENTRIES),
         (r"over (\d+) (?:spawned )?lanes", None, linalg._LANES),
         (r"a chunk holds at most 2\^(\d+) complex entries", 2, optimize._CHUNK_ENTRIES),
         (r"(?:exceeds|more than|cap of|>) 2\^(\d+)", 2, config.ENTRIES_CAP),

@@ -1,3 +1,4 @@
+import math
 import threading
 import time
 
@@ -13,6 +14,7 @@ from uncloneq.linalg import (
     haar_unitary,
     herm_eig,
     joint_expectation,
+    lane_estimate,
     make_rng,
     pseudo_inv_sqrt,
 )
@@ -299,7 +301,7 @@ class TestReproducibility:
 class TestLaneMap:
     @pytest.mark.parametrize("trials", [1, 2, 7])
     def test_lanes_get_spawned_streams_and_contiguous_shares(self, trials):
-        got = linalg.lane_map(lambda gen, share: (share, gen.random()), make_rng(3), trials)
+        got = linalg._lane_map(lambda gen, share: (share, gen.random()), make_rng(3), trials)
         shares = [trials * (j + 1) // 2 - trials * j // 2 for j in range(2)]
         want = [
             (share, gen.random())
@@ -313,7 +315,7 @@ class TestLaneMap:
     def test_first_lane_runs_on_the_caller(self, cpus, on_caller, monkeypatch):
         monkeypatch.setattr(linalg, "_cpu_count", lambda: cpus)
         caller = threading.get_ident()
-        got = linalg.lane_map(lambda gen, share: threading.get_ident() == caller, make_rng(3), 4)
+        got = linalg._lane_map(lambda gen, share: threading.get_ident() == caller, make_rng(3), 4)
         assert got == on_caller
 
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -331,9 +333,44 @@ class TestLaneMap:
 
         before = threading.active_count()
         with pytest.raises(RuntimeError, match=f"lane {failing}"):
-            linalg.lane_map(fn, make_rng(3), 3)
+            linalg._lane_map(fn, make_rng(3), 3)
         assert finished == [2 - failing]
         assert threading.active_count() == before
+
+
+def _two_reads(gen, c):
+    # reads its stream chunk by chunk, so a replay must chunk the same way
+    return gen.random(c) + gen.standard_normal(c) ** 2
+
+
+class TestLaneEstimate:
+    @pytest.mark.parametrize(
+        "trials, chunk, chunks",
+        [
+            (1, 100, [[], [1]]),  # the first lane's share, 1 // 2, is empty
+            (7, 100, [[3], [4]]),
+            (7, 1, [[1] * 3, [1] * 4]),
+            (7, 0, [[1] * 3, [1] * 4]),  # a chunk holds at least one trial
+            (11, 4, [[4, 1], [4, 2]]),  # shares of 5 and 6 split unevenly
+        ],
+    )
+    def test_matches_a_replay_of_the_spawned_lanes(self, trials, chunk, chunks):
+        calls = []
+
+        def draw(gen, c):
+            calls.append(c)
+            return _two_reads(gen, c)
+
+        mean, stderr = lane_estimate(draw, make_rng(8), trials, chunk)
+        assert sorted(calls) == sorted(c for lane in chunks for c in lane)
+        vals = np.concatenate(
+            [_two_reads(gen, c) for gen, lane in zip(make_rng(8).spawn(2), chunks) for c in lane]
+        )
+        assert abs(mean - vals.mean()) < 1e-12
+        if trials == 1:
+            assert stderr == 0.0
+        else:
+            assert abs(stderr - vals.std(ddof=1) / math.sqrt(trials)) < 1e-12
 
 
 class TestValidators:

@@ -33,6 +33,18 @@ class TestCdf:
         assert all(0.0 <= v <= 1.0 for v in vals)
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("k", [1, 3, 200])
+    @pytest.mark.parametrize("x", [1e200, math.inf])
+    def test_huge_x_is_one(self, k, x):
+        # the tail's terms overflow and exp(-x) underflows; their product is no nan
+        assert erlang_cdf(ErlangParams(k, 1.0), x) == 1.0
+
+    @pytest.mark.parametrize("k, x", [(1000, 800.0), (1000, 1000.0), (1000, 1200.0)])
+    def test_large_shape_past_underflow_matches_scipy(self, k, x):
+        # exp(-x) underflows, yet the cdf of a large shape is not yet 1
+        ref = sps.erlang.cdf(x, k)
+        assert abs(erlang_cdf(ErlangParams(k, 1.0), x) - ref) < 1e-12
+
     def test_matches_scipy(self):
         for k, lam in [(2, 1.0), (4, 0.5)]:
             p = ErlangParams(k, lam)
@@ -114,7 +126,7 @@ class TestMaxOverSum:
         assert abs(mean - exact) <= 4 * stderr
 
     def test_memory_is_one_block(self, rng):
-        # one reused block of 2**16 entries (512 KB), not 16000 x 1024 draws
+        # one chunk of 2**16 entries (512 KB) per lane, not 16000 x 1024 draws
         tracemalloc.start()
         try:
             max_over_sum_estimate([1] * 1024, 0.5, 16000, rng)
