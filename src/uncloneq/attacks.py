@@ -13,13 +13,22 @@ The attacks implemented here:
   random) basis, broadcast the classical outcome and decode it by
   maximum likelihood.
 
+Every receiver is a function of the key's ciphertexts: an attack's two
+receiver maps take a ``(K, M, d, d)`` stack of ciphertexts, one row per
+key, to a ``(K, M, d_B, d_B)`` stack of guessing effects, so a list of keys
+is scored from one read of its ciphertexts.
+
 Two success-probability functionals are provided: the uniform-message
 cloning value and the two-message indistinguishability value.  Each
 evaluator that averages over keys takes the key list itself, drawn by
 :meth:`QecmScheme.sample_keys` or enumerated, so the keys an attack was
 built on and the keys it is scored on are both named at the call site.
-Per key it reads one ciphertext stack (:meth:`QecmScheme.ciphertexts`) and
-one effect array per receiver.  The Monte Carlo value of measure-and-share
+It walks the keys in chunks (:func:`config.key_chunks`); per chunk it
+reads one ciphertext stack (:meth:`QecmScheme.ciphertext_stack`), builds
+and checks each receiver's effect stack once (:func:`receiver_effects`)
+and scores every (key, message) pair in one
+:func:`~uncloneq.linalg.joint_expectation` call (:func:`key_success`);
+the keys' values are added in key order.  The Monte Carlo value of measure-and-share
 in a random basis hands a draw of one chunk of trials to
 :func:`~uncloneq.linalg.lane_estimate`, which owns the lanes, the chunking
 and the sums.
@@ -33,8 +42,8 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .config import TOL, check_keys, is_integer
-from .errors import CrossCheckFailed, DimensionMismatch, NotOrthogonalPair
+from .config import TOL, check_keys, is_integer, key_chunks
+from .errors import CrossCheckFailed, DimensionMismatch, NotInjective, NotOrthogonalPair
 from .linalg import (
     Array,
     KrausChannel,
@@ -45,9 +54,8 @@ from .linalg import (
     herm_eig,
     joint_expectation,
     lane_estimate,
-    max_abs,
 )
-from .schemes import Povm, QecmScheme, expurgate_scheme, top_eigenvalue_means
+from .schemes import QecmScheme, top_eigenvalue_means, validate_effects
 
 __all__ = [
     "CloningAttack",
@@ -79,11 +87,17 @@ _PROJECTOR_ALPHA = 0.25
 
 @dataclass(frozen=True)
 class CloningAttack:
-    """Cloning channel plus keyed guessing POVMs for both receivers."""
+    """Cloning channel plus the keyed guessing effects of both receivers.
+
+    ``bob_effects`` maps a ``(K, M, d, d)`` stack of the ciphertexts an
+    attack is scored on, one row per key, to Bob's ``(K, M, d_B, d_B)``
+    effect stack, and ``charlie_effects`` likewise to Charlie's, with
+    ``dims = (d_B, d_C)``.
+    """
 
     channel: KrausChannel
-    bob_povm: Callable[[Any], Povm]
-    charlie_povm: Callable[[Any], Povm]
+    bob_effects: Callable[[Array], Array]
+    charlie_effects: Callable[[Array], Array]
     dims: tuple[int, int]
 
     def __post_init__(self) -> None:
@@ -141,6 +155,37 @@ def superposition_cloner(d: int) -> KrausChannel:
     return KrausChannel(in_dim=d, out_dim=dp * dp, left=v)
 
 
+def _check_pairs(rho: Array, sigma: Array, alpha: float) -> None:
+    # alpha in range, and each pair of two (K, d, d) stacks of the same shape orthogonal
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    if sigma.shape != rho.shape:
+        raise DimensionMismatch(f"shape mismatch: {rho.shape[1:]} vs {sigma.shape[1:]}")
+    dev = np.abs(rho @ sigma).max(axis=(-2, -1))
+    bad = np.flatnonzero(dev > TOL.orthogonal)
+    if bad.size:
+        raise NotOrthogonalPair(f"max |rho sigma| = {dev[bad[0]]} exceeds {TOL.orthogonal}")
+
+
+def _projectors(w: Array, v: Array, alpha: float) -> Array:
+    """Guessing projectors ``(K, d+1, d+1)`` from ``herm_eig`` of the states they are built for.
+
+    Each key's kept eigenvectors are added as one masked outer product per
+    column, over all keys at once and in column order, so every key's
+    projector carries the bits of a sum taken for that key alone.
+    """
+    k, d = w.shape
+    vecs = np.zeros((k, d + 1, d + 1), dtype=complex)
+    vecs[:, :d, :d] = v
+    phi = math.sqrt(1.0 - alpha) * vecs[:, :, 0] + math.sqrt(alpha) * np.eye(d + 1)[d]
+    pi = phi[:, :, None] * phi.conj()[:, None, :]
+    keep = w > TOL.support_cutoff
+    for i in range(1, d):
+        col = vecs[:, :, i] * keep[:, i, None]
+        pi += col[:, :, None] * col.conj()[:, None, :]
+    return (pi + dagger(pi)) / 2
+
+
 def guessing_projector(rho: Array, sigma: Array, alpha: float) -> Array:
     """Guessing projector for an orthogonal-support state pair.
 
@@ -148,29 +193,15 @@ def guessing_projector(rho: Array, sigma: Array, alpha: float) -> Array:
     ``|phi><phi| + sum_{i>0, lambda_i>0} |a_i><a_i|`` on the (d+1)-dim
     ambient space, with ``|phi> = sqrt(1-alpha)|a_0> + sqrt(alpha)|bot>``.
     It annihilates every eigenvector of ``sigma`` with positive
-    eigenvalue.
+    eigenvalue.  This is the attack's stacked construction on a stack of
+    one pair.
 
     With a degenerate top eigenvalue the decomposition's arbitrary top
     eigenvector is used; the achieved guessing value does not depend on
     the choice.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    d = rho.shape[0]
-    if sigma.shape != rho.shape:
-        raise DimensionMismatch(f"shape mismatch: {rho.shape} vs {sigma.shape}")
-    dev = max_abs(rho @ sigma)
-    if dev > TOL.orthogonal:
-        raise NotOrthogonalPair(f"max |rho sigma| = {dev} exceeds {TOL.orthogonal}")
-    w, v = herm_eig(rho)
-    vecs = np.zeros((d + 1, d + 1), dtype=complex)
-    vecs[:d, :d] = v
-    phi = math.sqrt(1.0 - alpha) * vecs[:, 0] + math.sqrt(alpha) * np.eye(d + 1)[:, d]
-    pi = np.outer(phi, phi.conj())
-    for i in range(1, d):
-        if w[i] > TOL.support_cutoff:
-            pi += np.outer(vecs[:, i], vecs[:, i].conj())
-    return (pi + dagger(pi)) / 2
+    _check_pairs(rho[None], sigma[None], alpha)
+    return _projectors(*herm_eig(rho[None]), alpha)[0]
 
 
 def projector_strategy_closed_form(alpha: float, lam: float) -> float:
@@ -182,20 +213,29 @@ def projector_strategy_closed_form(alpha: float, lam: float) -> float:
     return 0.5 * (alpha + lam * alpha * (1.0 - 2.0 * alpha) + 1.0 - alpha)
 
 
-def _pair_effects(rho: Array, sigma: Array, alpha: float) -> tuple[Array, float]:
-    """Effects ``(2, d+1, d+1)`` of the projector strategy, and its larger top eigenvalue.
+def _pair_effects(pairs: Array, alpha: float) -> tuple[Array, Array]:
+    """Projector-strategy effects ``(K, 2, d+1, d+1)`` of a ``(K, 2, d, d)`` pair stack.
 
-    ``Pi`` is built for the state with the larger top eigenvalue, ``rho``
-    on a tie, and outcome 0 votes for ``rho``: ``(Pi, I - Pi)`` or ``(I - Pi, Pi)``.
+    Also returns each key's larger top eigenvalue.  ``Pi`` is built for
+    the state with the larger top eigenvalue, ``rho = pairs[k, 0]`` on a
+    tie, and outcome 0 votes for ``rho``: ``(Pi, I - Pi)`` or ``(I - Pi,
+    Pi)``.  One batched ``eigvalsh`` of the pairs gives every key's top
+    eigenvalues and orientation, and one batched :func:`herm_eig` of the
+    states the projectors are built for gives the projectors.  (The
+    eigenvalues of ``eigvalsh`` and ``eigh`` may differ in the last bit,
+    and the two tops of an even split tie up to such bits, so orienting
+    by ``eigh`` would move printed values.)  A pair whose supports overlap
+    raises :class:`NotOrthogonalPair`.
     """
-    lam_rho = float(np.linalg.eigvalsh(rho)[-1])
-    lam_sig = float(np.linalg.eigvalsh(sigma)[-1])
-    eye = np.eye(rho.shape[0] + 1)
-    if lam_rho >= lam_sig:
-        pi = guessing_projector(rho, sigma, alpha)
-        return np.stack([pi, eye - pi]), lam_rho
-    pi = guessing_projector(sigma, rho, alpha)
-    return np.stack([eye - pi, pi]), lam_sig
+    _check_pairs(pairs[:, 0], pairs[:, 1], alpha)
+    tops = np.linalg.eigvalsh(pairs)[..., -1]
+    rows = np.arange(len(pairs))
+    owner = (tops[:, 1] > tops[:, 0]).astype(int)
+    pi = _projectors(*herm_eig(pairs[rows, owner]), alpha)
+    effects = np.empty(pi.shape[:1] + (2,) + pi.shape[1:], dtype=complex)
+    effects[rows, owner] = pi
+    effects[rows, 1 - owner] = np.eye(pi.shape[-1]) - pi
+    return effects, tops[rows, owner]
 
 
 def projector_strategy_value(rho: Array, sigma: Array, alpha: float) -> float:
@@ -207,11 +247,14 @@ def projector_strategy_value(rho: Array, sigma: Array, alpha: float) -> float:
     The direct two-sided trace is cross-checked against the closed form
     ``(alpha + lambda_0 alpha (1 - 2 alpha) + 1 - alpha)/2`` and returned.
     """
-    hit, lam = _pair_effects(rho, sigma, alpha)
+    if sigma.shape != rho.shape:
+        raise DimensionMismatch(f"shape mismatch: {rho.shape} vs {sigma.shape}")
+    pair = np.stack([rho, sigma])
+    hit, lam = _pair_effects(pair[None], alpha)
     cloner = superposition_cloner(rho.shape[0])
-    hits = joint_expectation((hit, hit), cloner.left, cloner.compress(np.stack([rho, sigma])))
+    hits = joint_expectation((hit[0], hit[0]), cloner.left, cloner.compress(pair))
     direct = 0.5 * float(hits.sum())
-    closed = projector_strategy_closed_form(alpha, lam)
+    closed = projector_strategy_closed_form(alpha, float(lam[0]))
     if abs(direct - closed) > 1e-9:
         raise CrossCheckFailed(
             f"direct trace {direct} and closed form {closed} disagree beyond 1e-9"
@@ -219,24 +262,23 @@ def projector_strategy_value(rho: Array, sigma: Array, alpha: float) -> float:
     return direct
 
 
-def _projector_attack(e: QecmScheme, m0: int, m1: int, alpha: float) -> CloningAttack:
+def _projector_attack(d: int, alpha: float) -> CloningAttack:
     """Superposition cloner plus the projector strategy on both sides.
 
-    Outcome 0 votes for ``m0`` and outcome 1 for ``m1``.  Per key, the
-    projector is built for whichever ciphertext has the larger top
+    Both maps take the ``(K, 2, d, d)`` stack of each key's pair, outcome 0
+    voting for its first message and outcome 1 for its second.  Per key,
+    the projector is built for whichever ciphertext has the larger top
     eigenvalue and the outcome labels are oriented to match.
     """
 
-    def build(key: Any) -> Povm:
-        effects, _ = _pair_effects(e.encrypt(key, m0), e.encrypt(key, m1), alpha)
-        return Povm(dim=e.cipher_dim + 1, effects=effects)
+    def build(pairs: Array) -> Array:
+        return _pair_effects(pairs, alpha)[0]
 
-    dp = e.cipher_dim + 1
     return CloningAttack(
-        channel=superposition_cloner(e.cipher_dim),
-        bob_povm=build,
-        charlie_povm=build,
-        dims=(dp, dp),
+        channel=superposition_cloner(d),
+        bob_effects=build,
+        charlie_effects=build,
+        dims=(d + 1, d + 1),
     )
 
 
@@ -247,9 +289,11 @@ def ind_attack_build(
 
     Picks ``m1`` as the message (other than ``m0``) with the largest top
     ciphertext eigenvalue averaged over ``keys``, then plays the
-    projector strategy per key on both sides.  Outcome 0 votes for ``m0``
-    and outcome 1 for ``m1``.  Returns ``(attack, m1, mu)`` with ``mu``
-    the largest mean over all messages, ``mu_statistic(e, keys)``.
+    projector strategy per key on both sides; its maps take the pair
+    ``(m0, m1)`` of each key's ciphertexts, as :func:`pwin_ind_eval` hands
+    it over, so outcome 0 votes for ``m0`` and outcome 1 for ``m1``.
+    Returns ``(attack, m1, mu)`` with ``mu`` the largest mean over all
+    messages, ``mu_statistic(e, keys)``.
     """
     if e.message_count < 2:
         raise DimensionMismatch("need at least two messages")
@@ -257,7 +301,7 @@ def ind_attack_build(
     mu = float(np.max(means))
     means[m0] = -np.inf
     m1 = int(np.argmax(means))
-    return _projector_attack(e, m0, m1, alpha), m1, mu
+    return _projector_attack(e.cipher_dim, alpha), m1, mu
 
 
 def pwin_ind_eval(
@@ -268,11 +312,14 @@ def pwin_ind_eval(
     ``(1/2) sum_b E_k tr((P_b ⊗ Q_b) N(Enc_k(m_b)))`` for the pair
     ``(m_0, m_1) = (m0, m1)``, with ``m1`` as :func:`ind_attack_build`
     returns it: the uniform-message value (:func:`pwin_unif_eval`) of the
-    scheme restricted to the pair.
+    scheme restricted to the pair, whose ciphertexts are
+    ``stack[:, [m0, m1]]`` of each chunk's stack.
     """
-    messages = (m0, m1)
-    pair = expurgate_scheme(e, 2, lambda key, b: messages[b])
-    return pwin_unif_eval(pair, atk, keys)
+    if not (0 <= m0 < e.message_count and 0 <= m1 < e.message_count):
+        raise DimensionMismatch(f"pair ({m0}, {m1}) is outside the {e.message_count} messages")
+    if m0 == m1:
+        raise NotInjective(f"the pair ({m0}, {m1}) names one message twice")
+    return pwin_unif_eval(e, atk, keys, messages=[m0, m1])
 
 
 # ---------------------------------------------------------------------------
@@ -294,28 +341,28 @@ def measure_share_attack(d: int, basis: Array) -> KrausChannel:
     return KrausChannel(in_dim=d, out_dim=d * d, left=left, right=basis.T[:, :, None])
 
 
-def _outcome_likelihoods(e: QecmScheme, key: Any, basis: Array) -> Array:
-    # entry (i, m) holds <e_i| Enc_k(m) |e_i>
-    return np.sum((dagger(basis) @ e.ciphertexts(key)) * basis.T, axis=2).real.T
+def _outcome_likelihoods(stack: Array, basis: Array) -> Array:
+    # entry (..., i, m) holds <e_i| Enc(m) |e_i> for a (..., M, d, d) ciphertext stack
+    return np.swapaxes(np.sum((dagger(basis) @ stack) * basis.T, axis=-1).real, -1, -2)
 
 
-def optimal_decode_for_measure_share(
-    e: QecmScheme, key: Any, basis: Array
-) -> tuple[Povm, float]:
-    """Maximum-likelihood decoding of a shared measurement outcome.
+def optimal_decode_for_measure_share(stack: Array, basis: Array) -> tuple[Array, Array]:
+    """Maximum-likelihood decoding of a shared measurement outcome, per key.
 
-    Both parties decode outcome ``i`` as the message maximizing
-    ``<e_i| Enc_k(m) |e_i>`` (ties to the smallest index).  Returns the
-    diagonal decoding POVM, which both parties use, and the per-key
-    success value ``(1/M) sum_i max_m <e_i| Enc_k(m) |e_i>``.
+    ``stack`` holds each key's ciphertexts, ``(K, M, d, d)``.  Both parties
+    decode outcome ``i`` of key ``k`` as the message maximizing
+    ``<e_i| Enc_k(m) |e_i>`` (ties to the smallest index), read from one
+    batched ``(K, d, M)`` likelihood array.  Returns the diagonal decoding
+    effects both parties use, ``(K, M, d, d)``, and each key's success
+    value ``(1/M) sum_i max_m <e_i| Enc_k(m) |e_i>``.
     """
-    d = e.cipher_dim
-    probs = _outcome_likelihoods(e, key, basis)
-    decode = np.argmax(probs, axis=1)
-    value = float(probs[np.arange(d), decode].sum() / e.message_count)
-    effects = np.zeros((e.message_count, d, d), dtype=complex)
-    effects[decode, np.arange(d), np.arange(d)] = 1.0
-    return Povm(dim=d, effects=effects), value
+    k, big_m, d = stack.shape[:3]
+    probs = _outcome_likelihoods(stack, basis)
+    decode = np.argmax(probs, axis=2)
+    values = probs.max(axis=2).sum(axis=1) / big_m
+    effects = np.zeros((k, big_m, d, d), dtype=complex)
+    effects[np.arange(k)[:, None], decode, np.arange(d), np.arange(d)] = 1.0
+    return effects, values
 
 
 def random_basis_attack_estimate(
@@ -359,13 +406,13 @@ def measure_share_ml_attack(e: QecmScheme, basis: Array) -> CloningAttack:
     """Full cloning attack: measure-and-share plus per-key ML decoding."""
     d = e.cipher_dim
 
-    def povm(key: Any) -> Povm:
-        return optimal_decode_for_measure_share(e, key, basis)[0]
+    def decode(stack: Array) -> Array:
+        return optimal_decode_for_measure_share(stack, basis)[0]
 
     return CloningAttack(
         channel=measure_share_attack(d, basis),
-        bob_povm=povm,
-        charlie_povm=povm,
+        bob_effects=decode,
+        charlie_effects=decode,
         dims=(d, d),
     )
 
@@ -374,7 +421,7 @@ def projector_cloning_attack(e: QecmScheme) -> CloningAttack:
     """Projector-strategy cloning attack for a two-message scheme, at ``alpha = 1/4``."""
     if e.message_count != 2:
         raise DimensionMismatch("the projector strategy guesses a binary message")
-    return _projector_attack(e, 0, 1, _PROJECTOR_ALPHA)
+    return _projector_attack(e.cipher_dim, _PROJECTOR_ALPHA)
 
 
 # ---------------------------------------------------------------------------
@@ -382,48 +429,72 @@ def projector_cloning_attack(e: QecmScheme) -> CloningAttack:
 # ---------------------------------------------------------------------------
 
 
+def _checked_effects(effects: Array, shape: tuple[int, ...]) -> Array:
+    # a receiver map's output: the expected stack shape, then every key's POVM
+    effects = np.asarray(effects, dtype=complex)
+    if effects.shape != shape:
+        raise DimensionMismatch(f"receiver effect stack of shape {effects.shape}, expected {shape}")
+    validate_effects(effects)
+    return effects
+
+
 def receiver_effects(
-    bob_povm: Callable[[Any], Povm],
-    charlie_povm: Callable[[Any], Povm],
-    key: Any,
-    message_count: int,
+    bob_effects: Callable[[Array], Array],
+    charlie_effects: Callable[[Array], Array],
+    stack: Array,
+    dims: Sequence[int],
 ) -> tuple[Array, Array]:
-    """Bob's and Charlie's effects for ``key`` as two ``(M, d, d)`` stacks.
+    """Bob's and Charlie's effects for a ``(K, M, d, d)`` ciphertext stack.
 
-    A POVM map both receivers share, as in every attack built here, is
-    evaluated once.
+    Each map must return a ``(K, M, d_i, d_i)`` stack for ``dims = (d_B,
+    d_C)`` (:class:`DimensionMismatch` otherwise), checked once with
+    :func:`~uncloneq.schemes.validate_effects`, so every key's effects are
+    Hermitian, PSD and complete.  A map both receivers share, as in every
+    attack built here, is evaluated and checked once.
     """
-    bob = bob_povm(key)
-    charlie = bob if charlie_povm is bob_povm else charlie_povm(key)
-    if bob.n_outcomes != message_count or charlie.n_outcomes != message_count:
-        raise DimensionMismatch("POVM outcome count does not match message count")
-    return bob.effects, charlie.effects
+    k, m = stack.shape[:2]
+    bob = _checked_effects(bob_effects(stack), (k, m, dims[0], dims[0]))
+    if charlie_effects is bob_effects and dims[0] == dims[1]:
+        return bob, bob
+    return bob, _checked_effects(charlie_effects(stack), (k, m, dims[1], dims[1]))
 
 
-def key_success(e: QecmScheme, ch: KrausChannel, key: Any, bob: Array, charlie: Array) -> float:
-    """``(1/M) sum_m tr((P_m ⊗ Q_m) N(Enc_k(m)))`` for one key's effect stacks.
+def key_success(ch: KrausChannel, stack: Array, bob: Array, charlie: Array) -> Array:
+    """Per key, ``(1/M) sum_m tr((P_m ⊗ Q_m) N(Enc_k(m)))``, for a ``(K, M, d, d)`` stack.
 
-    Every message is one problem of a single :func:`joint_expectation`
-    call on the channel's factors.
+    ``bob`` and ``charlie`` are the keys' effect stacks
+    (:func:`receiver_effects`).  Every (key, message) pair is one problem
+    of a single :func:`joint_expectation` call on the channel's factors,
+    and each key's messages are summed on their own.
     """
-    values = joint_expectation((bob, charlie), ch.left, ch.compress(e.ciphertexts(key)))
-    return float(values.sum()) / e.message_count
+    values = joint_expectation((bob, charlie), ch.left, ch.compress(stack))
+    return values.sum(axis=1) / stack.shape[1]
 
 
-def pwin_unif_eval(e: QecmScheme, atk: CloningAttack, keys: Sequence) -> float:
+def pwin_unif_eval(
+    e: QecmScheme, atk: CloningAttack, keys: Sequence, messages: Sequence[int] | None = None
+) -> float:
     """Uniform-message success probability of a cloning attack over ``keys``.
 
     ``(1/M) sum_m E_k tr((P_m ⊗ Q_m) N(Enc_k(m)))`` with ``E_k`` the
-    mean over ``keys`` (:func:`key_success` per key).
+    mean over ``keys``: per chunk of keys, one ciphertext stack, both
+    receivers' effects and one :func:`key_success` call.  With
+    ``messages``, the scheme is restricted to those messages, in that
+    order: the receivers and the score see ``stack[:, messages]``.
     """
     check_keys(keys)
     if atk.channel.in_dim != e.cipher_dim:
         raise DimensionMismatch("attack channel does not match the scheme dimension")
+    pick = slice(None) if messages is None else list(messages)
+    n, r = atk.channel.left.shape[0], atk.channel.left.shape[-1]
+    per_key = e.message_count * (e.cipher_dim**2 + sum(d * d for d in atk.dims) + n * r * r)
     total = 0.0
-    for key in keys:
-        bob, charlie = receiver_effects(atk.bob_povm, atk.charlie_povm, key, e.message_count)
-        total += key_success(e, atk.channel, key, bob, charlie)
-    return total / len(keys)
+    for chunk in key_chunks(len(keys), per_key):
+        stack = e.ciphertext_stack(keys[chunk])[:, pick]
+        bob, charlie = receiver_effects(atk.bob_effects, atk.charlie_effects, stack, atk.dims)
+        for value in key_success(atk.channel, stack, bob, charlie):
+            total += value
+    return float(total / len(keys))
 
 
 def ensemble_from_scheme_key(e: QecmScheme, key: Any, ch: KrausChannel) -> GuessingEnsemble:

@@ -10,7 +10,10 @@ seed produce byte-identical reports.
 Report rows always carry ``value``, ``reference``, ``tolerance`` and
 ``pass`` columns (CSV by default, RFC 4180, floats with 12 significant
 digits; ``--json`` switches to JSON).  Exit codes: 0 all rows pass, 1
-usage or configuration error, 2 invariant or acceptance failure.
+usage or configuration error, 2 invariant or acceptance failure.  An
+``--out`` path in a missing directory, or a directory, is a configuration
+error found before the run starts; the report is written only once the
+run has succeeded.  ``python -m uncloneq`` runs :func:`main`.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from typing import Any, Callable, Sequence
 
@@ -31,7 +35,6 @@ from .config import check_entries
 from .errors import UncloneqError
 from .linalg import make_rng
 from .schemes import (
-    Povm,
     QecmScheme,
     RankDistribution,
     bb84_scheme,
@@ -83,6 +86,15 @@ def _write_report(rows: list[dict], out: str | None, as_json: bool) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _check_out(out: str) -> None:
+    # refused before the run: a path in a directory that does not exist, or a directory
+    if os.path.isdir(out):
+        raise ValueError(f"cannot write --out {out}: it is a directory")
+    parent = os.path.dirname(out) or "."
+    if not os.path.isdir(parent):
+        raise ValueError(f"cannot write --out {out}: no directory {parent}")
 
 
 def _parse_scheme(text: str) -> QecmScheme:
@@ -295,9 +307,10 @@ def run_erlang(opts: dict) -> list[dict]:
 
 
 def _seesaw_setup(scheme: QecmScheme, channel_name: str, trials: int, restarts: int):
-    """Channel, per-key warm start and reference for a seesaw channel name.
+    """Channel, warm start and reference for a seesaw channel name.
 
-    The warm start is Bob's POVM of the attack the channel belongs to, and
+    The warm start maps a chunk's ciphertext stack to Bob's effects in the
+    attack the channel belongs to, one POVM per key, and
     the reference maps the key sample to the value that start already
     achieves: ``1/2 + mu/16`` for the two-message cloner, the
     maximum-likelihood decode value for measure-and-share, and the
@@ -327,7 +340,7 @@ def _seesaw_setup(scheme: QecmScheme, channel_name: str, trials: int, restarts: 
         def reference(keys: Sequence) -> float:
             return 0.5 + mu_statistic(scheme, keys) / 16.0
 
-        return atk.channel, atk.bob_povm, reference
+        return atk.channel, atk.bob_effects, reference
     if channel_name in ("measure_share", "measure_share:breidbart"):
         basis = np.eye(d, dtype=complex)
         if channel_name.endswith(":breidbart"):
@@ -340,10 +353,10 @@ def _seesaw_setup(scheme: QecmScheme, channel_name: str, trials: int, restarts: 
         # each key is decoded once: its warm start, and the value the reference averages
         values: list[float] = []
 
-        def warm(key: Any) -> Povm:
-            povm, value = attacks.optimal_decode_for_measure_share(scheme, key, basis)
-            values.append(value)
-            return povm
+        def warm(stack: np.ndarray) -> np.ndarray:
+            effects, chunk_values = attacks.optimal_decode_for_measure_share(stack, basis)
+            values.extend(chunk_values.tolist())
+            return effects
 
         return attacks.measure_share_attack(d, basis), warm, lambda keys: float(np.mean(values))
     raise ValueError(f"--channel {channel_name!r} is not a known channel")
@@ -388,15 +401,21 @@ def run_meg(opts: dict) -> list[dict]:
         n_kraus, out_dim, rank = d, d * d, 1
     else:
         raise ValueError(f"--attack {attack_name!r} is not a known attack")
-    if opts["trials"] < 1:
-        raise ValueError(f"--trials must be at least 1, got {opts['trials']}")
+    trials, big_m = opts["trials"], scheme.message_count
+    if trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {trials}")
     # the left Kraus factors; the Choi factor and each message's kernel terms are no larger
     check_entries(
         n_kraus * out_dim * rank,
         f"--attack {attack_name} at d = {d}: its Kraus factors ({n_kraus} x {out_dim} x {rank})",
     )
+    # the game holds every key's ciphertexts, and Alice's effects, as one stack
+    check_entries(
+        trials * big_m * d * d,
+        f"--trials {trials} at d = {d}: the ciphertext stack ({big_m} x {d}^2 per key)",
+    )
     rng = make_rng(opts["seed"])
-    keys = scheme.sample_keys(rng, opts["trials"])
+    keys = scheme.sample_keys(rng, trials)
     if attack_name == "cloner":
         atk = attacks.projector_cloning_attack(scheme)
     else:
@@ -617,6 +636,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         opts = _merge_options(args)
+        if args.out:
+            _check_out(args.out)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"uncloneq: config error: {exc}", file=sys.stderr)
         return 1

@@ -39,12 +39,24 @@ TOL = Tolerances()
 
 #: complex entries (256 MB) that one array, key list or lockstep stack may hold
 ENTRIES_CAP = 2**24
+#: complex entries (2 MB) of per-key arrays one chunk of an evaluator's keys may hold
+KEY_CHUNK_ENTRIES = 2**17
 
 
 def check_entries(entries: int, what: str) -> None:
     """Refuse a size above ``ENTRIES_CAP`` before anything is allocated."""
     if entries > ENTRIES_CAP:
         raise ValueError(f"{what} needs {entries} entries, more than the cap of {ENTRIES_CAP}")
+
+
+def key_chunks(count: int, per_key: int) -> list[slice]:
+    """Consecutive slices over ``count`` keys, ``KEY_CHUNK_ENTRIES // per_key`` keys each.
+
+    ``per_key`` is the complex entries one key holds in a chunk; every
+    slice holds at least one key, and the last may hold fewer.
+    """
+    step = max(1, KEY_CHUNK_ENTRIES // per_key)
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
 def check_keys(keys: Sized) -> None:

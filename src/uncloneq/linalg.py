@@ -348,10 +348,11 @@ def apply_channel(ch: KrausChannel, rho: Array) -> Array:
 def joint_expectation(effects: Sequence[Array], left: Array, sigma: Array) -> Array:
     """``sum_j tr((E_1 ⊗ ... ⊗ E_p) left_j sigma_j left_j†)`` for a stack of problems.
 
-    ``effects`` holds one ``(B, d_i, d_i)`` stack per tensor factor, in
+    ``effects`` holds one ``(..., d_i, d_i)`` stack per tensor factor, in
     kron order, ``left`` the ``(n, d_1 ... d_p, r)`` left Kraus factors and
-    ``sigma`` the ``(B, n, r, r)`` inner operators; returns the ``B``
-    values.  With ``sigma = ch.compress(rho)`` this is the expectation of
+    ``sigma`` the ``(..., n, r, r)`` inner operators, with the same leading
+    batch shape, such as ``(keys, messages)``; returns the values in that
+    shape.  With ``sigma = ch.compress(rho)`` this is the expectation of
     the product measurement on ``ch(rho)``.  Each effect is applied along
     its own index as one batched matmul, and each problem's result is
     contracted with ``left`` in one ``vdot``, so neither the Kronecker
@@ -362,6 +363,9 @@ def joint_expectation(effects: Sequence[Array], left: Array, sigma: Array) -> Ar
     dims = tuple(e.shape[-1] for e in effects)
     if math.prod(dims) != out:
         raise DimensionMismatch(f"effect dims {dims} do not factor Kraus output dim {out}")
+    batch = sigma.shape[:-3]
+    sigma = sigma.reshape(-1, n, r, r)
+    effects = [e.reshape(-1, d, d) for e, d in zip(effects, dims)]
     values = np.empty(len(sigma))
     step = max(1, _KERNEL_ENTRIES // (n * out * r))
     for lo in range(0, len(sigma), step):
@@ -371,7 +375,7 @@ def joint_expectation(effects: Sequence[Array], left: Array, sigma: Array) -> Ar
             t = eff[lo:hi, None] @ t.reshape(hi - lo, n * math.prod(dims[:i]), dims[i], -1)
         # a comprehension, so no view of this chunk stays alive into the next
         values[lo:hi] = [np.vdot(left, tp).real for tp in t.reshape(hi - lo, -1)]
-    return values
+    return values.reshape(batch)
 
 
 def pseudo_inv_sqrt(rho: Array) -> Array:

@@ -9,9 +9,15 @@ the eigenbasis of ``rho_bar``), and any cloning attack maps to a game
 strategy through the Choi state of its channel taken with respect to
 ``rho_bar``.  The induced game value equals the attack's success
 probability exactly; :func:`verify_reduction` checks the two evaluation
-routes against each other on one key list.  The game, the average
-ciphertext and the reduction check all take that key list explicitly,
-and read each key's ciphertexts as one stack (:meth:`QecmScheme.ciphertexts`).
+routes against each other on one key list.  The game and the reduction
+check take that key list explicitly and read it once, as one ``(K, M, d,
+d)`` ciphertext stack (:meth:`QecmScheme.ciphertext_stack`); the average
+ciphertext, Alice's effects, the receivers' effects and both routes are
+all computed from that stack.  A :class:`MegGame` holds the stack, which
+is all the key tells Bob and Charlie, and Alice's ``(K, M, d, d)`` effect
+stack.  Both routes walk the keys in chunks (:func:`config.key_chunks`),
+one :func:`~uncloneq.linalg.joint_expectation` call per route and chunk,
+and add the keys' values in key order.
 
 A strategy holds its tripartite state in factored form: component ``j``
 is ``vec(U_j left_jᵀ)``, with ``left`` the attack channel's left Kraus
@@ -24,12 +30,12 @@ the Choi state's density matrix nor its ``(d out, n)`` vectors are built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .attacks import CloningAttack, key_success, receiver_effects
-from .config import TOL, check_keys
+from .config import TOL, key_chunks
 from .errors import DimensionMismatch, NotKeyIndependent
 from .linalg import (
     Array,
@@ -39,7 +45,7 @@ from .linalg import (
     joint_expectation,
     max_abs,
 )
-from .schemes import Povm, QecmScheme
+from .schemes import QecmScheme, validate_effects
 
 __all__ = [
     "MegGame",
@@ -58,34 +64,50 @@ _KEY_INDEPENDENCE_TOL = 1e-6
 
 @dataclass(frozen=True)
 class MegGame:
-    """Finite-key monogamy game: keyed Alice POVMs over equally likely keys."""
+    """Finite-key monogamy game over ``K`` equally likely keys, held as stacks.
+
+    Row ``k`` of ``ciphertexts``, ``(K, M, ...)``, is what Bob and Charlie
+    learn of key ``k``: its ciphertext stack, for a game induced by a QECM.
+    Row ``k`` of ``alice_effects``, ``(K, M, d_A, d_A)``, is Alice's POVM
+    for that key, checked with :func:`~uncloneq.schemes.validate_effects`.
+    """
 
     message_count: int
     alice_dim: int
-    keys: tuple
-    alice_povm: Callable[[Any], Povm]
+    ciphertexts: Array
+    alice_effects: Array
 
     def __post_init__(self) -> None:
-        if not self.keys:
+        k, m, da = len(self.alice_effects), self.message_count, self.alice_dim
+        if not k:
             raise DimensionMismatch("a game needs at least one key")
+        if self.alice_effects.shape != (k, m, da, da) or self.ciphertexts.shape[:2] != (k, m):
+            raise DimensionMismatch(
+                f"Alice's effects {self.alice_effects.shape} and ciphertexts "
+                f"{self.ciphertexts.shape} do not hold ({k}, {m}) rows of dimension {da}"
+            )
+        validate_effects(self.alice_effects)
 
 
 @dataclass(frozen=True)
 class MegStrategy:
-    """Bob and Charlie's prepared state plus their keyed POVMs.
+    """Bob and Charlie's prepared state plus their keyed effect maps.
 
     The ABC state is ``sum_j |v_j><v_j|`` with ``|v_j>`` the row-major
     ``vec(u_j left_jᵀ)`` on ``A ⊗ (B ⊗ C)``: ``u`` is an ``(n, d_A, r)``
     and ``left`` an ``(n, d_B d_C, r)`` stack.  Explicit (unnormalized)
     pure components ``v_j``, each read as a ``d_A x d_B d_C`` matrix
-    ``X_j``, are ``u_j = I`` and ``left_j = X_jᵀ``.
+    ``X_j``, are ``u_j = I`` and ``left_j = X_jᵀ``.  ``bob_effects`` and
+    ``charlie_effects`` map a ``(K, M, ...)`` chunk of the game's
+    ``ciphertexts`` to ``(K, M, d_B, d_B)`` and ``(K, M, d_C, d_C)`` effect
+    stacks, as a :class:`~uncloneq.attacks.CloningAttack`'s maps do.
     """
 
     u: Array
     left: Array
     dims: tuple[int, int, int]
-    bob_povm: Callable[[Any], Povm]
-    charlie_povm: Callable[[Any], Povm]
+    bob_effects: Callable[[Array], Array]
+    charlie_effects: Callable[[Array], Array]
 
     def __post_init__(self) -> None:
         da, db, dc = self.dims
@@ -96,32 +118,36 @@ class MegStrategy:
             )
 
 
-def _key_game_value(
-    g: MegGame, key: Any, u: Array, left: Array, bob: Array, charlie: Array
-) -> float:
-    # sum_m <v| F_m ⊗ P_m ⊗ Q_m |v> with sigma_mj = (u_j† F_m u_j)ᵀ
-    alice = g.alice_povm(key)
-    if alice.n_outcomes != g.message_count:
-        raise DimensionMismatch("POVM outcome counts do not match the message set")
-    sigma = np.swapaxes(dagger(u) @ alice.effects[:, None] @ u, -1, -2)
-    return float(joint_expectation((bob, charlie), left, sigma).sum())
+def _game_values(alice: Array, s: MegStrategy, bob: Array, charlie: Array) -> Array:
+    # per key, sum_m <v| F_km ⊗ P_km ⊗ Q_km |v> with sigma_kmj = (u_j† F_km u_j)ᵀ
+    sigma = np.swapaxes(dagger(s.u) @ alice[:, :, None] @ s.u, -1, -2)
+    return joint_expectation((bob, charlie), s.left, sigma).sum(axis=1)
+
+
+def _chunks(g: MegGame, s: MegStrategy) -> list[slice]:
+    # a key's ciphertexts, Alice's and both receivers' effects and the inner operators
+    n, r = s.left.shape[0], s.left.shape[-1]
+    per_key = g.ciphertexts[0].size + g.message_count * (sum(d * d for d in s.dims) + n * r * r)
+    return key_chunks(len(g.alice_effects), per_key)
 
 
 def meg_win_prob(g: MegGame, s: MegStrategy) -> float:
     """Probability that all three parties obtain the same outcome.
 
     ``E_k sum_m tr((F_m^k ⊗ P_m^k ⊗ Q_m^k) rho_ABC)`` with ``E_k`` the
-    mean over ``g.keys``.  Per key, Alice's effects become the inner
-    operators ``(u_j† F_m u_j)ᵀ`` and every message is one problem of a
-    single :func:`joint_expectation` call on ``left``.
+    mean over the game's keys.  Per chunk of keys, Alice's effects become
+    the inner operators ``(u_j† F_m u_j)ᵀ`` and every (key, message) pair
+    is one problem of a single :func:`joint_expectation` call on ``left``.
     """
     if s.dims[0] != g.alice_dim:
         raise DimensionMismatch("strategy A register does not match the game")
-    total, weight = 0.0, 1.0 / len(g.keys)
-    for key in g.keys:
-        bob, charlie = receiver_effects(s.bob_povm, s.charlie_povm, key, g.message_count)
-        total += weight * _key_game_value(g, key, s.u, s.left, bob, charlie)
-    return total
+    total, weight = 0.0, 1.0 / len(g.alice_effects)
+    for chunk in _chunks(g, s):
+        stack = g.ciphertexts[chunk]
+        bob, charlie = receiver_effects(s.bob_effects, s.charlie_effects, stack, s.dims[1:])
+        for value in _game_values(g.alice_effects[chunk], s, bob, charlie):
+            total += weight * value
+    return float(total)
 
 
 def choi_state(ch: KrausChannel, rho_bar: Array) -> Array:
@@ -145,14 +171,13 @@ def choi_state(ch: KrausChannel, rho_bar: Array) -> Array:
     return s @ ch.right.conj()
 
 
-def mean_ciphertext(e: QecmScheme, keys: Sequence) -> Array:
-    """Message-averaged ciphertext, checked to be key independent.
+def mean_ciphertext(ciphertexts: Array) -> Array:
+    """Message-averaged ciphertext of a ``(K, M, d, d)`` stack, checked to be key independent.
 
     Raises :class:`NotKeyIndependent` when the per-key averages differ
     pairwise by more than ``1e-6`` in any entry.
     """
-    check_keys(keys)
-    stack = np.stack([e.ciphertexts(key).sum(axis=0) / e.message_count for key in keys])
+    stack = ciphertexts.sum(axis=1) / ciphertexts.shape[1]
     dev = max_abs(stack.max(axis=0).real - stack.min(axis=0).real) + max_abs(
         stack.imag.max(axis=0) - stack.imag.min(axis=0)
     )
@@ -178,12 +203,14 @@ def meg_from_qecm(e: QecmScheme, keys: Sequence) -> MegGame:
     rank deficient (eigenvalues at or below ``TOL.support_cutoff``), the
     complement of its support (which no induced strategy can populate)
     is folded into outcome 0 so the POVM is complete on the whole space.
+    The keys are read once, as one stack.
     """
-    return _induced_game(e, keys, mean_ciphertext(e, keys))
+    stack = e.ciphertext_stack(keys)
+    return _induced_game(stack, mean_ciphertext(stack))
 
 
-def _induced_game(e: QecmScheme, keys: Sequence, rho_bar: Array) -> MegGame:
-    # meg_from_qecm on a reference rho_bar = mean_ciphertext(e, keys) already computed
+def _induced_game(stack: Array, rho_bar: Array) -> MegGame:
+    # meg_from_qecm on a read stack and its rho_bar = mean_ciphertext(stack)
     cutoff = TOL.support_cutoff
     # one eigendecomposition gives the transpose basis, the pseudo-inverse
     # square root on the support and the projector onto its complement
@@ -191,19 +218,13 @@ def _induced_game(e: QecmScheme, keys: Sequence, rho_bar: Array) -> MegGame:
     support = w > cutoff
     inv_sqrt = (v * np.where(support, 1.0 / np.sqrt(np.maximum(w, cutoff)), 0.0)) @ dagger(v)
     inv_sqrt = (inv_sqrt + dagger(inv_sqrt)) / 2
-    deficiency = np.eye(e.cipher_dim) - v[:, support] @ dagger(v[:, support])
-    m_count = e.message_count
-
-    def alice_povm(key: Any) -> Povm:
-        eff = inv_sqrt @ _transpose_in_basis(e.ciphertexts(key), v) @ inv_sqrt / m_count
-        effects = (eff + dagger(eff)) / 2
-        if max_abs(deficiency) > TOL.completeness:
-            effects[0] += deficiency
-        return Povm(dim=e.cipher_dim, effects=effects)
-
-    return MegGame(
-        message_count=m_count, alice_dim=e.cipher_dim, keys=tuple(keys), alice_povm=alice_povm
-    )
+    d, m_count = rho_bar.shape[0], stack.shape[1]
+    deficiency = np.eye(d) - v[:, support] @ dagger(v[:, support])
+    eff = inv_sqrt @ _transpose_in_basis(stack, v) @ inv_sqrt / m_count
+    effects = (eff + dagger(eff)) / 2
+    if max_abs(deficiency) > TOL.completeness:
+        effects[:, 0] += deficiency
+    return MegGame(message_count=m_count, alice_dim=d, ciphertexts=stack, alice_effects=effects)
 
 
 def strategy_from_attack(
@@ -212,14 +233,14 @@ def strategy_from_attack(
     """Game strategy induced by a cloning attack.
 
     Bob and Charlie prepare the Choi state of the attack channel with
-    respect to ``rho_bar`` and keep their original keyed POVMs.
+    respect to ``rho_bar`` and keep the attack's effect maps.
     """
     return MegStrategy(
         u=choi_state(atk.channel, rho_bar),
         left=atk.channel.left,
         dims=(e.cipher_dim, atk.dims[0], atk.dims[1]),
-        bob_povm=atk.bob_povm,
-        charlie_povm=atk.charlie_povm,
+        bob_effects=atk.bob_effects,
+        charlie_effects=atk.charlie_effects,
     )
 
 
@@ -232,16 +253,21 @@ def verify_reduction(
     game value of the induced strategy (:func:`meg_win_prob`), ``rhs`` the
     attack's uniform success probability (:func:`pwin_unif_eval`), and
     ``gap`` their absolute difference (expected to vanish to numerical
-    precision).  ``rho_bar`` and each key's receiver effects are built
-    once and serve both routes.
+    precision).  The keys are read once, as one stack, and ``rho_bar``,
+    the game and, per chunk of keys, the receivers' effects are built once
+    from it and serve both routes.
     """
-    rho_bar = mean_ciphertext(e, keys)
-    game = _induced_game(e, keys, rho_bar)
+    stack = e.ciphertext_stack(keys)
+    rho_bar = mean_ciphertext(stack)
+    game = _induced_game(stack, rho_bar)
     s = strategy_from_attack(e, atk, rho_bar)
     lhs, rhs, weight = 0.0, 0.0, 1.0 / len(keys)
-    for key in game.keys:
-        bob, charlie = receiver_effects(s.bob_povm, s.charlie_povm, key, e.message_count)
-        lhs += weight * _key_game_value(game, key, s.u, s.left, bob, charlie)
-        rhs += key_success(e, atk.channel, key, bob, charlie)
+    for chunk in _chunks(game, s):
+        bob, charlie = receiver_effects(s.bob_effects, s.charlie_effects, stack[chunk], atk.dims)
+        game_values = _game_values(game.alice_effects[chunk], s, bob, charlie)
+        attack_values = key_success(atk.channel, stack[chunk], bob, charlie)
+        for game_value, attack_value in zip(game_values, attack_values):
+            lhs += weight * game_value
+            rhs += attack_value
     rhs /= len(keys)
-    return lhs, rhs, abs(lhs - rhs)
+    return float(lhs), float(rhs), float(abs(lhs - rhs))

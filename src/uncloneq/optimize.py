@@ -14,8 +14,9 @@ batched eigendecomposition, and the fixed point and the seesaw run all
 problems in lockstep while each keeps its own stop rule, PSD guard, best
 iterate and constant-guess floor.  :func:`pwin_unif_seesaw` takes its
 key list explicitly and stacks every (key, start) pair of a chunk of
-keys.  Each key's ciphertexts go through the channel as one stack, and
-a chunk holds at most ``_CHUNK_ENTRIES`` complex entries of per-key
+keys.  Each chunk's keys are read as one ``(K, M, d, d)`` ciphertext
+stack, which goes through the channel at once and serves the warm start,
+and a chunk holds at most ``_CHUNK_ENTRIES`` complex entries of per-key
 matrices and lockstep rows (at least one key).  A single key's
 ensemble, and one chunk's lockstep stack, may each need at most
 ``config.ENTRIES_CAP`` entries (:func:`seesaw_stack_entries` refuses
@@ -32,11 +33,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .attacks import GuessingEnsemble, receiver_dim
+from .attacks import GuessingEnsemble, receiver_dim, receiver_effects
 from .config import TOL, check_entries, check_keys
 from .errors import CrossCheckFailed, DimensionMismatch
 from .linalg import (
@@ -282,52 +283,49 @@ def _random_projective_povm(dim: int, n: int, rng: np.random.Generator) -> list[
 
 
 def _starts(
-    n: int, dc: int, probabilities: Sequence[float], warm: Sequence[Povm], cfg: SeesawConfig
+    n: int, dc: int, probabilities: Sequence[float], warm: Sequence[Array], cfg: SeesawConfig
 ) -> Array:
     """Charlie's start POVMs for one ensemble, as an ``(S, n, dc, dc)`` stack.
 
     The ensemble has ``n`` labels with the given ``probabilities`` and
-    Charlie's side has dimension ``dc``.  Every POVM in ``warm``, then the
-    constant-guess POVM for the likeliest label (which pins the value to
-    at least ``max_x p_x``), then ``cfg.restarts`` Haar-random projective
-    POVMs drawn from ``cfg.rng``.
+    Charlie's side has dimension ``dc``.  Every ``(n, dc, dc)`` effect
+    array in ``warm``, then the constant-guess POVM for the likeliest
+    label (which pins the value to at least ``max_x p_x``), then
+    ``cfg.restarts`` Haar-random projective POVMs drawn from ``cfg.rng``.
     """
     for start in warm:
-        if start.dim != dc or start.n_outcomes != n:
+        if start.shape != (n, dc, dc):
             raise DimensionMismatch("warm start does not match the ensemble")
     constant = np.zeros((n, dc, dc), dtype=complex)
     constant[np.argmax(probabilities)] = np.eye(dc)
     randoms = [_random_projective_povm(dc, n, cfg.rng) for _ in range(cfg.restarts)]
-    return np.stack([s.effects for s in warm] + [constant] + randoms)
+    return np.stack(list(warm) + [constant] + randoms)
 
 
 def _key_matrices(
     states: Array, probabilities: Sequence[float], dims: tuple[int, int], out: Array
 ) -> None:
-    # out[x, (i,k), (j,a)] = p_x rho_x[(i,a),(k,j)] for an (n, db dc, db dc) stack, in place
+    # out[..., x, (i,k), (j,a)] = p_x rho_x[(i,a),(k,j)] for (..., n, db dc, db dc) stacks, in place
     db, dc = dims
-    n = len(states)
-    view = states.reshape(n, db, dc, db, dc).transpose(0, 1, 3, 4, 2)
-    p = np.reshape(probabilities, (n, 1, 1, 1, 1))
-    np.multiply(view, p, out=out.reshape(n, db, db, dc, dc))
+    lead = states.shape[:-2]
+    view = np.moveaxis(states.reshape(*lead, db, dc, db, dc), -3, -1)
+    p = np.reshape(probabilities, (len(probabilities), 1, 1, 1, 1))
+    np.multiply(view, p, out=out.reshape(*lead, db, db, dc, dc))
 
 
-def _chunk_matrices(e: QecmScheme, ch: KrausChannel, keys: Sequence, side: int) -> Array:
-    """Per-key matrices of a chunk of keys under uniform messages.
+def _chunk_matrices(ch: KrausChannel, stack: Array, side: int) -> Array:
+    """Per-key matrices of a chunk's ``(K, M, d, d)`` ciphertext stack under uniform messages.
 
-    Each key's ``M`` ciphertexts go through :func:`linalg.apply_channel`
-    as one stack; the output states are checked Hermitian, as
-    :class:`GuessingEnsemble` checks them, and written straight into that
-    key's rows by :func:`_key_matrices`, so no chunk-sized stack of output
-    states is held.
+    The whole stack goes through :func:`linalg.apply_channel` at once; the
+    output states are checked Hermitian once, as :class:`GuessingEnsemble`
+    checks each ensemble's, and laid out by :func:`_key_matrices`.  The
+    chunk's states are as large as its matrices.
     """
-    m = e.message_count
-    probabilities = np.full(m, 1.0 / m)
-    bmat = np.empty((len(keys), m, side * side, side * side), dtype=complex)
-    for k, key in enumerate(keys):
-        states = apply_channel(ch, e.ciphertexts(key))
-        assert_hermitian(states)
-        _key_matrices(states, probabilities, (side, side), bmat[k])
+    m = stack.shape[1]
+    states = apply_channel(ch, stack)
+    assert_hermitian(states)
+    bmat = np.empty((len(stack), m, side * side, side * side), dtype=complex)
+    _key_matrices(states, np.full(m, 1.0 / m), (side, side), bmat)
     return bmat
 
 
@@ -405,7 +403,8 @@ def seesaw_pguess(
     probabilities = [p for p, _ in ens.entries]
     bmat = np.empty((1, ens.n_outcomes, db * db, dc * dc), dtype=complex)
     _key_matrices(np.array([s for _, s in ens.entries]), probabilities, ens.dims, bmat[0])
-    starts = _starts(ens.n_outcomes, dc, probabilities, warm_starts, cfg)[None]
+    warm = [start.effects for start in warm_starts]
+    starts = _starts(ens.n_outcomes, dc, probabilities, warm, cfg)[None]
     value, bob, charlie, sweeps, converged, trajectory = _seesaw(bmat, ens.dims, starts)
     return SeesawResult(
         value=float(value[0]),
@@ -460,19 +459,22 @@ def pwin_unif_seesaw(
     ch: KrausChannel,
     keys: Sequence,
     cfg: SeesawConfig,
-    warm_start: Callable[[Any], Povm] | None = None,
+    warm_start: Callable[[Array], Array] | None = None,
 ) -> tuple[float, float]:
     """Seesaw estimate of the uniform-message success for a fixed channel.
 
     With the cloning channel fixed, the per-key POVM optimizations
     decouple, so this averages per-key seesaw values over ``keys``.
-    ``warm_start(key)``, when given, is Charlie's first start for that
-    key.  Keys are solved in chunks of at most ``_CHUNK_ENTRIES`` entries
-    of per-key matrices and lockstep rows, every (key, start) pair of a
-    chunk as one lockstep stack.  Each key's ciphertexts go through the
-    channel as one stack, written straight into its per-key matrices;
-    restarts are drawn from ``cfg.rng`` key by key.  Returns the sample
-    mean and standard error of a statistical lower bound estimate.
+    ``warm_start``, when given, maps a chunk's ``(K, M, d, d)`` ciphertext
+    stack to Charlie's first start for each of its keys, a ``(K, M, side,
+    side)`` effect stack checked as a receiver's effects are
+    (:func:`~uncloneq.attacks.receiver_effects`).  Keys are solved in
+    chunks of at most ``_CHUNK_ENTRIES`` entries of per-key matrices and
+    lockstep rows, every (key, start) pair of a chunk as one lockstep
+    stack.  Each chunk's keys are read once, as one stack
+    (:func:`_chunk_matrices`); restarts are drawn from ``cfg.rng`` key by
+    key.  Returns the sample mean and standard error of a statistical
+    lower bound estimate.
     """
     check_keys(keys)
     n = e.message_count
@@ -481,12 +483,13 @@ def pwin_unif_seesaw(
     probabilities = np.full(n, 1.0 / n)
     vals = []
     for lo in range(0, len(keys), chunk):
-        chunk_keys = keys[lo : lo + chunk]
-        bmat = _chunk_matrices(e, ch, chunk_keys, side)
-        starts = []
-        for key in chunk_keys:
-            warm = () if warm_start is None else (warm_start(key),)
-            starts.append(_starts(n, side, probabilities, warm, cfg))
+        stack = e.ciphertext_stack(keys[lo : lo + chunk])
+        bmat = _chunk_matrices(ch, stack, side)
+        if warm_start is None:
+            warm = [()] * len(stack)
+        else:
+            warm = [(w,) for w in receiver_effects(warm_start, warm_start, stack, (side, side))[0]]
+        starts = [_starts(n, side, probabilities, w, cfg) for w in warm]
         vals.append(_seesaw(bmat, (side, side), np.stack(starts))[0])
     vals = np.concatenate(vals)
     mean = float(vals.mean())

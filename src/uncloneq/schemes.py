@@ -1,10 +1,13 @@
 """Quantum encryption of classical messages (QECM): model and constructions.
 
 A scheme is a triple (key sampler, encrypt, decrypt POVM) over a classical
-message set ``[M]`` and a ``d``-dimensional ciphertext space.  Evaluators
-read a key's ciphertexts as one ``(M, d, d)`` stack
-(:meth:`QecmScheme.ciphertexts`), and a :class:`Povm` holds its effects
-as one ``(n, d, d)`` array.  Provided constructions:
+message set ``[M]`` and a ``d``-dimensional ciphertext space.  A key's
+ciphertexts are one ``(M, d, d)`` stack (:meth:`QecmScheme.ciphertexts`),
+and evaluators read a list of keys as one ``(K, M, d, d)`` stack
+(:meth:`QecmScheme.ciphertext_stack`), each key once.  A :class:`Povm`
+holds its effects as one ``(n, d, d)`` array, and :func:`validate_effects`
+checks such an array, or a ``(K, n, d, d)`` stack of one per key, in one
+pass.  Provided constructions:
 
 * :func:`haar_scheme` -- message ``m`` encrypts to a Haar-rotated
   normalized projector onto a contiguous basis block of size ``t_m``;
@@ -28,7 +31,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .config import TOL, check_entries, check_keys, is_integer
+from .config import TOL, check_entries, check_keys, is_integer, key_chunks
 from .errors import DimensionMismatch, InvalidOperator, InvalidRanks, NotInjective
 from .linalg import Array, dagger, haar_unitary, herm_eig, max_abs
 
@@ -46,6 +49,7 @@ __all__ = [
     "scheme_from_descriptor",
     "top_eigenvalue_means",
     "uniform_haar_scheme",
+    "validate_effects",
 ]
 
 
@@ -69,20 +73,36 @@ class Povm:
 
     def validate(self) -> None:
         """Check Hermiticity and positivity of the effects, and completeness."""
-        stack = self.effects
-        dev = max_abs(stack - dagger(stack))
-        if dev > TOL.herm:
-            raise InvalidOperator(f"effect Hermiticity deviation {dev}")
-        low = float(np.linalg.eigvalsh((stack + dagger(stack)) / 2)[:, :1].min(initial=0.0))
-        if low < -TOL.effect_psd:
-            raise InvalidOperator(f"effect eigenvalue {low} below -{TOL.effect_psd}")
-        dev = max_abs(stack.sum(axis=0) - np.eye(self.dim))
-        if dev > TOL.completeness:
-            raise InvalidOperator(f"POVM completeness deviation {dev}")
+        validate_effects(self.effects)
 
     @property
     def n_outcomes(self) -> int:
         return len(self.effects)
+
+
+def validate_effects(effects: Array) -> None:
+    """Check a ``(..., n, d, d)`` array of POVMs, each the ``n`` effects of one measurement.
+
+    Every effect must be Hermitian and PSD, and every measurement's effects
+    must sum to the identity, within ``TOL``; :class:`InvalidOperator`
+    names the worst deviation.  A stack of one POVM per key is checked in
+    one pass.  Positivity is cleared by one stacked Cholesky of
+    ``E + TOL.effect_psd I``; only when it fails does the smallest
+    eigenvalue decide, and name the failure.
+    """
+    dev = max_abs(effects - dagger(effects))
+    if dev > TOL.herm:
+        raise InvalidOperator(f"effect Hermiticity deviation {dev}")
+    herm = (effects + dagger(effects)) / 2
+    try:
+        np.linalg.cholesky(herm + TOL.effect_psd * np.eye(effects.shape[-1]))
+    except np.linalg.LinAlgError:
+        low = float(np.linalg.eigvalsh(herm)[..., :1].min(initial=0.0))
+        if low < -TOL.effect_psd:
+            raise InvalidOperator(f"effect eigenvalue {low} below -{TOL.effect_psd}") from None
+    dev = max_abs(effects.sum(axis=-3) - np.eye(effects.shape[-1]))
+    if dev > TOL.completeness:
+        raise InvalidOperator(f"POVM completeness deviation {dev}")
 
 
 @dataclass(frozen=True)
@@ -155,8 +175,9 @@ class QecmScheme:
     """A QECM scheme: key sampler, encryption map and decryption POVM.
 
     ``encrypt(key, m)`` returns the ciphertext density operator of
-    dimension ``cipher_dim``, and :meth:`ciphertexts` all of a key's
-    ciphertexts as one stack; ``decrypt_povm(key)`` returns the decryption
+    dimension ``cipher_dim``, :meth:`ciphertexts` all of a key's
+    ciphertexts as one stack, and :meth:`ciphertext_stack` those of a list
+    of keys; ``decrypt_povm(key)`` returns the decryption
     POVM with ``message_count`` outcomes.  Continuous-key schemes carry a
     sampler rather than an enumerable key set; schemes with finite key
     spaces may expose ``enumerate_keys`` for exact key expectations.
@@ -175,6 +196,21 @@ class QecmScheme:
     def ciphertexts(self, key: Any) -> Array:
         """``encrypt(key, m)`` for every message, in order, as one complex ``(M, d, d)`` stack."""
         return np.array([self.encrypt(key, m) for m in range(self.message_count)], dtype=complex)
+
+    def ciphertext_stack(self, keys: Sequence) -> Array:
+        """:meth:`ciphertexts` of every key, in key order, as one complex ``(K, M, d, d)`` stack.
+
+        Each key is read once.  An empty list, or a stack of more than
+        ``config.ENTRIES_CAP`` entries, is refused before any key is read.
+        """
+        check_keys(keys)
+        m, d = self.message_count, self.cipher_dim
+        what = f"the ciphertexts of {len(keys)} keys ({m} x {d}^2 each)"
+        check_entries(len(keys) * m * d * d, what)
+        stack = np.empty((len(keys), m, d, d), dtype=complex)
+        for k, key in enumerate(keys):
+            stack[k] = self.ciphertexts(key)
+        return stack
 
     def factor(self, key: Any) -> tuple[Array, Array]:
         """All ciphertexts of ``key`` as one factor ``F`` and column owners.
@@ -369,11 +405,17 @@ def mu_statistic(e: QecmScheme, keys: Sequence) -> float:
 
 
 def top_eigenvalue_means(e: QecmScheme, keys: Sequence) -> Array:
-    """Per message, the top ciphertext eigenvalue averaged over ``keys``."""
+    """Per message, the top ciphertext eigenvalue averaged over ``keys``.
+
+    Keys are read in chunks (:func:`config.key_chunks`), each chunk as one
+    stack with one stacked ``eigvalsh``; the keys' values are added in key
+    order.
+    """
     check_keys(keys)
     sums = np.zeros(e.message_count)
-    for key in keys:
-        sums += np.linalg.eigvalsh(e.ciphertexts(key))[:, -1]
+    for chunk in key_chunks(len(keys), e.message_count * e.cipher_dim**2):
+        for tops in np.linalg.eigvalsh(e.ciphertext_stack(keys[chunk]))[..., -1]:
+            sums += tops
     return sums / len(keys)
 
 

@@ -43,6 +43,12 @@ def orthogonal_support_pair(
     return rho, sigma
 
 
+def constant_map(effects):
+    """A receiver map that gives every key of a ciphertext stack the same effects."""
+    effects = np.asarray(effects, dtype=complex)
+    return lambda stack: np.broadcast_to(effects, (len(stack),) + effects.shape)
+
+
 def padded_scheme(e: QecmScheme, d: int) -> QecmScheme:
     """``e`` with its ciphertexts zero-padded into ``d`` dimensions.
 

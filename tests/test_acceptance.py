@@ -28,7 +28,7 @@ from uncloneq.linalg import make_rng
 from uncloneq.meg import verify_reduction
 from uncloneq.o2h import extraction_probability, simo2h_rhs, simo2h_success
 from uncloneq.optimize import SeesawConfig, brute_force_pguess_qubit, seesaw_pguess
-from uncloneq.schemes import bb84_scheme, mu_statistic, uniform_haar_scheme
+from uncloneq.schemes import Povm, bb84_scheme, mu_statistic, uniform_haar_scheme
 from uncloneq.stats import max_over_sum_estimate
 
 from conftest import orthogonal_support_pair, rand_density
@@ -162,7 +162,7 @@ def test_criterion_09_seesaw_soundness():
     e = bb84_scheme(1)
     key = e.enumerate_keys()[0]
     ens = ensemble_from_scheme_key(e, key, superposition_cloner(2))
-    warm = projector_cloning_attack(e).bob_povm(key)
+    warm = Povm(3, projector_cloning_attack(e).bob_effects(e.ciphertext_stack([key]))[0])
     res = seesaw_pguess(
         ens, SeesawConfig(rng=make_rng(209, stream=99), restarts=2), warm_starts=(warm,)
     )

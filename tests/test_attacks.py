@@ -51,7 +51,7 @@ from uncloneq.meg import meg_from_qecm, verify_reduction
 from uncloneq.optimize import SeesawConfig, pwin_unif_seesaw
 from uncloneq.stats import ErlangParams, erlang_cdf
 
-from conftest import orthogonal_support_pair, padded_scheme
+from conftest import constant_map, orthogonal_support_pair, padded_scheme
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 KET1 = np.diag([0.0, 1.0]).astype(complex)
@@ -161,15 +161,17 @@ class TestLemma1Value:
     )
     def test_attack_and_value_orient_the_pair_alike(self, rho, sigma, owner, monkeypatch):
         # the projector belongs to the state with the larger top eigenvalue,
-        # rho on a tie, in the strategy value and in the attack's effects
+        # rho on a tie, in the strategy value and in the attack's effects:
+        # each projector is built from that state's eigendecomposition
         pair = (rho.astype(complex), sigma.astype(complex))
         built_for = []
+        projectors = attacks._projectors
 
-        def recording(a, b, alpha):
-            built_for.append(a)
-            return guessing_projector(a, b, alpha)
+        def recording(w, v, alpha):
+            built_for.append((w, v))
+            return projectors(w, v, alpha)
 
-        monkeypatch.setattr(attacks, "guessing_projector", recording)
+        monkeypatch.setattr(attacks, "_projectors", recording)
         e = QecmScheme(
             message_count=2,
             cipher_dim=3,
@@ -178,10 +180,11 @@ class TestLemma1Value:
             decrypt_povm=lambda key: None,
         )
         atk = projector_cloning_attack(e)
-        effects = atk.bob_povm(0).effects
+        effects = atk.bob_effects(e.ciphertext_stack([0]))[0]
         value = projector_strategy_value(*pair, 0.25)
         assert len(built_for) == 2
-        assert all(np.array_equal(a, pair[owner]) for a in built_for)
+        w_own, v_own = herm_eig(pair[owner][None])
+        assert all(np.array_equal(w, w_own) and np.array_equal(v, v_own) for w, v in built_for)
         pi = guessing_projector(pair[owner], pair[1 - owner], 0.25)
         assert np.array_equal(effects[owner], pi)
         assert np.array_equal(effects[1 - owner], np.eye(4) - pi)
@@ -264,8 +267,8 @@ class TestIndAttack:
         guess_zero = Povm(dim=3, effects=(np.eye(3, dtype=complex), np.zeros((3, 3), complex)))
         lazy = CloningAttack(
             channel=ch,
-            bob_povm=lambda k: guess_zero,
-            charlie_povm=lambda k: guess_zero,
+            bob_effects=constant_map(guess_zero.effects),
+            charlie_effects=constant_map(guess_zero.effects),
             dims=(3, 3),
         )
         val = pwin_ind_eval(e, 0, 1, lazy, e.sample_keys(rng, 3))
@@ -290,9 +293,9 @@ class TestMeasureShare:
     def test_ml_decode_aligned_basis(self, rng):
         e = uniform_haar_scheme(2, 1)
         key = e.key_sampler(rng)
-        povm, value = optimal_decode_for_measure_share(e, key, key.unitary)
-        assert abs(value - 1.0) < 1e-10
-        povm.validate()
+        effects, values = optimal_decode_for_measure_share(e.ciphertext_stack([key]), key.unitary)
+        assert abs(values[0] - 1.0) < 1e-10
+        Povm(dim=2, effects=effects[0]).validate()
 
     def test_ml_decode_haar_basis_expectation(self):
         # orthogonal pure qubit pair vs a random basis: E max(X, 1-X) = 3/4
@@ -303,7 +306,7 @@ class TestMeasureShare:
         for _ in range(n):
             key = e.key_sampler(gen)
             basis = haar_unitary(2, gen)
-            acc += optimal_decode_for_measure_share(e, key, basis)[1]
+            acc += optimal_decode_for_measure_share(e.ciphertexts(key)[None], basis)[1][0]
         assert abs(acc / n - 0.75) < 0.01
 
     def test_ml_decode_uninformative_ciphertexts(self):
@@ -316,8 +319,10 @@ class TestMeasureShare:
                 dim=3, effects=(np.eye(3, dtype=complex), np.zeros((3, 3), complex))
             ),
         )
-        _, value = optimal_decode_for_measure_share(flat, 0, np.eye(3, dtype=complex))
-        assert abs(value - 0.5) < 1e-12
+        _, values = optimal_decode_for_measure_share(
+            flat.ciphertext_stack([0]), np.eye(3, dtype=complex)
+        )
+        assert abs(values[0] - 0.5) < 1e-12
 
 
 def _mixed_rank_scheme() -> QecmScheme:
@@ -393,7 +398,7 @@ class TestRandomBasisEstimate:
         assert f.shape[:2] == (12, e.cipher_dim)
         assert owners.shape == (12, f.shape[2], e.message_count)
         bases = haar_unitary(e.cipher_dim, rng, len(keys))
-        dense = np.stack([_outcome_likelihoods(e, k, b) for k, b in zip(keys, bases)])
+        dense = np.stack([_outcome_likelihoods(e.ciphertexts(k), b) for k, b in zip(keys, bases)])
         assert np.max(np.abs(np.abs(dagger(bases) @ f) ** 2 @ owners - dense)) < 1e-12
 
     def test_haar_factor_sampler_rebuilds_ciphertexts(self):
@@ -419,7 +424,8 @@ class TestRandomBasisEstimate:
             for c in (chunk, trials // 2 - chunk):
                 keys = draw_keys(gen, c)
                 for key, basis in zip(keys, haar_unitary(32, gen, c)):
-                    vals.append(_outcome_likelihoods(e, key, basis).max(axis=1).sum() / 2)
+                    probs = _outcome_likelihoods(e.ciphertexts(key), basis)
+                    vals.append(probs.max(axis=1).sum() / 2)
         vals = np.array(vals)
         assert abs(mean - vals.mean()) < 1e-12
         assert abs(stderr - vals.std(ddof=1) / math.sqrt(trials)) < 1e-12
@@ -493,8 +499,9 @@ class TestPwinUnif:
         )
         atk = CloningAttack(
             channel=ch,
-            bob_povm=e.decrypt_povm,
-            charlie_povm=lambda key: zero_guess,
+            # the decryption POVM: each effect u P_m u† is L = 2 times its ciphertext
+            bob_effects=lambda stack: 2 * stack,
+            charlie_effects=constant_map(zero_guess.effects),
             dims=(d, 3),
         )
         val = pwin_unif_eval(e, atk, e.sample_keys(rng, 6))
@@ -511,8 +518,8 @@ class TestPwinUnif:
         )
         atk = CloningAttack(
             channel=ch,
-            bob_povm=lambda key: constant,
-            charlie_povm=lambda key: constant,
+            bob_effects=constant_map(constant.effects),
+            charlie_effects=constant_map(constant.effects),
             dims=(d, d),
         )
         assert abs(pwin_unif_eval(e, atk, e.sample_keys(rng, 5)) - 0.25) < 1e-10
@@ -537,14 +544,14 @@ class TestPwinUnif:
             decrypt_povm=e.decrypt_povm,
         )
 
-        def permuted_povm(key):
-            base = atk.bob_povm(key)
-            return Povm(dim=base.dim, effects=tuple(base.effects[p] for p in perm))
+        def permuted_effects(stack):
+            # the attack's effects for the original labels, relabeled
+            return atk.bob_effects(stack[:, perm])[:, perm]
 
         relabeled = CloningAttack(
             channel=atk.channel,
-            bob_povm=permuted_povm,
-            charlie_povm=permuted_povm,
+            bob_effects=permuted_effects,
+            charlie_effects=permuted_effects,
             dims=atk.dims,
         )
         v0 = pwin_unif_eval(e, atk, keys)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from uncloneq import attacks, config, linalg, optimize, schemes, stats
+from uncloneq import attacks, cli, config, linalg, optimize, schemes, stats
 from uncloneq.cli import _build_parser, _merge_options, main
 from uncloneq.schemes import QecmScheme
 
@@ -257,6 +257,8 @@ def test_oversize_restarts_are_refused_before_any_key_is_drawn(command, capsys, 
          "--trials", "1000000", "--seed", "1"],
         ["meg", "--scheme", "uniform_haar:2,5", "--trials", "1000000", "--seed", "1"],
         ["conjecture-scan", "--M", "2", "--d", "8", "--trials", "1000000", "--seed", "1"],
+        # a key list within the cap whose ciphertext stack, which meg holds, is not
+        ["meg", "--scheme", "uniform_haar:4,2", "--trials", "100000", "--seed", "1"],
     ],
 )
 def test_oversize_monte_carlo_and_meg_input_is_refused_before_allocating(args, capsys):
@@ -531,6 +533,35 @@ class TestExitCodes:
         assert out in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("target", ["missing/x.csv", "."])
+    def test_unwritable_out_is_refused_before_the_run(self, target, tmp_path, capsys, monkeypatch):
+        # a missing directory or a directory path is refused before any work
+        out = str(tmp_path / target)
+        calls = []
+        _, defaults = cli._SUBCOMMANDS["theorem2"]
+        monkeypatch.setitem(cli._SUBCOMMANDS, "theorem2", (calls.append, defaults))
+        assert main(["theorem2", "--seed", "2", "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err
+        assert out in captured.err
+        assert "Traceback" not in captured.err
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            # an invariant failure (exit 2) and a config error (exit 1) inside the run
+            (["meg", "--seed", "7", "--scheme", "haar:3-1", "--attack", "cloner"], 2),
+            (["lemma1", "--seed", "1", "--scheme", "uniform_haar:2,1", "--m0", "5"], 1),
+        ],
+    )
+    def test_failed_run_leaves_no_out_file(self, args, code, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        assert main(args + ["--out", str(out)]) == code
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("from_config", [False, True])
     def test_negative_seed_is_named(self, from_config, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -627,6 +658,18 @@ def test_console_script_installed():
     )
     assert out.returncode == 0
     assert "0.5625" in out.stdout
+
+
+def test_package_runs_as_a_module():
+    # python -m uncloneq is the same command line
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-m", "uncloneq", "o2h"],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith(b"quantity,value,reference,tolerance,pass\r\nsuccess,0.5625,")
 
 
 def test_readme_quoted_budgets_match_the_code():

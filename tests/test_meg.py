@@ -26,7 +26,7 @@ from uncloneq.meg import (
 )
 from uncloneq.schemes import Povm, QecmScheme, bb84_scheme, uniform_haar_scheme
 
-from conftest import rand_density
+from conftest import constant_map, rand_density
 
 
 def _basis_povm(d: int) -> Povm:
@@ -53,12 +53,24 @@ def _vectors(u: np.ndarray, left: np.ndarray) -> np.ndarray:
     return np.stack([(uj @ lj.T).ravel() for uj, lj in zip(u, left)], axis=1)
 
 
-def _explicit(vectors: np.ndarray, dims, bob_povm, charlie_povm) -> MegStrategy:
+def _explicit(vectors: np.ndarray, dims, bob_effects, charlie_effects) -> MegStrategy:
     # a strategy from explicit components v_j: u_j = I and left_j = X_jᵀ
     n, da = vectors.shape[1], dims[0]
     left = vectors.T.reshape(n, da, -1).transpose(0, 2, 1)
     u = np.broadcast_to(np.eye(da, dtype=complex), (n, da, da))
-    return MegStrategy(u, left, dims, bob_povm, charlie_povm)
+    return MegStrategy(u, left, dims, bob_effects, charlie_effects)
+
+
+def _one_key_game(alice: Povm) -> MegGame:
+    # one key; the strategies here give their receivers constant effects, so
+    # what the key tells them (its ciphertexts) is a placeholder
+    m = alice.n_outcomes
+    return MegGame(
+        message_count=m,
+        alice_dim=alice.dim,
+        ciphertexts=np.zeros((1, m, 1, 1), dtype=complex),
+        alice_effects=alice.effects[None],
+    )
 
 
 class TestMegWinProb:
@@ -67,17 +79,12 @@ class TestMegWinProb:
         vectors = np.zeros((27, m_count), dtype=complex)
         for m in range(m_count):
             vectors[m * 9 + m * 3 + m, m] = 1 / np.sqrt(m_count)
-        game = MegGame(
-            message_count=m_count,
-            alice_dim=3,
-            keys=(0,),
-            alice_povm=lambda key: _basis_povm(3),
-        )
+        game = _one_key_game(_basis_povm(3))
         strategy = _explicit(
             vectors,
             dims=(3, 3, 3),
-            bob_povm=lambda key: _basis_povm(3),
-            charlie_povm=lambda key: _basis_povm(3),
+            bob_effects=constant_map(_basis_povm(3).effects),
+            charlie_effects=constant_map(_basis_povm(3).effects),
         )
         assert abs(meg_win_prob(game, strategy) - 1.0) < 1e-12
 
@@ -88,17 +95,12 @@ class TestMegWinProb:
         uniform = Povm(
             dim=2, effects=tuple(np.eye(2, dtype=complex) / m_count for _ in range(m_count))
         )
-        game = MegGame(
-            message_count=m_count,
-            alice_dim=d,
-            keys=(0,),
-            alice_povm=lambda key: _basis_povm(d),
-        )
+        game = _one_key_game(_basis_povm(d))
         strategy = _explicit(
             _factor(rho),
             dims=(d, 2, 2),
-            bob_povm=lambda key: uniform,
-            charlie_povm=lambda key: uniform,
+            bob_effects=constant_map(uniform.effects),
+            charlie_effects=constant_map(uniform.effects),
         )
         assert abs(meg_win_prob(game, strategy) - 1.0 / m_count**2) < 1e-12
 
@@ -110,14 +112,12 @@ class TestMegWinProb:
         vectors = np.kron(_factor(rho_a), _factor(rho_bc))
         alice = _basis_povm(d)
         bob = Povm(dim=2, effects=(np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)))
-        game = MegGame(
-            message_count=m_count,
-            alice_dim=d,
-            keys=(0,),
-            alice_povm=lambda key: alice,
-        )
+        game = _one_key_game(alice)
         strategy = _explicit(
-            vectors, dims=(d, 2, 2), bob_povm=lambda key: bob, charlie_povm=lambda key: bob
+            vectors,
+            dims=(d, 2, 2),
+            bob_effects=constant_map(bob.effects),
+            charlie_effects=constant_map(bob.effects),
         )
         value = meg_win_prob(game, strategy)
         expected = 0.0
@@ -136,7 +136,7 @@ class TestMegWinProb:
         e = uniform_haar_scheme(2, 2)
         keys = [e.key_sampler(rng) for _ in range(5)]
         game = meg_from_qecm(e, keys)
-        rho_bar = mean_ciphertext(e, keys)
+        rho_bar = mean_ciphertext(e.ciphertext_stack(keys))
         atk = projector_cloning_attack(e)
         strategy = strategy_from_attack(e, atk, rho_bar)
         rho_a = np.einsum(
@@ -146,16 +146,18 @@ class TestMegWinProb:
         floors = []
         for m in range(2):
             acc = 0.0
-            for key in game.keys:
-                acc += np.trace(game.alice_povm(key).effects[m] @ rho_a).real
-            floors.append(acc / len(game.keys))
+            for alice in game.alice_effects:
+                acc += np.trace(alice[m] @ rho_a).real
+            floors.append(acc / len(game.alice_effects))
         d_bc = atk.dims[0]
         constant = Povm(
             dim=d_bc,
             effects=(np.eye(d_bc, dtype=complex), np.zeros((d_bc, d_bc), complex)),
         )
         const_strategy = replace(
-            strategy, bob_povm=lambda key: constant, charlie_povm=lambda key: constant
+            strategy,
+            bob_effects=constant_map(constant.effects),
+            charlie_effects=constant_map(constant.effects),
         )
         assert abs(meg_win_prob(game, const_strategy) - floors[0]) < 1e-10
 
@@ -198,8 +200,8 @@ class TestMegFromQecm:
         e = uniform_haar_scheme(2, 2)
         keys = [e.key_sampler(rng) for _ in range(4)]
         game = meg_from_qecm(e, keys)
-        for key in game.keys:
-            povm = game.alice_povm(key)
+        for effects in game.alice_effects:
+            povm = Povm(dim=4, effects=effects)
             povm.validate()
             for m, eff in enumerate(povm.effects):
                 w = np.sort(np.linalg.eigvalsh(eff))[::-1]
@@ -211,8 +213,8 @@ class TestMegFromQecm:
         e = bb84_scheme(1)
         keys = e.enumerate_keys()
         game = meg_from_qecm(e, keys)
-        for key in keys:
-            povm = game.alice_povm(key)
+        for key, effects in zip(keys, game.alice_effects):
+            povm = Povm(dim=2, effects=effects)
             decrypt = e.decrypt_povm(key)
             for m in range(2):
                 # real ciphertexts: the eigenbasis transpose is a no-op
@@ -262,15 +264,15 @@ class TestMegFromQecm:
         )
         keys = [e.key_sampler(rng) for _ in range(3)]
         game = meg_from_qecm(e, keys)
-        for key in keys:
-            game.alice_povm(key).validate()
+        for effects in game.alice_effects:
+            Povm(dim=3, effects=effects).validate()
 
 
 class TestStrategyFromAttack:
     def test_choi_strategy_trace_one(self, rng):
         e = uniform_haar_scheme(2, 1)
         keys = [e.key_sampler(rng) for _ in range(3)]
-        rho_bar = mean_ciphertext(e, keys)
+        rho_bar = mean_ciphertext(e.ciphertext_stack(keys))
         atk = projector_cloning_attack(e)
         strategy = strategy_from_attack(e, atk, rho_bar)
         assert abs(np.trace(_dense(_vectors(strategy.u, strategy.left))).real - 1.0) < 1e-9
@@ -279,7 +281,7 @@ class TestStrategyFromAttack:
     def test_measure_share_choi_is_classical(self, rng):
         e = uniform_haar_scheme(2, 1)
         keys = [e.key_sampler(rng) for _ in range(3)]
-        rho_bar = mean_ciphertext(e, keys)
+        rho_bar = mean_ciphertext(e.ciphertext_stack(keys))
         atk = measure_share_ml_attack(e, np.eye(2, dtype=complex))
         strategy = strategy_from_attack(e, atk, rho_bar)
         # BC part is diagonal in the shared-outcome basis
@@ -298,8 +300,8 @@ class TestVerifyReduction:
         )
         atk = CloningAttack(
             channel=measure_share_attack(d, np.eye(d, dtype=complex)),
-            bob_povm=lambda key: constant,
-            charlie_povm=lambda key: constant,
+            bob_effects=constant_map(constant.effects),
+            charlie_effects=constant_map(constant.effects),
             dims=(d, d),
         )
         lhs, rhs, gap = verify_reduction(e, atk, e.sample_keys(rng, 5))
@@ -321,7 +323,7 @@ class TestVerifyReduction:
         b = np.eye(32, dtype=complex) if basis == "identity" else haar_unitary(32, rng)
         keys = e.sample_keys(rng, 3)
         lhs, rhs, gap = verify_reduction(e, measure_share_ml_attack(e, b), keys)
-        decoded = np.mean([optimal_decode_for_measure_share(e, k, b)[1] for k in keys])
+        decoded = np.mean(optimal_decode_for_measure_share(e.ciphertext_stack(keys), b)[1])
         assert gap < 1e-8
         assert abs(rhs - decoded) < 1e-12
 
@@ -338,15 +340,16 @@ class TestVerifyReduction:
         atk = measure_share_ml_attack(e, np.eye(4, dtype=complex))
         calls = []
 
-        def counted(key):
-            calls.append(key)
-            return atk.bob_povm(key)
+        def counted(stack):
+            # the keys (rows) of each stack the stacked map is called on
+            calls.extend(range(len(stack)))
+            return atk.bob_effects(stack)
 
-        shared = replace(atk, bob_povm=counted, charlie_povm=counted)
+        shared = replace(atk, bob_effects=counted, charlie_effects=counted)
         verify_reduction(e, shared, keys)
         assert len(calls) == len(keys)
         # two maps are two POVMs per key
-        split = replace(atk, bob_povm=counted, charlie_povm=lambda key: counted(key))
+        split = replace(atk, bob_effects=counted, charlie_effects=lambda stack: counted(stack))
         calls.clear()
         verify_reduction(e, split, keys)
         assert len(calls) == 2 * len(keys)

@@ -217,7 +217,7 @@ class TestSeesaw:
         e = bb84_scheme(1)
         key = e.enumerate_keys()[0]
         ens = ensemble_from_scheme_key(e, key, superposition_cloner(2))
-        warm = projector_cloning_attack(e).bob_povm(key)
+        warm = Povm(3, projector_cloning_attack(e).bob_effects(e.ciphertext_stack([key]))[0])
         cfg = SeesawConfig(rng=make_rng(1), restarts=2)
         res = seesaw_pguess(ens, cfg, warm_starts=(warm,))
         assert res.value >= 9 / 16 - 1e-6
@@ -270,8 +270,8 @@ class TestPwinUnifSeesaw:
         keys = e.enumerate_keys()
         atk = projector_cloning_attack(e)
 
-        def warm(key):
-            return atk.bob_povm(key)
+        def warm(stack):
+            return atk.bob_effects(stack)
 
         cfg = SeesawConfig(rng=make_rng(3), restarts=1)
         mean, stderr = pwin_unif_seesaw(e, superposition_cloner(2), keys, cfg, warm_start=warm)
@@ -283,13 +283,13 @@ class TestPwinUnifSeesaw:
         basis = np.eye(2, dtype=complex)
         ch = measure_share_attack(2, basis)
 
-        def warm(key):
-            return optimal_decode_for_measure_share(e, key, basis)[0]
+        def warm(stack):
+            return optimal_decode_for_measure_share(stack, basis)[0]
 
         cfg = SeesawConfig(rng=make_rng(4), restarts=2)
         mean, _ = pwin_unif_seesaw(e, ch, keys, cfg, warm_start=warm)
         classical = float(
-            np.mean([optimal_decode_for_measure_share(e, k, basis)[1] for k in keys])
+            np.mean(optimal_decode_for_measure_share(e.ciphertext_stack(keys), basis)[1])
         )
         assert abs(mean - classical) < 1e-6
 
@@ -302,8 +302,8 @@ class TestPwinUnifSeesaw:
             e, basis = uniform_haar_scheme(2, 2), np.eye(4, dtype=complex)
             ch = measure_share_attack(4, basis)
 
-            def warm(key):
-                return optimal_decode_for_measure_share(e, key, basis)[0]
+            def warm(stack):
+                return optimal_decode_for_measure_share(stack, basis)[0]
 
         keys = e.sample_keys(make_rng(7), 5)
         mean, _ = pwin_unif_seesaw(
@@ -312,7 +312,7 @@ class TestPwinUnifSeesaw:
         rng = make_rng(8)
         vals = []
         for key in keys:
-            ws = (warm(key),) if warm else ()
+            ws = (Povm(4, warm(e.ciphertext_stack([key]))[0]),) if warm else ()
             cfg = SeesawConfig(rng=rng, restarts=2)
             vals.append(seesaw_pguess(ensemble_from_scheme_key(e, key, ch), cfg, ws).value)
         assert abs(mean - np.mean(vals)) < 1e-12
@@ -326,7 +326,7 @@ class TestPwinUnifSeesaw:
         else:
             ch = measure_share_attack(4, np.eye(4, dtype=complex))
         keys = e.sample_keys(make_rng(12), 3)
-        bmat = optimize._chunk_matrices(e, ch, keys, receiver_dim(e, ch))
+        bmat = optimize._chunk_matrices(ch, e.ciphertext_stack(keys), receiver_dim(e, ch))
         for k, key in enumerate(keys):
             ens = ensemble_from_scheme_key(e, key, ch)
             one = np.empty_like(bmat[k])
@@ -343,7 +343,7 @@ class TestPwinUnifSeesaw:
         with pytest.raises(NotHermitian):
             ensemble_from_scheme_key(skew, keys[0], ch)
         with pytest.raises(NotHermitian):
-            optimize._chunk_matrices(skew, ch, keys, 3)
+            optimize._chunk_matrices(ch, skew.ciphertext_stack(keys), 3)
 
     def test_identity_to_bob_floor(self, rng):
         e = uniform_haar_scheme(2, 1)

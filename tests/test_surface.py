@@ -43,6 +43,9 @@ ALLOWED = {
     "linalg.assert_projector": "validator the tests use; certified upper bounds (ROADMAP A) need it",
     "linalg.assert_density_operator": "validator the tests use",
     "schemes.QecmScheme.factor": "deriving encrypt from the factor (ROADMAP F2) needs it",
+    "schemes.Povm.validate": "a Povm's own check; evaluators run validate_effects on stacks",
+    "schemes.Povm.n_outcomes": "outcome count of a decryption or seesaw POVM; tests read it",
+    "schemes.expurgate_scheme": "the paper's expurgation; pwin_ind_eval reads its pair as a stack",
     "meg.meg_from_qecm": "certified upper bounds (ROADMAP A) build on the game route",
     "meg.meg_win_prob": "certified upper bounds (ROADMAP A) build on the game route",
     "optimize.discriminate": "single-problem entry point to the stacked solver",
