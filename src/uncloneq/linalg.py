@@ -4,6 +4,12 @@ Hermitian eigendecompositions, Kraus channels held as stacked factor
 pairs, the contraction kernel :func:`joint_expectation` for product
 measurements on a channel output, pseudo-inverse square roots, and
 Haar-random unitaries.
+The kernel, like a channel's completeness check, contracts only the
+support of the left Kraus factors, the ``s`` output rows some ``left_j``
+reaches, at ``O(n s r (r + s))`` per problem for ``n`` operators of rank
+``r``; a dense factor (``s = out``) costs ``O(n out² r)``.  No channel a
+subcommand builds is dense: the superposition cloner reaches ``2d`` of
+its ``(d+1)²`` rows and measure-and-share ``d`` of ``d²``.
 States and operators are plain complex ``numpy`` arrays; the ``assert_*``
 validators enforce the validity contracts with the absolute tolerances
 from :mod:`uncloneq.config`, which they take no override of.
@@ -285,7 +291,8 @@ class KrausChannel:
     ``d⁴``).  Without ``right``, ``left`` is a sequence of dense
     ``(out_dim, in_dim)`` operators ``K``, held as ``left = K`` and
     ``right = I``.  Completeness ``sum_j K_j† K_j = I`` is checked within
-    ``TOL.completeness``.
+    ``TOL.completeness``, contracting only the output rows in the support
+    of ``left`` (the rows :func:`joint_expectation` contracts).
     """
 
     in_dim: int
@@ -315,8 +322,10 @@ class KrausChannel:
             )
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
-        # sum_j right_j (left_j† left_j) right_j†, contracted over j and r at once
-        acc = np.tensordot(right @ (dagger(left) @ left), right.conj(), axes=([0, 2], [0, 2]))
+        # sum_j right_j (left_j† left_j) right_j†, contracted over j and r at once; the
+        # rows of left outside its support add exact zeros to left_j† left_j
+        kept = left[:, _support(left)]
+        acc = np.tensordot(right @ (dagger(kept) @ kept), right.conj(), axes=([0, 2], [0, 2]))
         dev = max_abs(acc - np.eye(self.in_dim))
         if dev > TOL.completeness:
             raise InvalidOperator(f"Kraus completeness deviation {dev}")
@@ -345,6 +354,15 @@ def apply_channel(ch: KrausChannel, rho: Array) -> Array:
     return t @ dagger(left)
 
 
+def _support(left: Array) -> Array:
+    """Output rows where some left Kraus factor ``left_j`` has a nonzero entry.
+
+    Every output row outside this support is exactly zero in every
+    ``K_j``, so it adds exact zeros to any contraction over output rows.
+    """
+    return np.flatnonzero(left.any(axis=(0, 2)))
+
+
 def joint_expectation(effects: Sequence[Array], left: Array, sigma: Array) -> Array:
     """``sum_j tr((E_1 ⊗ ... ⊗ E_p) left_j sigma_j left_j†)`` for a stack of problems.
 
@@ -352,29 +370,54 @@ def joint_expectation(effects: Sequence[Array], left: Array, sigma: Array) -> Ar
     kron order, ``left`` the ``(n, d_1 ... d_p, r)`` left Kraus factors and
     ``sigma`` the ``(..., n, r, r)`` inner operators, with the same leading
     batch shape, such as ``(keys, messages)``; returns the values in that
-    shape.  With ``sigma = ch.compress(rho)`` this is the expectation of
-    the product measurement on ``ch(rho)``.  Each effect is applied along
-    its own index as one batched matmul, and each problem's result is
-    contracted with ``left`` in one ``vdot``, so neither the Kronecker
-    product of the effects nor a channel output is built.  Problems run in
-    chunks of at most ``_KERNEL_ENTRIES`` complex entries (at least one).
+    shape, and raises :class:`DimensionMismatch` when the shapes disagree.
+    With ``sigma = ch.compress(rho)`` this is the expectation of the
+    product measurement on ``ch(rho)``.
+
+    Only the support ``S`` of ``left`` is contracted: the output rows where
+    some ``left_j`` is nonzero, ``s = |S|`` of them (``2d`` of ``(d+1)²``
+    for the superposition cloner, ``d`` of ``d²`` for measure-and-share).
+    Each problem's output restricted to ``S``, ``rho_S = sum_j left_{j,S}
+    sigma_j left_{j,S}†``, is one ``(s, n r) x (n r, s)`` matmul, and the
+    value is ``tr((E_1 ⊗ ... ⊗ E_p)_{S,S} rho_S)`` with the ``s x s``
+    block gathered from each effect at ``S``'s indices in its own factor,
+    so neither the Kronecker product of the effects nor a full channel
+    output is built.  A problem costs ``O(n s r (r + s))``; a dense factor
+    (``s = out``) costs ``O(n out² r)``.  Problems run in chunks of at
+    most ``_KERNEL_ENTRIES`` complex entries (at least one).
     """
     n, out, r = left.shape
     dims = tuple(e.shape[-1] for e in effects)
     if math.prod(dims) != out:
         raise DimensionMismatch(f"effect dims {dims} do not factor Kraus output dim {out}")
     batch = sigma.shape[:-3]
-    sigma = sigma.reshape(-1, n, r, r)
+    if sigma.shape[-3:] != (n, r, r):
+        raise DimensionMismatch(f"inner operators {sigma.shape} != (..., {n}, {r}, {r})")
+    for e, d in zip(effects, dims):
+        if e.shape != batch + (d, d):
+            raise DimensionMismatch(
+                f"effect stack {e.shape} does not match inner operators {sigma.shape}"
+            )
+    support = _support(left)
+    s = len(support)
+    kept = left[:, support]
+    kept_h = dagger(np.swapaxes(kept, 0, 1).reshape(s, n * r))
+    index = np.unravel_index(support, dims)
     effects = [e.reshape(-1, d, d) for e, d in zip(effects, dims)]
+    sigma = sigma.reshape(-1, n, r, r)
     values = np.empty(len(sigma))
-    step = max(1, _KERNEL_ENTRIES // (n * out * r))
+    # a problem's intermediates: t of s n r entries and s x s blocks
+    step = max(1, _KERNEL_ENTRIES // max(1, s * (n * r + s)))
     for lo in range(0, len(sigma), step):
         hi = min(lo + step, len(sigma))
-        t = left @ sigma[lo:hi]
-        for i, eff in enumerate(effects):
-            t = eff[lo:hi, None] @ t.reshape(hi - lo, n * math.prod(dims[:i]), dims[i], -1)
-        # a comprehension, so no view of this chunk stays alive into the next
-        values[lo:hi] = [np.vdot(left, tp).real for tp in t.reshape(hi - lo, -1)]
+        # the chunk's (S, j r) rows stacked into one (c s, n r) x (n r, s) matmul
+        t = np.swapaxes(kept @ sigma[lo:hi], 1, 2).reshape(-1, n * r)
+        rho_s = (t @ kept_h).reshape(hi - lo, s, s)
+        # the (S, S) block of E_1 ⊗ ... ⊗ E_p, one factor's block at a time, in place
+        joint = effects[0][lo:hi, index[0]][:, :, index[0]].astype(complex, copy=False)
+        for eff, i in zip(effects[1:], index[1:]):
+            joint *= eff[lo:hi, i][:, :, i]
+        values[lo:hi] = np.einsum("cab,cba->c", joint, rho_s).real
     return values.reshape(batch)
 
 

@@ -1,11 +1,13 @@
 import math
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from uncloneq import linalg
+from uncloneq.attacks import measure_share_attack, superposition_cloner
 from uncloneq.errors import DimensionMismatch, InvalidOperator, NotHermitian
 from uncloneq.linalg import (
     KrausChannel,
@@ -195,6 +197,12 @@ class TestChannels:
         with pytest.raises(InvalidOperator):
             KrausChannel(2, 2, left=np.ones((1, 2, 1)), right=np.ones((1, 2, 1)))
 
+    def test_incomplete_sparse_kraus_rejected(self):
+        # the check runs on the cloner's support rows only, with the same bound and message
+        short = superposition_cloner(4).left * 0.99
+        with pytest.raises(InvalidOperator, match="Kraus completeness deviation"):
+            KrausChannel(4, 25, short)
+
     def test_rank_one_matches_dense_kraus_sum(self, rng):
         for d_out, d_in in ((4, 2), (9, 3), (3, 5)):
             ch, ops = _random_rank_one(d_out, d_in, 2, rng)
@@ -230,6 +238,26 @@ def _joint(effects, ch: KrausChannel, rho) -> float:
     return float(joint_expectation([e[None] for e in effects], ch.left, sigma)[0])
 
 
+def _rank_one_on(rows, d_out: int, d_in: int, n_kraus: int, rng) -> tuple[KrausChannel, list]:
+    # _random_rank_one with every left factor supported on the given output rows only
+    ch, _ = _random_rank_one(len(rows), d_in, n_kraus, rng)
+    left = np.zeros((len(ch.left), d_out, 1), dtype=complex)
+    left[:, rows] = ch.left
+    return _with_dense_ops(KrausChannel(d_in, d_out, left=left, right=ch.right))
+
+
+def _with_dense_ops(ch: KrausChannel) -> tuple[KrausChannel, list]:
+    return ch, [lf @ dagger(rf) for lf, rf in zip(ch.left, ch.right)]
+
+
+def _assert_matches_dense(ch: KrausChannel, kraus, dims, rng) -> None:
+    for _ in range(4):
+        effects = [rand_density(d, rng) for d in dims]  # complex, not symmetric
+        rho = rand_density(ch.in_dim, rng)
+        value = _joint(effects, ch, rho)
+        assert abs(value - _dense_joint_expectation(effects, kraus, rho)) < 1e-12
+
+
 class TestJointExpectation:
     @pytest.mark.parametrize("dims", [(5,), (2, 3), (3, 2, 4)])
     @pytest.mark.parametrize("n_kraus", [1, 3])
@@ -262,6 +290,76 @@ class TestJointExpectation:
         ch = _random_channel(6, 2, 1, rng)
         with pytest.raises(DimensionMismatch):
             _joint([np.eye(2), np.eye(2)], ch, rand_density(2, rng))
+
+    @pytest.mark.parametrize("rows", [5, 1, 3])
+    def test_effect_stack_of_another_length_is_refused(self, rows, rng):
+        # a longer stack is not cut, a single row not broadcast, a shorter one not misread
+        ch, _ = _random_rank_one(6, 3, 2, rng)
+        sigma = ch.compress(np.stack([rand_density(3, rng) for _ in range(4)]))
+        effects = [np.stack([rand_density(d, rng) for _ in range(rows)]) for d in (2, 3)]
+        with pytest.raises(DimensionMismatch, match=r"\(%d, 2, 2\).*\(4, 6, 1, 1\)" % rows):
+            joint_expectation(effects, ch.left, sigma)
+
+    def test_inner_operators_of_another_shape_are_refused(self, rng):
+        # (4, 1, 6, 1) holds as many entries as (4, 6, 1, 1) but is not n = 6 operators
+        ch, _ = _random_rank_one(6, 3, 2, rng)
+        sigma = ch.compress(np.stack([rand_density(3, rng) for _ in range(4)]))
+        effects = [np.stack([rand_density(d, rng) for _ in range(4)]) for d in (2, 3)]
+        with pytest.raises(DimensionMismatch, match=r"\(4, 1, 6, 1\).*\(\.\.\., 6, 1, 1\)"):
+            joint_expectation(effects, ch.left, np.swapaxes(sigma, 1, 2))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_superposition_cloner(self, d, rng):
+        _assert_matches_dense(*_with_dense_ops(superposition_cloner(d)), (d + 1, d + 1), rng)
+
+    def test_measure_share_in_a_random_basis(self, rng):
+        ch = measure_share_attack(4, haar_unitary(4, rng))
+        _assert_matches_dense(*_with_dense_ops(ch), (4, 4), rng)
+
+    def test_single_row_support(self, rng):
+        _assert_matches_dense(*_rank_one_on([4], 6, 3, 2, rng), (2, 3), rng)
+
+    def test_support_with_interior_holes(self, rng):
+        _assert_matches_dense(*_rank_one_on([0, 2, 3, 5], 6, 3, 2, rng), (2, 3), rng)
+
+    def test_zero_kraus_operator_next_to_nonzero_ones(self, rng):
+        ch, _ = _rank_one_on([1, 4], 6, 3, 2, rng)
+        left = np.concatenate([np.zeros((1, 6, 1)), ch.left])
+        right = np.concatenate([np.ones((1, 3, 1)), ch.right])
+        zero_first = KrausChannel(3, 6, left=left, right=right)
+        _assert_matches_dense(*_with_dense_ops(zero_first), (2, 3), rng)
+
+    def test_three_tensor_factors(self, rng):
+        _assert_matches_dense(*_rank_one_on([1, 5, 6, 10], 12, 3, 2, rng), (2, 3, 2), rng)
+
+    def test_empty_support_gives_zero(self, rng):
+        effects = [np.stack([rand_density(d, rng) for _ in range(3)]) for d in (2, 3)]
+        sigma = np.stack([rand_density(1, rng)[None] for _ in range(3)]).repeat(2, axis=1)
+        values = joint_expectation(effects, np.zeros((2, 6, 1)), sigma)
+        assert values.shape == (3,) and np.all(values == 0.0)
+
+    def test_chunking_does_not_move_values(self, rng, monkeypatch):
+        ch = superposition_cloner(3)
+        effects = [np.stack([rand_density(4, rng) for _ in range(5)]) for _ in range(2)]
+        sigma = ch.compress(np.stack([rand_density(3, rng) for _ in range(5)]))
+        values = joint_expectation(effects, ch.left, sigma)
+        monkeypatch.setattr(linalg, "_KERNEL_ENTRIES", 1)
+        chunked = joint_expectation(effects, ch.left, sigma)
+        assert np.max(np.abs(chunked - values)) < 1e-15
+
+    def test_no_full_output_intermediate(self, rng):
+        # the d = 64 cloner reaches 128 of its 4225 output rows; one problem's
+        # (4225 x 64) product with its inner operator alone would take 4.3 MB
+        ch = superposition_cloner(64)
+        effects = [rand_density(65, rng)[None] for _ in range(2)]
+        sigma = ch.compress(rand_density(64, rng)[None])
+        tracemalloc.start()
+        try:
+            joint_expectation(effects, ch.left, sigma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestPseudoInvSqrt:
