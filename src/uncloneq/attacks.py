@@ -148,10 +148,9 @@ def superposition_cloner(d: int) -> KrausChannel:
         raise DimensionMismatch("d must be at least 1")
     dp = d + 1
     v = np.zeros((1, dp * dp, d), dtype=complex)  # the one Kraus operator V
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for j in range(d):
-        v[0, d * dp + j, j] += inv_sqrt2  # |bot>_B |j>_C
-        v[0, j * dp + d, j] += inv_sqrt2  # |j>_B |bot>_C
+    j = np.arange(d)
+    v[0, d * dp + j, j] = 1.0 / math.sqrt(2.0)  # |bot>_B |j>_C
+    v[0, j * dp + d, j] = 1.0 / math.sqrt(2.0)  # |j>_B |bot>_C; no row of both for j < d
     return KrausChannel(in_dim=d, out_dim=dp * dp, left=v)
 
 

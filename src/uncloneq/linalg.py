@@ -2,8 +2,7 @@
 
 Hermitian eigendecompositions, Kraus channels held as stacked factor
 pairs, the contraction kernel :func:`joint_expectation` for product
-measurements on a channel output, pseudo-inverse square roots, and
-Haar-random unitaries.
+measurements on a channel output, and Haar-random unitaries.
 The kernel, like a channel's completeness check, contracts only the
 support of the left Kraus factors, the ``s`` output rows some ``left_j``
 reaches, at ``O(n s r (r + s))`` per problem for ``n`` operators of rank
@@ -56,11 +55,8 @@ __all__ = [
     "lane_estimate",
     "make_rng",
     "max_abs",
-    "pseudo_inv_sqrt",
 ]
 
-# eigenvalues at or below this are outside the support of pseudo_inv_sqrt
-_PSEUDO_INV_CUTOFF = 1e-14
 # complex entries (512 KB) of one chunk of joint_expectation's intermediates
 _KERNEL_ENTRIES = 2**15
 # independent substreams every Monte Carlo estimate splits its trials over
@@ -419,16 +415,3 @@ def joint_expectation(effects: Sequence[Array], left: Array, sigma: Array) -> Ar
             joint *= eff[lo:hi, i][:, :, i]
         values[lo:hi] = np.einsum("cab,cba->c", joint, rho_s).real
     return values.reshape(batch)
-
-
-def pseudo_inv_sqrt(rho: Array) -> Array:
-    """Inverse square root on eigenspaces above ``1e-14``, zero elsewhere.
-
-    ``rho`` may be a stack of matrices; each is treated on its own.
-    """
-    w, v = herm_eig(rho)
-    inv = np.where(
-        w > _PSEUDO_INV_CUTOFF, 1.0 / np.sqrt(np.maximum(w, _PSEUDO_INV_CUTOFF)), 0.0
-    )
-    out = (v * inv[..., None, :]) @ dagger(v)
-    return (out + dagger(out)) / 2

@@ -11,8 +11,9 @@ measurement, so all reported values are certified lower bounds.
 The solver works on stacks of problems.  Operators and effects are
 ``(P, n, d, d)`` arrays, one row per problem; the Helstrom branch is one
 batched eigendecomposition, and the fixed point and the seesaw run all
-problems in lockstep while each keeps its own stop rule, PSD guard, best
-iterate and constant-guess floor.  :func:`pwin_unif_seesaw` takes its
+problems in lockstep while each keeps its own stop rule, best iterate and
+constant-guess floor; every iterate is a POVM by construction, held as
+Gram factors ``P_x = A_x A_x†``.  :func:`pwin_unif_seesaw` takes its
 key list explicitly and stacks every (key, start) pair of a chunk of
 keys.  Each chunk's keys are read as one ``(K, M, d, d)`` ciphertext
 stack, which goes through the channel at once and serves the warm start,
@@ -38,7 +39,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .attacks import GuessingEnsemble, receiver_dim, receiver_effects
-from .config import TOL, check_entries, check_keys
+from .config import check_entries, check_keys
 from .errors import CrossCheckFailed, DimensionMismatch
 from .linalg import (
     Array,
@@ -48,9 +49,8 @@ from .linalg import (
     dagger,
     haar_unitary,
     herm_eig,
-    pseudo_inv_sqrt,
 )
-from .schemes import Povm, QecmScheme
+from .schemes import Povm, QecmScheme, validate_effects
 
 __all__ = [
     "DiscriminationResult",
@@ -71,6 +71,8 @@ _SEESAW_EPS = 1e-9
 # complex entries one chunk of keys may hold (2 MB, at least one key): each
 # key's per-key matrices plus its starts' lockstep rows, as _chunk_keys counts
 _CHUNK_ENTRIES = 2**17
+# eigenvalues of T / tr T at or below this span the kernel of a square-root measurement's T
+_KERNEL_CUTOFF = 1e-14
 
 
 def _herm(a: Array) -> Array:
@@ -104,81 +106,79 @@ def _eye_at(shape: tuple[int, ...], dim: int, idx: Array) -> Array:
 # ---------------------------------------------------------------------------
 
 
-def _pgm(gs: Array) -> Array:
-    # square-root measurement of each problem's (possibly subnormalized) operators
-    p, n, dim = gs.shape[:3]
-    total = _herm(gs.sum(axis=1))
-    scale = _traces(total)
-    effects = _eye_at((p, n), dim, np.zeros(p, dtype=int))
-    ok = scale >= 1e-30
-    if ok.any():
-        g, s = gs[ok], scale[ok][:, None, None]
-        inv = (pseudo_inv_sqrt(total[ok] / s) / np.sqrt(s))[:, None]
-        eff = _herm(inv @ g @ inv)
-        comp = _herm(np.eye(dim) - eff.sum(axis=1))
-        eff[np.arange(len(g)), np.argmax(_traces(g), axis=1)] += comp
-        effects[ok] = eff
-    return effects
+def _factors(e: Array) -> Array:
+    # a factor A_x of each PSD operator, E_x = A_x A_x†, rounding below zero clipped
+    w, v = herm_eig(_herm(e))
+    return v * np.sqrt(np.maximum(w, 0.0))[..., None, :]
 
 
-def _povm_rows(effects: Array) -> Array:
-    """Rows of a ``(P, n, d, d)`` stack whose effects are all PSD to ``TOL.effect_psd``.
+def _sqrt_measurement(b: Array, g: Array) -> Array:
+    """Factors of the square-root measurement of ``X_x = b_x b_x†``, per problem.
 
-    A row passes when no effect has an eigenvalue below
-    ``-TOL.effect_psd``.  One stacked Cholesky of ``E + TOL.effect_psd I`` clears every row at
-    once; only when it fails does the smallest eigenvalue of each effect
-    decide which rows fail.
+    ``b`` is a ``(P, n, d, d)`` stack of factors, ``g`` the operators
+    ``G_x``.  Outcome x gets ``T^-1/2 b_x``, ``T = sum_x X_x``: block x of
+    ``U W†`` for the stacked factor ``[b_0 | ... | b_{n-1}] = U S W†``, over
+    the singular values with ``s² / tr T`` above ``_KERNEL_CUTOFF``.  The
+    rest of ``U`` spans the kernel of ``T``; it joins the outcome whose
+    ``G_x`` it scores highest, folded back to ``d`` columns by one thin QR
+    run only on the problems that have a kernel.  Every effect is a Gram
+    matrix, PSD by construction, and as ``U`` and ``W`` are orthonormal the
+    effects sum to the identity to rounding (``T^-1/2`` from an eigh of
+    ``T`` would amplify rounding by ``tr T / s²``).
     """
-    shift = TOL.effect_psd * np.eye(effects.shape[-1])
-    try:
-        np.linalg.cholesky(effects + shift)
-    except np.linalg.LinAlgError:
-        return np.linalg.eigvalsh(effects)[..., 0].min(axis=1) >= -TOL.effect_psd
-    return np.ones(len(effects), dtype=bool)
+    p, n, dim, k = b.shape
+    u, s, wh = np.linalg.svd(np.moveaxis(b, 1, 2).reshape(p, dim, n * k), full_matrices=False)
+    keep = s**2 > _KERNEL_CUTOFF * (s**2).sum(axis=1, keepdims=True)
+    out = np.moveaxis(((u * keep[:, None, :]) @ wh).reshape(p, dim, n, k), 2, 1)
+    rows = np.flatnonzero(~keep.all(axis=1))
+    if rows.size:
+        kernel = u[rows] * ~keep[rows, None, :]
+        x = np.argmax(_pair_traces((kernel @ dagger(kernel))[:, None], g[rows]), axis=1)
+        joined = np.concatenate([out[rows, x], kernel], axis=-1)
+        out[rows, x] = dagger(np.linalg.qr(dagger(joined), mode="r"))
+    return out
 
 
-def _fixed_point(gs: Array, effects: Array) -> tuple[Array, Array, Array]:
+def _pgm(gs: Array) -> Array:
+    # factors of the square-root measurement of each problem's (possibly subnormalized) operators
+    return _sqrt_measurement(_factors(gs), gs)
+
+
+def _fixed_point(gs: Array, a: Array) -> tuple[Array, Array, Array]:
     """Operator fixed-point ascent for max_POVM sum_x tr(P_x G_x), per problem.
 
-    ``gs`` and ``effects`` are ``(P, n, d, d)`` stacks; returns the values,
-    effects and convergence flags of all P problems.  Each problem runs at
-    most ``_FP_ITERS`` sweeps and stops once a sweep gains less than
-    ``_FP_EPS``.  The best feasible iterate is tracked, so no returned
-    value drops below the starting one.  An iterate with an effect
-    eigenvalue below ``-TOL.effect_psd`` is not a POVM: it ends its
-    problem's iteration unadopted (``pseudo_inv_sqrt`` of a near-singular
-    ``r`` can amplify a rounding error in one effect into a negative
-    eigenvalue).
+    ``gs`` is a ``(P, n, d, d)`` stack and ``a`` the factors of each
+    problem's start, ``P_x = A_x A_x†``; returns the values, effects and
+    convergence flags of all P problems.  A sweep is the Ježek–Řeháček–
+    Fiurášek update ``P_x <- r^-1/2 G_x P_x G_x r^-1/2``, run as
+    ``A <- _sqrt_measurement(G A, G)``, so every iterate is a POVM.  Each
+    problem runs at most ``_FP_ITERS`` sweeps and stops once a sweep gains
+    less than ``_FP_EPS`` or its ``r`` vanishes: ``converged`` is false only
+    when the sweeps ran out.  The best iterate is tracked, so no returned
+    value drops below the starting one.
     """
-    dim = gs.shape[-1]
-    effects = np.asarray(effects, dtype=complex)
+    effects = a @ dagger(a)
     cur = _pair_traces(effects, gs).sum(axis=1)
-    best_val, best_eff = cur.copy(), effects.copy()
+    best_val, best_eff = cur.copy(), effects
     converged = np.zeros(len(gs), dtype=bool)
     live = np.arange(len(gs))
     g = gs
     for _ in range(_FP_ITERS):
         if not live.size:
             break
-        geg = g @ effects @ g
-        r = _herm(geg.sum(axis=1))
-        scale = _traces(r)
-        vanished = scale < 1e-30
+        b = g @ a
+        vanished = (np.abs(b) ** 2).sum(axis=(1, 2, 3)) < 1e-30
         converged[live[vanished]] = True
-        live, g, cur, geg, r, scale = _rows(~vanished, live, g, cur, geg, r, scale)
-        s = scale[:, None, None]
-        inv = (pseudo_inv_sqrt(r / s) / np.sqrt(s))[:, None]
-        new = _herm(inv @ geg @ inv)
-        comp = _herm(np.eye(dim) - new.sum(axis=1))
-        new[np.arange(len(g)), np.argmax(_pair_traces(comp[:, None], g), axis=1)] += comp
-        live, g, cur, new = _rows(_povm_rows(new), live, g, cur, new)
+        live, g, cur, b = _rows(~vanished, live, g, cur, b)
+        a = _sqrt_measurement(b, g)
+        new = a @ dagger(a)
         val = _pair_traces(new, g).sum(axis=1)
         better = val > best_val[live]
         best_val[live[better]] = val[better]
         best_eff[live[better]] = new[better]
         done = val - cur < _FP_EPS
         converged[live[done]] = True
-        live, g, effects, cur = _rows(~done, live, g, new, val)
+        live, g, a, cur = _rows(~done, live, g, a, val)
     return best_val, best_eff, converged
 
 
@@ -200,7 +200,7 @@ def _discriminate(gs: Array, init: Array | None) -> tuple[Array, Array, Array]:
             i = bad[0]
             raise CrossCheckFailed(f"Helstrom value {value[i]} not achieved ({achieved[i]})")
         return value, effects, np.ones(p, bool)
-    val, effects, converged = _fixed_point(gs, _pgm(gs) if init is None else init)
+    val, effects, converged = _fixed_point(gs, _pgm(gs) if init is None else _factors(init))
     traces = _traces(gs)
     top = np.argmax(traces, axis=1)
     floor = traces[np.arange(p), top]
@@ -230,15 +230,23 @@ def discriminate(
     the projector achieves (:class:`CrossCheckFailed` if they differ).
     Three or more: the fixed-point iteration from ``init`` (default: the
     square-root measurement), never below the constant-guess floor
-    ``max_x tr(G_x)``.  ``converged`` is false when the iteration ran out
-    of sweeps or stopped at an iterate that is not a POVM.  The effects
-    come back as one ``(n, d, d)`` array.  This is the stacked solver
-    run on a stack of one problem.
+    ``max_x tr(G_x)``.  ``converged`` is false only when the iteration ran
+    out of sweeps.  An ``init`` of another shape than ``gs`` raises
+    :class:`DimensionMismatch`, and one that is not a POVM
+    :class:`~uncloneq.errors.InvalidOperator`
+    (:func:`~uncloneq.schemes.validate_effects`).  The effects come back as
+    one ``(n, d, d)`` array.  This is the stacked solver run on a stack of
+    one problem.
     """
     if not len(gs):
         raise ValueError("need at least one operator to discriminate")
     stack = np.asarray(gs, dtype=complex)[None]
-    start = None if init is None else np.asarray(init, dtype=complex)[None]
+    start = None
+    if init is not None:
+        start = np.asarray(init, dtype=complex)[None]
+        if start.shape != stack.shape:
+            raise DimensionMismatch(f"start {start.shape[1:]} != operators {stack.shape[1:]}")
+        validate_effects(start)
     val, effects, converged = _discriminate(stack, start)
     return DiscriminationResult(float(val[0]), effects[0], bool(converged[0]))
 

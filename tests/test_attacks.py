@@ -75,6 +75,15 @@ class TestSuperpositionCloner:
             v = superposition_cloner(d).left[0]
             assert np.max(np.abs(dagger(v) @ v - np.eye(d))) < 1e-12
 
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_equals_the_factor_built_entry_by_entry(self, d):
+        dp = d + 1
+        looped = np.zeros((1, dp * dp, d), dtype=complex)
+        for j in range(d):
+            looped[0, d * dp + j, j] += 1.0 / math.sqrt(2.0)
+            looped[0, j * dp + d, j] += 1.0 / math.sqrt(2.0)
+        assert np.array_equal(superposition_cloner(d).left, looped)
+
 
 class TestPiProjector:
     def test_pure_pair_matrix_elements(self):

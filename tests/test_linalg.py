@@ -18,7 +18,6 @@ from uncloneq.linalg import (
     joint_expectation,
     lane_estimate,
     make_rng,
-    pseudo_inv_sqrt,
 )
 
 from conftest import rand_hermitian, rand_density
@@ -360,28 +359,6 @@ class TestJointExpectation:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
-
-
-class TestPseudoInvSqrt:
-    def test_maximally_mixed(self):
-        d = 3
-        out = pseudo_inv_sqrt(np.eye(d, dtype=complex) / d)
-        assert np.max(np.abs(out - np.sqrt(d) * np.eye(d))) < 1e-10
-
-    def test_rank_deficient_diagonal(self):
-        rho = np.diag([0.5, 0.5, 0.0]).astype(complex)
-        out = pseudo_inv_sqrt(rho)
-        assert np.max(np.abs(out - np.diag([np.sqrt(2), np.sqrt(2), 0.0]))) < 1e-10
-
-    def test_rank_one_plus(self):
-        rho = np.outer(PLUS, PLUS)
-        assert np.max(np.abs(pseudo_inv_sqrt(rho) - rho)) < 1e-10
-
-    def test_stack_matches_each_slice(self, rng):
-        rhos = np.stack([rand_density(3, rng), np.diag([0.5, 0.5, 0.0]).astype(complex)])
-        out = pseudo_inv_sqrt(rhos)
-        for rho, o in zip(rhos, out):
-            assert np.array_equal(o, pseudo_inv_sqrt(rho))
 
 
 class TestReproducibility:

@@ -1,3 +1,6 @@
+import contextlib
+import csv
+import io
 import math
 from dataclasses import replace
 
@@ -15,8 +18,7 @@ from uncloneq.attacks import (
 )
 from uncloneq import optimize
 from uncloneq.cli import main
-from uncloneq.config import TOL
-from uncloneq.errors import CrossCheckFailed, NotHermitian
+from uncloneq.errors import CrossCheckFailed, DimensionMismatch, InvalidOperator, NotHermitian
 from uncloneq.linalg import KrausChannel, dagger, haar_unitary, herm_eig, make_rng
 from uncloneq.optimize import (
     SeesawConfig,
@@ -124,78 +126,172 @@ class TestDiscriminationFixedPoint:
             povm.validate()
 
     def test_stacked_problems_each_get_their_solo_result(self, monkeypatch):
-        # a PSD-guard stop, a one-sweep convergence and a constant-guess floor,
-        # solved as one stack, each equal to discriminate on its own
-        captured = []
-        fixed_point = optimize._fixed_point
-
-        def capture(gs, effects):
-            captured.extend(zip(gs.copy(), np.array(effects)))
-            return fixed_point(gs, effects)
-
-        monkeypatch.setattr(optimize, "_fixed_point", capture)
-        main(["seesaw", "--scheme", "uniform_haar:3,2", "--channel", "measure_share",
-              "--trials", "6", "--seed", "17"])
-        monkeypatch.setattr(optimize, "_fixed_point", fixed_point)
-        # every iterate the guard sees, with its smallest effect eigenvalue
-        povm_rows, lows = optimize._povm_rows, []
-
-        def record(new):
-            lows.append(np.linalg.eigvalsh(new)[..., 0].min())
-            return povm_rows(new)
-
-        monkeypatch.setattr(optimize, "_povm_rows", record)
-        guard_stops = []
-        for gs, init in captured:
-            lows.clear()
-            discriminate(gs, init)
-            if min(lows) < -TOL.effect_psd:
-                guard_stops.append((gs, init))
-        monkeypatch.setattr(optimize, "_povm_rows", povm_rows)
-        assert guard_stops
-
-        rho = rand_density(6, make_rng(9))
+        # a kernel folded in by QR, a one-sweep convergence and a constant-guess
+        # floor, solved as one stack, each equal to discriminate on its own
+        rng = make_rng(9)
+        support = haar_unitary(6, rng)[:, :4]
+        low_rank = [p * support @ rand_density(4, rng) @ dagger(support) for p in (0.5, 0.3, 0.2)]
+        rho = rand_density(6, rng)
         blocks = [np.diag(np.repeat(np.eye(3)[x], 2)).astype(complex) for x in range(3)]
         zero = np.zeros((6, 6), dtype=complex)
         problems = [
-            guard_stops[0],
+            (low_rank, optimize._random_projective_povm(6, 3, rng)),
             ([b / 6 for b in blocks], blocks),
             ([0.6 * rho, 0.2 * rho, 0.2 * rho], [zero, np.eye(6), zero]),
         ]
+        # the rows each QR fold runs on: only the first problem has a kernel
+        folded, qr = [], np.linalg.qr
+
+        def record(a, mode="reduced"):
+            folded.append(len(a))
+            return qr(a, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "qr", record)
         vals, effects, converged = optimize._discriminate(
             np.array([gs for gs, _ in problems]), np.array([init for _, init in problems])
         )
+        monkeypatch.setattr(np.linalg, "qr", qr)
+        assert folded and set(folded) == {1}
         for i, (gs, init) in enumerate(problems):
             solo = discriminate(gs, init)
             assert vals[i] == solo.value
             assert np.array_equal(effects[i], solo.effects)
             assert converged[i] == solo.converged
-        assert converged.tolist() == [False, True, True]
+        assert converged[1:].tolist() == [True, True]
         assert vals[1] == pytest.approx(1.0, abs=1e-12) and vals[2] == pytest.approx(0.6, abs=1e-12)
 
-    @pytest.mark.parametrize(
-        "lows",
-        [(0.0,), (0.0, -5e-10), (-2e-9,), (0.0, -5e-10, -2e-9)],
-        ids=["psd", "within-tolerance", "below", "mixed"],
-    )
-    def test_povm_guard_fast_path_matches_eigenvalues(self, lows):
-        # rows whose smallest effect eigenvalue is each of ``lows``
-        rng = make_rng(11)
-        stack = []
-        for low in lows:
-            u = haar_unitary(4, rng)
-            tilted = (u * np.array([low, 0.2, 0.5, 0.9])) @ dagger(u)
-            stack.append([rand_density(4, rng), tilted, rand_density(4, rng)])
-        stack = np.array(stack)
-        mask = np.linalg.eigvalsh(stack)[..., 0].min(axis=1) >= -TOL.effect_psd
-        assert mask.tolist() == [low >= -TOL.effect_psd for low in lows]
-        assert np.array_equal(optimize._povm_rows(stack), mask)
+    def test_start_of_another_shape_is_refused(self):
+        gs = [np.eye(3, dtype=complex) / 9] * 3
+        with pytest.raises(DimensionMismatch):
+            discriminate(gs, init=[np.eye(3), np.zeros((3, 3))])
+
+    def test_start_that_is_not_a_povm_is_refused(self):
+        gs = [np.eye(3, dtype=complex) / 9] * 3
+        with pytest.raises(InvalidOperator):
+            discriminate(gs, init=[2 * np.eye(3), -np.eye(3), np.zeros((3, 3))])
 
     def test_value_at_least_best_prior(self, rng):
         for _ in range(10):
             probs = rng.dirichlet(np.ones(3))
             res = discriminate([float(p) * rand_density(4, rng) for p in probs])
             assert res.value >= max(probs) - 1e-9
+
+
+def _inv_sqrt_and_kernel(b):
+    # T^-1/2 from a dense eigh of T = sum_x b_x b_x†, and its eigenvectors' kernel columns
+    t = (b @ dagger(b)).sum(axis=1)
+    w, v = np.linalg.eigh((t + dagger(t)) / 2)
+    keep = w > optimize._KERNEL_CUTOFF * w.sum(axis=1, keepdims=True)
+    inv = (v * np.where(keep, 1 / np.sqrt(np.where(keep, w, 1.0)), 0.0)[:, None]) @ dagger(v)
+    return inv, v * ~keep[:, None]
+
+
+def _oracle_effects(b, g):
+    # T^-1/2 X_x T^-1/2, the kernel projector added to the outcome whose G_x it scores highest
+    inv, kernel = _inv_sqrt_and_kernel(b)
+    effects = inv[:, None] @ b @ dagger(b) @ inv[:, None]
+    proj = kernel @ dagger(kernel)
+    best = np.argmax(np.einsum("pab,pxba->px", proj, g).real, axis=1)
+    effects[np.arange(len(b)), best] += proj
+    return effects
+
+
+def _dense_order_step(b, g):
+    # the step in another product order: T^-1/2 from a dense eigh, applied to each b_x
+    inv, kernel = _inv_sqrt_and_kernel(b)
+    out = inv[:, None] @ b
+    for i in np.flatnonzero(np.abs(kernel).sum(axis=(1, 2)) > 0):
+        x = np.argmax(np.einsum("ab,xba->x", kernel[i] @ dagger(kernel[i]), g[i]).real)
+        joined = np.concatenate([out[i, x], kernel[i]], axis=-1)
+        out[i, x] = dagger(np.linalg.qr(dagger(joined), mode="r"))
+    return out
+
+
+def _report(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return np.array([[float(row["value"]), float(row["stderr"])]
+                     for row in csv.DictReader(io.StringIO(out.getvalue()))])
+
+
+class TestSqrtMeasurement:
+    """The square-root measurement step against a dense eigh oracle."""
+
+    def _check(self, b, g, expected=None):
+        a = optimize._sqrt_measurement(b, g)
+        effects = a @ dagger(a)
+        assert np.max(np.abs(effects - _oracle_effects(b, g))) < 1e-12
+        assert np.max(np.abs(effects.sum(axis=1) - np.eye(b.shape[-1]))) < 1e-12
+        if expected is not None:
+            assert np.max(np.abs(effects - expected)) < 1e-12
+
+    def test_maximally_mixed(self):
+        # the d rows of a Haar unitary, one d-column block per outcome: T = I / d
+        d, n = 3, 3
+        rows = haar_unitary(n * d, make_rng(2))[:d] / np.sqrt(d)
+        b = np.moveaxis(rows.reshape(d, n, d), 1, 0)[None]
+        g = np.stack([np.eye(d, dtype=complex) / n] * n)[None]
+        self._check(b, g, d * b @ dagger(b))
+
+    def test_rank_deficient_diagonal(self):
+        # T = diag(1/2, 1/2, 0): its kernel joins the outcome whose G_x lives there
+        b = np.zeros((1, 3, 3, 3), dtype=complex)
+        b[0, 0, 0, 0] = b[0, 1, 1, 1] = np.sqrt(0.5)
+        g = np.array([[np.diag([0.5, 0, 0.1]), np.diag([0, 0.3, 0]), np.diag([0, 0, 0.4])]])
+        self._check(b, g.astype(complex), np.eye(3)[None, :, None] * np.eye(3)[None, :, :, None])
+
+    def test_rank_one_plus(self):
+        plus = np.full((2, 2), 0.5, dtype=complex)
+        minus = np.eye(2) - plus
+        b = np.zeros((1, 2, 2, 2), dtype=complex)
+        b[0, 0, :, 0] = np.sqrt(0.5)
+        g = np.array([[plus / 2, minus / 2]])
+        self._check(b, g, np.array([[plus, minus]]))
+
+    def test_stack_matches_each_slice(self, rng):
+        # problems with and without a kernel, stacked: each equals its solo run bit for bit
+        iso = haar_unitary(3, rng)[:, :2]
+        full = np.stack([rand_density(3, rng) / 3 for _ in range(3)])
+        low = np.stack([iso @ rand_density(2, rng) @ dagger(iso) / 3 for _ in range(3)])
+        g = np.stack([full, low, full[::-1]])
+        b = optimize._factors(g)
+        self._check(b, g)
+        out = optimize._sqrt_measurement(b, g)
+        for i in range(len(g)):
+            assert np.array_equal(out[i], optimize._sqrt_measurement(b[i : i + 1], g[i : i + 1])[0])
+
+    @pytest.mark.parametrize("seed", ["17", "644865884"])
+    def test_every_iterate_is_a_povm(self, seed, monkeypatch):
+        # the measure-and-share argv whose fixed point once stopped on a non-PSD iterate
+        step, lows, devs = optimize._sqrt_measurement, [], []
+
+        def record(b, g):
+            a = step(b, g)
+            effects = a @ dagger(a)
+            lows.append(np.linalg.eigvalsh(effects).min())
+            devs.append(np.abs(effects.sum(axis=1) - np.eye(b.shape[-1])).max())
+            return a
+
+        monkeypatch.setattr(optimize, "_sqrt_measurement", record)
+        _report(["seesaw", "--scheme", "uniform_haar:3,2", "--channel", "measure_share",
+                 "--trials", "6", "--seed", seed])
+        assert lows and min(lows) >= -1e-12 and max(devs) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["seesaw", "--scheme", "haar:2-1-1", "--channel", "cloner", "--trials", "3",
+             "--seed", "119"],
+            ["conjecture-scan", "--M", "3", "--d", "6", "--trials", "3", "--seed", "17"],
+            ["conjecture-scan", "--M", "3", "--d", "6", "--trials", "3", "--seed", "125"],
+        ],
+        ids=["haar-2-1-1-seed-119", "scan-M3-d6-seed-17", "scan-M3-d6-seed-125"],
+    )
+    def test_report_does_not_depend_on_the_product_order(self, argv, monkeypatch):
+        values = _report(argv)
+        monkeypatch.setattr(optimize, "_sqrt_measurement", _dense_order_step)
+        assert np.max(np.abs(_report(argv) - values)) < 1e-10
 
 
 def _random_binary_qubit_pair_ensemble(rng) -> GuessingEnsemble:
