@@ -42,6 +42,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from . import linalg
 from .config import TOL, check_keys, is_integer, key_chunks
 from .errors import CrossCheckFailed, DimensionMismatch, NotInjective, NotOrthogonalPair
 from .linalg import (
@@ -79,8 +80,6 @@ __all__ = [
     "superposition_cloner",
 ]
 
-# complex entries of one chunk's stack of bases (4 MB), at least one trial
-_CHUNK_ENTRIES = 2**18
 # mixing weight of the projector cloning attack, where it reaches 1/2 + lambda/16
 _PROJECTOR_ALPHA = 0.25
 
@@ -369,23 +368,30 @@ def random_basis_attack_estimate(
 ) -> tuple[float, float]:
     """Monte Carlo value of measure-and-share in a Haar-random basis.
 
-    Each trial draws a fresh key and a Haar basis and evaluates the
+    Each trial draws a fresh key and a Haar basis ``B`` and evaluates the
     maximum-likelihood decode value; returns the sample mean and its
-    standard error.
+    standard error.  For a scheme whose key law is unitarily invariant
+    (``e.unitarily_invariant``, the Haar block schemes) the basis is not
+    drawn: the key unitary ``U`` is Haar and independent of the ranks, so
+    ``B† U`` is Haar and independent of them too for every fixed ``B``,
+    and measuring the key's ciphertexts in the standard basis has the
+    trial's law.  Every other scheme (BB84, any scheme without the flag)
+    draws its bases.
 
     The trials run on :func:`~uncloneq.linalg.lane_estimate`: two lanes,
     each with its own spawned stream, side by side, each running its trials
-    in chunks of ``c`` with ``c d²`` at most ``_CHUNK_ENTRIES = 2**18``
-    (about 4 MB per complex stack per lane, at least one trial).  A chunk
-    draws from its lane's stream, in this order, the ``c`` keys' stacked
+    in chunks of ``c`` with ``16 c d²`` bytes at most ``linalg.LANE_BYTES``
+    (512 KB per complex stack per lane, at least one trial).  A chunk draws
+    from its lane's stream, in this order, the ``c`` keys' stacked
     ciphertext factors ``F`` with their one-hot owner matrix ``S``
     (:meth:`QecmScheme.sample_factors`; for Haar schemes the ranks in one
     draw, then the key unitaries in one batched :func:`haar_unitary` call)
-    and then ``c`` bases ``B`` in one batched :func:`haar_unitary` call.
-    Every likelihood ``<e_i| Enc_k(m) |e_i>`` is read from ``|B† F|² @ S``;
-    no ciphertext density matrix is formed.  The values and their squares
-    are added in trial order as the chunks come, so memory does not grow
-    with ``trials``.
+    and then, unless the scheme is unitarily invariant, ``c`` bases ``B``
+    in one batched :func:`haar_unitary` call.  Every likelihood
+    ``<e_i| Enc_k(m) |e_i>`` is read from ``|F|² @ S``, or ``|B† F|² @ S``
+    with the bases; no ciphertext density matrix is formed.  The values and
+    their squares are added in trial order as the chunks come, so memory
+    does not grow with ``trials``.
     """
     if not is_integer(trials) or trials < 1:
         raise ValueError(f"trials must be an integer of at least 1, got {trials!r}")
@@ -395,10 +401,12 @@ def random_basis_attack_estimate(
 
     def draw(gen: np.random.Generator, c: int) -> Array:
         f, owners = e.sample_factors(gen, c)
-        probs = np.abs(dagger(haar_unitary(d, gen, c)) @ f) ** 2 @ owners
+        if not e.unitarily_invariant:
+            f = dagger(haar_unitary(d, gen, c)) @ f
+        probs = np.abs(f) ** 2 @ owners
         return probs.max(axis=2).sum(axis=1) / big_m
 
-    return lane_estimate(draw, rng, trials, _CHUNK_ENTRIES // (d * d))
+    return lane_estimate(draw, rng, trials, linalg.LANE_BYTES // (16 * d * d))
 
 
 def measure_share_ml_attack(e: QecmScheme, basis: Array) -> CloningAttack:

@@ -23,7 +23,9 @@ runs them on threads (numpy releases the interpreter lock while it fills
 arrays and in batched ``qr`` and matmul), draws each lane's trials in
 chunks and adds the values and their squares in trial order, so its
 output depends on the seed and the lane count, never on the chunk size or
-on how many CPUs ran the lanes.
+on how many CPUs ran the lanes.  Every estimate sizes its chunks from the
+one budget ``LANE_BYTES`` (512 KB), divided by the bytes its main array
+takes per trial.
 """
 
 from __future__ import annotations
@@ -61,6 +63,8 @@ __all__ = [
 _KERNEL_ENTRIES = 2**15
 # independent substreams every Monte Carlo estimate splits its trials over
 _LANES = 2
+#: bytes (512 KB) of one lane's main array per chunk of a Monte Carlo estimate
+LANE_BYTES = 2**19
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:

@@ -183,6 +183,12 @@ class QecmScheme:
     spaces may expose ``enumerate_keys`` for exact key expectations.
     Schemes that can draw many keys at once may set ``factor_sampler``;
     :meth:`sample_factors` falls back to a loop over ``key_sampler``.
+    ``unitarily_invariant`` declares that the key law is invariant under
+    every fixed unitary ``V``: the key's ciphertexts and their images
+    ``V Enc_k(m) V†`` have the same joint law, as for the Haar block
+    schemes, whose key unitary is Haar and independent of the ranks.  The
+    random-basis attack (:func:`~uncloneq.attacks.random_basis_attack_estimate`)
+    then skips its basis draw.
     """
 
     message_count: int
@@ -192,6 +198,7 @@ class QecmScheme:
     decrypt_povm: Callable[[Any], Povm]
     enumerate_keys: Callable[[], list] | None = None
     factor_sampler: Callable[[np.random.Generator, int], tuple[Array, Array]] | None = None
+    unitarily_invariant: bool = False
 
     def ciphertexts(self, key: Any) -> Array:
         """``encrypt(key, m)`` for every message, in order, as one complex ``(M, d, d)`` stack."""
@@ -307,6 +314,7 @@ def haar_scheme(M: int, d: int, tdist: RankDistribution) -> QecmScheme:
         encrypt=encrypt,
         decrypt_povm=decrypt_povm,
         factor_sampler=factor_sampler,
+        unitarily_invariant=True,
     )
 
 

@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import linalg
 from .config import is_integer
 from .errors import NegativeX
 from .linalg import lane_estimate
@@ -30,9 +31,6 @@ __all__ = [
     "erlang_cdf",
     "max_over_sum_estimate",
 ]
-
-# float64 entries of one chunk of max_over_sum_estimate's draws, per lane (512 KB)
-_BLOCK_ENTRIES = 2**16
 
 #: explicit constant in the max-over-sum lower bound, (1 - 1/e - 1/2)/(2 log2 e)
 ERLANG_MAX_CONSTANT = (1.0 - math.exp(-1.0) - 0.5) / (2.0 * math.log2(math.e))
@@ -98,7 +96,7 @@ def max_over_sum_estimate(
     each with its own spawned stream, side by side.  In a lane each trial
     takes one row of ``sum(ks)`` exponentials from the lane's stream, in
     trial order, and a chunk draws its rows at once, at most
-    ``_BLOCK_ENTRIES = 2**16`` float64 entries (512 KB) and at least one
+    ``linalg.LANE_BYTES`` (512 KB) of float64 entries and at least one
     row, so memory is about ``2 max(512 KB, 8 sum(ks) bytes)`` whatever
     ``trials`` is.  The ratios are added in trial order, so the estimate
     depends on the seed and the lane count, bit for bit, but not on the
@@ -122,4 +120,4 @@ def max_over_sum_estimate(
         sums = rows if k_total == n else np.add.reduceat(rows, offsets, axis=1)
         return sums.max(axis=1) / sums.sum(axis=1)
 
-    return lane_estimate(draw, rng, trials, _BLOCK_ENTRIES // k_total)
+    return lane_estimate(draw, rng, trials, linalg.LANE_BYTES // (8 * k_total))

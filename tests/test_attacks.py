@@ -23,7 +23,7 @@ from uncloneq.attacks import (
     random_basis_attack_estimate,
     superposition_cloner,
 )
-from uncloneq import attacks, linalg
+from uncloneq import attacks, linalg, schemes
 from uncloneq.attacks import _outcome_likelihoods
 from uncloneq.errors import DimensionMismatch, NotOrthogonalPair
 from uncloneq.linalg import (
@@ -421,27 +421,91 @@ class TestRandomBasisEstimate:
                 assert np.max(np.abs(rebuilt - e.encrypt(key, m))) < 1e-12
 
     def test_estimate_matches_dense_oracle_across_chunks(self):
-        # d = 32 puts 256 trials in a chunk, so each lane's 300 of the 600
-        # trials take two chunks; each lane replays its own spawned stream,
-        # and each chunk draws its ranks, then its key unitaries, then its bases
+        # a Haar chunk holds LANE_BYTES // (16 d²) trials, and each lane's
+        # share of 1.5 chunks takes two; each lane replays its own spawned
+        # stream, and each chunk draws its ranks, then its key unitaries and
+        # no bases: the likelihoods are read in the standard basis
         e = uniform_haar_scheme(2, 16)
-        trials, chunk = 600, 256
+        chunk = linalg.LANE_BYTES // (16 * 32 * 32)
+        trials = 3 * chunk
         mean, stderr = random_basis_attack_estimate(e, trials, make_rng(41))
         draw_keys = _haar_keys(RankDistribution.deterministic((16, 16)), 32)
         vals = []
         for gen in make_rng(41).spawn(2):
             for c in (chunk, trials // 2 - chunk):
-                keys = draw_keys(gen, c)
-                for key, basis in zip(keys, haar_unitary(32, gen, c)):
-                    probs = _outcome_likelihoods(e.ciphertexts(key), basis)
+                for key in draw_keys(gen, c):
+                    probs = _outcome_likelihoods(e.ciphertexts(key), np.eye(32))
                     vals.append(probs.max(axis=1).sum() / 2)
         vals = np.array(vals)
         assert abs(mean - vals.mean()) < 1e-12
         assert abs(stderr - vals.std(ddof=1) / math.sqrt(trials)) < 1e-12
 
+    def test_bb84_estimate_matches_dense_oracle_across_chunks(self):
+        # BB84 has no unitarily invariant key law: each chunk draws its keys
+        # one key_sampler call at a time, then its bases in one batched draw
+        e = bb84_scheme(4)
+        chunk = linalg.LANE_BYTES // (16 * 16 * 16)
+        trials = 3 * chunk
+        mean, stderr = random_basis_attack_estimate(e, trials, make_rng(43))
+        vals = []
+        for gen in make_rng(43).spawn(2):
+            for c in (chunk, trials // 2 - chunk):
+                keys = [e.key_sampler(gen) for _ in range(c)]
+                for key, basis in zip(keys, haar_unitary(16, gen, c)):
+                    probs = _outcome_likelihoods(e.ciphertexts(key), basis)
+                    vals.append(probs.max(axis=1).sum() / 16)
+        vals = np.array(vals)
+        assert abs(mean - vals.mean()) < 1e-12
+        assert abs(stderr - vals.std(ddof=1) / math.sqrt(trials)) < 1e-12
+
+    def test_basis_folds_into_a_haar_key(self, rng):
+        # the two-draw value of key (t, U) in basis B is the one-draw value,
+        # in the standard basis, of key (t, B† U), whose unitary is Haar too
+        e = haar_scheme(3, 6, _TWO_SUPPORT)
+        keys = _haar_keys(_TWO_SUPPORT, 6)(rng, 10)
+        for key, basis in zip(keys, haar_unitary(6, rng, 10)):
+            two = _outcome_likelihoods(e.ciphertexts(key), basis)
+            turned = HaarKey(key.ranks, dagger(basis) @ key.unitary)
+            one = _outcome_likelihoods(e.ciphertexts(turned), np.eye(6))
+            assert np.max(np.abs(two - one)) < 1e-12
+            assert abs(two.max(axis=1).sum() - one.max(axis=1).sum()) < 1e-12
+
+    @pytest.mark.parametrize(
+        "make, per_trial",
+        [
+            pytest.param(lambda: uniform_haar_scheme(2, 2), 1, id="uniform_haar"),
+            pytest.param(lambda: haar_scheme(3, 6, _TWO_SUPPORT), 1, id="haar-two-support"),
+            pytest.param(lambda: bb84_scheme(2), 1, id="bb84"),
+            pytest.param(lambda: padded_scheme(uniform_haar_scheme(2, 2), 6), 2, id="padded"),
+        ],
+    )
+    def test_haar_draws_per_chunk(self, make, per_trial, monkeypatch):
+        # a unitarily invariant scheme draws its keys' unitaries in one call
+        # per chunk and no basis; every other scheme draws one basis stack per
+        # chunk, after its keys (padded Haar keys draw one unitary each)
+        e = make()
+        monkeypatch.setattr(linalg, "LANE_BYTES", 16 * e.cipher_dim**2 * 5)
+        calls = {"schemes": [], "attacks": []}
+        for name, module in (("schemes", schemes), ("attacks", attacks)):
+
+            def counted(d, rng, n=None, _calls=calls[name]):
+                _calls.append(1 if n is None else n)
+                return haar_unitary(d, rng, n)
+
+            monkeypatch.setattr(module, "haar_unitary", counted)
+        trials = 23  # lane shares of 11 and 12, three chunks of at most 5 each
+        random_basis_attack_estimate(e, trials, make_rng(3))
+        drawn = sum(calls["schemes"]) + sum(calls["attacks"])
+        assert drawn == per_trial * trials
+        chunks = [1, 2, 5, 5, 5, 5]
+        if e.unitarily_invariant:
+            assert sorted(calls["schemes"]) == chunks and not calls["attacks"]
+        else:
+            assert sorted(calls["attacks"]) == chunks
+
     def test_memory_does_not_grow_with_trials(self, monkeypatch):
         # chunks of 1024 qubit trials; 200 000 trials held at once would add 1.6 MB
-        monkeypatch.setattr(attacks, "_CHUNK_ENTRIES", 2**12)
+        monkeypatch.setattr(linalg, "LANE_BYTES", 2**16)
         monkeypatch.setattr(linalg, "_cpu_count", lambda: 1)  # the lanes run in turn
         e = uniform_haar_scheme(2, 1)
         random_basis_attack_estimate(e, 3000, make_rng(0))  # numpy's lazy set-up
@@ -458,7 +522,7 @@ class TestRandomBasisEstimate:
 
     def test_memory_of_threaded_lanes_is_one_chunk_each(self, monkeypatch):
         # lanes side by side hold at most one chunk each
-        monkeypatch.setattr(attacks, "_CHUNK_ENTRIES", 2**12)
+        monkeypatch.setattr(linalg, "LANE_BYTES", 2**16)
         e = uniform_haar_scheme(2, 1)
         random_basis_attack_estimate(e, 3000, make_rng(0))  # numpy's lazy set-up
 
@@ -474,6 +538,21 @@ class TestRandomBasisEstimate:
             m.setattr(linalg, "_cpu_count", lambda: 1)
             serial = peak(2_000)
         assert peak(200_000) <= 1.1 * linalg._LANES * serial
+
+    @pytest.mark.parametrize("big_m", [16, 32])
+    def test_one_lane_holds_a_few_chunk_stacks(self, big_m, monkeypatch):
+        # one lane's Haar chunk holds complex stacks of LANE_BYTES (512 KB)
+        # each: the Ginibre draw, its QR and the factor; six bound them all
+        monkeypatch.setattr(linalg, "_cpu_count", lambda: 1)  # the lanes run in turn
+        e = uniform_haar_scheme(big_m, 1)
+        random_basis_attack_estimate(e, 200, make_rng(0))  # numpy's lazy set-up
+        tracemalloc.start()
+        try:
+            random_basis_attack_estimate(e, 4000, make_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * linalg.LANE_BYTES
 
     def test_refuses_non_integer_trials(self):
         with pytest.raises(ValueError, match="integer"):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from uncloneq import attacks, cli, config, linalg, optimize, schemes, stats
+from uncloneq import attacks, cli, config, linalg, optimize, schemes
 from uncloneq.cli import _build_parser, _merge_options, main
 from uncloneq.schemes import QecmScheme
 
@@ -323,7 +323,7 @@ _PINNED_IDS = ["seed-1", "seed-7919", "seed-9-rate-0.3"]
 
 # reports of subcommands that run every key-averaging evaluator, recorded while
 # those evaluators still took a key count and a generator next to the key list
-# (theorem2's when its trials were first split over two spawned lanes)
+# (theorem2's when its Haar schemes first drew one unitary per trial)
 _PINNED_REPORTS = [
     (
         ["lemma1", "--seed", "1"],
@@ -338,8 +338,8 @@ _PINNED_REPORTS = [
     (
         ["theorem2", "--cases", "4x4;16x16", "--trials", "300", "--seed", "2"],
         "M,d,trials,value,stderr,floor,reference,tolerance,pass\r\n"
-        "4,4,300,0.526743023948,0.00462210392767,0.25,0.0057125,0.013866311783,true\r\n"
-        "16,16,300,0.211075829446,0.000863710717172,0.0625,0.004284375,0.00259113215152,true\r\n",
+        "4,4,300,0.521296705541,0.00467171922448,0.25,0.0057125,0.0140151576735,true\r\n"
+        "16,16,300,0.211535002077,0.000866637623143,0.0625,0.004284375,0.00259991286943,true\r\n",
     ),
     (
         ["meg", "--seed", "5"],
@@ -364,7 +364,7 @@ def test_erlang_reports_are_pinned(args, report, capsys):
 @pytest.mark.parametrize("args, report", _PINNED_ERLANG, ids=_PINNED_IDS)
 def test_erlang_block_size_does_not_change_reports(args, report, capsys, monkeypatch):
     # a block of one row draws the same exponentials in the same order
-    monkeypatch.setattr(stats, "_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(linalg, "LANE_BYTES", 1)
     assert run_cli(args, capsys) == (0, report)
 
 
@@ -677,7 +677,7 @@ def test_readme_quoted_budgets_match_the_code():
     readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
     quoted = [
         (r"in chunks of at most 2\^(\d+) complex entries", 2, linalg._KERNEL_ENTRIES),
-        (r"in chunks of at most 2\^(\d+) entries", 2, stats._BLOCK_ENTRIES),
+        (r"Monte Carlo lane budget of 2\^(\d+) bytes", 2, linalg.LANE_BYTES),
         (r"over (\d+) (?:spawned )?lanes", None, linalg._LANES),
         (r"a chunk holds at most 2\^(\d+) complex entries", 2, optimize._CHUNK_ENTRIES),
         (r"(?:exceeds|more than|cap of|>) 2\^(\d+)", 2, config.ENTRIES_CAP),
