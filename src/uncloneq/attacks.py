@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -48,8 +48,6 @@ from .errors import CrossCheckFailed, DimensionMismatch, NotInjective, NotOrthog
 from .linalg import (
     Array,
     KrausChannel,
-    apply_channel,
-    assert_hermitian,
     dagger,
     haar_unitary,
     herm_eig,
@@ -60,9 +58,7 @@ from .schemes import QecmScheme, top_eigenvalue_means, validate_effects
 
 __all__ = [
     "CloningAttack",
-    "GuessingEnsemble",
     "breidbart_basis",
-    "ensemble_from_scheme_key",
     "ind_attack_build",
     "key_success",
     "projector_cloning_attack",
@@ -105,30 +101,6 @@ class CloningAttack:
             raise DimensionMismatch(
                 f"dims {self.dims} do not factor channel output {self.channel.out_dim}"
             )
-
-
-@dataclass(frozen=True)
-class GuessingEnsemble:
-    """cqq state as a list of (probability, joint BC density operator)."""
-
-    entries: tuple[tuple[float, Array], ...]
-    dims: tuple[int, int]
-
-    def __post_init__(self) -> None:
-        probs = [p for p, _ in self.entries]
-        if any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > TOL.prob_sum:
-            raise DimensionMismatch("probabilities must be nonnegative and sum to 1")
-        db, dc = self.dims
-        for _, state in self.entries:
-            if state.shape != (db * dc, db * dc):
-                raise DimensionMismatch(
-                    f"state shape {state.shape} incompatible with dims {self.dims}"
-                )
-            assert_hermitian(state)
-
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +404,7 @@ def projector_cloning_attack(e: QecmScheme) -> CloningAttack:
 
 
 # ---------------------------------------------------------------------------
-# success probabilities and ensembles
+# success probabilities
 # ---------------------------------------------------------------------------
 
 
@@ -502,18 +474,6 @@ def pwin_unif_eval(
         for value in key_success(atk.channel, stack, bob, charlie):
             total += value
     return float(total / len(keys))
-
-
-def ensemble_from_scheme_key(e: QecmScheme, key: Any, ch: KrausChannel) -> GuessingEnsemble:
-    """Uniform-message guessing ensemble ``{(1/M, N(Enc_k(m)))}``.
-
-    The channel output splits evenly between the two receivers, so its
-    dimension must be a square.
-    """
-    side = receiver_dim(e, ch)
-    p = 1.0 / e.message_count
-    entries = tuple((p, state) for state in apply_channel(ch, e.ciphertexts(key)))
-    return GuessingEnsemble(entries=entries, dims=(side, side))
 
 
 def receiver_dim(e: QecmScheme, ch: KrausChannel) -> int:

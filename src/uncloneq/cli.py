@@ -273,8 +273,6 @@ def run_o2h(opts: dict) -> list[dict]:
 
 def run_erlang(opts: dict) -> list[dict]:
     trials = _stderr_trials(opts)
-    if not 0 < opts["rate"] < math.inf:
-        raise ValueError(f"--rate must be positive and finite, got {opts['rate']}")
     ns = []
     for n_str in opts["ns"].split(","):
         try:
@@ -287,9 +285,8 @@ def run_erlang(opts: dict) -> list[dict]:
         ns.append(n)
     rows = []
     for i, n in enumerate(ns):
-        mean, stderr = stats.max_over_sum_estimate(
-            [1] * n, opts["rate"], trials, make_rng(opts["seed"], stream=i)
-        )
+        rng = make_rng(opts["seed"], stream=i)
+        mean, stderr = stats.max_over_sum_estimate([1] * n, trials, rng)
         reference = _ERLANG_C * math.log2(n) / n if n > 1 else 1.0
         tolerance = 3.0 * stderr
         rows.append(
@@ -510,7 +507,7 @@ def run_selftest(opts: dict) -> list[dict]:
         renamed.update((k, v) for k, v in row.items() if k != "quantity")
         rows.append(renamed)
 
-    mean, stderr = stats.max_over_sum_estimate([1, 1], 0.5, 20000, make_rng(271828))
+    mean, stderr = stats.max_over_sum_estimate([1, 1], 20000, make_rng(271828))
     rows.append(
         {
             "check": "erlang_pair_ratio",
@@ -545,7 +542,7 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[dict], list[dict]], dict[str, Any]]] = {
     "lemma1": (run_lemma1, {"scheme": "bb84:1", "m0": 0, "alpha": 0.25, "trials": 50}),
     "theorem2": (run_theorem2, {"cases": "4x4;8x8;16x16", "trials": 20000}),
     "o2h": (run_o2h, {}),
-    "erlang": (run_erlang, {"ns": "2,4,64,1024", "trials": 100000, "rate": 0.5}),
+    "erlang": (run_erlang, {"ns": "2,4,64,1024", "trials": 100000}),
     "seesaw": (
         run_seesaw,
         {"scheme": "bb84:1", "channel": "cloner", "trials": 4, "restarts": 2},
@@ -563,7 +560,6 @@ _HELP = {
     "alpha": "projector mixing weight",
     "cases": "semicolon-separated MxD cases, e.g. 4x4;16x16",
     "ns": "comma-separated block counts for the Erlang scan",
-    "rate": "Erlang rate parameter",
     "channel": "cloner | measure_share | measure_share:breidbart",
     "attack": "cloner | measure_share",
     "restarts": "seesaw restarts",

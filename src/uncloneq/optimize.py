@@ -13,21 +13,20 @@ The solver works on stacks of problems.  Operators and effects are
 batched eigendecomposition, and the fixed point and the seesaw run all
 problems in lockstep while each keeps its own stop rule, best iterate and
 constant-guess floor; every iterate is a POVM by construction, held as
-Gram factors ``P_x = A_x A_x†``.  :func:`pwin_unif_seesaw` takes its
-key list explicitly and stacks every (key, start) pair of a chunk of
-keys.  Each chunk's keys are read as one ``(K, M, d, d)`` ciphertext
-stack, which goes through the channel at once and serves the warm start,
-and a chunk holds at most ``_CHUNK_ENTRIES`` complex entries of per-key
-matrices and lockstep rows (at least one key).  A single key's
-ensemble, and one chunk's lockstep stack, may each need at most
-``config.ENTRIES_CAP`` entries (:func:`seesaw_stack_entries` refuses
-larger sizes before anything is drawn).  The stacked seesaw hands back
-one row per key, its best start's value and both receivers' effects;
-:func:`discriminate` and :func:`seesaw_pguess` are the same code on a
-stack of one.
+Gram factors ``P_x = A_x A_x†``.  :func:`discriminate` is the stacked
+solver on a stack of one problem.
 
-A grid search over products of projective qubit measurements is included
-as an independent cross-check oracle for 2-outcome qubit-pair ensembles.
+:func:`pwin_unif_seesaw` is the one way into the seesaw.  It takes its
+key list explicitly, with uniform messages, and stacks every (key, start)
+pair of a chunk of keys.  Each chunk's keys are read as one
+``(K, M, d, d)`` ciphertext stack, which goes through the channel at once
+(:func:`_chunk_matrices`) and serves the warm start, and a chunk holds at
+most ``_CHUNK_ENTRIES`` complex entries of per-key matrices and lockstep
+rows (at least one key).  A single key's ensemble, and one chunk's
+lockstep stack, may each need at most ``config.ENTRIES_CAP`` entries
+(:func:`seesaw_stack_entries` refuses larger sizes before anything is
+drawn).  The stacked seesaw hands back one row per key: its best start's
+value and both receivers' effects.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .attacks import GuessingEnsemble, receiver_dim, receiver_effects
+from .attacks import receiver_dim, receiver_effects
 from .config import check_entries, check_keys
 from .errors import CrossCheckFailed, DimensionMismatch
 from .linalg import (
@@ -50,16 +49,13 @@ from .linalg import (
     haar_unitary,
     herm_eig,
 )
-from .schemes import Povm, QecmScheme, validate_effects
+from .schemes import QecmScheme, validate_effects
 
 __all__ = [
     "DiscriminationResult",
     "SeesawConfig",
-    "SeesawResult",
-    "brute_force_pguess_qubit",
     "discriminate",
     "pwin_unif_seesaw",
-    "seesaw_pguess",
     "seesaw_stack_entries",
 ]
 
@@ -268,18 +264,6 @@ class SeesawConfig:
             raise ValueError("restarts must be at least 1")
 
 
-@dataclass(frozen=True)
-class SeesawResult:
-    """Outcome of one seesaw optimization (best restart)."""
-
-    value: float
-    bob_povm: Povm
-    charlie_povm: Povm
-    iterations_used: int
-    trajectory: tuple[float, ...]
-    converged: bool
-
-
 def _random_projective_povm(dim: int, n: int, rng: np.random.Generator) -> list[Array]:
     # Haar-rotated rank patterns; outcomes beyond dim get zero effects
     u = haar_unitary(dim, rng)
@@ -290,61 +274,45 @@ def _random_projective_povm(dim: int, n: int, rng: np.random.Generator) -> list[
     return effects
 
 
-def _starts(
-    n: int, dc: int, probabilities: Sequence[float], warm: Sequence[Array], cfg: SeesawConfig
-) -> Array:
-    """Charlie's start POVMs for one ensemble, as an ``(S, n, dc, dc)`` stack.
+def _starts(n: int, dc: int, warm: Sequence[Array], cfg: SeesawConfig) -> Array:
+    """Charlie's start POVMs for one key, as an ``(S, n, dc, dc)`` stack.
 
-    The ensemble has ``n`` labels with the given ``probabilities`` and
-    Charlie's side has dimension ``dc``.  Every ``(n, dc, dc)`` effect
-    array in ``warm``, then the constant-guess POVM for the likeliest
-    label (which pins the value to at least ``max_x p_x``), then
-    ``cfg.restarts`` Haar-random projective POVMs drawn from ``cfg.rng``.
+    The key's ensemble has ``n`` equally likely labels and Charlie's side
+    has dimension ``dc``.  Every ``(n, dc, dc)`` effect array in ``warm``,
+    then the constant guess of label 0 (which pins the value to at least
+    ``1/n``), then ``cfg.restarts`` Haar-random projective POVMs drawn
+    from ``cfg.rng``.
     """
-    for start in warm:
-        if start.shape != (n, dc, dc):
-            raise DimensionMismatch("warm start does not match the ensemble")
     constant = np.zeros((n, dc, dc), dtype=complex)
-    constant[np.argmax(probabilities)] = np.eye(dc)
+    constant[0] = np.eye(dc)
     randoms = [_random_projective_povm(dc, n, cfg.rng) for _ in range(cfg.restarts)]
     return np.stack(list(warm) + [constant] + randoms)
-
-
-def _key_matrices(
-    states: Array, probabilities: Sequence[float], dims: tuple[int, int], out: Array
-) -> None:
-    # out[..., x, (i,k), (j,a)] = p_x rho_x[(i,a),(k,j)] for (..., n, db dc, db dc) stacks, in place
-    db, dc = dims
-    lead = states.shape[:-2]
-    view = np.moveaxis(states.reshape(*lead, db, dc, db, dc), -3, -1)
-    p = np.reshape(probabilities, (len(probabilities), 1, 1, 1, 1))
-    np.multiply(view, p, out=out.reshape(*lead, db, db, dc, dc))
 
 
 def _chunk_matrices(ch: KrausChannel, stack: Array, side: int) -> Array:
     """Per-key matrices of a chunk's ``(K, M, d, d)`` ciphertext stack under uniform messages.
 
-    The whole stack goes through :func:`linalg.apply_channel` at once; the
-    output states are checked Hermitian once, as :class:`GuessingEnsemble`
-    checks each ensemble's, and laid out by :func:`_key_matrices`.  The
-    chunk's states are as large as its matrices.
+    The whole stack goes through :func:`linalg.apply_channel` at once and
+    the output states ``rho_kx = N(Enc_k(x))`` on ``B ⊗ C``, both sides
+    ``side``-dimensional, are checked Hermitian once.  One layout copy,
+    scaled by ``1/M``, gives ``out[k, x, (i,k'), (j,a)] = rho_kx[(i,a),(k',j)] / M``.
+    The chunk's states are as large as its matrices.
     """
-    m = stack.shape[1]
+    k, m = stack.shape[:2]
     states = apply_channel(ch, stack)
     assert_hermitian(states)
-    bmat = np.empty((len(stack), m, side * side, side * side), dtype=complex)
-    _key_matrices(states, np.full(m, 1.0 / m), (side, side), bmat)
-    return bmat
+    view = np.moveaxis(states.reshape(k, m, side, side, side, side), 3, 5)
+    return np.multiply(view, 1.0 / m, order="C").reshape(k, m, side * side, side * side)
 
 
 def _seesaw(bmat: Array, dims: tuple[int, int], starts: Array) -> tuple[Array, ...]:
     """Lockstep seesaw of every (key, start) pair; the best start's row per key.
 
-    ``bmat[k]`` holds key k's ensemble as :func:`_key_matrices` lays it
-    out, and ``starts[k, s]`` is Charlie's start POVM ``s`` for key k.
+    ``bmat[k]`` holds key k's ensemble as :func:`_chunk_matrices` lays
+    it out, and ``starts[k, s]`` is Charlie's start POVM ``s`` for key k.
     With ``B = bmat[k, x]``, Bob's conditional operator
-    ``p_x tr_C((I ⊗ Q_x) rho_x)`` is ``B vec(Q_x)`` and Charlie's
-    ``p_x tr_B((P_x ⊗ I) rho_x)`` is ``(Bᵀ vec(P_xᵀ))ᵀ``: one batched
+    ``tr_C((I ⊗ Q_x) rho_x) / M`` is ``B vec(Q_x)`` and Charlie's
+    ``tr_B((P_x ⊗ I) rho_x) / M`` is ``(Bᵀ vec(P_xᵀ))ᵀ``: one batched
     matmul per side and sweep for all problems.  Each problem stops on
     its own once a sweep gains less than ``_SEESAW_EPS``.
     Returns each key's best start: values, Bob's and Charlie's effect
@@ -387,40 +355,6 @@ def _seesaw(bmat: Array, dims: tuple[int, int], starts: Array) -> tuple[Array, .
     best = np.arange(keys) * per_key + np.argmax(values.reshape(keys, per_key), axis=1)
     return (
         values[best], p_eff[best], q_eff[best], sweeps[best], converged[best], trajectory[:, best]
-    )
-
-
-def seesaw_pguess(
-    ens: GuessingEnsemble, cfg: SeesawConfig, warm_starts: Sequence[Povm] = ()
-) -> SeesawResult:
-    """Alternating lower bound on the simultaneous guessing probability.
-
-    Each sweep fixes Charlie's POVM, reduces Bob's side to a single-party
-    discrimination of the conditional operators
-    ``p_x tr_C((I ⊗ Q_x) rho_x)`` and solves it, then does the same for
-    Charlie.  The trajectory of Charlie's best-response values, which are
-    the objective of the product measurement, is nondecreasing and every
-    iterate is feasible, so the result is a lower bound.
-
-    Starting points tried, best result returned: every POVM in
-    ``warm_starts``, the constant-guess POVM for the likeliest label
-    (which pins the value to at least ``max_x p_x``), and
-    ``cfg.restarts`` Haar-random projective POVMs.
-    """
-    db, dc = ens.dims
-    probabilities = [p for p, _ in ens.entries]
-    bmat = np.empty((1, ens.n_outcomes, db * db, dc * dc), dtype=complex)
-    _key_matrices(np.array([s for _, s in ens.entries]), probabilities, ens.dims, bmat[0])
-    warm = [start.effects for start in warm_starts]
-    starts = _starts(ens.n_outcomes, dc, probabilities, warm, cfg)[None]
-    value, bob, charlie, sweeps, converged, trajectory = _seesaw(bmat, ens.dims, starts)
-    return SeesawResult(
-        value=float(value[0]),
-        bob_povm=Povm(db, bob[0]),
-        charlie_povm=Povm(dc, charlie[0]),
-        iterations_used=int(sweeps[0]),
-        trajectory=tuple(float(t) for t in trajectory[: sweeps[0], 0]),
-        converged=bool(converged[0]),
     )
 
 
@@ -488,7 +422,6 @@ def pwin_unif_seesaw(
     n = e.message_count
     chunk = _chunk_keys(n, ch.out_dim, int(warm_start is not None) + 1 + cfg.restarts)
     side = receiver_dim(e, ch)
-    probabilities = np.full(n, 1.0 / n)
     vals = []
     for lo in range(0, len(keys), chunk):
         stack = e.ciphertext_stack(keys[lo : lo + chunk])
@@ -497,111 +430,9 @@ def pwin_unif_seesaw(
             warm = [()] * len(stack)
         else:
             warm = [(w,) for w in receiver_effects(warm_start, warm_start, stack, (side, side))[0]]
-        starts = [_starts(n, side, probabilities, w, cfg) for w in warm]
+        starts = [_starts(n, side, w, cfg) for w in warm]
         vals.append(_seesaw(bmat, (side, side), np.stack(starts))[0])
     vals = np.concatenate(vals)
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
     return mean, stderr
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle for qubit pairs
-# ---------------------------------------------------------------------------
-
-
-_PAULIS = np.stack(
-    [
-        np.eye(2, dtype=complex),
-        np.array([[0, 1], [1, 0]], dtype=complex),
-        np.array([[0, -1j], [1j, 0]], dtype=complex),
-        np.array([[1, 0], [0, -1]], dtype=complex),
-    ]
-)
-
-
-def _bloch_grid(grid: int) -> Array:
-    # theta mesh includes both poles; phi mesh spans the circle half-open
-    theta, phi = np.meshgrid(
-        np.linspace(0.0, np.pi, grid),
-        np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False),
-        indexing="ij",
-    )
-    sin_t = np.sin(theta).ravel()
-    return np.stack(
-        [sin_t * np.cos(phi).ravel(), sin_t * np.sin(phi).ravel(), np.cos(theta).ravel()],
-        axis=1,
-    )
-
-
-def _max_linear_on_grid(w: Array, grid: int) -> Array:
-    """Exact ``max_n w . n`` over the theta-phi Bloch grid, row-wise in w.
-
-    The azimuthal factor of ``w . n(theta, phi)`` is maximized at the
-    phi-grid point nearest ``atan2(w_y, w_x)`` independently of theta,
-    which collapses the remaining polar scan to the theta-grid point
-    nearest the resulting optimal angle.
-    """
-    wx, wy, wz = w[:, 0], w[:, 1], w[:, 2]
-    wxy = np.hypot(wx, wy)
-    step_phi = 2.0 * np.pi / grid
-    phi_star = np.mod(np.arctan2(wy, wx), 2.0 * np.pi)
-    delta = np.abs(phi_star - np.round(phi_star / step_phi) * step_phi)
-    planar = wxy * np.cos(delta)
-    step_theta = np.pi / (grid - 1)
-    theta_star = np.arctan2(planar, wz)
-    theta = np.clip(np.round(theta_star / step_theta), 0, grid - 1) * step_theta
-    return wz * np.cos(theta) + planar * np.sin(theta)
-
-
-def _pauli_vector(h: Array) -> Array:
-    return np.array([float(np.trace(s @ h).real) for s in _PAULIS[1:]])
-
-
-def brute_force_pguess_qubit(ens: GuessingEnsemble, grid: int) -> float:
-    """Grid-search oracle over products of projective qubit measurements.
-
-    For a 2-outcome ensemble on a qubit pair, each side's outcome-0
-    effect ranges over rank-1 projectors on a ``grid`` polar by ``grid``
-    azimuthal Bloch mesh (poles included) plus the two trivial binary
-    POVMs; returns the exact maximum of the objective over all candidate
-    pairs.  In Bloch coordinates the objective is multi-affine, so the
-    best partner grid point for each candidate is found in closed form
-    rather than by pairwise enumeration.  Within ``O(1/grid)`` of the
-    projective optimum; intended purely as a cross-check oracle.
-    """
-    if ens.dims != (2, 2):
-        raise DimensionMismatch(f"oracle needs qubit pairs, got dims {ens.dims}")
-    if ens.n_outcomes != 2:
-        raise DimensionMismatch("oracle handles 2-outcome ensembles only")
-    if grid < 4:
-        raise ValueError("grid must be at least 4")
-    (p0, rho0), (p1, rho1) = ens.entries
-    d4 = (p0 * rho0 + p1 * rho1).reshape(2, 2, 2, 2)
-    rho0_4 = rho0.reshape(2, 2, 2, 2)
-    rho1_4 = rho1.reshape(2, 2, 2, 2)
-    r0b = _pauli_vector(np.einsum("ijkj->ik", rho0_4))
-    r0c = _pauli_vector(np.einsum("ijil->jl", rho0_4))
-    r1b = _pauli_vector(np.einsum("ijkj->ik", rho1_4))
-    r1c = _pauli_vector(np.einsum("ijil->jl", rho1_4))
-
-    # objective(P, Q) = tr((P ⊗ Q) D) + p1 (1 - tr(P rho1_B) - tr(Q rho1_C));
-    # in Bloch coordinates: c0 + ga.na + gb.nb + na^T G nb
-    weights = np.einsum("mik,njl,klij->mn", _PAULIS, _PAULIS, d4).real / 4.0
-    c0 = weights[0, 0]
-    ga = weights[1:, 0] - p1 * r1b / 2.0
-    gb = weights[0, 1:] - p1 * r1c / 2.0
-    gmat = weights[1:, 1:]
-
-    points = _bloch_grid(grid)
-    row_best = _max_linear_on_grid(points @ gmat + gb[None, :], grid)
-    best = float(np.max(c0 + points @ ga + row_best))
-
-    # one side trivial (outcome-0 effect I or 0), other side on the grid
-    def half_max(r: Array) -> float:
-        return float(_max_linear_on_grid(r[None, :] / 2.0, grid)[0])
-
-    best = max(best, p0 * (0.5 + half_max(r0b)), p0 * (0.5 + half_max(r0c)))
-    best = max(best, p1 * (0.5 + half_max(-r1b)), p1 * (0.5 + half_max(-r1c)))
-    # both sides trivial: constant joint guesses
-    return max(best, p0, p1)

@@ -17,10 +17,10 @@ pass.  Provided constructions:
 * :func:`bb84_scheme` -- each message bit encoded in a key-selected
   BB84 basis after XOR with a key pad.
 
-Also provided: correctness checking, expurgation to a smaller message
-set, the largest-eigenvalue statistic used by the indistinguishability
-attack bound, and :func:`scheme_from_descriptor`, which builds a scheme
-from a JSON descriptor.
+Also provided: correctness checking, the largest-eigenvalue statistic
+used by the indistinguishability attack bound, and
+:func:`scheme_from_descriptor`, which builds a scheme from a JSON
+descriptor.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .config import TOL, check_entries, check_keys, is_integer, key_chunks
-from .errors import DimensionMismatch, InvalidOperator, InvalidRanks, NotInjective
+from .errors import DimensionMismatch, InvalidOperator, InvalidRanks
 from .linalg import Array, dagger, haar_unitary, herm_eig, max_abs
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "RankDistribution",
     "bb84_scheme",
     "check_correctness",
-    "expurgate_scheme",
     "haar_scheme",
     "mu_statistic",
     "scheme_from_descriptor",
@@ -425,48 +424,6 @@ def top_eigenvalue_means(e: QecmScheme, keys: Sequence) -> Array:
         for tops in np.linalg.eigvalsh(e.ciphertext_stack(keys[chunk]))[..., -1]:
             sums += tops
     return sums / len(keys)
-
-
-def expurgate_scheme(
-    e: QecmScheme, mprime: int, phi: Callable[[Any, int], int]
-) -> QecmScheme:
-    """Restrict to ``mprime`` messages through keyed relabelings ``phi``.
-
-    ``phi(key, m)`` must be injective on ``range(mprime)`` for every key;
-    encryption of ``m`` becomes encryption of ``phi(key, m)`` and
-    decryption inverts the relabeling.  Decryption outcomes outside the
-    image of ``phi`` are mapped to message 0 (they cannot occur for
-    honestly encrypted messages).
-    """
-    if not 1 <= mprime <= e.message_count:
-        raise DimensionMismatch(f"mprime must be in [1, {e.message_count}]")
-
-    def image(key: Any) -> list[int]:
-        targets = [phi(key, m) for m in range(mprime)]
-        if len(set(targets)) != mprime:
-            raise NotInjective(f"phi collides on key {key!r}: {targets}")
-        if any(not 0 <= t < e.message_count for t in targets):
-            raise DimensionMismatch("phi maps outside the message set")
-        return targets
-
-    def encrypt(key: Any, m: int) -> Array:
-        return e.encrypt(key, image(key)[m])
-
-    def decrypt_povm(key: Any) -> Povm:
-        targets = image(key)
-        base = e.decrypt_povm(key).effects
-        effects = base[targets]
-        effects[0] += np.delete(base, targets, axis=0).sum(axis=0)
-        return Povm(dim=e.cipher_dim, effects=effects)
-
-    return QecmScheme(
-        message_count=mprime,
-        cipher_dim=e.cipher_dim,
-        key_sampler=e.key_sampler,
-        encrypt=encrypt,
-        decrypt_povm=decrypt_povm,
-        enumerate_keys=e.enumerate_keys,
-    )
 
 
 def _descriptor_int(desc: dict, key: str) -> int:

@@ -36,14 +36,6 @@ __all__ = [
 ERLANG_MAX_CONSTANT = (1.0 - math.exp(-1.0) - 0.5) / (2.0 * math.log2(math.e))
 
 
-def _check_rate(rate: float) -> None:
-    # NaN fails every comparison, so finiteness is checked on its own
-    if rate <= 0:
-        raise ValueError("rate must be positive")
-    if not math.isfinite(rate):
-        raise ValueError(f"rate must be finite, got {rate}")
-
-
 @dataclass(frozen=True)
 class ErlangParams:
     """Shape (positive integer) and rate (positive finite real) of an Erlang law."""
@@ -54,7 +46,11 @@ class ErlangParams:
     def __post_init__(self) -> None:
         if not is_integer(self.shape) or self.shape < 1:
             raise ValueError(f"shape must be a positive integer, got {self.shape!r}")
-        _check_rate(self.rate)
+        # NaN fails every comparison, so finiteness is checked on its own
+        if self.rate <= 0:
+            raise ValueError("rate must be positive")
+        if not math.isfinite(self.rate):
+            raise ValueError(f"rate must be finite, got {self.rate}")
 
 
 def erlang_cdf(p: ErlangParams, x: float) -> float:
@@ -82,15 +78,14 @@ def erlang_cdf(p: ErlangParams, x: float) -> float:
 
 def max_over_sum_estimate(
     ks: Sequence[int],
-    rate: float,
     trials: int,
     rng: np.random.Generator,
 ) -> tuple[float, float]:
     """Monte Carlo mean and standard error of ``max_i X_i / sum_i X_i``.
 
-    ``X_i`` are independent Erlang(``ks[i]``, ``rate``) variables drawn
-    as sums of exponentials.  The ratio is scale free: ``rate`` is
-    validated but does not enter it, so the draws are unit-rate.
+    ``X_i`` are independent Erlang variables of shapes ``ks`` and one
+    common rate, drawn as sums of exponentials.  The ratio is scale free,
+    the same at every rate, so the draws are unit-rate.
 
     The trials run on :func:`~uncloneq.linalg.lane_estimate`: two lanes,
     each with its own spawned stream, side by side.  In a lane each trial
@@ -107,7 +102,6 @@ def max_over_sum_estimate(
     ks = list(ks)
     if not ks or not all(is_integer(k) and k >= 1 for k in ks):
         raise ValueError("all shapes must be positive integers")
-    _check_rate(rate)
     n = len(ks)
     if n == 1:
         return 1.0, 0.0

@@ -1,0 +1,195 @@
+"""Reference implementations the tests check the library against.
+
+None of these is reached by a subcommand: the qubit grid oracle, the
+single-ensemble entry to the seesaw, and the paper's expurgation of a
+scheme to a smaller message set.
+"""
+
+import math
+from typing import Any, Callable, NamedTuple
+
+import numpy as np
+
+from uncloneq import optimize
+from uncloneq.errors import DimensionMismatch, NotInjective
+from uncloneq.linalg import KrausChannel
+from uncloneq.schemes import Povm, QecmScheme
+
+# ---------------------------------------------------------------------------
+# the seesaw on one ensemble
+# ---------------------------------------------------------------------------
+
+
+class SeesawRun(NamedTuple):
+    """Best start's value, its trajectory and its sweep count."""
+
+    value: float
+    trajectory: np.ndarray
+    iterations_used: int
+
+
+def seesaw_run(states, cfg: optimize.SeesawConfig) -> SeesawRun:
+    """The seesaw on one uniform ensemble of joint states, on the path the CLI runs.
+
+    ``states`` is an ``(M, D, D)`` stack of joint states on ``B ⊗ C`` with
+    both sides ``sqrt(D)``-dimensional, each label of probability ``1/M``.
+    An identity channel on the joint space takes them in as a ``(1, M, D,
+    D)`` stack to ``_chunk_matrices``, ``_starts`` gives Charlie's starts
+    (the constant guess and ``cfg.restarts`` restarts) and ``_seesaw``
+    runs them.
+    """
+    states = np.asarray(states, dtype=complex)
+    m, dim = states.shape[:2]
+    side = math.isqrt(dim)
+    identity = KrausChannel(dim, dim, (np.eye(dim, dtype=complex),))
+    bmat = optimize._chunk_matrices(identity, states[None], side)
+    starts = optimize._starts(m, side, [], cfg)[None]
+    value, _, _, sweeps, _, trajectory = optimize._seesaw(bmat, (side, side), starts)
+    return SeesawRun(float(value[0]), trajectory[: sweeps[0], 0], int(sweeps[0]))
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracle for qubit pairs
+# ---------------------------------------------------------------------------
+
+
+_PAULIS = np.stack(
+    [
+        np.eye(2, dtype=complex),
+        np.array([[0, 1], [1, 0]], dtype=complex),
+        np.array([[0, -1j], [1j, 0]], dtype=complex),
+        np.array([[1, 0], [0, -1]], dtype=complex),
+    ]
+)
+
+
+def _bloch_grid(grid: int) -> np.ndarray:
+    # theta mesh includes both poles; phi mesh spans the circle half-open
+    theta, phi = np.meshgrid(
+        np.linspace(0.0, np.pi, grid),
+        np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False),
+        indexing="ij",
+    )
+    sin_t = np.sin(theta).ravel()
+    return np.stack(
+        [sin_t * np.cos(phi).ravel(), sin_t * np.sin(phi).ravel(), np.cos(theta).ravel()],
+        axis=1,
+    )
+
+
+def _max_linear_on_grid(w: np.ndarray, grid: int) -> np.ndarray:
+    """Exact ``max_n w . n`` over the theta-phi Bloch grid, row-wise in w.
+
+    The azimuthal factor of ``w . n(theta, phi)`` is maximized at the
+    phi-grid point nearest ``atan2(w_y, w_x)`` independently of theta,
+    which collapses the remaining polar scan to the theta-grid point
+    nearest the resulting optimal angle.
+    """
+    wx, wy, wz = w[:, 0], w[:, 1], w[:, 2]
+    wxy = np.hypot(wx, wy)
+    step_phi = 2.0 * np.pi / grid
+    phi_star = np.mod(np.arctan2(wy, wx), 2.0 * np.pi)
+    delta = np.abs(phi_star - np.round(phi_star / step_phi) * step_phi)
+    planar = wxy * np.cos(delta)
+    step_theta = np.pi / (grid - 1)
+    theta_star = np.arctan2(planar, wz)
+    theta = np.clip(np.round(theta_star / step_theta), 0, grid - 1) * step_theta
+    return wz * np.cos(theta) + planar * np.sin(theta)
+
+
+def _pauli_vector(h: np.ndarray) -> np.ndarray:
+    return np.array([float(np.trace(s @ h).real) for s in _PAULIS[1:]])
+
+
+def brute_force_pguess_qubit(rho0: np.ndarray, rho1: np.ndarray, grid: int) -> float:
+    """Grid-search oracle over products of projective qubit measurements.
+
+    For two equally likely states on a qubit pair, each side's outcome-0
+    effect ranges over rank-1 projectors on a ``grid`` polar by ``grid``
+    azimuthal Bloch mesh (poles included) plus the two trivial binary
+    POVMs; returns the exact maximum of the objective over all candidate
+    pairs.  In Bloch coordinates the objective is multi-affine, so the
+    best partner grid point for each candidate is found in closed form
+    rather than by pairwise enumeration.  Within ``O(1/grid)`` of the
+    projective optimum.
+    """
+    if rho0.shape != (4, 4) or rho1.shape != (4, 4):
+        raise DimensionMismatch(f"oracle needs qubit pairs, got {rho0.shape} and {rho1.shape}")
+    if grid < 4:
+        raise ValueError("grid must be at least 4")
+    p0 = p1 = 0.5
+    d4 = (p0 * rho0 + p1 * rho1).reshape(2, 2, 2, 2)
+    rho0_4 = rho0.reshape(2, 2, 2, 2)
+    rho1_4 = rho1.reshape(2, 2, 2, 2)
+    r0b = _pauli_vector(np.einsum("ijkj->ik", rho0_4))
+    r0c = _pauli_vector(np.einsum("ijil->jl", rho0_4))
+    r1b = _pauli_vector(np.einsum("ijkj->ik", rho1_4))
+    r1c = _pauli_vector(np.einsum("ijil->jl", rho1_4))
+
+    # objective(P, Q) = tr((P ⊗ Q) D) + p1 (1 - tr(P rho1_B) - tr(Q rho1_C));
+    # in Bloch coordinates: c0 + ga.na + gb.nb + na^T G nb
+    weights = np.einsum("mik,njl,klij->mn", _PAULIS, _PAULIS, d4).real / 4.0
+    c0 = weights[0, 0]
+    ga = weights[1:, 0] - p1 * r1b / 2.0
+    gb = weights[0, 1:] - p1 * r1c / 2.0
+    gmat = weights[1:, 1:]
+
+    points = _bloch_grid(grid)
+    row_best = _max_linear_on_grid(points @ gmat + gb[None, :], grid)
+    best = float(np.max(c0 + points @ ga + row_best))
+
+    # one side trivial (outcome-0 effect I or 0), other side on the grid
+    def half_max(r: np.ndarray) -> float:
+        return float(_max_linear_on_grid(r[None, :] / 2.0, grid)[0])
+
+    best = max(best, p0 * (0.5 + half_max(r0b)), p0 * (0.5 + half_max(r0c)))
+    best = max(best, p1 * (0.5 + half_max(-r1b)), p1 * (0.5 + half_max(-r1c)))
+    # both sides trivial: constant joint guesses
+    return max(best, p0, p1)
+
+
+# ---------------------------------------------------------------------------
+# expurgation
+# ---------------------------------------------------------------------------
+
+
+def expurgate_scheme(
+    e: QecmScheme, mprime: int, phi: Callable[[Any, int], int]
+) -> QecmScheme:
+    """Restrict to ``mprime`` messages through keyed relabelings ``phi``.
+
+    ``phi(key, m)`` must be injective on ``range(mprime)`` for every key;
+    encryption of ``m`` becomes encryption of ``phi(key, m)`` and
+    decryption inverts the relabeling.  Decryption outcomes outside the
+    image of ``phi`` are mapped to message 0 (they cannot occur for
+    honestly encrypted messages).
+    """
+    if not 1 <= mprime <= e.message_count:
+        raise DimensionMismatch(f"mprime must be in [1, {e.message_count}]")
+
+    def image(key: Any) -> list[int]:
+        targets = [phi(key, m) for m in range(mprime)]
+        if len(set(targets)) != mprime:
+            raise NotInjective(f"phi collides on key {key!r}: {targets}")
+        if any(not 0 <= t < e.message_count for t in targets):
+            raise DimensionMismatch("phi maps outside the message set")
+        return targets
+
+    def encrypt(key: Any, m: int) -> np.ndarray:
+        return e.encrypt(key, image(key)[m])
+
+    def decrypt_povm(key: Any) -> Povm:
+        targets = image(key)
+        base = e.decrypt_povm(key).effects
+        effects = base[targets]
+        effects[0] += np.delete(base, targets, axis=0).sum(axis=0)
+        return Povm(dim=e.cipher_dim, effects=effects)
+
+    return QecmScheme(
+        message_count=mprime,
+        cipher_dim=e.cipher_dim,
+        key_sampler=e.key_sampler,
+        encrypt=encrypt,
+        decrypt_povm=decrypt_povm,
+        enumerate_keys=e.enumerate_keys,
+    )

@@ -12,9 +12,7 @@ import numpy as np
 import pytest
 
 from uncloneq.attacks import (
-    GuessingEnsemble,
     breidbart_basis,
-    ensemble_from_scheme_key,
     ind_attack_build,
     projector_cloning_attack,
     projector_strategy_value,
@@ -22,16 +20,16 @@ from uncloneq.attacks import (
     pwin_ind_eval,
     pwin_unif_eval,
     random_basis_attack_estimate,
-    superposition_cloner,
 )
 from uncloneq.linalg import make_rng
 from uncloneq.meg import verify_reduction
 from uncloneq.o2h import extraction_probability, simo2h_rhs, simo2h_success
-from uncloneq.optimize import SeesawConfig, brute_force_pguess_qubit, seesaw_pguess
-from uncloneq.schemes import Povm, bb84_scheme, mu_statistic, uniform_haar_scheme
+from uncloneq.optimize import SeesawConfig, pwin_unif_seesaw
+from uncloneq.schemes import bb84_scheme, mu_statistic, uniform_haar_scheme
 from uncloneq.stats import max_over_sum_estimate
 
 from conftest import orthogonal_support_pair, rand_density
+from oracles import brute_force_pguess_qubit, seesaw_run
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 KET1 = np.diag([0.0, 1.0]).astype(complex)
@@ -137,11 +135,11 @@ def test_criterion_07_random_basis_attack_inequalities():
 
 
 def test_criterion_08_erlang_max_over_sum():
-    mean2, stderr2 = max_over_sum_estimate([1, 1], 0.5, 100_000, make_rng(208))
+    mean2, stderr2 = max_over_sum_estimate([1, 1], 100_000, make_rng(208))
     ok = abs(mean2 - 0.75) <= 0.005
     details = [f"n=2: {mean2:.4f}~0.75"]
     for n in (4, 64, 1024):
-        mean, stderr = max_over_sum_estimate([1] * n, 0.5, 100_000, make_rng(208, stream=n))
+        mean, stderr = max_over_sum_estimate([1] * n, 100_000, make_rng(208, stream=n))
         bound = 0.0457 * math.log2(n) / n
         ok = ok and mean >= bound - 3 * stderr
         details.append(f"n={n}: {mean:.5f}>={bound:.5f}")
@@ -153,31 +151,25 @@ def test_criterion_09_seesaw_soundness():
     gen = make_rng(209)
     monotone = True
     for i in range(50):
-        ens_entries = ((0.5, rand_density(4, gen)), (0.5, rand_density(4, gen)))
-        ens = GuessingEnsemble(entries=ens_entries, dims=(2, 2))
-        res = seesaw_pguess(ens, SeesawConfig(rng=make_rng(209, stream=i), restarts=2))
+        pair = (rand_density(4, gen), rand_density(4, gen))
+        res = seesaw_run(pair, SeesawConfig(rng=make_rng(209, stream=i), restarts=2))
         monotone = monotone and bool(np.all(np.diff(res.trajectory) >= -1e-10))
 
     # warm-started run on the cloner ensemble reaches the projector value
     e = bb84_scheme(1)
     key = e.enumerate_keys()[0]
-    ens = ensemble_from_scheme_key(e, key, superposition_cloner(2))
-    warm = Povm(3, projector_cloning_attack(e).bob_effects(e.ciphertext_stack([key]))[0])
-    res = seesaw_pguess(
-        ens, SeesawConfig(rng=make_rng(209, stream=99), restarts=2), warm_starts=(warm,)
-    )
-    warm_ok = res.value >= 0.5625 - 1e-6
+    atk = projector_cloning_attack(e)
+    cfg = SeesawConfig(rng=make_rng(209, stream=99), restarts=2)
+    warm_value, _ = pwin_unif_seesaw(e, atk.channel, [key], cfg, warm_start=atk.bob_effects)
+    warm_ok = warm_value >= 0.5625 - 1e-6
 
     # oracle agreement on 10 seeded qubit-pair ensembles
     worst = 0.0
     gen = make_rng(209, stream=7)
     for i in range(10):
-        ens = GuessingEnsemble(
-            entries=((0.5, rand_density(4, gen)), (0.5, rand_density(4, gen))),
-            dims=(2, 2),
-        )
-        sv = seesaw_pguess(ens, SeesawConfig(rng=make_rng(209, stream=100 + i), restarts=8)).value
-        bv = brute_force_pguess_qubit(ens, 200)
+        pair = (rand_density(4, gen), rand_density(4, gen))
+        sv = seesaw_run(pair, SeesawConfig(rng=make_rng(209, stream=100 + i), restarts=8)).value
+        bv = brute_force_pguess_qubit(*pair, 200)
         worst = max(worst, abs(sv - bv))
     oracle_ok = worst <= 5e-3
 
@@ -186,7 +178,7 @@ def test_criterion_09_seesaw_soundness():
         9,
         "seesaw soundness",
         ok,
-        f"monotone={monotone} warm_value={res.value:.6f} worst_oracle_gap={worst:.2e}",
+        f"monotone={monotone} warm_value={warm_value:.6f} worst_oracle_gap={worst:.2e}",
     )
 
 

@@ -8,9 +8,7 @@ from scipy import integrate
 
 from uncloneq.attacks import (
     CloningAttack,
-    GuessingEnsemble,
     breidbart_basis,
-    ensemble_from_scheme_key,
     ind_attack_build,
     projector_cloning_attack,
     projector_strategy_value,
@@ -42,7 +40,6 @@ from uncloneq.schemes import (
     RankDistribution,
     bb84_scheme,
     check_correctness,
-    expurgate_scheme,
     haar_scheme,
     mu_statistic,
     uniform_haar_scheme,
@@ -52,6 +49,7 @@ from uncloneq.optimize import SeesawConfig, pwin_unif_seesaw
 from uncloneq.stats import ErlangParams, erlang_cdf
 
 from conftest import constant_map, orthogonal_support_pair, padded_scheme
+from oracles import expurgate_scheme
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 KET1 = np.diag([0.0, 1.0]).astype(complex)
@@ -651,45 +649,6 @@ class TestPwinUnif:
         atk = projector_cloning_attack(uniform_haar_scheme(2, 1))
         with pytest.raises(DimensionMismatch):
             pwin_unif_eval(e, atk, e.sample_keys(rng, 2))
-
-
-class TestGuessingEnsemble:
-    def test_cloner_ensemble_matches_task_state(self, rng):
-        e = uniform_haar_scheme(2, 1)
-        key = e.key_sampler(rng)
-        ch = superposition_cloner(2)
-        ens = ensemble_from_scheme_key(e, key, ch)
-        assert ens.dims == (3, 3)
-        assert abs(sum(p for p, _ in ens.entries) - 1.0) < 1e-12
-        for m, (p, state) in enumerate(ens.entries):
-            assert abs(p - 0.5) < 1e-12
-            direct = apply_channel(ch, e.encrypt(key, m))
-            assert np.max(np.abs(state - direct)) < 1e-12
-
-    def test_identity_to_bob_gives_product_states(self, rng):
-        e = uniform_haar_scheme(2, 1)
-        key = e.key_sampler(rng)
-        ket0 = np.zeros(2, dtype=complex)
-        ket0[0] = 1.0
-        kraus = np.kron(np.eye(2, dtype=complex), ket0[:, None])
-        ch = KrausChannel(2, 4, (kraus,))
-        ens = ensemble_from_scheme_key(e, key, ch)
-        assert ens.dims == (2, 2)
-        for m, (_, state) in enumerate(ens.entries):
-            target = np.kron(e.encrypt(key, m), np.outer(ket0, ket0.conj()))
-            assert np.max(np.abs(state - target)) < 1e-12
-
-    def test_output_without_symmetric_split_is_rejected(self, rng):
-        e = uniform_haar_scheme(2, 1)
-        ket0 = np.zeros(3, dtype=complex)
-        ket0[0] = 1.0
-        ch = KrausChannel(2, 6, (np.kron(np.eye(2, dtype=complex), ket0[:, None]),))
-        with pytest.raises(DimensionMismatch):
-            ensemble_from_scheme_key(e, e.key_sampler(rng), ch)
-
-    def test_probability_validation(self):
-        with pytest.raises(DimensionMismatch):
-            GuessingEnsemble(entries=((0.7, np.eye(4, dtype=complex) / 4),), dims=(2, 2))
 
 
 class TestBreidbartBasis:

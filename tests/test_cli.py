@@ -290,8 +290,8 @@ def test_meg_at_d64_runs_in_bounded_memory(capsys):
 
 
 # erlang reports recorded when each row's trials were first split over two
-# spawned lanes; the last has a rate that is not a power of two and a row
-# wider than the block
+# spawned lanes; the last, recorded with a --rate of 0.3 that changed no
+# byte before the option went, has a row wider than the block
 _PINNED_ERLANG = [
     (
         ["erlang", "--ns", "2,4,64,1024", "--trials", "16000", "--seed", "1"],
@@ -310,7 +310,7 @@ _PINNED_ERLANG = [
         "1024,16000,0.00733551709265,9.7102494195e-06,0.0004462890625,2.91307482585e-05,true\r\n",
     ),
     (
-        ["erlang", "--ns", "3,1000,70000", "--trials", "200", "--rate", "0.3", "--seed", "9"],
+        ["erlang", "--ns", "3,1000,70000", "--trials", "200", "--seed", "9"],
         "n,trials,value,stderr,reference,tolerance,pass\r\n"
         "3,200,0.605823046804,0.00928816839069,0.0241442620943,0.0278645051721,true\r\n"
         "1000,200,0.00741325058974,8.14497614701e-05,0.000455436341809,0.00024434928441,true\r\n"
@@ -493,14 +493,15 @@ class TestExitCodes:
             ["seesaw", "--channel", "bogus"],
             ["meg", "--attack", "bogus"],
             ["theorem2", "--cases", "2x3"],
-            # descriptor counts that int() would truncate, and rates that are not finite
+            # descriptor counts that int() would truncate, and block counts that are zero or
+            # not integers
             ["lemma1", "--scheme", '{"type":"bb84","n":1.9}'],
             ["lemma1", "--scheme", '{"type":"bb84","n":true}'],
             ["lemma1", "--scheme", '{"type":"bb84","n":"2"}'],
             ["lemma1", "--scheme", '{"type":"uniform_haar","M":2.5,"L":1}'],
             ["lemma1", "--scheme", '{"type":"haar","M":2,"d":3.9,"tdist":[[[1,2],1.0]]}'],
-            ["erlang", "--rate", "nan"],
-            ["erlang", "--rate", "inf"],
+            ["erlang", "--ns", "4,0"],
+            ["erlang", "--ns", "2.5"],
             # a mixing weight outside [0, 1] and restart counts below 1, named by their flag
             ["lemma1", "--alpha", "2"],
             ["lemma1", "--alpha", "nan"],
@@ -608,13 +609,22 @@ class TestExitCodes:
         assert from_config == run_cli(argv + ["--trials", "3000"], capsys)[1]
 
     @pytest.mark.parametrize(
-        "args", [["seesaw", "--seed", "1", "--alpha", "2"], ["o2h", "--seed", "3"]]
+        "args",
+        [
+            ["seesaw", "--seed", "1", "--alpha", "2"],
+            ["o2h", "--seed", "3"],
+            # erlang takes no --rate: the ratio it estimates is scale free
+            ["erlang", "--seed", "1", "--rate", "nan"],
+            ["erlang", "--seed", "1", "--rate", "inf"],
+        ],
     )
     def test_flag_of_another_subcommand_is_usage_error(self, args, capsys):
         with pytest.raises(SystemExit) as exc:
             main(args)
         assert exc.value.code == 1
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize(
         "command, options",
@@ -622,7 +632,7 @@ class TestExitCodes:
             ("lemma1", {"scheme", "m0", "alpha", "trials", "seed"}),
             ("theorem2", {"cases", "trials", "seed"}),
             ("o2h", set()),
-            ("erlang", {"ns", "trials", "rate", "seed"}),
+            ("erlang", {"ns", "trials", "seed"}),
             ("seesaw", {"scheme", "channel", "trials", "restarts", "seed"}),
             ("meg", {"scheme", "attack", "trials", "seed"}),
             ("conjecture-scan", {"M", "d", "trials", "restarts", "seed"}),

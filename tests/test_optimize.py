@@ -8,8 +8,6 @@ import numpy as np
 import pytest
 
 from uncloneq.attacks import (
-    GuessingEnsemble,
-    ensemble_from_scheme_key,
     projector_cloning_attack,
     receiver_dim,
     measure_share_attack,
@@ -20,16 +18,11 @@ from uncloneq import optimize
 from uncloneq.cli import main
 from uncloneq.errors import CrossCheckFailed, DimensionMismatch, InvalidOperator, NotHermitian
 from uncloneq.linalg import KrausChannel, dagger, haar_unitary, herm_eig, make_rng
-from uncloneq.optimize import (
-    SeesawConfig,
-    brute_force_pguess_qubit,
-    discriminate,
-    pwin_unif_seesaw,
-    seesaw_pguess,
-)
+from uncloneq.optimize import SeesawConfig, discriminate, pwin_unif_seesaw
 from uncloneq.schemes import Povm, bb84_scheme, uniform_haar_scheme
 
-from conftest import rand_density
+from conftest import constant_map, rand_density
+from oracles import brute_force_pguess_qubit, seesaw_run
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 KET1 = np.diag([0.0, 1.0]).astype(complex)
@@ -294,70 +287,71 @@ class TestSqrtMeasurement:
         assert np.max(np.abs(_report(argv) - values)) < 1e-10
 
 
-def _random_binary_qubit_pair_ensemble(rng) -> GuessingEnsemble:
-    return GuessingEnsemble(
-        entries=((0.5, rand_density(4, rng)), (0.5, rand_density(4, rng))),
-        dims=(2, 2),
-    )
+def _random_qubit_pair(rng) -> tuple[np.ndarray, np.ndarray]:
+    return rand_density(4, rng), rand_density(4, rng)
+
+
+def _identity_to_bob(d: int) -> KrausChannel:
+    # Bob keeps the d-dimensional input, Charlie gets |0>
+    ket0 = np.eye(d, 1, dtype=complex)
+    return KrausChannel(d, d * d, (np.kron(np.eye(d, dtype=complex), ket0),))
 
 
 class TestSeesaw:
     def test_perfectly_distinguishable_product(self):
         s0 = np.kron(KET0, KET0)
         s1 = np.kron(KET1, KET1)
-        ens = GuessingEnsemble(entries=((0.5, s0), (0.5, s1)), dims=(2, 2))
         cfg = SeesawConfig(rng=make_rng(0), restarts=1)
-        assert abs(seesaw_pguess(ens, cfg).value - 1.0) < 1e-9
+        assert abs(seesaw_run([s0, s1], cfg).value - 1.0) < 1e-9
 
     def test_cloner_ensemble_with_warm_start(self):
         e = bb84_scheme(1)
         key = e.enumerate_keys()[0]
-        ens = ensemble_from_scheme_key(e, key, superposition_cloner(2))
-        warm = Povm(3, projector_cloning_attack(e).bob_effects(e.ciphertext_stack([key]))[0])
+        atk = projector_cloning_attack(e)
         cfg = SeesawConfig(rng=make_rng(1), restarts=2)
-        res = seesaw_pguess(ens, cfg, warm_starts=(warm,))
-        assert res.value >= 9 / 16 - 1e-6
+        value, _ = pwin_unif_seesaw(e, atk.channel, [key], cfg, warm_start=atk.bob_effects)
+        assert value >= 9 / 16 - 1e-6
 
     def test_uninformative_charlie_floor(self, rng):
         # Bob holds a copy of the label, Charlie sees nothing: floor is 1/2
         sigma = rand_density(2, rng)
-        ens = GuessingEnsemble(
-            entries=(
-                (0.5, np.kron(KET0, sigma)),
-                (0.5, np.kron(KET1, sigma)),
-            ),
-            dims=(2, 2),
-        )
         cfg = SeesawConfig(rng=make_rng(2), restarts=2)
-        assert seesaw_pguess(ens, cfg).value >= 0.5 - 1e-9
+        assert seesaw_run([np.kron(KET0, sigma), np.kron(KET1, sigma)], cfg).value >= 0.5 - 1e-9
 
     def test_trajectory_monotone_and_bounded(self, rng):
         for i in range(20):
-            p = float(rng.uniform(0.05, 0.95))
-            ens = GuessingEnsemble(
-                entries=((p, rand_density(4, rng)), (1 - p, rand_density(4, rng))),
-                dims=(2, 2),
-            )
             cfg = SeesawConfig(rng=make_rng(1000 + i), restarts=3)
-            res = seesaw_pguess(ens, cfg)
+            res = seesaw_run(_random_qubit_pair(rng), cfg)
             diffs = np.diff(res.trajectory)
             assert np.all(diffs >= -1e-10)
             assert res.value == res.trajectory[-1]
-            assert max(p, 1 - p) - 1e-9 <= res.value <= 1 + 1e-9
+            assert 0.5 - 1e-9 <= res.value <= 1 + 1e-9
             assert res.iterations_used == len(res.trajectory)
 
     def test_warm_start_dimension_checked(self, rng):
-        ens = _random_binary_qubit_pair_ensemble(rng)
-        from uncloneq.errors import DimensionMismatch
-
-        bad = Povm(dim=3, effects=(np.eye(3, dtype=complex), np.zeros((3, 3), complex)))
+        # a warm map whose effects are not Charlie's side is refused by receiver_effects
+        e = uniform_haar_scheme(2, 1)
+        ch = measure_share_attack(2, np.eye(2, dtype=complex))
+        bad = constant_map((np.eye(3, dtype=complex), np.zeros((3, 3), complex)))
         cfg = SeesawConfig(rng=make_rng(1))
         with pytest.raises(DimensionMismatch):
-            seesaw_pguess(ens, cfg, warm_starts=(bad,))
+            pwin_unif_seesaw(e, ch, e.sample_keys(rng, 2), cfg, warm_start=bad)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SeesawConfig(rng=make_rng(0), restarts=0)
+
+    def test_starts_are_warm_then_constant_guess_then_restarts(self):
+        # the constant guess is message 0, which pins a start's value to at least 1/M
+        warm = optimize._random_projective_povm(3, 4, make_rng(3))
+        starts = optimize._starts(4, 3, [warm], SeesawConfig(rng=make_rng(4), restarts=2))
+        assert starts.shape == (4, 4, 3, 3)
+        assert np.array_equal(starts[0], warm)
+        assert np.array_equal(starts[1, 0], np.eye(3)) and not starts[1, 1:].any()
+        # the first restart is the first draw from cfg.rng
+        assert np.array_equal(starts[2], optimize._random_projective_povm(3, 4, make_rng(4)))
+        for start in starts:
+            Povm(3, start).validate()
 
 
 class TestPwinUnifSeesaw:
@@ -405,55 +399,63 @@ class TestPwinUnifSeesaw:
         mean, _ = pwin_unif_seesaw(
             e, ch, keys, SeesawConfig(rng=make_rng(8), restarts=2), warm_start=warm
         )
-        rng = make_rng(8)
-        vals = []
-        for key in keys:
-            ws = (Povm(4, warm(e.ciphertext_stack([key]))[0]),) if warm else ()
-            cfg = SeesawConfig(rng=rng, restarts=2)
-            vals.append(seesaw_pguess(ensemble_from_scheme_key(e, key, ch), cfg, ws).value)
+        # one key per call, every call drawing its restarts from one shared generator
+        cfg = SeesawConfig(rng=make_rng(8), restarts=2)
+        vals = [pwin_unif_seesaw(e, ch, [key], cfg, warm_start=warm)[0] for key in keys]
         assert abs(mean - np.mean(vals)) < 1e-12
 
-    @pytest.mark.parametrize("channel", ["cloner", "measure_share"])
+    @pytest.mark.parametrize("channel", ["cloner", "measure_share", "identity_to_bob"])
     def test_chunk_build_equals_per_key_ensembles(self, channel):
-        # the batched chunk set-up writes what each key's own ensemble lays out
+        # out[k, x, (i,k'), (j,a)] = N(Enc_k(x))[(i,a),(k',j)] / M, with N from its Kraus
+        # operators; Bob keeps the ciphertext under identity_to_bob, so a B/C mix-up shows
         e = uniform_haar_scheme(2, 2)
         if channel == "cloner":
             ch = superposition_cloner(4)
-        else:
+        elif channel == "measure_share":
             ch = measure_share_attack(4, np.eye(4, dtype=complex))
+        else:
+            ch = _identity_to_bob(4)
         keys = e.sample_keys(make_rng(12), 3)
-        bmat = optimize._chunk_matrices(ch, e.ciphertext_stack(keys), receiver_dim(e, ch))
+        stack = e.ciphertext_stack(keys)
+        side = receiver_dim(e, ch)
+        bmat = optimize._chunk_matrices(ch, stack, side)
+        kraus = ch.left @ dagger(ch.right)
+        states = np.einsum("jab,kxbc,jdc->kxad", kraus, stack, kraus.conj())
+        r = states.reshape(len(keys), e.message_count, side, side, side, side)
+        want = np.einsum("kxiapj->kxipja", r).reshape(bmat.shape) / e.message_count
+        assert np.max(np.abs(bmat - want)) < 1e-15
+        # each key of the chunk as its own stack of one
         for k, key in enumerate(keys):
-            ens = ensemble_from_scheme_key(e, key, ch)
-            one = np.empty_like(bmat[k])
-            states = np.array([state for _, state in ens.entries])
-            optimize._key_matrices(states, [p for p, _ in ens.entries], ens.dims, one)
-            assert np.array_equal(bmat[k], one)
+            one = optimize._chunk_matrices(ch, e.ciphertext_stack([key]), side)
+            assert np.array_equal(bmat[k], one[0])
 
     def test_chunk_build_checks_hermiticity(self, rng):
-        # a non-Hermitian channel output is refused, as GuessingEnsemble refuses it
+        # a non-Hermitian channel output is refused
         e = uniform_haar_scheme(2, 1)
         skew = replace(e, encrypt=lambda key, m: np.array([[0.5, 0.1], [0.0, 0.5]], complex))
         ch = superposition_cloner(2)
         keys = e.sample_keys(rng, 2)
         with pytest.raises(NotHermitian):
-            ensemble_from_scheme_key(skew, keys[0], ch)
-        with pytest.raises(NotHermitian):
             optimize._chunk_matrices(ch, skew.ciphertext_stack(keys), 3)
+
+    def test_output_without_symmetric_split_is_rejected(self, rng):
+        # a 2 x 3 output has no equal B/C halves (receiver_dim)
+        e = uniform_haar_scheme(2, 1)
+        ch = KrausChannel(2, 6, (np.kron(np.eye(2, dtype=complex), np.eye(3, 1, dtype=complex)),))
+        cfg = SeesawConfig(rng=make_rng(5))
+        with pytest.raises(DimensionMismatch):
+            pwin_unif_seesaw(e, ch, e.sample_keys(rng, 2), cfg)
 
     def test_identity_to_bob_floor(self, rng):
         e = uniform_haar_scheme(2, 1)
-        ket0 = np.zeros(2, dtype=complex)
-        ket0[0] = 1.0
-        ch = KrausChannel(2, 4, (np.kron(np.eye(2, dtype=complex), ket0[:, None]),))
+        ch = _identity_to_bob(2)
         cfg = SeesawConfig(rng=make_rng(5), restarts=2)
         mean, _ = pwin_unif_seesaw(e, ch, e.sample_keys(cfg.rng, 3), cfg)
         assert mean >= 0.5 - 1e-9
 
 
-def _slow_grid_max(ens: GuessingEnsemble, grid: int) -> float:
+def _slow_grid_max(rho0, rho1, grid: int) -> float:
     # direct enumeration of all candidate pairs; oracle for the fast path
-    (p0, rho0), (p1, rho1) = ens.entries
     cands = [np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)]
     for t in np.linspace(0, np.pi, grid):
         for ph in np.linspace(0, 2 * np.pi, grid, endpoint=False):
@@ -464,8 +466,8 @@ def _slow_grid_max(ens: GuessingEnsemble, grid: int) -> float:
     for p_eff in cands:
         for q_eff in cands:
             val = (
-                p0 * np.trace(np.kron(p_eff, q_eff) @ rho0).real
-                + p1 * np.trace(np.kron(eye - p_eff, eye - q_eff) @ rho1).real
+                0.5 * np.trace(np.kron(p_eff, q_eff) @ rho0).real
+                + 0.5 * np.trace(np.kron(eye - p_eff, eye - q_eff) @ rho1).real
             )
             best = max(best, val)
     return best
@@ -475,50 +477,41 @@ class TestBruteForce:
     def test_orthogonal_product_ensemble(self):
         s0 = np.kron(KET0, KET0)
         s1 = np.kron(KET1, KET1)
-        ens = GuessingEnsemble(entries=((0.5, s0), (0.5, s1)), dims=(2, 2))
         grid = 200
-        assert abs(brute_force_pguess_qubit(ens, grid) - 1.0) < 2.0 / grid
+        assert abs(brute_force_pguess_qubit(s0, s1, grid) - 1.0) < 2.0 / grid
 
     def test_identical_states(self):
         mixed = np.eye(4, dtype=complex) / 4
-        ens = GuessingEnsemble(entries=((0.5, mixed), (0.5, mixed)), dims=(2, 2))
-        assert abs(brute_force_pguess_qubit(ens, 200) - 0.5) < 1e-9
+        assert abs(brute_force_pguess_qubit(mixed, mixed, 200) - 0.5) < 1e-9
 
     def test_matches_direct_enumeration(self, rng):
         for _ in range(4):
-            ens = _random_binary_qubit_pair_ensemble(rng)
+            pair = _random_qubit_pair(rng)
             for grid in (5, 9):
-                fast = brute_force_pguess_qubit(ens, grid)
-                slow = _slow_grid_max(ens, grid)
+                fast = brute_force_pguess_qubit(*pair, grid)
+                slow = _slow_grid_max(*pair, grid)
                 assert abs(fast - slow) < 1e-12
 
     def test_charlie_trivial_reduces_to_helstrom(self, rng):
         # Charlie's marginal carries nothing; optimum is Bob-side Helstrom
         rho0 = np.kron(rand_density(2, rng), np.eye(2, dtype=complex) / 2)
         rho1 = np.kron(rand_density(2, rng), np.eye(2, dtype=complex) / 2)
-        ens = GuessingEnsemble(entries=((0.5, rho0), (0.5, rho1)), dims=(2, 2))
-        brute = brute_force_pguess_qubit(ens, 200)
+        brute = brute_force_pguess_qubit(rho0, rho1, 200)
         cfg = SeesawConfig(rng=make_rng(6), restarts=6)
-        seesaw = seesaw_pguess(ens, cfg).value
+        seesaw = seesaw_run([rho0, rho1], cfg).value
         assert abs(brute - seesaw) < 5e-3
 
     def test_agreement_with_seesaw(self, rng):
         for i in range(5):
-            ens = _random_binary_qubit_pair_ensemble(rng)
+            pair = _random_qubit_pair(rng)
             cfg = SeesawConfig(rng=make_rng(50 + i), restarts=6)
-            sv = seesaw_pguess(ens, cfg).value
-            bv = brute_force_pguess_qubit(ens, 200)
+            sv = seesaw_run(pair, cfg).value
+            bv = brute_force_pguess_qubit(*pair, 200)
             assert abs(sv - bv) < 5e-3
 
     def test_input_validation(self, rng):
-        from uncloneq.errors import DimensionMismatch
-
-        good = _random_binary_qubit_pair_ensemble(rng)
+        good = _random_qubit_pair(rng)
         with pytest.raises(ValueError):
-            brute_force_pguess_qubit(good, 2)
-        bad_dims = GuessingEnsemble(
-            entries=((0.5, rand_density(6, rng)), (0.5, rand_density(6, rng))),
-            dims=(2, 3),
-        )
+            brute_force_pguess_qubit(*good, 2)
         with pytest.raises(DimensionMismatch):
-            brute_force_pguess_qubit(bad_dims, 10)
+            brute_force_pguess_qubit(rand_density(6, rng), rand_density(6, rng), 10)

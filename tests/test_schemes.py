@@ -15,7 +15,6 @@ from uncloneq.schemes import (
     RankDistribution,
     bb84_scheme,
     check_correctness,
-    expurgate_scheme,
     haar_scheme,
     mu_statistic,
     scheme_from_descriptor,
@@ -23,6 +22,7 @@ from uncloneq.schemes import (
 )
 
 from conftest import padded_scheme
+from oracles import expurgate_scheme
 
 KET_MINUS = np.array([1, -1], dtype=complex) / np.sqrt(2)
 

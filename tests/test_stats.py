@@ -74,38 +74,40 @@ class TestSampling:
 
 class TestMaxOverSum:
     def test_single_block_is_one(self, rng):
-        assert max_over_sum_estimate([5], 1.0, 100, rng) == (1.0, 0.0)
+        assert max_over_sum_estimate([5], 100, rng) == (1.0, 0.0)
 
     def test_two_exponentials(self):
-        mean, stderr = max_over_sum_estimate([1, 1], 0.5, 100_000, make_rng(11))
+        mean, stderr = max_over_sum_estimate([1, 1], 100_000, make_rng(11))
         assert abs(mean - 0.75) < 0.005
         assert stderr < 0.002
 
     def test_scale_invariance(self):
-        m1, s1 = max_over_sum_estimate([1] * 8, 0.5, 50_000, make_rng(12))
-        m2, s2 = max_over_sum_estimate([1] * 8, 7.0, 50_000, make_rng(13))
-        assert abs(m1 - m2) < 3 * (s1 + s2)
+        # Erlang draws at rates 0.5 and 7.0 give one ratio law: the unit-rate
+        # estimate agrees with each rate's direct draws
+        m1, s1 = max_over_sum_estimate([1] * 8, 50_000, make_rng(12))
+        for rate, seed in ((0.5, 13), (7.0, 14)):
+            draws = make_rng(seed).exponential(1.0 / rate, (50_000, 8))
+            ratios = draws.max(axis=1) / draws.sum(axis=1)
+            m2, s2 = ratios.mean(), ratios.std(ddof=1) / math.sqrt(len(ratios))
+            assert abs(m1 - m2) < 3 * (s1 + s2)
 
     def test_heterogeneous_shapes(self):
         # the big block dominates: ratio concentrates near its share
-        mean, _ = max_over_sum_estimate([50, 1, 1], 1.0, 20_000, make_rng(14))
+        mean, _ = max_over_sum_estimate([50, 1, 1], 20_000, make_rng(14))
         assert 0.8 < mean < 1.0
 
     @pytest.mark.parametrize("n", [4, 16, 64, 256, 1024])
     def test_logarithmic_lower_bound(self, n):
-        mean, stderr = max_over_sum_estimate([1] * n, 0.5, 100_000, make_rng(n))
+        mean, stderr = max_over_sum_estimate([1] * n, 100_000, make_rng(n))
         bound = ERLANG_MAX_CONSTANT * math.log2(n) / n
         assert mean >= bound - 3 * stderr
 
-    @pytest.mark.parametrize("rate", [0.5, 7.0])
-    def test_unit_shapes_match_direct_ratio(self, rate):
+    def test_unit_shapes_match_direct_ratio(self):
         # each lane draws its share of the rows from its own spawned stream and
         # adds its ratios one after another; the lanes' sums are added in lane
-        # order.  The draws are unit-rate whatever the rate: dividing them by
-        # 7.0 moves about half the ratios by one ulp, which a sum in trial
-        # order shows
+        # order.  The draws are unit-rate
         n, trials = 6, 1000
-        mean, stderr = max_over_sum_estimate([1] * n, rate, trials, make_rng(15))
+        mean, stderr = max_over_sum_estimate([1] * n, trials, make_rng(15))
         acc = acc_sq = 0.0
         for gen in make_rng(15).spawn(2):
             block = gen.standard_exponential((trials // 2, n))
@@ -121,7 +123,7 @@ class TestMaxOverSum:
     def test_unit_shapes_match_exact_mean(self, n):
         # the normalized draws are independent of their sum, so the mean of
         # max/sum over n unit exponentials is E[max]/E[sum] = H_n / n
-        mean, stderr = max_over_sum_estimate([1] * n, 1.0, 20_000, make_rng(16))
+        mean, stderr = max_over_sum_estimate([1] * n, 20_000, make_rng(16))
         exact = sum(1.0 / k for k in range(1, n + 1)) / n
         assert abs(mean - exact) <= 4 * stderr
 
@@ -129,7 +131,7 @@ class TestMaxOverSum:
         # one chunk of 2**16 entries (512 KB) per lane, not 16000 x 1024 draws
         tracemalloc.start()
         try:
-            max_over_sum_estimate([1] * 1024, 0.5, 16000, rng)
+            max_over_sum_estimate([1] * 1024, 16000, rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -137,21 +139,16 @@ class TestMaxOverSum:
 
     def test_input_validation(self, rng):
         with pytest.raises(ValueError):
-            max_over_sum_estimate([], 1.0, 10, rng)
+            max_over_sum_estimate([], 10, rng)
         with pytest.raises(ValueError):
-            max_over_sum_estimate([1, 0], 1.0, 10, rng)
+            max_over_sum_estimate([1, 0], 10, rng)
         with pytest.raises(ValueError):
-            max_over_sum_estimate([1], -1.0, 10, rng)
-        for rate in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="finite"):
-                max_over_sum_estimate([1, 1], rate, 10, rng)
-        with pytest.raises(ValueError):
-            max_over_sum_estimate([1], 1.0, 0, rng)
+            max_over_sum_estimate([1], 0, rng)
         # non-integers are refused, not truncated
         with pytest.raises(ValueError, match="positive integers"):
-            max_over_sum_estimate([1.7, 1], 1.0, 10, rng)
+            max_over_sum_estimate([1.7, 1], 10, rng)
         with pytest.raises(ValueError, match="integer"):
-            max_over_sum_estimate([1, 1], 1.0, 2.5, rng)
+            max_over_sum_estimate([1, 1], 2.5, rng)
 
 
 def test_explicit_constant_value():

@@ -44,15 +44,10 @@ ALLOWED = {
     "linalg.assert_density_operator": "validator the tests use",
     "schemes.QecmScheme.factor": "deriving encrypt from the factor (ROADMAP F2) needs it",
     "schemes.Povm.validate": "a Povm's own check; evaluators run validate_effects on stacks",
-    "schemes.Povm.n_outcomes": "outcome count of a decryption or seesaw POVM; tests read it",
-    "schemes.expurgate_scheme": "the paper's expurgation; pwin_ind_eval reads its pair as a stack",
+    "schemes.Povm.n_outcomes": "outcome count of a decryption POVM; tests read it",
     "meg.meg_from_qecm": "certified upper bounds (ROADMAP A) build on the game route",
     "meg.meg_win_prob": "certified upper bounds (ROADMAP A) build on the game route",
     "optimize.discriminate": "single-problem entry point to the stacked solver",
-    "optimize.seesaw_pguess": "single-problem entry point to the stacked solver",
-    "attacks.ensemble_from_scheme_key": "test oracle for the seesaw's stacked set-up",
-    "attacks.GuessingEnsemble.n_outcomes": "read by seesaw_pguess and the qubit oracle",
-    "optimize.brute_force_pguess_qubit": "test oracle for the seesaw",
     "stats.erlang_cdf": "the Erlang-law oracle of the Monte Carlo (ROADMAP C replaces it)",
 }
 
