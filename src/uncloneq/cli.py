@@ -314,17 +314,24 @@ def _seesaw_setup(scheme: QecmScheme, channel_name: str, trials: int, restarts: 
     constant-guess value ``1/M`` when there is no warm start.  The
     measure-and-share warm start records each key's decode value, and its
     reference averages the recorded values, so no key is decoded twice and
-    that reference is read after the seesaw.  A key
-    ensemble, or a lockstep stack of ``trials`` keys with ``restarts``
-    restarts each, too large for the seesaw is refused before the channel
-    is built and before any key is drawn.
+    that reference is read after the seesaw.  A channel's Kraus factors,
+    a key's support blocks, or a lockstep stack of ``trials`` keys with
+    ``restarts`` restarts each, too large for the seesaw is refused before
+    the channel is built and before any key is drawn.
     """
     d, big_m = scheme.cipher_dim, scheme.message_count
     cloner = channel_name == "cloner"
-    out_dim = (d + 1) ** 2 if cloner else d * d
+    # each receiver's dimension, the output rows the channel reaches, and the
+    # shape of its left Kraus factors (attacks.superposition_cloner, measure_share_attack)
+    side, support = (d + 1, 2 * d) if cloner else (d, d)
+    n_kraus, rank = (1, d) if cloner else (d, 1)
     try:
+        kraus = n_kraus * side * side * rank
+        check_entries(kraus, f"its Kraus factors ({n_kraus} x {side}^2 x {rank})")
         # every key has a warm start, except under the cloner beyond two messages
-        optimize.seesaw_stack_entries(big_m, out_dim, trials, restarts, not cloner or big_m == 2)
+        optimize.seesaw_stack_entries(
+            big_m, side, support, trials, restarts, not cloner or big_m == 2
+        )
     except ValueError as exc:
         raise ValueError(
             f"the {channel_name} channel at d = {d} with {restarts} restarts: {exc}"

@@ -274,10 +274,21 @@ def haar_unitary(d: int, rng: np.random.Generator, n: int | None = None) -> Arra
     if d < 1:
         raise DimensionMismatch("dimension must be at least 1")
     shape = (d, d) if n is None else (n, d, d)
-    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    z = np.empty(shape, dtype=complex)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
+    return _haar_from_ginibre(z)
+
+
+def _haar_from_ginibre(z: Array) -> Array:
+    """Haar unitaries from a ``(..., d, d)`` stack of complex Ginibre matrices.
+
+    One batched QR, then the phases of each R diagonal absorbed into Q in place.
+    """
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[..., None, :]
+    q *= (diag / np.abs(diag))[..., None, :]
+    return q
 
 
 @dataclass(frozen=True)
@@ -363,6 +374,20 @@ def _support(left: Array) -> Array:
     return np.flatnonzero(left.any(axis=(0, 2)))
 
 
+def _on_support(kept: Array, sigma: Array) -> Array:
+    """Outputs on the support, ``rho_S = sum_j kept_j sigma_j kept_j†``, of a stack of problems.
+
+    ``kept`` holds the ``(n, s, r)`` left Kraus factors restricted to their
+    support rows ``S`` and ``sigma`` the ``(..., n, r, r)`` inner operators;
+    the sum over ``j`` and the rank index is one ``(c s, n r) x (n r, s)``
+    matmul, so the result is the ``(..., s, s)`` stack of ``(S, S)`` blocks.
+    """
+    n, s, r = kept.shape
+    t = np.swapaxes(kept @ sigma, -3, -2).reshape(-1, n * r)
+    kept_h = dagger(np.swapaxes(kept, 0, 1).reshape(s, n * r))
+    return (t @ kept_h).reshape(sigma.shape[:-3] + (s, s))
+
+
 def joint_expectation(effects: Sequence[Array], left: Array, sigma: Array) -> Array:
     """``sum_j tr((E_1 ⊗ ... ⊗ E_p) left_j sigma_j left_j†)`` for a stack of problems.
 
@@ -378,10 +403,10 @@ def joint_expectation(effects: Sequence[Array], left: Array, sigma: Array) -> Ar
     some ``left_j`` is nonzero, ``s = |S|`` of them (``2d`` of ``(d+1)²``
     for the superposition cloner, ``d`` of ``d²`` for measure-and-share).
     Each problem's output restricted to ``S``, ``rho_S = sum_j left_{j,S}
-    sigma_j left_{j,S}†``, is one ``(s, n r) x (n r, s)`` matmul, and the
-    value is ``tr((E_1 ⊗ ... ⊗ E_p)_{S,S} rho_S)`` with the ``s x s``
-    block gathered from each effect at ``S``'s indices in its own factor,
-    so neither the Kronecker product of the effects nor a full channel
+    sigma_j left_{j,S}†``, comes from :func:`_on_support`, and the value
+    is ``tr((E_1 ⊗ ... ⊗ E_p)_{S,S} rho_S)`` with the ``s x s`` block
+    gathered from each effect at ``S``'s indices in its own factor, so
+    neither the Kronecker product of the effects nor a full channel
     output is built.  A problem costs ``O(n s r (r + s))``; a dense factor
     (``s = out``) costs ``O(n out² r)``.  Problems run in chunks of at
     most ``_KERNEL_ENTRIES`` complex entries (at least one).
@@ -401,7 +426,6 @@ def joint_expectation(effects: Sequence[Array], left: Array, sigma: Array) -> Ar
     support = _support(left)
     s = len(support)
     kept = left[:, support]
-    kept_h = dagger(np.swapaxes(kept, 0, 1).reshape(s, n * r))
     index = np.unravel_index(support, dims)
     effects = [e.reshape(-1, d, d) for e, d in zip(effects, dims)]
     sigma = sigma.reshape(-1, n, r, r)
@@ -410,9 +434,7 @@ def joint_expectation(effects: Sequence[Array], left: Array, sigma: Array) -> Ar
     step = max(1, _KERNEL_ENTRIES // max(1, s * (n * r + s)))
     for lo in range(0, len(sigma), step):
         hi = min(lo + step, len(sigma))
-        # the chunk's (S, j r) rows stacked into one (c s, n r) x (n r, s) matmul
-        t = np.swapaxes(kept @ sigma[lo:hi], 1, 2).reshape(-1, n * r)
-        rho_s = (t @ kept_h).reshape(hi - lo, s, s)
+        rho_s = _on_support(kept, sigma[lo:hi])
         # the (S, S) block of E_1 ⊗ ... ⊗ E_p, one factor's block at a time, in place
         joint = effects[0][lo:hi, index[0]][:, :, index[0]].astype(complex, copy=False)
         for eff, i in zip(effects[1:], index[1:]):

@@ -19,14 +19,18 @@ solver on a stack of one problem.
 :func:`pwin_unif_seesaw` is the one way into the seesaw.  It takes its
 key list explicitly, with uniform messages, and stacks every (key, start)
 pair of a chunk of keys.  Each chunk's keys are read as one
-``(K, M, d, d)`` ciphertext stack, which goes through the channel at once
-(:func:`_chunk_matrices`) and serves the warm start, and a chunk holds at
-most ``_CHUNK_ENTRIES`` complex entries of per-key matrices and lockstep
-rows (at least one key).  A single key's ensemble, and one chunk's
-lockstep stack, may each need at most ``config.ENTRIES_CAP`` entries
-(:func:`seesaw_stack_entries` refuses larger sizes before anything is
-drawn).  The stacked seesaw hands back one row per key: its best start's
-value and both receivers' effects.
+``(K, M, d, d)`` ciphertext stack, which serves the warm start and goes
+through the channel at once on the channel's support
+(:func:`_chunk_matrices`): only the ``s`` output rows some Kraus operator
+reaches (``2d`` of ``(d+1)²`` for the superposition cloner, ``d`` of
+``d²`` for measure-and-share) are held, as ``(K, M, s, s)`` blocks, and
+both receivers' conditional operators are formed from them by a gather
+and a one-hot contraction.  A chunk holds at most ``_CHUNK_ENTRIES``
+complex entries of support blocks and lockstep rows (at least one key).
+One key's support blocks, and one chunk's lockstep stack, may each need
+at most ``config.ENTRIES_CAP`` entries (:func:`seesaw_stack_entries`
+refuses larger sizes before anything is drawn).  The stacked seesaw hands back one row per key: its
+best start's value, sweep count and trajectory.
 """
 
 from __future__ import annotations
@@ -43,10 +47,11 @@ from .errors import CrossCheckFailed, DimensionMismatch
 from .linalg import (
     Array,
     KrausChannel,
-    apply_channel,
+    _haar_from_ginibre,
+    _on_support,
+    _support,
     assert_hermitian,
     dagger,
-    haar_unitary,
     herm_eig,
 )
 from .schemes import QecmScheme, validate_effects
@@ -65,7 +70,7 @@ _FP_EPS = 1e-12
 _SEESAW_ITERS = 500
 _SEESAW_EPS = 1e-9
 # complex entries one chunk of keys may hold (2 MB, at least one key): each
-# key's per-key matrices plus its starts' lockstep rows, as _chunk_keys counts
+# key's support blocks plus its starts' lockstep rows, as _chunk_keys counts
 _CHUNK_ENTRIES = 2**17
 # eigenvalues of T / tr T at or below this span the kernel of a square-root measurement's T
 _KERNEL_CUTOFF = 1e-14
@@ -264,134 +269,156 @@ class SeesawConfig:
             raise ValueError("restarts must be at least 1")
 
 
-def _random_projective_povm(dim: int, n: int, rng: np.random.Generator) -> list[Array]:
-    # Haar-rotated rank patterns; outcomes beyond dim get zero effects
-    u = haar_unitary(dim, rng)
-    effects = []
-    for x in range(n):
-        cols = u[:, [i for i in range(dim) if i % n == x]]
-        effects.append(cols @ dagger(cols) if cols.shape[1] else np.zeros((dim, dim), complex))
-    return effects
+def _starts(n: int, dc: int, warm: Array | None, keys: int, cfg: SeesawConfig) -> Array:
+    """Charlie's start POVMs for each of ``keys`` keys, as a ``(keys, S, n, dc, dc)`` stack.
 
-
-def _starts(n: int, dc: int, warm: Sequence[Array], cfg: SeesawConfig) -> Array:
-    """Charlie's start POVMs for one key, as an ``(S, n, dc, dc)`` stack.
-
-    The key's ensemble has ``n`` equally likely labels and Charlie's side
-    has dimension ``dc``.  Every ``(n, dc, dc)`` effect array in ``warm``,
-    then the constant guess of label 0 (which pins the value to at least
-    ``1/n``), then ``cfg.restarts`` Haar-random projective POVMs drawn
-    from ``cfg.rng``.
+    Each key's ensemble has ``n`` equally likely labels and Charlie's side
+    has dimension ``dc``.  Per key: its ``(n, dc, dc)`` effects in the
+    ``(keys, n, dc, dc)`` stack ``warm``, when given, then the constant
+    guess of label 0 (which pins the value to at least ``1/n``), then
+    ``cfg.restarts`` Haar-random projective POVMs, whose outcome x
+    projects onto the columns ``i = x mod n`` of a Haar unitary (a zero
+    effect for ``x >= dc``).  All restarts come from one draw of
+    ``cfg.rng`` that reads it key by key and restart by restart, each
+    unitary's real then imaginary part, as one
+    :func:`~uncloneq.linalg.haar_unitary` call per restart would.
     """
-    constant = np.zeros((n, dc, dc), dtype=complex)
-    constant[0] = np.eye(dc)
-    randoms = [_random_projective_povm(dc, n, cfg.rng) for _ in range(cfg.restarts)]
-    return np.stack(list(warm) + [constant] + randoms)
+    r = cfg.restarts
+    g = cfg.rng.standard_normal((keys * r, 2, dc, dc))
+    u = _haar_from_ginibre(g[:, 0] + 1j * g[:, 1])
+    randoms = np.zeros((keys * r, n, dc, dc), dtype=complex)
+    for x in range(min(n, dc)):
+        cols = u[:, :, x::n]
+        randoms[:, x] = cols @ dagger(cols)
+    constant = np.zeros((keys, 1, n, dc, dc), dtype=complex)
+    constant[:, 0, 0] = np.eye(dc)
+    firsts = [constant] if warm is None else [warm[:, None], constant]
+    return np.concatenate(firsts + [randoms.reshape(keys, r, n, dc, dc)], axis=1)
 
 
-def _chunk_matrices(ch: KrausChannel, stack: Array, side: int) -> Array:
-    """Per-key matrices of a chunk's ``(K, M, d, d)`` ciphertext stack under uniform messages.
+def _chunk_matrices(ch: KrausChannel, stack: Array, side: int) -> tuple[Array, Array, Array]:
+    """A chunk's ``(K, M, d, d)`` ciphertext stack under the channel, on its support.
 
-    The whole stack goes through :func:`linalg.apply_channel` at once and
-    the output states ``rho_kx = N(Enc_k(x))`` on ``B ⊗ C``, both sides
-    ``side``-dimensional, are checked Hermitian once.  One layout copy,
-    scaled by ``1/M``, gives ``out[k, x, (i,k'), (j,a)] = rho_kx[(i,a),(k',j)] / M``.
-    The chunk's states are as large as its matrices.
+    The support ``S`` is the ``s`` output rows of ``B ⊗ C``, both sides
+    ``side``-dimensional, that some left Kraus factor reaches; every other
+    entry of an output state is zero.  Returns the ``(K, M, s, s)`` blocks
+    ``rho_S / M`` of the output states ``rho_kx = N(Enc_k(x))``, each
+    formed by :func:`linalg._on_support` and checked Hermitian, and each
+    support row's Bob and Charlie index ``(b(S), c(S)) = divmod(S, side)``.
     """
-    k, m = stack.shape[:2]
-    states = apply_channel(ch, stack)
-    assert_hermitian(states)
-    view = np.moveaxis(states.reshape(k, m, side, side, side, side), 3, 5)
-    return np.multiply(view, 1.0 / m, order="C").reshape(k, m, side * side, side * side)
+    support = _support(ch.left)
+    rho = _on_support(ch.left[:, support], ch.compress(stack))
+    assert_hermitian(rho)
+    rho *= 1.0 / stack.shape[1]
+    return (rho, *divmod(support, side))
 
 
-def _seesaw(bmat: Array, dims: tuple[int, int], starts: Array) -> tuple[Array, ...]:
+def _seesaw(
+    rho: Array, rows: tuple[Array, Array], dims: tuple[int, int], starts: Array
+) -> tuple[Array, ...]:
     """Lockstep seesaw of every (key, start) pair; the best start's row per key.
 
-    ``bmat[k]`` holds key k's ensemble as :func:`_chunk_matrices` lays
-    it out, and ``starts[k, s]`` is Charlie's start POVM ``s`` for key k.
-    With ``B = bmat[k, x]``, Bob's conditional operator
-    ``tr_C((I ⊗ Q_x) rho_x) / M`` is ``B vec(Q_x)`` and Charlie's
-    ``tr_B((P_x ⊗ I) rho_x) / M`` is ``(Bᵀ vec(P_xᵀ))ᵀ``: one batched
-    matmul per side and sweep for all problems.  Each problem stops on
-    its own once a sweep gains less than ``_SEESAW_EPS``.
-    Returns each key's best start: values, Bob's and Charlie's effect
-    stacks, sweep counts, convergence flags, and trajectories as the
-    columns of a ``(_SEESAW_ITERS, keys)`` array, zero past each count.
+    ``rho[k]`` holds key k's ``(M, s, s)`` support blocks and ``rows`` the
+    support rows' Bob and Charlie indices ``(b(S), c(S))``, as
+    :func:`_chunk_matrices` gives them; ``starts[k, t]`` is Charlie's start
+    POVM ``t`` for key k.  Bob's conditional operator
+    ``tr_C((I ⊗ Q_x) rho_x) / M`` is ``Pᵀ (rho_S ∘ Qᵀ[c(S), c(S)]) P``, with
+    ``P`` the one-hot ``(s, side)`` map of ``b(S)``, and Charlie's is the
+    mirror image: a gather, a product and two matmuls per side and sweep,
+    over every live (key, start, outcome).  Each problem stops on its own
+    once a sweep gains less than ``_SEESAW_EPS``.  Returns each key's
+    best start: values, sweep counts, and trajectories as the columns of
+    a ``(_SEESAW_ITERS, keys)`` array, zero past each count.
     """
     db, dc = dims
     keys, per_key, n = starts.shape[:3]
-
-    def conditional(mat: Array, eff: Array, d_in: int, d_out: int) -> Array:
-        # mat_kx vec(eff_px) for every problem, as (keys, starts, n, d_out, d_out)
-        cols = eff.reshape(keys, per_key, n, d_in * d_in).transpose(0, 2, 3, 1)
-        return (mat @ cols).transpose(0, 3, 1, 2).reshape(keys, per_key, n, d_out, d_out)
+    b_rows, c_rows = rows
+    fold_b = (b_rows[:, None] == np.arange(db)).astype(complex)
+    fold_c = (c_rows[:, None] == np.arange(dc)).astype(complex)
 
     total = keys * per_key
-    q_eff = starts.reshape(total, n, dc, dc).astype(complex)
+    rho_t = np.swapaxes(rho, -1, -2)
+
+    def conditional(eff: Array, live: Array, gather: Array, fold: Array) -> Array:
+        # foldᵀ (rho_x ∘ eff_xᵀ[gather, gather]) fold for every live problem and outcome x,
+        # as foldᵀ ((rho_xᵀ ∘ eff_x[gather, gather]) fold)ᵀ
+        s, dim = fold.shape
+        h = eff.take(gather, axis=-2).take(gather, axis=-1)
+        if len(live) == total:
+            # each key's blocks broadcast over its starts rather than copied to them
+            per_start = h.reshape(keys, per_key, n, s, s)
+            per_start *= rho_t[:, None]
+        else:
+            h *= rho_t[live // per_key]
+        half = np.swapaxes((h.reshape(-1, s) @ fold).reshape(-1, s, dim), 1, 2)
+        return (half.reshape(-1, s) @ fold).reshape(len(live), n, dim, dim)
+
+    q_eff = starts.reshape(total, n, dc, dc)
     p_eff = np.zeros((total, n, db, db), dtype=complex)
     # sweep-major, so only the rows of sweeps that ran are ever touched
     trajectory = np.zeros((_SEESAW_ITERS, total))
     sweeps = np.zeros(total, dtype=int)
-    converged = np.zeros(total, dtype=bool)
     live = np.arange(total)
     for sweep in range(_SEESAW_ITERS):
-        cond_b = conditional(bmat, q_eff, dc, db).reshape(total, n, db, db)[live]
+        cond_b = conditional(q_eff[live], live, c_rows, fold_b)
         p_init = None if sweep == 0 else p_eff[live]
-        p_eff[live] = _discriminate(_herm(cond_b), p_init)[1]
-        p_t = np.swapaxes(p_eff, -1, -2)
-        cond_c = conditional(np.swapaxes(bmat, -1, -2), p_t, db, dc)
-        cond_c = np.swapaxes(cond_c, -1, -2).reshape(total, n, dc, dc)[live]
+        p_eff[live] = p = _discriminate(_herm(cond_b), p_init)[1]
+        cond_c = conditional(p, live, b_rows, fold_c)
         val, q_eff[live], _ = _discriminate(_herm(cond_c), q_eff[live])
         trajectory[sweep, live] = val
         sweeps[live] = sweep + 1
         if sweep:
-            done = val - trajectory[sweep - 1, live] < _SEESAW_EPS
-            converged[live[done]] = True
-            live = live[~done]
+            live = live[val - trajectory[sweep - 1, live] >= _SEESAW_EPS]
             if not live.size:
                 break
     values = trajectory[sweeps - 1, np.arange(total)]
     best = np.arange(keys) * per_key + np.argmax(values.reshape(keys, per_key), axis=1)
-    return (
-        values[best], p_eff[best], q_eff[best], sweeps[best], converged[best], trajectory[:, best]
-    )
+    return values[best], sweeps[best], trajectory[:, best]
 
 
-def _chunk_keys(message_count: int, out_dim: int, starts: int) -> int:
+def _start_entries(message_count: int, side: int, support: int) -> int:
+    # one start's lockstep row: a _SEESAW_ITERS trajectory row, Bob's and Charlie's effect
+    # stacks (2 M side²), and its conditional's gathered block beside, once some of the
+    # key's starts have stopped, the key's blocks copied to it (2 M s²)
+    return _SEESAW_ITERS + 2 * message_count * (side * side + support * support)
+
+
+def _chunk_keys(message_count: int, side: int, support: int, starts: int) -> int:
     """Keys per lockstep chunk of :func:`pwin_unif_seesaw`, at least one.
 
-    A key with ``starts`` starts costs its ensemble, ``M out_dim²``
-    complex entries of per-key matrices, plus ``starts`` rows of the
-    lockstep stack, each a ``_SEESAW_ITERS`` trajectory row and Bob's and
-    Charlie's effect stacks (``2 M out_dim``).  Raises ``ValueError`` when
-    one key's ensemble is above ``config.ENTRIES_CAP``.
+    A key with ``starts`` starts costs its ``M s²`` entries of support
+    blocks (``s = support`` output rows, each receiver ``side``-dimensional)
+    plus ``starts`` rows of the lockstep stack (:func:`_start_entries`).
+    Raises ``ValueError`` when one key's support blocks are above
+    ``config.ENTRIES_CAP``.
     """
-    entries = message_count * out_dim * out_dim
-    check_entries(entries, f"one key's seesaw ensemble ({message_count} x {out_dim}^2)")
-    per_key = entries + starts * (_SEESAW_ITERS + 2 * message_count * out_dim)
+    blocks = message_count * support * support
+    check_entries(blocks, f"one key's seesaw support blocks ({message_count} x {support}^2)")
+    per_key = blocks + starts * _start_entries(message_count, side, support)
     return max(1, _CHUNK_ENTRIES // per_key)
 
 
 def seesaw_stack_entries(
-    message_count: int, out_dim: int, keys: int, restarts: int, warm: bool
+    message_count: int, side: int, support: int, keys: int, restarts: int, warm: bool
 ) -> int:
     """Entries of the largest lockstep stack :func:`pwin_unif_seesaw` builds.
 
     One chunk holds ``min(keys, c)`` keys, ``c`` the keys per chunk, times
     the starts per key: the warm start when ``warm``, the constant guess
     and ``restarts`` restarts.  Each start holds a ``_SEESAW_ITERS``
-    trajectory row and Bob's and Charlie's effect stacks, ``2 M out_dim``
-    entries.  Raises ``ValueError`` when ``restarts`` is below 1, or when one
-    key's ensemble or this stack is above ``config.ENTRIES_CAP``, so a size
-    that cannot fit in memory, an oversize restart count included, is
-    refused before any channel is built or key is drawn.
+    trajectory row, Bob's and Charlie's effect stacks and its gathered
+    ``(M, s, s)`` block (:func:`_start_entries`), for a channel that
+    reaches ``support`` output rows and receivers of dimension ``side``.
+    Raises ``ValueError`` when ``restarts`` is below 1, or when one key's
+    support blocks or this stack are above ``config.ENTRIES_CAP``, so a
+    size that cannot fit in memory, an oversize restart count included,
+    is refused before any channel is built or key is drawn.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     starts = int(warm) + 1 + restarts
-    chunk = min(keys, _chunk_keys(message_count, out_dim, starts))
-    entries = chunk * starts * (_SEESAW_ITERS + 2 * message_count * out_dim)
+    chunk = min(keys, _chunk_keys(message_count, side, support, starts))
+    entries = chunk * starts * _start_entries(message_count, side, support)
     check_entries(entries, f"one chunk's seesaw stack of {chunk} keys x {starts} starts")
     return entries
 
@@ -411,7 +438,7 @@ def pwin_unif_seesaw(
     stack to Charlie's first start for each of its keys, a ``(K, M, side,
     side)`` effect stack checked as a receiver's effects are
     (:func:`~uncloneq.attacks.receiver_effects`).  Keys are solved in
-    chunks of at most ``_CHUNK_ENTRIES`` entries of per-key matrices and
+    chunks of at most ``_CHUNK_ENTRIES`` entries of support blocks and
     lockstep rows, every (key, start) pair of a chunk as one lockstep
     stack.  Each chunk's keys are read once, as one stack
     (:func:`_chunk_matrices`); restarts are drawn from ``cfg.rng`` key by
@@ -420,18 +447,17 @@ def pwin_unif_seesaw(
     """
     check_keys(keys)
     n = e.message_count
-    chunk = _chunk_keys(n, ch.out_dim, int(warm_start is not None) + 1 + cfg.restarts)
     side = receiver_dim(e, ch)
+    starts = int(warm_start is not None) + 1 + cfg.restarts
+    chunk = _chunk_keys(n, side, len(_support(ch.left)), starts)
     vals = []
     for lo in range(0, len(keys), chunk):
         stack = e.ciphertext_stack(keys[lo : lo + chunk])
-        bmat = _chunk_matrices(ch, stack, side)
-        if warm_start is None:
-            warm = [()] * len(stack)
-        else:
-            warm = [(w,) for w in receiver_effects(warm_start, warm_start, stack, (side, side))[0]]
-        starts = [_starts(n, side, w, cfg) for w in warm]
-        vals.append(_seesaw(bmat, (side, side), np.stack(starts))[0])
+        rho, *rows = _chunk_matrices(ch, stack, side)
+        warm = None
+        if warm_start is not None:
+            warm = receiver_effects(warm_start, warm_start, stack, (side, side))[0]
+        vals.append(_seesaw(rho, rows, (side, side), _starts(n, side, warm, len(stack), cfg))[0])
     vals = np.concatenate(vals)
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0

@@ -1,8 +1,9 @@
 """Reference implementations the tests check the library against.
 
 None of these is reached by a subcommand: the qubit grid oracle, the
-single-ensemble entry to the seesaw, and the paper's expurgation of a
-scheme to a smaller message set.
+single-ensemble entry to the seesaw, the seesaw's random restarts one
+POVM at a time, and the paper's expurgation of a scheme to a smaller
+message set.
 """
 
 import math
@@ -12,7 +13,7 @@ import numpy as np
 
 from uncloneq import optimize
 from uncloneq.errors import DimensionMismatch, NotInjective
-from uncloneq.linalg import KrausChannel
+from uncloneq.linalg import KrausChannel, dagger, haar_unitary
 from uncloneq.schemes import Povm, QecmScheme
 
 # ---------------------------------------------------------------------------
@@ -33,19 +34,33 @@ def seesaw_run(states, cfg: optimize.SeesawConfig) -> SeesawRun:
 
     ``states`` is an ``(M, D, D)`` stack of joint states on ``B ⊗ C`` with
     both sides ``sqrt(D)``-dimensional, each label of probability ``1/M``.
-    An identity channel on the joint space takes them in as a ``(1, M, D,
-    D)`` stack to ``_chunk_matrices``, ``_starts`` gives Charlie's starts
-    (the constant guess and ``cfg.restarts`` restarts) and ``_seesaw``
-    runs them.
+    An identity channel on the joint space, whose support is every row,
+    takes them in as a ``(1, M, D, D)`` stack to ``_chunk_matrices``,
+    ``_starts`` gives Charlie's starts (the constant guess and
+    ``cfg.restarts`` restarts) and ``_seesaw`` runs them.
     """
     states = np.asarray(states, dtype=complex)
     m, dim = states.shape[:2]
     side = math.isqrt(dim)
     identity = KrausChannel(dim, dim, (np.eye(dim, dtype=complex),))
-    bmat = optimize._chunk_matrices(identity, states[None], side)
-    starts = optimize._starts(m, side, [], cfg)[None]
-    value, _, _, sweeps, _, trajectory = optimize._seesaw(bmat, (side, side), starts)
+    rho, *rows = optimize._chunk_matrices(identity, states[None], side)
+    starts = optimize._starts(m, side, None, 1, cfg)
+    value, sweeps, trajectory = optimize._seesaw(rho, rows, (side, side), starts)
     return SeesawRun(float(value[0]), trajectory[: sweeps[0], 0], int(sweeps[0]))
+
+
+def random_projective_povm(dim: int, n: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Haar-rotated rank patterns: outcome x projects onto the columns ``i = x mod n``.
+
+    Outcomes beyond ``dim`` get zero effects.  The oracle of the seesaw's
+    random restarts, which draw one such POVM per restart.
+    """
+    u = haar_unitary(dim, rng)
+    effects = []
+    for x in range(n):
+        cols = u[:, [i for i in range(dim) if i % n == x]]
+        effects.append(cols @ dagger(cols) if cols.shape[1] else np.zeros((dim, dim), complex))
+    return effects
 
 
 # ---------------------------------------------------------------------------

@@ -202,8 +202,10 @@ def test_key_chunking_does_not_change_reports(args, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "args",
     [
-        ["conjecture-scan", "--M", "2", "--d", "200", "--trials", "2", "--seed", "1"],
-        ["seesaw", "--scheme", "uniform_haar:2,100", "--channel", "measure_share",
+        # the cloner's Kraus factor holds 257^2 x 256 > 2^24 entries
+        ["conjecture-scan", "--M", "2", "--d", "256", "--trials", "2", "--seed", "1"],
+        # measure-and-share's rank-one factors hold 258^3 > 2^24 entries
+        ["seesaw", "--scheme", "uniform_haar:2,129", "--channel", "measure_share",
          "--trials", "2", "--seed", "1"],
     ],
 )
@@ -217,8 +219,24 @@ def test_oversize_seesaw_is_refused_before_allocating(args, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert "config error" in captured.err and "d = 200" in captured.err
+    d = args[4] if args[0] == "conjecture-scan" else str(2 * int(args[2].split(",")[1]))
+    assert "config error" in captured.err and f"d = {d}" in captured.err
     assert peak < 8 * 2**20
+
+
+def test_seesaw_on_the_support_runs_in_bounded_memory(capsys):
+    # the dense (d+1)^4 layout of each key peaked at 48 MB here; its support blocks hold
+    # 2 x 48^2 entries
+    argv = ["conjecture-scan", "--M", "2", "--d", "24", "--trials", "2", "--seed", "1"]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("command", ["seesaw", "conjecture-scan"])

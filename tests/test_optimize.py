@@ -17,12 +17,12 @@ from uncloneq.attacks import (
 from uncloneq import optimize
 from uncloneq.cli import main
 from uncloneq.errors import CrossCheckFailed, DimensionMismatch, InvalidOperator, NotHermitian
-from uncloneq.linalg import KrausChannel, dagger, haar_unitary, herm_eig, make_rng
+from uncloneq.linalg import KrausChannel, apply_channel, dagger, haar_unitary, herm_eig, make_rng
 from uncloneq.optimize import SeesawConfig, discriminate, pwin_unif_seesaw
 from uncloneq.schemes import Povm, bb84_scheme, uniform_haar_scheme
 
 from conftest import constant_map, rand_density
-from oracles import brute_force_pguess_qubit, seesaw_run
+from oracles import brute_force_pguess_qubit, random_projective_povm, seesaw_run
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 KET1 = np.diag([0.0, 1.0]).astype(complex)
@@ -128,7 +128,7 @@ class TestDiscriminationFixedPoint:
         blocks = [np.diag(np.repeat(np.eye(3)[x], 2)).astype(complex) for x in range(3)]
         zero = np.zeros((6, 6), dtype=complex)
         problems = [
-            (low_rank, optimize._random_projective_povm(6, 3, rng)),
+            (low_rank, random_projective_povm(6, 3, rng)),
             ([b / 6 for b in blocks], blocks),
             ([0.6 * rho, 0.2 * rho, 0.2 * rho], [zero, np.eye(6), zero]),
         ]
@@ -343,14 +343,19 @@ class TestSeesaw:
 
     def test_starts_are_warm_then_constant_guess_then_restarts(self):
         # the constant guess is message 0, which pins a start's value to at least 1/M
-        warm = optimize._random_projective_povm(3, 4, make_rng(3))
-        starts = optimize._starts(4, 3, [warm], SeesawConfig(rng=make_rng(4), restarts=2))
-        assert starts.shape == (4, 4, 3, 3)
-        assert np.array_equal(starts[0], warm)
-        assert np.array_equal(starts[1, 0], np.eye(3)) and not starts[1, 1:].any()
-        # the first restart is the first draw from cfg.rng
-        assert np.array_equal(starts[2], optimize._random_projective_povm(3, 4, make_rng(4)))
-        for start in starts:
+        rng = make_rng(3)
+        warm = np.array([random_projective_povm(3, 4, rng) for _ in range(2)])
+        starts = optimize._starts(4, 3, warm, 2, SeesawConfig(rng=make_rng(4), restarts=3))
+        assert starts.shape == (2, 5, 4, 3, 3)
+        assert np.array_equal(starts[:, 0], warm)
+        assert np.array_equal(starts[:, 1, 0], np.broadcast_to(np.eye(3), (2, 3, 3)))
+        assert not starts[:, 1, 1:].any()
+        # one batch of restarts reads cfg.rng key by key, as one Haar draw per restart does
+        oracle = make_rng(4)
+        for k in range(2):
+            for t in range(2, 5):
+                assert np.array_equal(starts[k, t], random_projective_povm(3, 4, oracle))
+        for start in starts.reshape(-1, 4, 3, 3):
             Povm(3, start).validate()
 
 
@@ -406,8 +411,9 @@ class TestPwinUnifSeesaw:
 
     @pytest.mark.parametrize("channel", ["cloner", "measure_share", "identity_to_bob"])
     def test_chunk_build_equals_per_key_ensembles(self, channel):
-        # out[k, x, (i,k'), (j,a)] = N(Enc_k(x))[(i,a),(k',j)] / M, with N from its Kraus
-        # operators; Bob keeps the ciphertext under identity_to_bob, so a B/C mix-up shows
+        # the blocks, put back at their (Bob, Charlie) rows, are apply_channel's dense
+        # outputs / M, zero off the support; Bob keeps the ciphertext under
+        # identity_to_bob, so a B/C mix-up shows
         e = uniform_haar_scheme(2, 2)
         if channel == "cloner":
             ch = superposition_cloner(4)
@@ -418,16 +424,40 @@ class TestPwinUnifSeesaw:
         keys = e.sample_keys(make_rng(12), 3)
         stack = e.ciphertext_stack(keys)
         side = receiver_dim(e, ch)
-        bmat = optimize._chunk_matrices(ch, stack, side)
-        kraus = ch.left @ dagger(ch.right)
-        states = np.einsum("jab,kxbc,jdc->kxad", kraus, stack, kraus.conj())
-        r = states.reshape(len(keys), e.message_count, side, side, side, side)
-        want = np.einsum("kxiapj->kxipja", r).reshape(bmat.shape) / e.message_count
-        assert np.max(np.abs(bmat - want)) < 1e-15
+        rho, bob, charlie = optimize._chunk_matrices(ch, stack, side)
+        support = bob * side + charlie
+        assert rho.shape == (len(keys), e.message_count, len(support), len(support))
+        assert np.array_equal(support, np.flatnonzero(ch.left.any(axis=(0, 2))))
+        dense = apply_channel(ch, stack) / e.message_count
+        placed = np.zeros_like(dense)
+        placed[..., support[:, None], support[None, :]] = rho
+        assert np.max(np.abs(placed - dense)) < 1e-15
         # each key of the chunk as its own stack of one
         for k, key in enumerate(keys):
-            one = optimize._chunk_matrices(ch, e.ciphertext_stack([key]), side)
-            assert np.array_equal(bmat[k], one[0])
+            one = optimize._chunk_matrices(ch, e.ciphertext_stack([key]), side)[0]
+            assert np.array_equal(rho[k], one[0])
+
+    @pytest.mark.parametrize(
+        "m, side, value, stderr",
+        [
+            (2, 2, 0.5530747374249071, 0.03285141168537035),
+            (3, 3, 0.3745280471028696, 0.009579056999075698),
+            (2, 3, 0.5246168356832916, 0.0242545812118959),
+        ],
+    )
+    def test_dense_random_channel_keeps_the_dense_values(self, m, side, value, stderr):
+        # two dense Kraus operators cut from a Haar isometry reach every output row, so
+        # the support blocks are the whole states; the values are those of the dense
+        # (d+1)^4 layout the seesaw ran on before it ran on the support
+        e = uniform_haar_scheme(m, 1)
+        rng = make_rng(21)
+        d = e.cipher_dim
+        v = haar_unitary(2 * side * side, rng)[:, :d]
+        ch = KrausChannel(d, side * side, tuple(v.reshape(2, side * side, d)))
+        assert ch.left.any(axis=(0, 2)).all()
+        keys = e.sample_keys(rng, 4)
+        got = pwin_unif_seesaw(e, ch, keys, SeesawConfig(rng=make_rng(22), restarts=2))
+        assert got == pytest.approx((value, stderr), abs=1e-12, rel=0)
 
     def test_chunk_build_checks_hermiticity(self, rng):
         # a non-Hermitian channel output is refused

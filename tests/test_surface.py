@@ -42,6 +42,8 @@ ALLOWED = {
     "linalg.assert_unitary": "validator the tests use",
     "linalg.assert_projector": "validator the tests use; certified upper bounds (ROADMAP A) need it",
     "linalg.assert_density_operator": "validator the tests use",
+    "linalg.apply_channel": "the dense oracle of the support blocks; benchmarks/tracer.py and "
+    "benchmarks/tests read it",
     "schemes.QecmScheme.factor": "deriving encrypt from the factor (ROADMAP F2) needs it",
     "schemes.Povm.validate": "a Povm's own check; evaluators run validate_effects on stacks",
     "schemes.Povm.n_outcomes": "outcome count of a decryption POVM; tests read it",
