@@ -38,6 +38,7 @@ from .schemes import (
     QecmScheme,
     RankDistribution,
     bb84_scheme,
+    check_correctness,
     haar_scheme,
     mu_statistic,
     scheme_from_descriptor,
@@ -149,14 +150,6 @@ def _stderr_trials(opts: dict) -> int:
     if trials < 2:
         raise ValueError(f"--trials must be at least 2 for a standard-error gate, got {trials}")
     return trials
-
-
-def _restarts(opts: dict) -> int:
-    # checked before the seesaw sizes its lockstep stack from it
-    restarts = opts["restarts"]
-    if restarts < 1:
-        raise ValueError(f"--restarts must be at least 1, got {restarts}")
-    return restarts
 
 
 # ---------------------------------------------------------------------------
@@ -303,23 +296,14 @@ def run_erlang(opts: dict) -> list[dict]:
     return rows
 
 
-def _seesaw_setup(scheme: QecmScheme, channel_name: str, trials: int, restarts: int):
-    """Channel, warm start and reference for a seesaw channel name.
+def _check_seesaw_size(d: int, big_m: int, channel_name: str, trials: int, restarts: int) -> None:
+    """Refuse a seesaw that cannot fit in memory, before its channel is built or a key drawn.
 
-    The warm start maps a chunk's ciphertext stack to Bob's effects in the
-    attack the channel belongs to, one POVM per key, and
-    the reference maps the key sample to the value that start already
-    achieves: ``1/2 + mu/16`` for the two-message cloner, the
-    maximum-likelihood decode value for measure-and-share, and the
-    constant-guess value ``1/M`` when there is no warm start.  The
-    measure-and-share warm start records each key's decode value, and its
-    reference averages the recorded values, so no key is decoded twice and
-    that reference is read after the seesaw.  A channel's Kraus factors,
-    a key's support blocks, or a lockstep stack of ``trials`` keys with
-    ``restarts`` restarts each, too large for the seesaw is refused before
-    the channel is built and before any key is drawn.
+    The channel's Kraus factors, a key's support blocks, or a lockstep
+    stack of ``trials`` keys with ``restarts`` restarts each above
+    ``config.ENTRIES_CAP``, and a restart count below 1, raise
+    ``ValueError``.
     """
-    d, big_m = scheme.cipher_dim, scheme.message_count
     cloner = channel_name == "cloner"
     # each receiver's dimension, the output rows the channel reaches, and the
     # shape of its left Kraus factors (attacks.superposition_cloner, measure_share_attack)
@@ -334,8 +318,26 @@ def _seesaw_setup(scheme: QecmScheme, channel_name: str, trials: int, restarts: 
         )
     except ValueError as exc:
         raise ValueError(
-            f"the {channel_name} channel at d = {d} with {restarts} restarts: {exc}"
+            f"the {channel_name} channel at d = {d} with --restarts {restarts}: {exc}"
         ) from exc
+
+
+def _seesaw_setup(scheme: QecmScheme, channel_name: str):
+    """Channel, warm start and reference for a seesaw channel name.
+
+    The warm start maps a chunk's ciphertext stack to Bob's effects in the
+    attack the channel belongs to, one POVM per key, and
+    the reference maps the key sample to the value that start already
+    achieves: ``1/2 + mu/16`` for the two-message cloner, the
+    maximum-likelihood decode value for measure-and-share, and the
+    constant-guess value ``1/M`` when there is no warm start.  The
+    measure-and-share warm start records each key's decode value, and its
+    reference averages the recorded values, so no key is decoded twice and
+    that reference is read after the seesaw.  Callers refuse sizes too
+    large for the seesaw first (:func:`_check_seesaw_size`).
+    """
+    d, big_m = scheme.cipher_dim, scheme.message_count
+    cloner = channel_name == "cloner"
     if cloner:
         if big_m != 2:
             return attacks.superposition_cloner(d), None, lambda keys: 1.0 / big_m
@@ -367,13 +369,16 @@ def _seesaw_setup(scheme: QecmScheme, channel_name: str, trials: int, restarts: 
 
 
 def run_seesaw(opts: dict) -> list[dict]:
-    trials, restarts = _stderr_trials(opts), _restarts(opts)
+    trials, restarts = _stderr_trials(opts), opts["restarts"]
     scheme = _parse_scheme(opts["scheme"])
-    ch, warm, reference_of = _seesaw_setup(scheme, opts["channel"], trials, restarts)
+    d, big_m, channel = scheme.cipher_dim, scheme.message_count, opts["channel"]
+    _check_seesaw_size(d, big_m, channel, trials, restarts)
+    ch, warm, reference_of = _seesaw_setup(scheme, channel)
     rng = make_rng(opts["seed"])
     keys = scheme.sample_keys(rng, trials)
-    cfg = optimize.SeesawConfig(rng=make_rng(opts["seed"], stream=1), restarts=restarts)
-    mean, stderr = optimize.pwin_unif_seesaw(scheme, ch, keys, cfg, warm_start=warm)
+    mean, stderr = optimize.pwin_unif_seesaw(
+        scheme, ch, keys, make_rng(opts["seed"], stream=1), restarts, warm_start=warm
+    )
     reference = reference_of(keys)
     tolerance = _SEESAW_SLACK + 3.0 * stderr
     return [
@@ -452,18 +457,36 @@ def _partitions(total: int, parts: int, cap: int | None = None) -> list[tuple[in
     return out
 
 
+def _partition_count(total: int, parts: int) -> int:
+    # len(_partitions(total, parts)) from p(n, k) = p(n - 1, k - 1) + p(n - k, k), in O(n k)
+    counts = [[0] * (parts + 1) for _ in range(total + 1)]
+    counts[0][0] = 1
+    for n in range(1, total + 1):
+        for k in range(1, min(n, parts) + 1):
+            counts[n][k] = counts[n - 1][k - 1] + counts[n - k][k]
+    return counts[total][parts]
+
+
 def run_conjecture_scan(opts: dict) -> list[dict]:
-    trials, restarts = _stderr_trials(opts), _restarts(opts)
+    trials, restarts = _stderr_trials(opts), opts["restarts"]
     big_m, d = opts["M"], opts["d"]
     _check_message_count(big_m, d, f"--M {big_m} and --d {d}")
+    # refuses d >= 256 before the splits are counted in O(d M)
+    _check_seesaw_size(d, big_m, "cloner", trials, restarts)
+    count = _partition_count(d, big_m)
+    check_entries(count * big_m, f"--M {big_m} and --d {d}: a list of {count} rank splits")
+    # the cloner and its warm start depend on M and d only, so one split's scheme
+    # sets up every split
+    first = RankDistribution.deterministic((d - big_m + 1,) + (1,) * (big_m - 1))
+    ch, warm, _ = _seesaw_setup(haar_scheme(big_m, d, first), "cloner")
     rng = make_rng(opts["seed"])
     rows = []
     for i, t in enumerate(_partitions(d, big_m)):
         scheme = haar_scheme(big_m, d, RankDistribution.deterministic(t))
-        ch, warm, _ = _seesaw_setup(scheme, "cloner", trials, restarts)
         keys = scheme.sample_keys(rng, trials)
-        cfg = optimize.SeesawConfig(rng=make_rng(opts["seed"], stream=i + 1), restarts=restarts)
-        mean, stderr = optimize.pwin_unif_seesaw(scheme, ch, keys, cfg, warm_start=warm)
+        mean, stderr = optimize.pwin_unif_seesaw(
+            scheme, ch, keys, make_rng(opts["seed"], stream=i + 1), restarts, warm_start=warm
+        )
         rows.append(
             {
                 "M": big_m,
@@ -481,6 +504,25 @@ def run_conjecture_scan(opts: dict) -> list[dict]:
 
 def run_selftest(opts: dict) -> list[dict]:
     rows = []
+    # the paper's correctness condition: the worst decryption failure over the keys
+    scheme = bb84_scheme(1)
+    keys = scheme.enumerate_keys()
+    haar = _parse_scheme("haar:2-1-1")
+    for name, e, e_keys, tolerance in (
+        ("bb84:1", scheme, keys, 1e-12),
+        ("haar:2-1-1", haar, haar.sample_keys(make_rng(161803), 8), 1e-9),
+    ):
+        failure = check_correctness(e, e_keys)
+        rows.append(
+            {
+                "check": f"correctness_{name}",
+                "value": failure,
+                "reference": 0.0,
+                "tolerance": tolerance,
+                "pass": failure <= tolerance,
+            }
+        )
+
     zero = np.diag([1.0, 0.0]).astype(complex)
     one = np.diag([0.0, 1.0]).astype(complex)
     val = attacks.projector_strategy_value(zero, one, 0.25)
@@ -494,8 +536,6 @@ def run_selftest(opts: dict) -> list[dict]:
         }
     )
 
-    scheme = bb84_scheme(1)
-    keys = scheme.enumerate_keys()
     atk = attacks.measure_share_ml_attack(scheme, attacks.breidbart_basis())
     val = attacks.pwin_unif_eval(scheme, atk, keys)
     ref = 0.5 + 0.5 / math.sqrt(2.0)
@@ -535,6 +575,7 @@ def run_selftest(opts: dict) -> list[dict]:
             "pass": gap < _MEG_GAP_TOL,
         }
     )
+
     return rows
 
 

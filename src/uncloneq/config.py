@@ -15,12 +15,6 @@ class Tolerances:
 
     #: max-entry deviation from Hermiticity.
     herm: float = 1e-10
-    #: most negative admissible eigenvalue of a density operator.
-    density_psd: float = 1e-10
-    #: deviation of a density-operator trace from 1.
-    trace: float = 1e-10
-    #: max-entry deviation of U U-dagger from the identity.
-    unitary: float = 1e-9
     #: max-entry deviation of P @ P from P for projectors.
     idempotent: float = 1e-9
     #: max-entry deviation of POVM / Kraus completeness sums from identity.
@@ -31,7 +25,9 @@ class Tolerances:
     orthogonal: float = 1e-9
     #: deviation of probability vectors from summing to 1.
     prob_sum: float = 1e-12
-    #: eigenvalue cutoff below which pseudo-inverses treat a mode as zero.
+    #: eigenvalue at or below which a mode is outside an operator's support: the
+    #: columns of ``QecmScheme.factor``, the projector columns of
+    #: ``attacks._projectors`` and the support of ``meg._induced_game``'s ``rho_bar``.
     support_cutoff: float = 1e-10
 
 

@@ -47,9 +47,7 @@ __all__ = [
     "Array",
     "KrausChannel",
     "apply_channel",
-    "assert_density_operator",
     "assert_projector",
-    "assert_unitary",
     "dagger",
     "haar_unitary",
     "herm_eig",
@@ -181,12 +179,6 @@ def max_abs(a: Array) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _require_square(a: Array) -> int:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    return a.shape[0]
-
-
 def assert_finite(a: Array) -> None:
     if not np.all(np.isfinite(a.view(float) if np.iscomplexobj(a) else a)):
         raise InvalidOperator("array contains NaN or Inf entries")
@@ -203,26 +195,6 @@ def assert_hermitian(h: Array) -> None:
     dev = np.abs(h - dagger(h)).max(axis=(-2, -1), initial=0.0)
     if np.any(dev > TOL.herm):
         raise NotHermitian(f"Hermiticity deviation {dev.max()} exceeds {TOL.herm}")
-
-
-def assert_density_operator(rho: Array) -> None:
-    """Check Hermiticity, positivity and unit trace of a density operator."""
-    assert_hermitian(rho)
-    w = np.linalg.eigvalsh(rho)
-    if w[0] < -TOL.density_psd:
-        raise InvalidOperator(f"smallest eigenvalue {w[0]} below -{TOL.density_psd}")
-    tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > TOL.trace:
-        raise InvalidOperator(f"trace {tr} deviates from 1 by more than {TOL.trace}")
-
-
-def assert_unitary(u: Array) -> None:
-    """Check ``u @ u.conj().T == I`` within ``TOL.unitary`` (max entry deviation)."""
-    assert_finite(u)
-    d = _require_square(u)
-    dev = max_abs(u @ dagger(u) - np.eye(d))
-    if dev > TOL.unitary:
-        raise InvalidOperator(f"unitarity deviation {dev} exceeds {TOL.unitary}")
 
 
 def assert_projector(p: Array) -> None:

@@ -25,7 +25,7 @@ through the channel at once on the channel's support
 reaches (``2d`` of ``(d+1)²`` for the superposition cloner, ``d`` of
 ``d²`` for measure-and-share) are held, as ``(K, M, s, s)`` blocks, and
 both receivers' conditional operators are formed from them by a gather
-and a one-hot contraction.  A chunk holds at most ``_CHUNK_ENTRIES``
+and a one-hot contraction.  A chunk holds at most ``config.KEY_CHUNK_ENTRIES``
 complex entries of support blocks and lockstep rows (at least one key).
 One key's support blocks, and one chunk's lockstep stack, may each need
 at most ``config.ENTRIES_CAP`` entries (:func:`seesaw_stack_entries`
@@ -36,11 +36,11 @@ best start's value, sweep count and trajectory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import config
 from .attacks import receiver_dim, receiver_effects
 from .config import check_entries, check_keys
 from .errors import CrossCheckFailed, DimensionMismatch
@@ -58,7 +58,6 @@ from .schemes import QecmScheme, validate_effects
 
 __all__ = [
     "DiscriminationResult",
-    "SeesawConfig",
     "discriminate",
     "pwin_unif_seesaw",
     "seesaw_stack_entries",
@@ -69,9 +68,6 @@ _FP_ITERS = 300
 _FP_EPS = 1e-12
 _SEESAW_ITERS = 500
 _SEESAW_EPS = 1e-9
-# complex entries one chunk of keys may hold (2 MB, at least one key): each
-# key's support blocks plus its starts' lockstep rows, as _chunk_keys counts
-_CHUNK_ENTRIES = 2**17
 # eigenvalues of T / tr T at or below this span the kernel of a square-root measurement's T
 _KERNEL_CUTOFF = 1e-14
 
@@ -257,43 +253,32 @@ def discriminate(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeesawConfig:
-    """Settings for the alternating product-measurement optimization."""
-
-    rng: np.random.Generator
-    restarts: int = 1
-
-    def __post_init__(self) -> None:
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
-
-
-def _starts(n: int, dc: int, warm: Array | None, keys: int, cfg: SeesawConfig) -> Array:
+def _starts(
+    n: int, dc: int, warm: Array | None, keys: int, rng: np.random.Generator, restarts: int
+) -> Array:
     """Charlie's start POVMs for each of ``keys`` keys, as a ``(keys, S, n, dc, dc)`` stack.
 
     Each key's ensemble has ``n`` equally likely labels and Charlie's side
     has dimension ``dc``.  Per key: its ``(n, dc, dc)`` effects in the
     ``(keys, n, dc, dc)`` stack ``warm``, when given, then the constant
     guess of label 0 (which pins the value to at least ``1/n``), then
-    ``cfg.restarts`` Haar-random projective POVMs, whose outcome x
-    projects onto the columns ``i = x mod n`` of a Haar unitary (a zero
-    effect for ``x >= dc``).  All restarts come from one draw of
-    ``cfg.rng`` that reads it key by key and restart by restart, each
-    unitary's real then imaginary part, as one
-    :func:`~uncloneq.linalg.haar_unitary` call per restart would.
+    ``restarts`` Haar-random projective POVMs, whose outcome x projects
+    onto the columns ``i = x mod n`` of a Haar unitary (a zero effect for
+    ``x >= dc``).  All restarts come from one draw of ``rng`` that reads
+    it key by key and restart by restart, each unitary's real then
+    imaginary part, as one :func:`~uncloneq.linalg.haar_unitary` call per
+    restart would.
     """
-    r = cfg.restarts
-    g = cfg.rng.standard_normal((keys * r, 2, dc, dc))
+    g = rng.standard_normal((keys * restarts, 2, dc, dc))
     u = _haar_from_ginibre(g[:, 0] + 1j * g[:, 1])
-    randoms = np.zeros((keys * r, n, dc, dc), dtype=complex)
+    randoms = np.zeros((keys * restarts, n, dc, dc), dtype=complex)
     for x in range(min(n, dc)):
         cols = u[:, :, x::n]
         randoms[:, x] = cols @ dagger(cols)
     constant = np.zeros((keys, 1, n, dc, dc), dtype=complex)
     constant[:, 0, 0] = np.eye(dc)
     firsts = [constant] if warm is None else [warm[:, None], constant]
-    return np.concatenate(firsts + [randoms.reshape(keys, r, n, dc, dc)], axis=1)
+    return np.concatenate(firsts + [randoms.reshape(keys, restarts, n, dc, dc)], axis=1)
 
 
 def _chunk_matrices(ch: KrausChannel, stack: Array, side: int) -> tuple[Array, Array, Array]:
@@ -383,19 +368,26 @@ def _start_entries(message_count: int, side: int, support: int) -> int:
     return _SEESAW_ITERS + 2 * message_count * (side * side + support * support)
 
 
-def _chunk_keys(message_count: int, side: int, support: int, starts: int) -> int:
-    """Keys per lockstep chunk of :func:`pwin_unif_seesaw`, at least one.
+def _chunk_keys(
+    message_count: int, side: int, support: int, restarts: int, warm: bool
+) -> tuple[int, int]:
+    """Keys per lockstep chunk of :func:`pwin_unif_seesaw`, at least one, and starts per key.
 
-    A key with ``starts`` starts costs its ``M s²`` entries of support
-    blocks (``s = support`` output rows, each receiver ``side``-dimensional)
-    plus ``starts`` rows of the lockstep stack (:func:`_start_entries`).
-    Raises ``ValueError`` when one key's support blocks are above
+    A key has the warm start when ``warm``, the constant guess and
+    ``restarts`` restarts.  It costs its ``M s²`` entries of support blocks
+    (``s = support`` output rows, each receiver ``side``-dimensional) plus
+    one row of the lockstep stack per start (:func:`_start_entries`), out
+    of the ``config.KEY_CHUNK_ENTRIES`` budget.  Raises ``ValueError`` when
+    ``restarts`` is below 1, or when one key's support blocks are above
     ``config.ENTRIES_CAP``.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    starts = int(warm) + 1 + restarts
     blocks = message_count * support * support
     check_entries(blocks, f"one key's seesaw support blocks ({message_count} x {support}^2)")
     per_key = blocks + starts * _start_entries(message_count, side, support)
-    return max(1, _CHUNK_ENTRIES // per_key)
+    return max(1, config.KEY_CHUNK_ENTRIES // per_key), starts
 
 
 def seesaw_stack_entries(
@@ -404,20 +396,18 @@ def seesaw_stack_entries(
     """Entries of the largest lockstep stack :func:`pwin_unif_seesaw` builds.
 
     One chunk holds ``min(keys, c)`` keys, ``c`` the keys per chunk, times
-    the starts per key: the warm start when ``warm``, the constant guess
-    and ``restarts`` restarts.  Each start holds a ``_SEESAW_ITERS``
-    trajectory row, Bob's and Charlie's effect stacks and its gathered
-    ``(M, s, s)`` block (:func:`_start_entries`), for a channel that
-    reaches ``support`` output rows and receivers of dimension ``side``.
-    Raises ``ValueError`` when ``restarts`` is below 1, or when one key's
-    support blocks or this stack are above ``config.ENTRIES_CAP``, so a
-    size that cannot fit in memory, an oversize restart count included,
-    is refused before any channel is built or key is drawn.
+    the starts per key (:func:`_chunk_keys`).  Each start holds a
+    ``_SEESAW_ITERS`` trajectory row, Bob's and Charlie's effect stacks and
+    its gathered ``(M, s, s)`` block (:func:`_start_entries`), for a
+    channel that reaches ``support`` output rows and receivers of dimension
+    ``side``.  Raises ``ValueError`` when ``restarts`` is below 1, or when
+    one key's support blocks or this stack are above
+    ``config.ENTRIES_CAP``, so a size that cannot fit in memory, an
+    oversize restart count included, is refused before any channel is
+    built or key is drawn.
     """
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
-    starts = int(warm) + 1 + restarts
-    chunk = min(keys, _chunk_keys(message_count, side, support, starts))
+    chunk, starts = _chunk_keys(message_count, side, support, restarts, warm)
+    chunk = min(keys, chunk)
     entries = chunk * starts * _start_entries(message_count, side, support)
     check_entries(entries, f"one chunk's seesaw stack of {chunk} keys x {starts} starts")
     return entries
@@ -427,7 +417,8 @@ def pwin_unif_seesaw(
     e: QecmScheme,
     ch: KrausChannel,
     keys: Sequence,
-    cfg: SeesawConfig,
+    rng: np.random.Generator,
+    restarts: int,
     warm_start: Callable[[Array], Array] | None = None,
 ) -> tuple[float, float]:
     """Seesaw estimate of the uniform-message success for a fixed channel.
@@ -438,18 +429,17 @@ def pwin_unif_seesaw(
     stack to Charlie's first start for each of its keys, a ``(K, M, side,
     side)`` effect stack checked as a receiver's effects are
     (:func:`~uncloneq.attacks.receiver_effects`).  Keys are solved in
-    chunks of at most ``_CHUNK_ENTRIES`` entries of support blocks and
-    lockstep rows, every (key, start) pair of a chunk as one lockstep
-    stack.  Each chunk's keys are read once, as one stack
-    (:func:`_chunk_matrices`); restarts are drawn from ``cfg.rng`` key by
-    key.  Returns the sample mean and standard error of a statistical
-    lower bound estimate.
+    chunks of at most ``config.KEY_CHUNK_ENTRIES`` entries of support
+    blocks and lockstep rows, every (key, start) pair of a chunk as one
+    lockstep stack.  Each chunk's keys are read once, as one stack
+    (:func:`_chunk_matrices`); ``restarts`` restarts per key, at least
+    one, are drawn from ``rng`` key by key.  Returns the sample mean and
+    standard error of a statistical lower bound estimate.
     """
     check_keys(keys)
     n = e.message_count
     side = receiver_dim(e, ch)
-    starts = int(warm_start is not None) + 1 + cfg.restarts
-    chunk = _chunk_keys(n, side, len(_support(ch.left)), starts)
+    chunk, _ = _chunk_keys(n, side, len(_support(ch.left)), restarts, warm_start is not None)
     vals = []
     for lo in range(0, len(keys), chunk):
         stack = e.ciphertext_stack(keys[lo : lo + chunk])
@@ -457,7 +447,8 @@ def pwin_unif_seesaw(
         warm = None
         if warm_start is not None:
             warm = receiver_effects(warm_start, warm_start, stack, (side, side))[0]
-        vals.append(_seesaw(rho, rows, (side, side), _starts(n, side, warm, len(stack), cfg))[0])
+        starts = _starts(n, side, warm, len(stack), rng, restarts)
+        vals.append(_seesaw(rho, rows, (side, side), starts)[0])
     vals = np.concatenate(vals)
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0

@@ -56,7 +56,8 @@ __all__ = [
 class Povm:
     """Positive operator-valued measure: PSD effects summing to identity.
 
-    Any sequence of ``(dim, dim)`` effects is held as one ``(n, dim, dim)`` array.
+    Any sequence of ``(dim, dim)`` effects is held as one ``(n, dim, dim)`` array,
+    checked by :func:`validate_effects` when the POVM is built.
     """
 
     dim: int
@@ -68,15 +69,7 @@ class Povm:
             if e.shape != (self.dim, self.dim):
                 raise DimensionMismatch(f"effect shape {e.shape} != ({self.dim}, {self.dim})")
         object.__setattr__(self, "effects", np.reshape(effects, (-1, self.dim, self.dim)))
-        self.validate()
-
-    def validate(self) -> None:
-        """Check Hermiticity and positivity of the effects, and completeness."""
         validate_effects(self.effects)
-
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.effects)
 
 
 def validate_effects(effects: Array) -> None:

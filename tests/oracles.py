@@ -1,9 +1,9 @@
 """Reference implementations the tests check the library against.
 
-None of these is reached by a subcommand: the qubit grid oracle, the
-single-ensemble entry to the seesaw, the seesaw's random restarts one
-POVM at a time, and the paper's expurgation of a scheme to a smaller
-message set.
+None of these is reached by a subcommand: the unitary and density-operator
+validators, the qubit grid oracle, the single-ensemble entry to the
+seesaw, the seesaw's random restarts one POVM at a time, and the paper's
+expurgation of a scheme to a smaller message set.
 """
 
 import math
@@ -12,9 +12,51 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from uncloneq import optimize
-from uncloneq.errors import DimensionMismatch, NotInjective
-from uncloneq.linalg import KrausChannel, dagger, haar_unitary
+from uncloneq.errors import DimensionMismatch, InvalidOperator, NotInjective
+from uncloneq.linalg import (
+    KrausChannel,
+    assert_finite,
+    assert_hermitian,
+    dagger,
+    haar_unitary,
+    max_abs,
+)
 from uncloneq.schemes import Povm, QecmScheme
+
+# ---------------------------------------------------------------------------
+# validators
+# ---------------------------------------------------------------------------
+
+# most negative admissible eigenvalue, and trace deviation from 1, of a density operator
+_DENSITY_TOL = 1e-10
+# max-entry deviation of U U-dagger from the identity
+_UNITARY_TOL = 1e-9
+
+
+def _require_square(a: np.ndarray) -> int:
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    return a.shape[0]
+
+
+def assert_density_operator(rho: np.ndarray) -> None:
+    """Check Hermiticity, positivity and unit trace of a density operator."""
+    assert_hermitian(rho)
+    w = np.linalg.eigvalsh(rho)
+    if w[0] < -_DENSITY_TOL:
+        raise InvalidOperator(f"smallest eigenvalue {w[0]} below -{_DENSITY_TOL}")
+    tr = float(np.trace(rho).real)
+    if abs(tr - 1.0) > _DENSITY_TOL:
+        raise InvalidOperator(f"trace {tr} deviates from 1 by more than {_DENSITY_TOL}")
+
+
+def assert_unitary(u: np.ndarray) -> None:
+    """Check ``u @ u.conj().T == I`` within ``_UNITARY_TOL`` (max entry deviation)."""
+    assert_finite(u)
+    d = _require_square(u)
+    dev = max_abs(u @ dagger(u) - np.eye(d))
+    if dev > _UNITARY_TOL:
+        raise InvalidOperator(f"unitarity deviation {dev} exceeds {_UNITARY_TOL}")
 
 # ---------------------------------------------------------------------------
 # the seesaw on one ensemble
@@ -29,7 +71,7 @@ class SeesawRun(NamedTuple):
     iterations_used: int
 
 
-def seesaw_run(states, cfg: optimize.SeesawConfig) -> SeesawRun:
+def seesaw_run(states, rng: np.random.Generator, restarts: int) -> SeesawRun:
     """The seesaw on one uniform ensemble of joint states, on the path the CLI runs.
 
     ``states`` is an ``(M, D, D)`` stack of joint states on ``B ⊗ C`` with
@@ -37,14 +79,14 @@ def seesaw_run(states, cfg: optimize.SeesawConfig) -> SeesawRun:
     An identity channel on the joint space, whose support is every row,
     takes them in as a ``(1, M, D, D)`` stack to ``_chunk_matrices``,
     ``_starts`` gives Charlie's starts (the constant guess and
-    ``cfg.restarts`` restarts) and ``_seesaw`` runs them.
+    ``restarts`` restarts, drawn from ``rng``) and ``_seesaw`` runs them.
     """
     states = np.asarray(states, dtype=complex)
     m, dim = states.shape[:2]
     side = math.isqrt(dim)
     identity = KrausChannel(dim, dim, (np.eye(dim, dtype=complex),))
     rho, *rows = optimize._chunk_matrices(identity, states[None], side)
-    starts = optimize._starts(m, side, None, 1, cfg)
+    starts = optimize._starts(m, side, None, 1, rng, restarts)
     value, sweeps, trajectory = optimize._seesaw(rho, rows, (side, side), starts)
     return SeesawRun(float(value[0]), trajectory[: sweeps[0], 0], int(sweeps[0]))
 

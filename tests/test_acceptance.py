@@ -24,7 +24,7 @@ from uncloneq.attacks import (
 from uncloneq.linalg import make_rng
 from uncloneq.meg import verify_reduction
 from uncloneq.o2h import extraction_probability, simo2h_rhs, simo2h_success
-from uncloneq.optimize import SeesawConfig, pwin_unif_seesaw
+from uncloneq.optimize import pwin_unif_seesaw
 from uncloneq.schemes import bb84_scheme, mu_statistic, uniform_haar_scheme
 from uncloneq.stats import max_over_sum_estimate
 
@@ -152,15 +152,16 @@ def test_criterion_09_seesaw_soundness():
     monotone = True
     for i in range(50):
         pair = (rand_density(4, gen), rand_density(4, gen))
-        res = seesaw_run(pair, SeesawConfig(rng=make_rng(209, stream=i), restarts=2))
+        res = seesaw_run(pair, make_rng(209, stream=i), 2)
         monotone = monotone and bool(np.all(np.diff(res.trajectory) >= -1e-10))
 
     # warm-started run on the cloner ensemble reaches the projector value
     e = bb84_scheme(1)
     key = e.enumerate_keys()[0]
     atk = projector_cloning_attack(e)
-    cfg = SeesawConfig(rng=make_rng(209, stream=99), restarts=2)
-    warm_value, _ = pwin_unif_seesaw(e, atk.channel, [key], cfg, warm_start=atk.bob_effects)
+    warm_value, _ = pwin_unif_seesaw(
+        e, atk.channel, [key], make_rng(209, stream=99), 2, warm_start=atk.bob_effects
+    )
     warm_ok = warm_value >= 0.5625 - 1e-6
 
     # oracle agreement on 10 seeded qubit-pair ensembles
@@ -168,7 +169,7 @@ def test_criterion_09_seesaw_soundness():
     gen = make_rng(209, stream=7)
     for i in range(10):
         pair = (rand_density(4, gen), rand_density(4, gen))
-        sv = seesaw_run(pair, SeesawConfig(rng=make_rng(209, stream=100 + i), restarts=8)).value
+        sv = seesaw_run(pair, make_rng(209, stream=100 + i), 8).value
         bv = brute_force_pguess_qubit(*pair, 200)
         worst = max(worst, abs(sv - bv))
     oracle_ok = worst <= 5e-3

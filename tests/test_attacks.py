@@ -43,9 +43,10 @@ from uncloneq.schemes import (
     haar_scheme,
     mu_statistic,
     uniform_haar_scheme,
+    validate_effects,
 )
 from uncloneq.meg import meg_from_qecm, verify_reduction
-from uncloneq.optimize import SeesawConfig, pwin_unif_seesaw
+from uncloneq.optimize import pwin_unif_seesaw
 from uncloneq.stats import ErlangParams, erlang_cdf
 
 from conftest import constant_map, orthogonal_support_pair, padded_scheme
@@ -302,7 +303,7 @@ class TestMeasureShare:
         key = e.key_sampler(rng)
         effects, values = optimal_decode_for_measure_share(e.ciphertext_stack([key]), key.unitary)
         assert abs(values[0] - 1.0) < 1e-10
-        Povm(dim=2, effects=effects[0]).validate()
+        validate_effects(Povm(dim=2, effects=effects[0]).effects)
 
     def test_ml_decode_haar_basis_expectation(self):
         # orthogonal pure qubit pair vs a random basis: E max(X, 1-X) = 3/4
@@ -677,7 +678,9 @@ def test_key_averaging_evaluator_takes_one_required_key_list(evaluator):
     # the keys an attack is built and scored on are the caller's, never a count
     # drawn again inside; the benchmark tracer reads ``keys`` from bound arguments
     params = inspect.signature(evaluator).parameters
-    assert "key_samples" not in params and "rng" not in params
+    assert "key_samples" not in params
+    # the seesaw's rng draws its restarts, never keys (test_each_key_is_read_once counts them)
+    assert "rng" not in params or evaluator is pwin_unif_seesaw
     assert params["keys"].default is inspect.Parameter.empty
 
 
@@ -687,7 +690,7 @@ def test_key_averaging_evaluator_refuses_an_empty_key_list(evaluator):
     e = bb84_scheme(1)
     atk, m1, _ = ind_attack_build(e, 0, 0.25, e.enumerate_keys())
     given = {"e": e, "m0": 0, "m1": m1, "alpha": 0.25, "atk": atk, "ch": atk.channel, "keys": []}
-    given["cfg"] = SeesawConfig(rng=make_rng(0))
+    given["rng"], given["restarts"] = make_rng(0), 1
     params = inspect.signature(evaluator).parameters
     args = {name: given[name] for name, p in params.items() if p.default is p.empty}
     with pytest.raises(ValueError, match="keys"):

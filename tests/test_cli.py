@@ -128,6 +128,16 @@ class TestBasicRuns:
         assert code == 0
         assert "false" not in out
 
+    def test_selftest_checks_correctness(self, capsys):
+        # the worst decryption failure over bb84:1's enumerated keys and 8 sampled haar keys
+        code, out = run_cli(["selftest"], capsys)
+        assert code == 0
+        rows = {row["check"]: row for row in csv.DictReader(io.StringIO(out))}
+        for check, tolerance in (("correctness_bb84:1", 1e-12), ("correctness_haar:2-1-1", 1e-9)):
+            row = rows[check]
+            assert (row["reference"], float(row["tolerance"])) == ("0", tolerance)
+            assert 0 <= float(row["value"]) <= tolerance and row["pass"] == "true"
+
 
 @pytest.mark.parametrize(
     "args",
@@ -194,7 +204,7 @@ def test_seesaw_golden_values(args, values, references, capsys):
 def test_key_chunking_does_not_change_reports(args, capsys, monkeypatch):
     # one key per chunk must print what the default multi-key chunks print
     _, default = run_cli(args, capsys)
-    monkeypatch.setattr(optimize, "_CHUNK_ENTRIES", 1)
+    monkeypatch.setattr(config, "KEY_CHUNK_ENTRIES", 1)
     _, one_key = run_cli(args, capsys)
     assert one_key == default
 
@@ -255,7 +265,7 @@ def test_oversize_restarts_are_refused_before_any_key_is_drawn(command, capsys, 
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert "config error" in captured.err and "with 1000000 restarts" in captured.err
+    assert "config error" in captured.err and "with --restarts 1000000" in captured.err
     assert "more than the cap of 16777216" in captured.err
     assert peak < 8 * 2**20
 
@@ -275,6 +285,8 @@ def test_oversize_restarts_are_refused_before_any_key_is_drawn(command, capsys, 
          "--trials", "1000000", "--seed", "1"],
         ["meg", "--scheme", "uniform_haar:2,5", "--trials", "1000000", "--seed", "1"],
         ["conjecture-scan", "--M", "2", "--d", "8", "--trials", "1000000", "--seed", "1"],
+        # 807151588 rank splits of 10 ranks, with a cloner (201^2 x 200) within the cap
+        ["conjecture-scan", "--M", "10", "--d", "200", "--trials", "2", "--seed", "1"],
         # a key list within the cap whose ciphertext stack, which meg holds, is not
         ["meg", "--scheme", "uniform_haar:4,2", "--trials", "100000", "--seed", "1"],
     ],
@@ -291,6 +303,13 @@ def test_oversize_monte_carlo_and_meg_input_is_refused_before_allocating(args, c
     assert captured.out == ""
     assert "config error" in captured.err and "more than the cap of 16777216" in captured.err
     assert peak < 8 * 2**20
+
+
+def test_partition_count_is_the_number_of_splits():
+    # the recurrence conjecture-scan sizes its split list with, before it lists it
+    for parts in range(1, 7):
+        for total in range(parts, 16):
+            assert cli._partition_count(total, parts) == len(cli._partitions(total, parts))
 
 
 def test_meg_at_d64_runs_in_bounded_memory(capsys):
@@ -707,7 +726,7 @@ def test_readme_quoted_budgets_match_the_code():
         (r"in chunks of at most 2\^(\d+) complex entries", 2, linalg._KERNEL_ENTRIES),
         (r"Monte Carlo lane budget of 2\^(\d+) bytes", 2, linalg.LANE_BYTES),
         (r"over (\d+) (?:spawned )?lanes", None, linalg._LANES),
-        (r"a chunk holds at most 2\^(\d+) complex entries", 2, optimize._CHUNK_ENTRIES),
+        (r"a chunk holds at most 2\^(\d+) complex entries", 2, config.KEY_CHUNK_ENTRIES),
         (r"(?:exceeds|more than|cap of|>) 2\^(\d+)", 2, config.ENTRIES_CAP),
         (r"(\d+)`?-sweep trajectory", None, optimize._SEESAW_ITERS),
     ]

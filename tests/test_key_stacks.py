@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from uncloneq import config, optimize
+from uncloneq import config
 from uncloneq.attacks import (
     CloningAttack,
     measure_share_attack,
@@ -27,7 +27,7 @@ from uncloneq.attacks import (
 from uncloneq.errors import DimensionMismatch, InvalidOperator
 from uncloneq.linalg import KrausChannel, dagger, haar_unitary, make_rng
 from uncloneq.meg import verify_reduction
-from uncloneq.optimize import SeesawConfig, pwin_unif_seesaw
+from uncloneq.optimize import pwin_unif_seesaw
 from uncloneq.schemes import top_eigenvalue_means, uniform_haar_scheme
 
 KEYS = 7
@@ -115,9 +115,9 @@ def _counting(e):
 
 
 def _cloner_seesaw(e, keys):
-    cfg = SeesawConfig(rng=make_rng(5), restarts=1)
     warm = projector_cloning_attack(e).bob_effects
-    return pwin_unif_seesaw(e, superposition_cloner(e.cipher_dim), keys, cfg, warm_start=warm)
+    ch = superposition_cloner(e.cipher_dim)
+    return pwin_unif_seesaw(e, ch, keys, make_rng(5), 1, warm_start=warm)
 
 
 def _measure_share_seesaw(e, keys):
@@ -126,8 +126,8 @@ def _measure_share_seesaw(e, keys):
     def warm(stack):
         return optimal_decode_for_measure_share(stack, basis)[0]
 
-    cfg = SeesawConfig(rng=make_rng(5), restarts=1)
-    return pwin_unif_seesaw(e, measure_share_attack(e.cipher_dim, basis), keys, cfg, warm)
+    ch = measure_share_attack(e.cipher_dim, basis)
+    return pwin_unif_seesaw(e, ch, keys, make_rng(5), 1, warm)
 
 
 @pytest.mark.parametrize(
@@ -156,7 +156,6 @@ def test_each_key_is_read_once(evaluate, chunked, monkeypatch):
     # K keys of M messages cost exactly K M encryptions, however the keys are chunked
     if chunked:
         monkeypatch.setattr(config, "KEY_CHUNK_ENTRIES", 1)
-        monkeypatch.setattr(optimize, "_CHUNK_ENTRIES", 1)
     e, calls = _counting(uniform_haar_scheme(2, 2))
     keys = e.sample_keys(make_rng(11), 5)
     evaluate(e, keys)

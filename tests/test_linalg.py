@@ -21,6 +21,7 @@ from uncloneq.linalg import (
 )
 
 from conftest import rand_hermitian, rand_density
+from oracles import assert_density_operator, assert_unitary
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -79,7 +80,7 @@ class TestHaarUnitary:
 
     def test_unitarity(self, rng):
         for d in (2, 3, 5, 8):
-            linalg.assert_unitary(haar_unitary(d, rng))
+            assert_unitary(haar_unitary(d, rng))
 
     def test_twirl_of_projector_is_maximally_mixed(self, rng):
         d, n = 4, 10_000
@@ -116,7 +117,7 @@ class TestHaarUnitary:
         us = haar_unitary(5, rng, 6)
         assert us.shape == (6, 5, 5)
         for u in us:
-            linalg.assert_unitary(u)
+            assert_unitary(u)
         assert np.max(np.abs(us[0] - us[1])) > 1e-3
 
 
@@ -450,11 +451,11 @@ class TestLaneEstimate:
 
 class TestValidators:
     def test_density_operator_checks(self, rng):
-        linalg.assert_density_operator(rand_density(4, rng))
+        assert_density_operator(rand_density(4, rng))
         with pytest.raises(InvalidOperator):
-            linalg.assert_density_operator(np.diag([0.6, 0.6]).astype(complex))
+            assert_density_operator(np.diag([0.6, 0.6]).astype(complex))
         with pytest.raises(InvalidOperator):
-            linalg.assert_density_operator(np.diag([1.5, -0.5]).astype(complex))
+            assert_density_operator(np.diag([1.5, -0.5]).astype(complex))
 
     def test_projector_checks(self):
         linalg.assert_projector(np.diag([1.0, 0.0]).astype(complex))

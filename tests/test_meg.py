@@ -24,9 +24,16 @@ from uncloneq.meg import (
     strategy_from_attack,
     verify_reduction,
 )
-from uncloneq.schemes import Povm, QecmScheme, bb84_scheme, uniform_haar_scheme
+from uncloneq.schemes import (
+    Povm,
+    QecmScheme,
+    bb84_scheme,
+    uniform_haar_scheme,
+    validate_effects,
+)
 
 from conftest import constant_map, rand_density
+from oracles import assert_density_operator
 
 
 def _basis_povm(d: int) -> Povm:
@@ -64,7 +71,7 @@ def _explicit(vectors: np.ndarray, dims, bob_effects, charlie_effects) -> MegStr
 def _one_key_game(alice: Povm) -> MegGame:
     # one key; the strategies here give their receivers constant effects, so
     # what the key tells them (its ciphertexts) is a placeholder
-    m = alice.n_outcomes
+    m = len(alice.effects)
     return MegGame(
         message_count=m,
         alice_dim=alice.dim,
@@ -187,8 +194,6 @@ class TestChoiState:
             assert np.max(np.abs(marg - rho_bar)) < 1e-9
 
     def test_cloner_choi_is_valid_state(self):
-        from uncloneq.linalg import assert_density_operator
-
         ch = superposition_cloner(2)
         state = _dense(_vectors(choi_state(ch, np.eye(2, dtype=complex) / 2), ch.left))
         assert state.shape == (18, 18)
@@ -202,7 +207,7 @@ class TestMegFromQecm:
         game = meg_from_qecm(e, keys)
         for effects in game.alice_effects:
             povm = Povm(dim=4, effects=effects)
-            povm.validate()
+            validate_effects(povm.effects)
             for m, eff in enumerate(povm.effects):
                 w = np.sort(np.linalg.eigvalsh(eff))[::-1]
                 # rank-L projector spectrum, matching the decrypt effect
@@ -265,7 +270,7 @@ class TestMegFromQecm:
         keys = [e.key_sampler(rng) for _ in range(3)]
         game = meg_from_qecm(e, keys)
         for effects in game.alice_effects:
-            Povm(dim=3, effects=effects).validate()
+            validate_effects(Povm(dim=3, effects=effects).effects)
 
 
 class TestStrategyFromAttack:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uncloneq.attacks import superposition_cloner
-from uncloneq.linalg import assert_projector, assert_unitary
+from uncloneq.linalg import assert_projector
 from uncloneq.o2h import (
     build_counterexample_state,
     extraction_probability,
@@ -16,6 +16,8 @@ from uncloneq.o2h import (
     simo2h_rhs,
     simo2h_success,
 )
+
+from oracles import assert_unitary
 
 
 def _index(bq, bo, cq, co):

@@ -18,8 +18,8 @@ from uncloneq import optimize
 from uncloneq.cli import main
 from uncloneq.errors import CrossCheckFailed, DimensionMismatch, InvalidOperator, NotHermitian
 from uncloneq.linalg import KrausChannel, apply_channel, dagger, haar_unitary, herm_eig, make_rng
-from uncloneq.optimize import SeesawConfig, discriminate, pwin_unif_seesaw
-from uncloneq.schemes import Povm, bb84_scheme, uniform_haar_scheme
+from uncloneq.optimize import discriminate, pwin_unif_seesaw
+from uncloneq.schemes import bb84_scheme, uniform_haar_scheme, validate_effects
 
 from conftest import constant_map, rand_density
 from oracles import brute_force_pguess_qubit, random_projective_povm, seesaw_run
@@ -115,8 +115,7 @@ class TestDiscriminationFixedPoint:
         for iters in (1, 2, 5, 25):
             monkeypatch.setattr(optimize, "_FP_ITERS", iters)
             res = discriminate(gs)
-            povm = Povm(dim=3, effects=tuple(res.effects))
-            povm.validate()
+            validate_effects(res.effects)
 
     def test_stacked_problems_each_get_their_solo_result(self, monkeypatch):
         # a kernel folded in by QR, a one-sweep convergence and a constant-guess
@@ -301,27 +300,26 @@ class TestSeesaw:
     def test_perfectly_distinguishable_product(self):
         s0 = np.kron(KET0, KET0)
         s1 = np.kron(KET1, KET1)
-        cfg = SeesawConfig(rng=make_rng(0), restarts=1)
-        assert abs(seesaw_run([s0, s1], cfg).value - 1.0) < 1e-9
+        assert abs(seesaw_run([s0, s1], make_rng(0), 1).value - 1.0) < 1e-9
 
     def test_cloner_ensemble_with_warm_start(self):
         e = bb84_scheme(1)
         key = e.enumerate_keys()[0]
         atk = projector_cloning_attack(e)
-        cfg = SeesawConfig(rng=make_rng(1), restarts=2)
-        value, _ = pwin_unif_seesaw(e, atk.channel, [key], cfg, warm_start=atk.bob_effects)
+        value, _ = pwin_unif_seesaw(
+            e, atk.channel, [key], make_rng(1), 2, warm_start=atk.bob_effects
+        )
         assert value >= 9 / 16 - 1e-6
 
     def test_uninformative_charlie_floor(self, rng):
         # Bob holds a copy of the label, Charlie sees nothing: floor is 1/2
         sigma = rand_density(2, rng)
-        cfg = SeesawConfig(rng=make_rng(2), restarts=2)
-        assert seesaw_run([np.kron(KET0, sigma), np.kron(KET1, sigma)], cfg).value >= 0.5 - 1e-9
+        pair = [np.kron(KET0, sigma), np.kron(KET1, sigma)]
+        assert seesaw_run(pair, make_rng(2), 2).value >= 0.5 - 1e-9
 
     def test_trajectory_monotone_and_bounded(self, rng):
         for i in range(20):
-            cfg = SeesawConfig(rng=make_rng(1000 + i), restarts=3)
-            res = seesaw_run(_random_qubit_pair(rng), cfg)
+            res = seesaw_run(_random_qubit_pair(rng), make_rng(1000 + i), 3)
             diffs = np.diff(res.trajectory)
             assert np.all(diffs >= -1e-10)
             assert res.value == res.trajectory[-1]
@@ -333,30 +331,32 @@ class TestSeesaw:
         e = uniform_haar_scheme(2, 1)
         ch = measure_share_attack(2, np.eye(2, dtype=complex))
         bad = constant_map((np.eye(3, dtype=complex), np.zeros((3, 3), complex)))
-        cfg = SeesawConfig(rng=make_rng(1))
         with pytest.raises(DimensionMismatch):
-            pwin_unif_seesaw(e, ch, e.sample_keys(rng, 2), cfg, warm_start=bad)
+            pwin_unif_seesaw(e, ch, e.sample_keys(rng, 2), make_rng(1), 1, warm_start=bad)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SeesawConfig(rng=make_rng(0), restarts=0)
+        e = uniform_haar_scheme(2, 1)
+        ch = superposition_cloner(2)
+        keys = e.sample_keys(make_rng(0), 2)
+        with pytest.raises(ValueError, match="restarts"):
+            pwin_unif_seesaw(e, ch, keys, make_rng(0), 0)
 
     def test_starts_are_warm_then_constant_guess_then_restarts(self):
         # the constant guess is message 0, which pins a start's value to at least 1/M
         rng = make_rng(3)
         warm = np.array([random_projective_povm(3, 4, rng) for _ in range(2)])
-        starts = optimize._starts(4, 3, warm, 2, SeesawConfig(rng=make_rng(4), restarts=3))
+        starts = optimize._starts(4, 3, warm, 2, make_rng(4), 3)
         assert starts.shape == (2, 5, 4, 3, 3)
         assert np.array_equal(starts[:, 0], warm)
         assert np.array_equal(starts[:, 1, 0], np.broadcast_to(np.eye(3), (2, 3, 3)))
         assert not starts[:, 1, 1:].any()
-        # one batch of restarts reads cfg.rng key by key, as one Haar draw per restart does
+        # one batch of restarts reads the generator key by key, as one Haar draw per restart does
         oracle = make_rng(4)
         for k in range(2):
             for t in range(2, 5):
                 assert np.array_equal(starts[k, t], random_projective_povm(3, 4, oracle))
         for start in starts.reshape(-1, 4, 3, 3):
-            Povm(3, start).validate()
+            validate_effects(start)
 
 
 class TestPwinUnifSeesaw:
@@ -368,8 +368,9 @@ class TestPwinUnifSeesaw:
         def warm(stack):
             return atk.bob_effects(stack)
 
-        cfg = SeesawConfig(rng=make_rng(3), restarts=1)
-        mean, stderr = pwin_unif_seesaw(e, superposition_cloner(2), keys, cfg, warm_start=warm)
+        mean, stderr = pwin_unif_seesaw(
+            e, superposition_cloner(2), keys, make_rng(3), 1, warm_start=warm
+        )
         assert mean >= 9 / 16 - 3 * stderr - 1e-9
 
     def test_measure_share_matches_classical_decode(self, rng):
@@ -381,8 +382,7 @@ class TestPwinUnifSeesaw:
         def warm(stack):
             return optimal_decode_for_measure_share(stack, basis)[0]
 
-        cfg = SeesawConfig(rng=make_rng(4), restarts=2)
-        mean, _ = pwin_unif_seesaw(e, ch, keys, cfg, warm_start=warm)
+        mean, _ = pwin_unif_seesaw(e, ch, keys, make_rng(4), 2, warm_start=warm)
         classical = float(
             np.mean(optimal_decode_for_measure_share(e.ciphertext_stack(keys), basis)[1])
         )
@@ -401,12 +401,10 @@ class TestPwinUnifSeesaw:
                 return optimal_decode_for_measure_share(stack, basis)[0]
 
         keys = e.sample_keys(make_rng(7), 5)
-        mean, _ = pwin_unif_seesaw(
-            e, ch, keys, SeesawConfig(rng=make_rng(8), restarts=2), warm_start=warm
-        )
+        mean, _ = pwin_unif_seesaw(e, ch, keys, make_rng(8), 2, warm_start=warm)
         # one key per call, every call drawing its restarts from one shared generator
-        cfg = SeesawConfig(rng=make_rng(8), restarts=2)
-        vals = [pwin_unif_seesaw(e, ch, [key], cfg, warm_start=warm)[0] for key in keys]
+        rng = make_rng(8)
+        vals = [pwin_unif_seesaw(e, ch, [key], rng, 2, warm_start=warm)[0] for key in keys]
         assert abs(mean - np.mean(vals)) < 1e-12
 
     @pytest.mark.parametrize("channel", ["cloner", "measure_share", "identity_to_bob"])
@@ -456,7 +454,7 @@ class TestPwinUnifSeesaw:
         ch = KrausChannel(d, side * side, tuple(v.reshape(2, side * side, d)))
         assert ch.left.any(axis=(0, 2)).all()
         keys = e.sample_keys(rng, 4)
-        got = pwin_unif_seesaw(e, ch, keys, SeesawConfig(rng=make_rng(22), restarts=2))
+        got = pwin_unif_seesaw(e, ch, keys, make_rng(22), 2)
         assert got == pytest.approx((value, stderr), abs=1e-12, rel=0)
 
     def test_chunk_build_checks_hermiticity(self, rng):
@@ -472,15 +470,14 @@ class TestPwinUnifSeesaw:
         # a 2 x 3 output has no equal B/C halves (receiver_dim)
         e = uniform_haar_scheme(2, 1)
         ch = KrausChannel(2, 6, (np.kron(np.eye(2, dtype=complex), np.eye(3, 1, dtype=complex)),))
-        cfg = SeesawConfig(rng=make_rng(5))
         with pytest.raises(DimensionMismatch):
-            pwin_unif_seesaw(e, ch, e.sample_keys(rng, 2), cfg)
+            pwin_unif_seesaw(e, ch, e.sample_keys(rng, 2), make_rng(5), 1)
 
     def test_identity_to_bob_floor(self, rng):
         e = uniform_haar_scheme(2, 1)
         ch = _identity_to_bob(2)
-        cfg = SeesawConfig(rng=make_rng(5), restarts=2)
-        mean, _ = pwin_unif_seesaw(e, ch, e.sample_keys(cfg.rng, 3), cfg)
+        rng = make_rng(5)
+        mean, _ = pwin_unif_seesaw(e, ch, e.sample_keys(rng, 3), rng, 2)
         assert mean >= 0.5 - 1e-9
 
 
@@ -527,15 +524,13 @@ class TestBruteForce:
         rho0 = np.kron(rand_density(2, rng), np.eye(2, dtype=complex) / 2)
         rho1 = np.kron(rand_density(2, rng), np.eye(2, dtype=complex) / 2)
         brute = brute_force_pguess_qubit(rho0, rho1, 200)
-        cfg = SeesawConfig(rng=make_rng(6), restarts=6)
-        seesaw = seesaw_run([rho0, rho1], cfg).value
+        seesaw = seesaw_run([rho0, rho1], make_rng(6), 6).value
         assert abs(brute - seesaw) < 5e-3
 
     def test_agreement_with_seesaw(self, rng):
         for i in range(5):
             pair = _random_qubit_pair(rng)
-            cfg = SeesawConfig(rng=make_rng(50 + i), restarts=6)
-            sv = seesaw_run(pair, cfg).value
+            sv = seesaw_run(pair, make_rng(50 + i), 6).value
             bv = brute_force_pguess_qubit(*pair, 200)
             assert abs(sv - bv) < 5e-3
 

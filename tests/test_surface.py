@@ -38,15 +38,10 @@ BRANCHES = [
 ]
 
 ALLOWED = {
-    "schemes.check_correctness": "the paper's correctness condition; tests run it on every construction",
-    "linalg.assert_unitary": "validator the tests use",
     "linalg.assert_projector": "validator the tests use; certified upper bounds (ROADMAP A) need it",
-    "linalg.assert_density_operator": "validator the tests use",
-    "linalg.apply_channel": "the dense oracle of the support blocks; benchmarks/tracer.py and "
-    "benchmarks/tests read it",
+    "linalg.apply_channel": "the dense oracle of the support blocks; it moves to tests/oracles.py "
+    "once ROADMAP M retargets benchmarks/tracer.py and benchmarks/tests, which read it",
     "schemes.QecmScheme.factor": "deriving encrypt from the factor (ROADMAP F2) needs it",
-    "schemes.Povm.validate": "a Povm's own check; evaluators run validate_effects on stacks",
-    "schemes.Povm.n_outcomes": "outcome count of a decryption POVM; tests read it",
     "meg.meg_from_qecm": "certified upper bounds (ROADMAP A) build on the game route",
     "meg.meg_win_prob": "certified upper bounds (ROADMAP A) build on the game route",
     "optimize.discriminate": "single-problem entry point to the stacked solver",
