@@ -10,9 +10,9 @@ inequalities numerically:
 * ``attacks`` -- superposition cloner, projector strategies,
   measure-and-share attacks, and the success-probability functionals;
 * ``optimize`` -- Helstrom discrimination, fixed-point discrimination,
-  and the product-measurement seesaw with a brute-force qubit oracle;
+  and the product-measurement seesaw;
 * ``o2h`` -- the two-party oracle-guessing counterexample;
-* ``stats`` -- Erlang utilities and the max-over-sum estimate;
+* ``stats`` -- the Erlang max-over-sum constant and its Monte Carlo estimate;
 * ``meg`` -- monogamy-of-entanglement games and the reduction check;
 * ``cli`` -- seeded, reproducible experiment runner.
 """

@@ -33,7 +33,7 @@ import numpy as np
 from . import attacks, meg, o2h, optimize, stats
 from .config import check_entries
 from .errors import UncloneqError
-from .linalg import make_rng
+from .linalg import KrausChannel, make_rng
 from .schemes import (
     QecmScheme,
     RankDistribution,
@@ -161,7 +161,7 @@ def run_lemma1(opts: dict) -> list[dict]:
     scheme = _parse_scheme(opts["scheme"])
     rng = make_rng(opts["seed"])
     m0, alpha, trials = opts["m0"], opts["alpha"], opts["trials"]
-    big_m, d = scheme.message_count, scheme.cipher_dim
+    big_m = scheme.message_count
     if big_m < 2 or not 0 <= m0 < big_m:
         raise ValueError(
             f"lemma1 needs a --scheme with M >= 2 messages and 0 <= --m0 < M, "
@@ -171,8 +171,7 @@ def run_lemma1(opts: dict) -> list[dict]:
         raise ValueError(f"--trials must be at least 1, got {trials}")
     if not 0 <= alpha <= 1:
         raise ValueError(f"--alpha must lie in [0, 1], got {alpha}")
-    # the superposition cloner's Kraus op, as meg --attack cloner checks it
-    check_entries((d + 1) ** 2 * d, f"lemma1 at d = {d}: its cloner ({(d + 1) ** 2} x {d})")
+    _check_channel(scheme, "cloner")
     if scheme.enumerate_keys is not None:
         keys = scheme.enumerate_keys()
     else:
@@ -296,95 +295,89 @@ def run_erlang(opts: dict) -> list[dict]:
     return rows
 
 
-def _check_seesaw_size(d: int, big_m: int, channel_name: str, trials: int, restarts: int) -> None:
-    """Refuse a seesaw that cannot fit in memory, before its channel is built or a key drawn.
-
-    The channel's Kraus factors, a key's support blocks, or a lockstep
-    stack of ``trials`` keys with ``restarts`` restarts each above
-    ``config.ENTRIES_CAP``, and a restart count below 1, raise
-    ``ValueError``.
-    """
-    cloner = channel_name == "cloner"
-    # each receiver's dimension, the output rows the channel reaches, and the
-    # shape of its left Kraus factors (attacks.superposition_cloner, measure_share_attack)
-    side, support = (d + 1, 2 * d) if cloner else (d, d)
-    n_kraus, rank = (1, d) if cloner else (d, 1)
-    try:
-        kraus = n_kraus * side * side * rank
-        check_entries(kraus, f"its Kraus factors ({n_kraus} x {side}^2 x {rank})")
-        # every key has a warm start, except under the cloner beyond two messages
-        optimize.seesaw_stack_entries(
-            big_m, side, support, trials, restarts, not cloner or big_m == 2
-        )
-    except ValueError as exc:
-        raise ValueError(
-            f"the {channel_name} channel at d = {d} with --restarts {restarts}: {exc}"
-        ) from exc
+# each channel name's n left Kraus factors of side² x rank at ciphertext dimension d
+# (attacks.superposition_cloner, attacks.measure_share_attack), the s output rows they
+# reach, and whether every key of an M-message scheme has a warm start
+_CHANNELS: dict[str, Callable[[int, int], tuple[int, int, int, int, bool]]] = {
+    "cloner": lambda d, m: (1, d + 1, d, 2 * d, m == 2),
+    "measure_share": lambda d, m: (d, d, 1, d, True),
+    "measure_share:breidbart": lambda d, m: (d, d, 1, d, True),
+}
+# the channel names meg --attack takes
+_MEG_ATTACKS = ("cloner", "measure_share")
 
 
-def _seesaw_setup(scheme: QecmScheme, channel_name: str):
-    """Channel, warm start and reference for a seesaw channel name.
+def _check_channel(scheme: QecmScheme, name: str, seesaw: tuple[int, int] | None = None) -> None:
+    """Refuse a channel name, or a size that cannot fit in memory, before anything is built.
 
-    The warm start maps a chunk's ciphertext stack to Bob's effects in the
-    attack the channel belongs to, one POVM per key, and
-    the reference maps the key sample to the value that start already
-    achieves: ``1/2 + mu/16`` for the two-message cloner, the
-    maximum-likelihood decode value for measure-and-share, and the
-    constant-guess value ``1/M`` when there is no warm start.  The
-    measure-and-share warm start records each key's decode value, and its
-    reference averages the recorded values, so no key is decoded twice and
-    that reference is read after the seesaw.  Callers refuse sizes too
-    large for the seesaw first (:func:`_check_seesaw_size`).
+    An unknown name, the qubit Breidbart basis at ``d != 2``, Kraus factors
+    above ``config.ENTRIES_CAP`` and, given ``seesaw = (trials, restarts)``,
+    a key's support blocks or a lockstep stack above the cap or a restart
+    count below 1 (:func:`optimize.seesaw_stack_entries`) raise
+    ``ValueError``, naming the channel and ``d``.
     """
     d, big_m = scheme.cipher_dim, scheme.message_count
-    cloner = channel_name == "cloner"
-    if cloner:
-        if big_m != 2:
-            return attacks.superposition_cloner(d), None, lambda keys: 1.0 / big_m
+    if name not in _CHANNELS:
+        raise ValueError(f"--channel {name!r} is not a known channel")
+    if name.endswith(":breidbart") and d != 2:
+        raise ValueError(
+            f"--channel {name!r} measures in the breidbart basis, a qubit "
+            f"basis, but the scheme has d = {d}"
+        )
+    n, side, rank, support, warm = _CHANNELS[name](d, big_m)
+    where = f"the {name} channel at d = {d}"
+    try:
+        check_entries(n * side * side * rank, f"its Kraus factors ({n} x {side}^2 x {rank})")
+        if seesaw is not None:
+            where += f" with --restarts {seesaw[1]}"
+            optimize.seesaw_stack_entries(big_m, side, support, *seesaw, warm)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
+def _channel(scheme: QecmScheme, name: str) -> tuple[KrausChannel, attacks.CloningAttack | None]:
+    """The channel of a name :func:`_check_channel` passed, and the attack built on it.
+
+    The projector cloning attack for the two-message cloner, and the
+    maximum-likelihood measure-and-share attack in the standard or the
+    Breidbart basis; the bare cloner beyond two messages has no attack.
+    """
+    d = scheme.cipher_dim
+    if name == "cloner":
+        if scheme.message_count != 2:
+            return attacks.superposition_cloner(d), None
         atk = attacks.projector_cloning_attack(scheme)
-
-        def reference(keys: Sequence) -> float:
-            return 0.5 + mu_statistic(scheme, keys) / 16.0
-
-        return atk.channel, atk.bob_effects, reference
-    if channel_name in ("measure_share", "measure_share:breidbart"):
-        basis = np.eye(d, dtype=complex)
-        if channel_name.endswith(":breidbart"):
-            if d != 2:
-                raise ValueError(
-                    f"--channel {channel_name!r} measures in the breidbart basis, a qubit "
-                    f"basis, but the scheme has d = {d}"
-                )
-            basis = attacks.breidbart_basis()
-        # each key is decoded once: its warm start, and the value the reference averages
-        values: list[float] = []
-
-        def warm(stack: np.ndarray) -> np.ndarray:
-            effects, chunk_values = attacks.optimal_decode_for_measure_share(stack, basis)
-            values.extend(chunk_values.tolist())
-            return effects
-
-        return attacks.measure_share_attack(d, basis), warm, lambda keys: float(np.mean(values))
-    raise ValueError(f"--channel {channel_name!r} is not a known channel")
+    else:
+        breidbart = name.endswith(":breidbart")
+        basis = attacks.breidbart_basis() if breidbart else np.eye(d, dtype=complex)
+        atk = attacks.measure_share_ml_attack(scheme, basis)
+    return atk.channel, atk
 
 
 def run_seesaw(opts: dict) -> list[dict]:
     trials, restarts = _stderr_trials(opts), opts["restarts"]
     scheme = _parse_scheme(opts["scheme"])
-    d, big_m, channel = scheme.cipher_dim, scheme.message_count, opts["channel"]
-    _check_seesaw_size(d, big_m, channel, trials, restarts)
-    ch, warm, reference_of = _seesaw_setup(scheme, channel)
-    rng = make_rng(opts["seed"])
-    keys = scheme.sample_keys(rng, trials)
+    name = opts["channel"]
+    _check_channel(scheme, name, (trials, restarts))
+    ch, atk = _channel(scheme, name)
+    keys = scheme.sample_keys(make_rng(opts["seed"]), trials)
+    warm = None if atk is None else atk.bob_effects
     mean, stderr = optimize.pwin_unif_seesaw(
         scheme, ch, keys, make_rng(opts["seed"], stream=1), restarts, warm_start=warm
     )
-    reference = reference_of(keys)
+    # what the warm start is known to reach: the constant guess without one, the projector
+    # strategy's 1/2 + mu/16, and the decoding's own value
+    if atk is None:
+        reference = 1.0 / scheme.message_count
+    elif name == "cloner":
+        reference = 0.5 + mu_statistic(scheme, keys) / 16.0
+    else:
+        reference = attacks.pwin_unif_eval(scheme, atk, keys)
     tolerance = _SEESAW_SLACK + 3.0 * stderr
     return [
         {
             "scheme": opts["scheme"],
-            "channel": opts["channel"],
+            "channel": name,
             "key_samples": len(keys),
             "value": mean,
             "stderr": stderr,
@@ -397,43 +390,30 @@ def run_seesaw(opts: dict) -> list[dict]:
 
 def run_meg(opts: dict) -> list[dict]:
     scheme = _parse_scheme(opts["scheme"])
-    attack_name = opts["attack"]
-    d = scheme.cipher_dim
-    if attack_name == "cloner":
-        if scheme.message_count != 2:
-            raise ValueError(
-                f"--attack cloner guesses a binary message; --scheme {opts['scheme']!r} "
-                f"has {scheme.message_count}"
-            )
-        n_kraus, out_dim, rank = 1, (d + 1) ** 2, d
-    elif attack_name == "measure_share":
-        n_kraus, out_dim, rank = d, d * d, 1
-    else:
-        raise ValueError(f"--attack {attack_name!r} is not a known attack")
-    trials, big_m = opts["trials"], scheme.message_count
+    name, trials = opts["attack"], opts["trials"]
+    big_m, d = scheme.message_count, scheme.cipher_dim
+    if name not in _MEG_ATTACKS:
+        raise ValueError(f"--attack {name!r} is not a known attack")
+    if name == "cloner" and big_m != 2:
+        raise ValueError(
+            f"--attack cloner guesses a binary message; --scheme {opts['scheme']!r} has {big_m}"
+        )
     if trials < 1:
         raise ValueError(f"--trials must be at least 1, got {trials}")
-    # the left Kraus factors; the Choi factor and each message's kernel terms are no larger
-    check_entries(
-        n_kraus * out_dim * rank,
-        f"--attack {attack_name} at d = {d}: its Kraus factors ({n_kraus} x {out_dim} x {rank})",
-    )
+    # the Choi factor and each message's kernel terms are no larger than the Kraus factors
+    _check_channel(scheme, name)
     # the game holds every key's ciphertexts, and Alice's effects, as one stack
     check_entries(
         trials * big_m * d * d,
         f"--trials {trials} at d = {d}: the ciphertext stack ({big_m} x {d}^2 per key)",
     )
-    rng = make_rng(opts["seed"])
-    keys = scheme.sample_keys(rng, trials)
-    if attack_name == "cloner":
-        atk = attacks.projector_cloning_attack(scheme)
-    else:
-        atk = attacks.measure_share_ml_attack(scheme, np.eye(d, dtype=complex))
+    keys = scheme.sample_keys(make_rng(opts["seed"]), trials)
+    _, atk = _channel(scheme, name)
     lhs, rhs, gap = meg.verify_reduction(scheme, atk, keys)
     return [
         {
             "scheme": opts["scheme"],
-            "attack": attack_name,
+            "attack": name,
             "key_samples": len(keys),
             "lhs": lhs,
             "rhs": rhs,
@@ -471,14 +451,17 @@ def run_conjecture_scan(opts: dict) -> list[dict]:
     trials, restarts = _stderr_trials(opts), opts["restarts"]
     big_m, d = opts["M"], opts["d"]
     _check_message_count(big_m, d, f"--M {big_m} and --d {d}")
-    # refuses d >= 256 before the splits are counted in O(d M)
-    _check_seesaw_size(d, big_m, "cloner", trials, restarts)
+    # the cloner and its warm start depend on M and d only, so one split's scheme
+    # checks and sets up every split; d >= 256 is refused before the splits are
+    # counted in O(d M)
+    first = haar_scheme(
+        big_m, d, RankDistribution.deterministic((d - big_m + 1,) + (1,) * (big_m - 1))
+    )
+    _check_channel(first, "cloner", (trials, restarts))
     count = _partition_count(d, big_m)
     check_entries(count * big_m, f"--M {big_m} and --d {d}: a list of {count} rank splits")
-    # the cloner and its warm start depend on M and d only, so one split's scheme
-    # sets up every split
-    first = RankDistribution.deterministic((d - big_m + 1,) + (1,) * (big_m - 1))
-    ch, warm, _ = _seesaw_setup(haar_scheme(big_m, d, first), "cloner")
+    ch, atk = _channel(first, "cloner")
+    warm = None if atk is None else atk.bob_effects
     rng = make_rng(opts["seed"])
     rows = []
     for i, t in enumerate(_partitions(d, big_m)):
@@ -608,8 +591,8 @@ _HELP = {
     "alpha": "projector mixing weight",
     "cases": "semicolon-separated MxD cases, e.g. 4x4;16x16",
     "ns": "comma-separated block counts for the Erlang scan",
-    "channel": "cloner | measure_share | measure_share:breidbart",
-    "attack": "cloner | measure_share",
+    "channel": " | ".join(_CHANNELS),
+    "attack": " | ".join(_MEG_ATTACKS),
     "restarts": "seesaw restarts",
     "M": "message count for the conjecture scan",
     "d": "ciphertext dimension for the conjecture scan",

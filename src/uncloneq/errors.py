@@ -33,9 +33,5 @@ class NotKeyIndependent(UncloneqError):
     """Key-averaged ciphertext varies across keys beyond tolerance."""
 
 
-class NegativeX(UncloneqError):
-    """Distribution evaluated at a negative argument."""
-
-
 class CrossCheckFailed(UncloneqError):
     """Two supposedly equal evaluation routes disagreed beyond tolerance."""

@@ -1,8 +1,8 @@
-"""Erlang distribution utilities and the max-over-sum order statistic.
+"""The max-over-sum order statistic of independent Erlang blocks and its constant.
 
 The squared norm of a block of ``k`` independent standard complex
-normals is Erlang(k, 1/2) distributed, which is what connects these
-routines to random-basis measurement attacks: the ratio
+normals is Erlang(k, 1/2) distributed, which is what connects this
+statistic to random-basis measurement attacks: the ratio
 ``max_i X_i / sum_i X_i`` over independent Erlang blocks lower-bounds
 how much weight a random unit vector places on its best block.  Its
 expectation is at least ``c log2(n) / sum_i k_i`` with
@@ -15,65 +15,21 @@ and the sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import linalg
 from .config import is_integer
-from .errors import NegativeX
 from .linalg import lane_estimate
 
 __all__ = [
     "ERLANG_MAX_CONSTANT",
-    "ErlangParams",
-    "erlang_cdf",
     "max_over_sum_estimate",
 ]
 
 #: explicit constant in the max-over-sum lower bound, (1 - 1/e - 1/2)/(2 log2 e)
 ERLANG_MAX_CONSTANT = (1.0 - math.exp(-1.0) - 0.5) / (2.0 * math.log2(math.e))
-
-
-@dataclass(frozen=True)
-class ErlangParams:
-    """Shape (positive integer) and rate (positive finite real) of an Erlang law."""
-
-    shape: int
-    rate: float
-
-    def __post_init__(self) -> None:
-        if not is_integer(self.shape) or self.shape < 1:
-            raise ValueError(f"shape must be a positive integer, got {self.shape!r}")
-        # NaN fails every comparison, so finiteness is checked on its own
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
-        if not math.isfinite(self.rate):
-            raise ValueError(f"rate must be finite, got {self.rate}")
-
-
-def erlang_cdf(p: ErlangParams, x: float) -> float:
-    """``P[X <= x] = 1 - exp(-rate x) sum_{i<k} (rate x)^i / i!``."""
-    # NaN fails every comparison, so it is refused with the negatives
-    if not x >= 0:
-        raise NegativeX(f"x must be nonnegative, got {x}")
-    k, lam = p.shape, p.rate
-    z = lam * x
-    if math.isinf(z):
-        return 1.0
-    term = 1.0
-    tail = term
-    for i in range(1, k):
-        term *= z / i
-        tail += term
-    scale = math.exp(-z)
-    if scale > 0.0 and math.isfinite(tail):
-        return 1.0 - scale * tail
-    # exp(-z) underflows to 0 or the sum overflows, so the terms are added in log space
-    logs = [i * math.log(z) - math.lgamma(i + 1) for i in range(k)]
-    top = max(logs)
-    return 1.0 - math.exp(top - z + math.log(sum(math.exp(t - top) for t in logs)))
 
 
 def max_over_sum_estimate(

@@ -2,17 +2,20 @@
 
 None of these is reached by a subcommand: the unitary and density-operator
 validators, the qubit grid oracle, the single-ensemble entry to the
-seesaw, the seesaw's random restarts one POVM at a time, and the paper's
-expurgation of a scheme to a smaller message set.
+seesaw, the seesaw's random restarts one POVM at a time, the paper's
+expurgation of a scheme to a smaller message set, and the Erlang law the
+random-basis Monte Carlo is checked against.
 """
 
 import math
+from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from uncloneq import optimize
-from uncloneq.errors import DimensionMismatch, InvalidOperator, NotInjective
+from uncloneq.config import is_integer
+from uncloneq.errors import DimensionMismatch, InvalidOperator, NotInjective, UncloneqError
 from uncloneq.linalg import (
     KrausChannel,
     assert_finite,
@@ -250,3 +253,52 @@ def expurgate_scheme(
         decrypt_povm=decrypt_povm,
         enumerate_keys=e.enumerate_keys,
     )
+
+
+# ---------------------------------------------------------------------------
+# the Erlang law
+# ---------------------------------------------------------------------------
+
+
+class NegativeX(UncloneqError):
+    """Distribution evaluated at a negative argument."""
+
+
+@dataclass(frozen=True)
+class ErlangParams:
+    """Shape (positive integer) and rate (positive finite real) of an Erlang law."""
+
+    shape: int
+    rate: float
+
+    def __post_init__(self) -> None:
+        if not is_integer(self.shape) or self.shape < 1:
+            raise ValueError(f"shape must be a positive integer, got {self.shape!r}")
+        # NaN fails every comparison, so finiteness is checked on its own
+        if self.rate <= 0:
+            raise ValueError("rate must be positive")
+        if not math.isfinite(self.rate):
+            raise ValueError(f"rate must be finite, got {self.rate}")
+
+
+def erlang_cdf(p: ErlangParams, x: float) -> float:
+    """``P[X <= x] = 1 - exp(-rate x) sum_{i<k} (rate x)^i / i!``."""
+    # NaN fails every comparison, so it is refused with the negatives
+    if not x >= 0:
+        raise NegativeX(f"x must be nonnegative, got {x}")
+    k, lam = p.shape, p.rate
+    z = lam * x
+    if math.isinf(z):
+        return 1.0
+    term = 1.0
+    tail = term
+    for i in range(1, k):
+        term *= z / i
+        tail += term
+    scale = math.exp(-z)
+    if scale > 0.0 and math.isfinite(tail):
+        return 1.0 - scale * tail
+    # exp(-z) underflows to 0 or the sum overflows, so the terms are added in log space
+    logs = [i * math.log(z) - math.lgamma(i + 1) for i in range(k)]
+    top = max(logs)
+    return 1.0 - math.exp(top - z + math.log(sum(math.exp(t - top) for t in logs)))

@@ -47,10 +47,9 @@ from uncloneq.schemes import (
 )
 from uncloneq.meg import meg_from_qecm, verify_reduction
 from uncloneq.optimize import pwin_unif_seesaw
-from uncloneq.stats import ErlangParams, erlang_cdf
 
 from conftest import constant_map, orthogonal_support_pair, padded_scheme
-from oracles import expurgate_scheme
+from oracles import ErlangParams, erlang_cdf, expurgate_scheme
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 KET1 = np.diag([0.0, 1.0]).astype(complex)

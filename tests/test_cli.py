@@ -234,6 +234,42 @@ def test_oversize_seesaw_is_refused_before_allocating(args, capsys):
     assert peak < 8 * 2**20
 
 
+def test_one_channel_is_refused_by_one_check(capsys):
+    # seesaw and meg refuse the same oversize channel with the same message
+    errors = []
+    for argv in (
+        ["seesaw", "--scheme", "uniform_haar:2,129", "--channel", "measure_share",
+         "--trials", "2", "--seed", "1"],
+        ["meg", "--scheme", "uniform_haar:2,129", "--attack", "measure_share", "--seed", "1"],
+    ):
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert peak < 8 * 2**20
+        errors.append(captured.err)
+    assert errors[0] == errors[1]
+    assert "the measure_share channel at d = 258" in errors[0]
+
+
+def test_every_channel_the_help_names_runs(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["seesaw", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    names = re.search(r"--channel CHANNEL (.+?) --trials", text).group(1).split(" | ")
+    assert names
+    for name in names:
+        argv = ["seesaw", "--scheme", "bb84:1", "--channel", name, "--trials", "2", "--seed", "1"]
+        assert main(argv) == 0, name
+        capsys.readouterr()
+
+
 def test_seesaw_on_the_support_runs_in_bounded_memory(capsys):
     # the dense (d+1)^4 layout of each key peaked at 48 MB here; its support blocks hold
     # 2 x 48^2 entries
@@ -358,6 +394,9 @@ _PINNED_ERLANG = [
 
 _PINNED_IDS = ["seed-1", "seed-7919", "seed-9-rate-0.3"]
 
+_RANDOM_RANKS = '{"type": "haar", "M": 2, "d": 3, "tdist": [[[1, 2], 0.5], [[2, 1], 0.5]]}'
+_RANDOM_RANKS_CSV = '"' + _RANDOM_RANKS.replace('"', '""') + '"'
+
 # reports of subcommands that run every key-averaging evaluator, recorded while
 # those evaluators still took a key count and a generator next to the key list
 # (theorem2's when its Haar schemes first drew one unitary per trial)
@@ -390,6 +429,23 @@ _PINNED_REPORTS = [
         "extraction,0,0,1e-12,true\r\n"
         "rhs,4.5,4.5,0,true\r\n",
     ),
+    # seesaw references on random ranks, recorded while the measure-and-share reference
+    # still averaged the decode values its warm start recorded: the cloner's 1/2 + mu/16
+    # lies below the projector strategy's own value here
+    (
+        ["seesaw", "--scheme", _RANDOM_RANKS, "--channel", "cloner", "--trials", "6",
+         "--seed", "3"],
+        "scheme,channel,key_samples,value,stderr,reference,tolerance,pass\r\n"
+        f"{_RANDOM_RANKS_CSV},cloner,6,0.5625,4.05396129633e-17,0.546875,1.00000000012e-06,"
+        "true\r\n",
+    ),
+    (
+        ["seesaw", "--scheme", _RANDOM_RANKS, "--channel", "measure_share", "--trials", "6",
+         "--seed", "3"],
+        "scheme,channel,key_samples,value,stderr,reference,tolerance,pass\r\n"
+        f"{_RANDOM_RANKS_CSV},measure_share,6,0.7360984325,0.0517049860614,0.7360984325,"
+        "0.155115958184,true\r\n",
+    ),
 ]
 
 
@@ -406,7 +462,9 @@ def test_erlang_block_size_does_not_change_reports(args, report, capsys, monkeyp
 
 
 @pytest.mark.parametrize(
-    "args, report", _PINNED_REPORTS, ids=["lemma1", "lemma1-haar", "theorem2", "meg", "o2h"]
+    "args, report",
+    _PINNED_REPORTS,
+    ids=["lemma1", "lemma1-haar", "theorem2", "meg", "o2h", "seesaw-cloner", "seesaw-measure"],
 )
 def test_key_averaged_reports_are_pinned(args, report, capsys):
     assert run_cli(args, capsys) == (0, report)

@@ -7,14 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from uncloneq.errors import NegativeX
 from uncloneq.linalg import make_rng
-from uncloneq.stats import (
-    ERLANG_MAX_CONSTANT,
-    ErlangParams,
-    erlang_cdf,
-    max_over_sum_estimate,
-)
+from uncloneq.stats import ERLANG_MAX_CONSTANT, max_over_sum_estimate
+
+from oracles import ErlangParams, NegativeX, erlang_cdf
 
 
 class TestCdf:

@@ -45,7 +45,6 @@ ALLOWED = {
     "meg.meg_from_qecm": "certified upper bounds (ROADMAP A) build on the game route",
     "meg.meg_win_prob": "certified upper bounds (ROADMAP A) build on the game route",
     "optimize.discriminate": "single-problem entry point to the stacked solver",
-    "stats.erlang_cdf": "the Erlang-law oracle of the Monte Carlo (ROADMAP C replaces it)",
 }
 
 
