@@ -171,7 +171,7 @@ def run_lemma1(opts: dict) -> list[dict]:
         raise ValueError(f"--trials must be at least 1, got {trials}")
     if not 0 <= alpha <= 1:
         raise ValueError(f"--alpha must lie in [0, 1], got {alpha}")
-    _check_channel(scheme, "cloner")
+    _check_channel(scheme.cipher_dim, big_m, "cloner")
     if scheme.enumerate_keys is not None:
         keys = scheme.enumerate_keys()
     else:
@@ -295,19 +295,17 @@ def run_erlang(opts: dict) -> list[dict]:
     return rows
 
 
-# each channel name's n left Kraus factors of side² x rank at ciphertext dimension d
-# (attacks.superposition_cloner, attacks.measure_share_attack), the s output rows they
-# reach, and whether every key of an M-message scheme has a warm start
-_CHANNELS: dict[str, Callable[[int, int], tuple[int, int, int, int, bool]]] = {
-    "cloner": lambda d, m: (1, d + 1, d, 2 * d, m == 2),
-    "measure_share": lambda d, m: (d, d, 1, d, True),
-    "measure_share:breidbart": lambda d, m: (d, d, 1, d, True),
-}
-# the channel names meg --attack takes
+# the channel names seesaw --channel takes, and those meg --attack takes
+_CHANNELS = ("cloner", "measure_share", "measure_share:breidbart")
 _MEG_ATTACKS = ("cloner", "measure_share")
 
 
-def _check_channel(scheme: QecmScheme, name: str, seesaw: tuple[int, int] | None = None) -> None:
+def _has_attack(name: str, big_m: int) -> bool:
+    # every channel but the cloner beyond two messages has an attack to warm-start from
+    return name != "cloner" or big_m == 2
+
+
+def _check_channel(d: int, big_m: int, name: str, seesaw: tuple[int, int] | None = None) -> None:
     """Refuse a channel name, or a size that cannot fit in memory, before anything is built.
 
     An unknown name, the qubit Breidbart basis at ``d != 2``, Kraus factors
@@ -316,7 +314,6 @@ def _check_channel(scheme: QecmScheme, name: str, seesaw: tuple[int, int] | None
     count below 1 (:func:`optimize.seesaw_stack_entries`) raise
     ``ValueError``, naming the channel and ``d``.
     """
-    d, big_m = scheme.cipher_dim, scheme.message_count
     if name not in _CHANNELS:
         raise ValueError(f"--channel {name!r} is not a known channel")
     if name.endswith(":breidbart") and d != 2:
@@ -324,13 +321,17 @@ def _check_channel(scheme: QecmScheme, name: str, seesaw: tuple[int, int] | None
             f"--channel {name!r} measures in the breidbart basis, a qubit "
             f"basis, but the scheme has d = {d}"
         )
-    n, side, rank, support, warm = _CHANNELS[name](d, big_m)
+    cloner = name == "cloner"
+    # each receiver's dimension, the output rows the channel reaches, and the shape of its
+    # left Kraus factors (attacks.superposition_cloner, attacks.measure_share_attack)
+    side, support = (d + 1, 2 * d) if cloner else (d, d)
+    n, rank = (1, d) if cloner else (d, 1)
     where = f"the {name} channel at d = {d}"
     try:
         check_entries(n * side * side * rank, f"its Kraus factors ({n} x {side}^2 x {rank})")
         if seesaw is not None:
             where += f" with --restarts {seesaw[1]}"
-            optimize.seesaw_stack_entries(big_m, side, support, *seesaw, warm)
+            optimize.seesaw_stack_entries(big_m, side, support, *seesaw, _has_attack(name, big_m))
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from exc
 
@@ -343,9 +344,9 @@ def _channel(scheme: QecmScheme, name: str) -> tuple[KrausChannel, attacks.Cloni
     Breidbart basis; the bare cloner beyond two messages has no attack.
     """
     d = scheme.cipher_dim
+    if not _has_attack(name, scheme.message_count):
+        return attacks.superposition_cloner(d), None
     if name == "cloner":
-        if scheme.message_count != 2:
-            return attacks.superposition_cloner(d), None
         atk = attacks.projector_cloning_attack(scheme)
     else:
         breidbart = name.endswith(":breidbart")
@@ -358,7 +359,7 @@ def run_seesaw(opts: dict) -> list[dict]:
     trials, restarts = _stderr_trials(opts), opts["restarts"]
     scheme = _parse_scheme(opts["scheme"])
     name = opts["channel"]
-    _check_channel(scheme, name, (trials, restarts))
+    _check_channel(scheme.cipher_dim, scheme.message_count, name, (trials, restarts))
     ch, atk = _channel(scheme, name)
     keys = scheme.sample_keys(make_rng(opts["seed"]), trials)
     warm = None if atk is None else atk.bob_effects
@@ -394,14 +395,14 @@ def run_meg(opts: dict) -> list[dict]:
     big_m, d = scheme.message_count, scheme.cipher_dim
     if name not in _MEG_ATTACKS:
         raise ValueError(f"--attack {name!r} is not a known attack")
-    if name == "cloner" and big_m != 2:
+    if not _has_attack(name, big_m):
         raise ValueError(
             f"--attack cloner guesses a binary message; --scheme {opts['scheme']!r} has {big_m}"
         )
     if trials < 1:
         raise ValueError(f"--trials must be at least 1, got {trials}")
     # the Choi factor and each message's kernel terms are no larger than the Kraus factors
-    _check_channel(scheme, name)
+    _check_channel(d, big_m, name)
     # the game holds every key's ciphertexts, and Alice's effects, as one stack
     check_entries(
         trials * big_m * d * d,
@@ -451,16 +452,14 @@ def run_conjecture_scan(opts: dict) -> list[dict]:
     trials, restarts = _stderr_trials(opts), opts["restarts"]
     big_m, d = opts["M"], opts["d"]
     _check_message_count(big_m, d, f"--M {big_m} and --d {d}")
-    # the cloner and its warm start depend on M and d only, so one split's scheme
-    # checks and sets up every split; d >= 256 is refused before the splits are
-    # counted in O(d M)
-    first = haar_scheme(
-        big_m, d, RankDistribution.deterministic((d - big_m + 1,) + (1,) * (big_m - 1))
-    )
-    _check_channel(first, "cloner", (trials, restarts))
+    # refuses d >= 256 before the splits are counted in O(d M)
+    _check_channel(d, big_m, "cloner", (trials, restarts))
     count = _partition_count(d, big_m)
     check_entries(count * big_m, f"--M {big_m} and --d {d}: a list of {count} rank splits")
-    ch, atk = _channel(first, "cloner")
+    # the cloner and its warm start depend on M and d only, so one split's scheme
+    # sets up every split
+    first = RankDistribution.deterministic((d - big_m + 1,) + (1,) * (big_m - 1))
+    ch, atk = _channel(haar_scheme(big_m, d, first), "cloner")
     warm = None if atk is None else atk.bob_effects
     rng = make_rng(opts["seed"])
     rows = []
