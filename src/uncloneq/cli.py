@@ -305,14 +305,14 @@ def _has_attack(name: str, big_m: int) -> bool:
     return name != "cloner" or big_m == 2
 
 
-def _check_channel(d: int, big_m: int, name: str, seesaw: tuple[int, int] | None = None) -> None:
+def _check_channel(d: int, big_m: int, name: str, restarts: int | None = None) -> None:
     """Refuse a channel name, or a size that cannot fit in memory, before anything is built.
 
     An unknown name, the qubit Breidbart basis at ``d != 2``, Kraus factors
-    above ``config.ENTRIES_CAP`` and, given ``seesaw = (trials, restarts)``,
-    a key's support blocks or a lockstep stack above the cap or a restart
-    count below 1 (:func:`optimize.seesaw_stack_entries`) raise
-    ``ValueError``, naming the channel and ``d``.
+    above ``config.ENTRIES_CAP`` and, given a seesaw's ``restarts``, a
+    key's support blocks or lockstep rows above the cap or a restart count
+    below 1 (:func:`optimize.seesaw_key_entries`) raise ``ValueError``,
+    naming the channel and ``d``.
     """
     if name not in _CHANNELS:
         raise ValueError(f"--channel {name!r} is not a known channel")
@@ -329,9 +329,9 @@ def _check_channel(d: int, big_m: int, name: str, seesaw: tuple[int, int] | None
     where = f"the {name} channel at d = {d}"
     try:
         check_entries(n * side * side * rank, f"its Kraus factors ({n} x {side}^2 x {rank})")
-        if seesaw is not None:
-            where += f" with --restarts {seesaw[1]}"
-            optimize.seesaw_stack_entries(big_m, side, support, *seesaw, _has_attack(name, big_m))
+        if restarts is not None:
+            where += f" with --restarts {restarts}"
+            optimize.seesaw_key_entries(big_m, side, support, restarts, _has_attack(name, big_m))
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from exc
 
@@ -359,7 +359,7 @@ def run_seesaw(opts: dict) -> list[dict]:
     trials, restarts = _stderr_trials(opts), opts["restarts"]
     scheme = _parse_scheme(opts["scheme"])
     name = opts["channel"]
-    _check_channel(scheme.cipher_dim, scheme.message_count, name, (trials, restarts))
+    _check_channel(scheme.cipher_dim, scheme.message_count, name, restarts)
     ch, atk = _channel(scheme, name)
     keys = scheme.sample_keys(make_rng(opts["seed"]), trials)
     warm = None if atk is None else atk.bob_effects
@@ -453,7 +453,7 @@ def run_conjecture_scan(opts: dict) -> list[dict]:
     big_m, d = opts["M"], opts["d"]
     _check_message_count(big_m, d, f"--M {big_m} and --d {d}")
     # refuses d >= 256 before the splits are counted in O(d M)
-    _check_channel(d, big_m, "cloner", (trials, restarts))
+    _check_channel(d, big_m, "cloner", restarts)
     count = _partition_count(d, big_m)
     check_entries(count * big_m, f"--M {big_m} and --d {d}: a list of {count} rank splits")
     # the cloner and its warm start depend on M and d only, so one split's scheme

@@ -251,9 +251,10 @@ def verify_reduction(
 
     Returns ``(lhs, rhs, gap)`` where ``lhs`` is the induced monogamy
     game value of the induced strategy (:func:`meg_win_prob`), ``rhs`` the
-    attack's uniform success probability (:func:`pwin_unif_eval`), and
-    ``gap`` their absolute difference (expected to vanish to numerical
-    precision).  The keys are read once, as one stack, and ``rho_bar``,
+    attack's uniform success probability
+    (:func:`~uncloneq.attacks.pwin_unif_eval`), and ``gap`` their
+    absolute difference (expected to vanish to numerical precision).
+    The keys are read once, as one stack, and ``rho_bar``,
     the game and, per chunk of keys, the receivers' effects are built once
     from it and serve both routes.
     """

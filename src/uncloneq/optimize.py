@@ -25,12 +25,12 @@ through the channel at once on the channel's support
 reaches (``2d`` of ``(d+1)²`` for the superposition cloner, ``d`` of
 ``d²`` for measure-and-share) are held, as ``(K, M, s, s)`` blocks, and
 both receivers' conditional operators are formed from them by a gather
-and a one-hot contraction.  A chunk holds at most ``config.KEY_CHUNK_ENTRIES``
-complex entries of support blocks and lockstep rows (at least one key).
-One key's support blocks, and one chunk's lockstep stack, may each need
-at most ``config.ENTRIES_CAP`` entries (:func:`seesaw_stack_entries`
-refuses larger sizes before anything is drawn).  The stacked seesaw hands back one row per key: its
-best start's value, sweep count and trajectory.
+and a one-hot contraction.  Keys are walked by :func:`config.key_chunks`
+like every other evaluator's, with one per-key count
+(:func:`seesaw_key_entries`): a key's support blocks and its lockstep
+rows, each at most ``config.ENTRIES_CAP`` entries.  The stacked seesaw
+hands back one row per key: its best start's value, sweep count and
+trajectory.
 """
 
 from __future__ import annotations
@@ -40,9 +40,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import config
 from .attacks import receiver_dim, receiver_effects
-from .config import check_entries, check_keys
+from .config import check_entries, check_keys, key_chunks
 from .errors import CrossCheckFailed, DimensionMismatch
 from .linalg import (
     Array,
@@ -60,7 +59,7 @@ __all__ = [
     "DiscriminationResult",
     "discriminate",
     "pwin_unif_seesaw",
-    "seesaw_stack_entries",
+    "seesaw_key_entries",
 ]
 
 # fixed-point budget of one single-party solve, and of the seesaw around it
@@ -361,56 +360,30 @@ def _seesaw(
     return values[best], sweeps[best], trajectory[:, best]
 
 
-def _start_entries(message_count: int, side: int, support: int) -> int:
-    # one start's lockstep row: a _SEESAW_ITERS trajectory row, Bob's and Charlie's effect
-    # stacks (2 M side²), and its conditional's gathered block beside, once some of the
-    # key's starts have stopped, the key's blocks copied to it (2 M s²)
-    return _SEESAW_ITERS + 2 * message_count * (side * side + support * support)
-
-
-def _chunk_keys(
+def seesaw_key_entries(
     message_count: int, side: int, support: int, restarts: int, warm: bool
-) -> tuple[int, int]:
-    """Keys per lockstep chunk of :func:`pwin_unif_seesaw`, at least one, and starts per key.
+) -> int:
+    """Complex entries one key holds in a lockstep chunk of :func:`pwin_unif_seesaw`.
 
     A key has the warm start when ``warm``, the constant guess and
-    ``restarts`` restarts.  It costs its ``M s²`` entries of support blocks
-    (``s = support`` output rows, each receiver ``side``-dimensional) plus
-    one row of the lockstep stack per start (:func:`_start_entries`), out
-    of the ``config.KEY_CHUNK_ENTRIES`` budget.  Raises ``ValueError`` when
-    ``restarts`` is below 1, or when one key's support blocks are above
-    ``config.ENTRIES_CAP``.
+    ``restarts`` restarts.  It holds its ``M s²`` entries of support blocks
+    (``s = support`` output rows, each receiver ``side``-dimensional) and
+    one lockstep row per start: a ``_SEESAW_ITERS`` trajectory row, Bob's
+    and Charlie's effect stacks (``2 M side²``), and its conditional's
+    gathered block beside, once some of the key's starts have stopped, the
+    key's blocks copied to it (``2 M s²``).  Raises ``ValueError`` when
+    ``restarts`` is below 1, or when either part is above
+    ``config.ENTRIES_CAP``, so a size that cannot fit in memory is refused
+    before any channel is built or key is drawn.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     starts = int(warm) + 1 + restarts
     blocks = message_count * support * support
     check_entries(blocks, f"one key's seesaw support blocks ({message_count} x {support}^2)")
-    per_key = blocks + starts * _start_entries(message_count, side, support)
-    return max(1, config.KEY_CHUNK_ENTRIES // per_key), starts
-
-
-def seesaw_stack_entries(
-    message_count: int, side: int, support: int, keys: int, restarts: int, warm: bool
-) -> int:
-    """Entries of the largest lockstep stack :func:`pwin_unif_seesaw` builds.
-
-    One chunk holds ``min(keys, c)`` keys, ``c`` the keys per chunk, times
-    the starts per key (:func:`_chunk_keys`).  Each start holds a
-    ``_SEESAW_ITERS`` trajectory row, Bob's and Charlie's effect stacks and
-    its gathered ``(M, s, s)`` block (:func:`_start_entries`), for a
-    channel that reaches ``support`` output rows and receivers of dimension
-    ``side``.  Raises ``ValueError`` when ``restarts`` is below 1, or when
-    one key's support blocks or this stack are above
-    ``config.ENTRIES_CAP``, so a size that cannot fit in memory, an
-    oversize restart count included, is refused before any channel is
-    built or key is drawn.
-    """
-    chunk, starts = _chunk_keys(message_count, side, support, restarts, warm)
-    chunk = min(keys, chunk)
-    entries = chunk * starts * _start_entries(message_count, side, support)
-    check_entries(entries, f"one chunk's seesaw stack of {chunk} keys x {starts} starts")
-    return entries
+    rows = starts * (_SEESAW_ITERS + 2 * message_count * (side * side + support * support))
+    check_entries(rows, f"one key's seesaw stack of {starts} starts")
+    return blocks + rows
 
 
 def pwin_unif_seesaw(
@@ -429,8 +402,8 @@ def pwin_unif_seesaw(
     stack to Charlie's first start for each of its keys, a ``(K, M, side,
     side)`` effect stack checked as a receiver's effects are
     (:func:`~uncloneq.attacks.receiver_effects`).  Keys are solved in
-    chunks of at most ``config.KEY_CHUNK_ENTRIES`` entries of support
-    blocks and lockstep rows, every (key, start) pair of a chunk as one
+    the chunks of :func:`config.key_chunks`, each key counted by
+    :func:`seesaw_key_entries`, every (key, start) pair of a chunk as one
     lockstep stack.  Each chunk's keys are read once, as one stack
     (:func:`_chunk_matrices`); ``restarts`` restarts per key, at least
     one, are drawn from ``rng`` key by key.  Returns the sample mean and
@@ -439,10 +412,10 @@ def pwin_unif_seesaw(
     check_keys(keys)
     n = e.message_count
     side = receiver_dim(e, ch)
-    chunk, _ = _chunk_keys(n, side, len(_support(ch.left)), restarts, warm_start is not None)
+    per_key = seesaw_key_entries(n, side, len(_support(ch.left)), restarts, warm_start is not None)
     vals = []
-    for lo in range(0, len(keys), chunk):
-        stack = e.ciphertext_stack(keys[lo : lo + chunk])
+    for chunk in key_chunks(len(keys), per_key):
+        stack = e.ciphertext_stack(keys[chunk])
         rho, *rows = _chunk_matrices(ch, stack, side)
         warm = None
         if warm_start is not None:

@@ -202,11 +202,48 @@ def test_seesaw_golden_values(args, values, references, capsys):
     ],
 )
 def test_key_chunking_does_not_change_reports(args, capsys, monkeypatch):
-    # one key per chunk must print what the default multi-key chunks print
+    # one key per chunk, and chunks of a few keys with a short last one, must print what
+    # the default chunks print: 36 000 entries hold 11 of the 60-key seesaw's 3224-entry
+    # keys (five chunks and one of 5) and 4 of conjecture-scan --M 2 --d 8's 7904 (4 and 2)
     _, default = run_cli(args, capsys)
-    monkeypatch.setattr(config, "KEY_CHUNK_ENTRIES", 1)
-    _, one_key = run_cli(args, capsys)
-    assert one_key == default
+
+    def recorded(count, per_key):
+        chunks = config.key_chunks(count, per_key)
+        steps.append(chunks[0].stop - chunks[0].start)
+        return chunks
+
+    monkeypatch.setattr(optimize, "key_chunks", recorded)
+    for budget in (1, 36_000):
+        monkeypatch.setattr(config, "KEY_CHUNK_ENTRIES", budget)
+        steps = []
+        _, chunked = run_cli(args, capsys)
+        assert chunked == default, budget
+    # the second budget has room for several keys in every chunk
+    assert min(steps) >= 2
+
+
+@pytest.mark.parametrize(
+    "name, d, big_m",
+    [
+        (name, d, big_m)
+        for name in cli._CHANNELS
+        for d, big_m in ((2, 2), (6, 3), (8, 2))
+        if d == 2 or not name.endswith(":breidbart")
+    ],
+)
+def test_channel_check_counts_the_channel_it_builds(name, d, big_m):
+    # the largest restart count the check passes follows from the channel _channel
+    # builds: each start's lockstep row holds a trajectory row, both receivers' effect
+    # stacks and its gathered support blocks; no seesaw is run at these counts
+    scheme = schemes.uniform_haar_scheme(big_m, d // big_m)
+    ch, atk = cli._channel(scheme, name)
+    side = attacks.receiver_dim(scheme, ch)
+    support = len(linalg._support(ch.left))
+    row = optimize._SEESAW_ITERS + 2 * big_m * (side * side + support * support)
+    most = config.ENTRIES_CAP // row - 1 - (atk is not None)
+    cli._check_channel(d, big_m, name, most)
+    with pytest.raises(ValueError, match="seesaw stack"):
+        cli._check_channel(d, big_m, name, most + 1)
 
 
 @pytest.mark.parametrize(
