@@ -28,9 +28,9 @@ both receivers' conditional operators are formed from them by a gather
 and a one-hot contraction.  Keys are walked by :func:`config.key_chunks`
 like every other evaluator's, with one per-key count
 (:func:`seesaw_key_entries`): a key's support blocks and its lockstep
-rows, each at most ``config.ENTRIES_CAP`` entries.  The stacked seesaw
-hands back one row per key: its best start's value, sweep count and
-trajectory.
+rows, each at most ``config.ENTRIES_CAP`` entries.  Each (key, start)
+pair keeps only its last value and sweep count, and the stacked seesaw
+hands back its best start's pair per key.
 """
 
 from __future__ import annotations
@@ -299,8 +299,8 @@ def _chunk_matrices(ch: KrausChannel, stack: Array, side: int) -> tuple[Array, A
 
 def _seesaw(
     rho: Array, rows: tuple[Array, Array], dims: tuple[int, int], starts: Array
-) -> tuple[Array, ...]:
-    """Lockstep seesaw of every (key, start) pair; the best start's row per key.
+) -> tuple[Array, Array]:
+    """Lockstep seesaw of every (key, start) pair; the best start's value and sweeps per key.
 
     ``rho[k]`` holds key k's ``(M, s, s)`` support blocks and ``rows`` the
     support rows' Bob and Charlie indices ``(b(S), c(S))``, as
@@ -309,10 +309,10 @@ def _seesaw(
     ``tr_C((I ⊗ Q_x) rho_x) / M`` is ``Pᵀ (rho_S ∘ Qᵀ[c(S), c(S)]) P``, with
     ``P`` the one-hot ``(s, side)`` map of ``b(S)``, and Charlie's is the
     mirror image: a gather, a product and two matmuls per side and sweep,
-    over every live (key, start, outcome).  Each problem stops on its own
-    once a sweep gains less than ``_SEESAW_EPS``.  Returns each key's
-    best start: values, sweep counts, and trajectories as the columns of
-    a ``(_SEESAW_ITERS, keys)`` array, zero past each count.
+    over every live (key, start, outcome).  Each problem keeps its last
+    value and sweep count, and stops on its own once a sweep gains less
+    than ``_SEESAW_EPS`` over the one before, or after ``_SEESAW_ITERS``
+    sweeps.  Returns each key's best start: its value and sweep count.
     """
     db, dc = dims
     keys, per_key, n = starts.shape[:3]
@@ -328,19 +328,13 @@ def _seesaw(
         # as foldᵀ ((rho_xᵀ ∘ eff_x[gather, gather]) fold)ᵀ
         s, dim = fold.shape
         h = eff.take(gather, axis=-2).take(gather, axis=-1)
-        if len(live) == total:
-            # each key's blocks broadcast over its starts rather than copied to them
-            per_start = h.reshape(keys, per_key, n, s, s)
-            per_start *= rho_t[:, None]
-        else:
-            h *= rho_t[live // per_key]
+        h *= rho_t[live // per_key]
         half = np.swapaxes((h.reshape(-1, s) @ fold).reshape(-1, s, dim), 1, 2)
         return (half.reshape(-1, s) @ fold).reshape(len(live), n, dim, dim)
 
     q_eff = starts.reshape(total, n, dc, dc)
     p_eff = np.zeros((total, n, db, db), dtype=complex)
-    # sweep-major, so only the rows of sweeps that ran are ever touched
-    trajectory = np.zeros((_SEESAW_ITERS, total))
+    values = np.full(total, -np.inf)
     sweeps = np.zeros(total, dtype=int)
     live = np.arange(total)
     for sweep in range(_SEESAW_ITERS):
@@ -349,15 +343,14 @@ def _seesaw(
         p_eff[live] = p = _discriminate(_herm(cond_b), p_init)[1]
         cond_c = conditional(p, live, b_rows, fold_c)
         val, q_eff[live], _ = _discriminate(_herm(cond_c), q_eff[live])
-        trajectory[sweep, live] = val
-        sweeps[live] = sweep + 1
-        if sweep:
-            live = live[val - trajectory[sweep - 1, live] >= _SEESAW_EPS]
-            if not live.size:
-                break
-    values = trajectory[sweeps - 1, np.arange(total)]
+        gained = val - values[live] >= _SEESAW_EPS
+        values[live] = val
+        sweeps[live] += 1
+        live = live[gained]
+        if not live.size:
+            break
     best = np.arange(keys) * per_key + np.argmax(values.reshape(keys, per_key), axis=1)
-    return values[best], sweeps[best], trajectory[:, best]
+    return values[best], sweeps[best]
 
 
 def seesaw_key_entries(
@@ -368,10 +361,9 @@ def seesaw_key_entries(
     A key has the warm start when ``warm``, the constant guess and
     ``restarts`` restarts.  It holds its ``M s²`` entries of support blocks
     (``s = support`` output rows, each receiver ``side``-dimensional) and
-    one lockstep row per start: a ``_SEESAW_ITERS`` trajectory row, Bob's
-    and Charlie's effect stacks (``2 M side²``), and its conditional's
-    gathered block beside, once some of the key's starts have stopped, the
-    key's blocks copied to it (``2 M s²``).  Raises ``ValueError`` when
+    one lockstep row per start: Bob's and Charlie's effect stacks
+    (``2 M side²``), and its conditional's gathered block beside the key's
+    blocks copied to it (``2 M s²``).  Raises ``ValueError`` when
     ``restarts`` is below 1, or when either part is above
     ``config.ENTRIES_CAP``, so a size that cannot fit in memory is refused
     before any channel is built or key is drawn.
@@ -381,7 +373,7 @@ def seesaw_key_entries(
     starts = int(warm) + 1 + restarts
     blocks = message_count * support * support
     check_entries(blocks, f"one key's seesaw support blocks ({message_count} x {support}^2)")
-    rows = starts * (_SEESAW_ITERS + 2 * message_count * (side * side + support * support))
+    rows = starts * 2 * message_count * (side * side + support * support)
     check_entries(rows, f"one key's seesaw stack of {starts} starts")
     return blocks + rows
 

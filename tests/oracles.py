@@ -10,6 +10,7 @@ random-basis Monte Carlo is checked against.
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
+from unittest import mock
 
 import numpy as np
 
@@ -67,7 +68,7 @@ def assert_unitary(u: np.ndarray) -> None:
 
 
 class SeesawRun(NamedTuple):
-    """Best start's value, its trajectory and its sweep count."""
+    """Best start's value and sweep count, and the run's value after each sweep."""
 
     value: float
     trajectory: np.ndarray
@@ -83,6 +84,10 @@ def seesaw_run(states, rng: np.random.Generator, restarts: int) -> SeesawRun:
     takes them in as a ``(1, M, D, D)`` stack to ``_chunk_matrices``,
     ``_starts`` gives Charlie's starts (the constant guess and
     ``restarts`` restarts, drawn from ``rng``) and ``_seesaw`` runs them.
+    ``_seesaw`` keeps only each start's last value, so the trajectory
+    reruns it from the same starts with ``optimize._SEESAW_ITERS`` cut to
+    k = 1, 2, ... sweeps: a run cut at k sweeps repeats the first k sweeps
+    of the full run and returns its best start's value after them.
     """
     states = np.asarray(states, dtype=complex)
     m, dim = states.shape[:2]
@@ -90,8 +95,18 @@ def seesaw_run(states, rng: np.random.Generator, restarts: int) -> SeesawRun:
     identity = KrausChannel(dim, dim, (np.eye(dim, dtype=complex),))
     rho, *rows = optimize._chunk_matrices(identity, states[None], side)
     starts = optimize._starts(m, side, None, 1, rng, restarts)
-    value, sweeps, trajectory = optimize._seesaw(rho, rows, (side, side), starts)
-    return SeesawRun(float(value[0]), trajectory[: sweeps[0], 0], int(sweeps[0]))
+
+    def run() -> tuple[float, int]:
+        # _seesaw updates Charlie's effects in the start stack it is given
+        value, sweeps = optimize._seesaw(rho, rows, (side, side), starts.copy())
+        return float(value[0]), int(sweeps[0])
+
+    value, sweeps = run()
+    trajectory = []
+    for k in range(1, sweeps + 1):
+        with mock.patch.object(optimize, "_SEESAW_ITERS", k):
+            trajectory.append(run()[0])
+    return SeesawRun(value, np.array(trajectory), sweeps)
 
 
 def random_projective_povm(dim: int, n: int, rng: np.random.Generator) -> list[np.ndarray]:

@@ -77,8 +77,15 @@ ARGV: list[list[str]] = [
             "seesaw", "--scheme", scheme, "--channel", "measure_share:breidbart", "--trials", "4"
         )
     ],
+    # test_cli.py's golden seesaw shapes, and runs of many keys in one or more chunks
     ["seesaw", "--scheme", "uniform_haar:2,3", "--channel", "measure_share", "--trials", "60",
      "--seed", "3"],
+    ["seesaw", "--scheme", "bb84:2", "--channel", "cloner", "--trials", "4", "--seed", "7"],
+    ["conjecture-scan", "--M", "2", "--d", "8", "--trials", "6", "--seed", "11"],
+    ["conjecture-scan", "--M", "3", "--d", "6", "--trials", "3", "--seed", "40"],
+    ["seesaw", "--scheme", "bb84:1", "--channel", "cloner", "--trials", "300", "--seed", "1"],
+    ["seesaw", "--scheme", "uniform_haar:3,2", "--channel", "measure_share", "--trials", "80",
+     "--seed", "1"],
     ["seesaw", "--scheme", "uniform_haar:3,2", "--channel", "cloner", "--trials", "3",
      "--restarts", "3", "--seed", "1"],
     *[

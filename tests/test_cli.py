@@ -15,6 +15,8 @@ from uncloneq import attacks, cli, config, linalg, optimize, schemes
 from uncloneq.cli import _build_parser, _merge_options, main
 from uncloneq.schemes import QecmScheme
 
+import report_battery
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -203,8 +205,8 @@ def test_seesaw_golden_values(args, values, references, capsys):
 )
 def test_key_chunking_does_not_change_reports(args, capsys, monkeypatch):
     # one key per chunk, and chunks of a few keys with a short last one, must print what
-    # the default chunks print: 36 000 entries hold 11 of the 60-key seesaw's 3224-entry
-    # keys (five chunks and one of 5) and 4 of conjecture-scan --M 2 --d 8's 7904 (4 and 2)
+    # the default chunks print: 24 000 entries hold 19 of the 60-key seesaw's 1224-entry
+    # keys (three chunks and one of 3) and 4 of conjecture-scan --M 2 --d 8's 5904 (4 and 2)
     _, default = run_cli(args, capsys)
 
     def recorded(count, per_key):
@@ -213,13 +215,30 @@ def test_key_chunking_does_not_change_reports(args, capsys, monkeypatch):
         return chunks
 
     monkeypatch.setattr(optimize, "key_chunks", recorded)
-    for budget in (1, 36_000):
+    for budget in (1, 24_000):
         monkeypatch.setattr(config, "KEY_CHUNK_ENTRIES", budget)
         steps = []
         _, chunked = run_cli(args, capsys)
         assert chunked == default, budget
     # the second budget has room for several keys in every chunk
     assert min(steps) >= 2
+
+
+def test_sixty_key_seesaw_runs_as_one_lockstep_chunk(capsys, monkeypatch):
+    # 107 of its 1224-entry keys fit in the 2^17-entry budget, so all 60 keys are one
+    # _seesaw call
+    calls = []
+    seesaw = optimize._seesaw
+
+    def counted(rho, *args):
+        calls.append(len(rho))
+        return seesaw(rho, *args)
+
+    monkeypatch.setattr(optimize, "_seesaw", counted)
+    code, _ = run_cli(["seesaw", "--scheme", "uniform_haar:2,3", "--channel", "measure_share",
+                       "--trials", "60", "--seed", "3"], capsys)
+    assert code == 0
+    assert calls == [60]
 
 
 @pytest.mark.parametrize(
@@ -233,13 +252,13 @@ def test_key_chunking_does_not_change_reports(args, capsys, monkeypatch):
 )
 def test_channel_check_counts_the_channel_it_builds(name, d, big_m):
     # the largest restart count the check passes follows from the channel _channel
-    # builds: each start's lockstep row holds a trajectory row, both receivers' effect
-    # stacks and its gathered support blocks; no seesaw is run at these counts
+    # builds: each start's lockstep row holds both receivers' effect stacks, its gathered
+    # support blocks and the key's blocks copied to it; no seesaw is run at these counts
     scheme = schemes.uniform_haar_scheme(big_m, d // big_m)
     ch, atk = cli._channel(scheme, name)
     side = attacks.receiver_dim(scheme, ch)
     support = len(linalg._support(ch.left))
-    row = optimize._SEESAW_ITERS + 2 * big_m * (side * side + support * support)
+    row = 2 * big_m * (side * side + support * support)
     most = config.ENTRIES_CAP // row - 1 - (atk is not None)
     cli._check_channel(d, big_m, name, most)
     with pytest.raises(ValueError, match="seesaw stack"):
@@ -313,7 +332,7 @@ def test_seesaw_on_the_support_runs_in_bounded_memory(capsys):
 
 @pytest.mark.parametrize("command", ["seesaw", "conjecture-scan"])
 def test_oversize_restarts_are_refused_before_any_key_is_drawn(command, capsys, monkeypatch):
-    # a few keys x 1000002 starts, each with a trajectory row and two effect stacks
+    # one key's 1000002 starts, each with two effect stacks and two blocks per message
     def no_draw(self, rng, n):
         raise AssertionError("a key was drawn")
 
@@ -806,13 +825,19 @@ def test_package_runs_as_a_module():
 def test_readme_quoted_budgets_match_the_code():
     # each size budget README quotes, found by the words around it, is the constant's value
     readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    key = optimize.seesaw_key_entries(2, 6, 6, 2, True)
+    row = key - optimize.seesaw_key_entries(2, 6, 6, 1, True)
     quoted = [
         (r"in chunks of at most 2\^(\d+) complex entries", 2, linalg._KERNEL_ENTRIES),
         (r"Monte Carlo lane budget of 2\^(\d+) bytes", 2, linalg.LANE_BYTES),
         (r"over (\d+) (?:spawned )?lanes", None, linalg._LANES),
         (r"a chunk holds at most 2\^(\d+) complex entries", 2, config.KEY_CHUNK_ENTRIES),
         (r"(?:exceeds|more than|cap of|>) 2\^(\d+)", 2, config.ENTRIES_CAP),
-        (r"(\d+)`?-sweep trajectory", None, optimize._SEESAW_ITERS),
+        # one start's row, one key and the keys of a chunk of the uniform_haar:2,3
+        # measure-and-share seesaw: M = 2, side = s = 6, a warm start and two restarts
+        (r"each start's row holds (\d+) entries", None, row),
+        (r"and a key (\d+), so", None, key),
+        (r"so (\d+) keys fit in one chunk", None, config.KEY_CHUNK_ENTRIES // key),
     ]
     for pattern, base, value in quoted:
         found = re.findall(pattern, readme)
@@ -822,7 +847,8 @@ def test_readme_quoted_budgets_match_the_code():
 
 
 def test_readme_command_lines_parse():
-    # each uncloneq line of README's code blocks parses and merges, unrun
+    # each uncloneq line of README's code blocks parses and merges, unrun, and is in the
+    # report battery
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = re.findall(r"^```\n(.*?)^```", readme, flags=re.S | re.M)
     lines = [line for block in blocks for line in block.splitlines()]
@@ -834,3 +860,4 @@ def test_readme_command_lines_parse():
     for argv in commands:
         # an unknown flag or bad value exits; a missing --seed raises ValueError
         _merge_options(parser.parse_args(argv))
+        assert argv in report_battery.ARGV, argv
