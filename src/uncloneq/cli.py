@@ -9,11 +9,16 @@ seed produce byte-identical reports.
 
 Report rows always carry ``value``, ``reference``, ``tolerance`` and
 ``pass`` columns (CSV by default, RFC 4180, floats with 12 significant
-digits; ``--json`` switches to JSON).  Exit codes: 0 all rows pass, 1
-usage or configuration error, 2 invariant or acceptance failure.  An
-``--out`` path in a missing directory, or a directory, is a configuration
-error found before the run starts; the report is written only once the
-run has succeeded.  ``python -m uncloneq`` runs :func:`main`.
+digits; ``--json`` switches to JSON).  A row's ``pass`` is computed from
+the ``reference`` and ``tolerance`` it prints, by one of three gates: at
+least (``value >= reference - tolerance``), within (``|value -
+reference| <= tolerance``) or below (``value < tolerance``, reference
+0); the conjecture scan's rows have no reference and no verdict.  Exit
+codes: 0 all rows pass, 1 usage or configuration error, 2 invariant or
+acceptance failure.  An ``--out`` path in a missing directory, or a
+directory, is a configuration error found before the run starts; the
+report is written only once the run has succeeded.  ``python -m
+uncloneq`` runs :func:`main`.
 """
 
 from __future__ import annotations
@@ -145,11 +150,37 @@ def _check_message_count(big_m: int, d: int, source: str) -> None:
 
 
 def _stderr_trials(opts: dict) -> int:
-    # a reported stderr, and a gate of value >= reference - 3 * stderr, need two samples
+    # a reported stderr, and a gate on it (_stderr_tolerance), need two samples
     trials = opts["trials"]
     if trials < 2:
         raise ValueError(f"--trials must be at least 2 for a standard-error gate, got {trials}")
     return trials
+
+
+def _stderr_tolerance(stderr: float) -> float:
+    # a Monte Carlo row passes within three standard errors of its reference
+    return 3.0 * stderr
+
+
+# ---------------------------------------------------------------------------
+# report gates: each returns a row's reference, tolerance and pass columns
+# ---------------------------------------------------------------------------
+
+
+def _at_least(value: float, reference: float, tolerance: float) -> dict:
+    """A lower bound: pass when ``value >= reference - tolerance``."""
+    return {"reference": reference, "tolerance": tolerance, "pass": value >= reference - tolerance}
+
+
+def _within(value: float, reference: float, tolerance: float) -> dict:
+    """An equality: pass when ``abs(value - reference) <= tolerance``."""
+    passed = abs(value - reference) <= tolerance
+    return {"reference": reference, "tolerance": tolerance, "pass": passed}
+
+
+def _below(value: float, tolerance: float) -> dict:
+    """A quantity that should vanish: pass when ``value < tolerance``, reference 0."""
+    return {"reference": 0.0, "tolerance": tolerance, "pass": value < tolerance}
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +219,7 @@ def run_lemma1(opts: dict) -> list[dict]:
             "mu": mu,
             "value": value,
             "bound": bound,
-            "reference": reference,
-            "tolerance": _EXACT_SLACK,
-            "pass": value >= reference - _EXACT_SLACK,
+            **_at_least(value, reference, _EXACT_SLACK),
         }
     ]
 
@@ -217,20 +246,19 @@ def run_theorem2(opts: dict) -> list[dict]:
         )
         reference = _ERLANG_C / 2 * (math.log2(big_m) - 1.0) / d
         floor = 1.0 / big_m
-        tolerance = 3.0 * stderr
-        rows.append(
-            {
-                "M": big_m,
-                "d": d,
-                "trials": trials,
-                "value": mean,
-                "stderr": stderr,
-                "floor": floor,
-                "reference": reference,
-                "tolerance": tolerance,
-                "pass": mean >= max(reference, floor) - tolerance,
-            }
-        )
+        tolerance = _stderr_tolerance(stderr)
+        row = {
+            "M": big_m,
+            "d": d,
+            "trials": trials,
+            "value": mean,
+            "stderr": stderr,
+            "floor": floor,
+            **_at_least(mean, reference, tolerance),
+        }
+        # the constant guess 1/M is a second lower bound, gated with the same tolerance
+        row["pass"] = row["pass"] and _at_least(mean, floor, tolerance)["pass"]
+        rows.append(row)
     return rows
 
 
@@ -239,27 +267,9 @@ def run_o2h(opts: dict) -> list[dict]:
     extraction = o2h.extraction_probability()
     rhs = o2h.simo2h_rhs(1, 1, 1, extraction)
     return [
-        {
-            "quantity": "success",
-            "value": success,
-            "reference": 9.0 / 16.0,
-            "tolerance": 1e-9,
-            "pass": abs(success - 9.0 / 16.0) <= 1e-9,
-        },
-        {
-            "quantity": "extraction",
-            "value": extraction,
-            "reference": 0.0,
-            "tolerance": 1e-12,
-            "pass": abs(extraction) <= 1e-12,
-        },
-        {
-            "quantity": "rhs",
-            "value": rhs,
-            "reference": 4.5,
-            "tolerance": 0.0,
-            "pass": rhs == 4.5,
-        },
+        {"quantity": "success", "value": success, **_within(success, 9.0 / 16.0, 1e-9)},
+        {"quantity": "extraction", "value": extraction, **_within(extraction, 0.0, 1e-12)},
+        {"quantity": "rhs", "value": rhs, **_within(rhs, 4.5, 0.0)},
     ]
 
 
@@ -280,16 +290,13 @@ def run_erlang(opts: dict) -> list[dict]:
         rng = make_rng(opts["seed"], stream=i)
         mean, stderr = stats.max_over_sum_estimate([1] * n, trials, rng)
         reference = _ERLANG_C * math.log2(n) / n if n > 1 else 1.0
-        tolerance = 3.0 * stderr
         rows.append(
             {
                 "n": n,
                 "trials": trials,
                 "value": mean,
                 "stderr": stderr,
-                "reference": reference,
-                "tolerance": tolerance,
-                "pass": mean >= reference - tolerance,
+                **_at_least(mean, reference, _stderr_tolerance(stderr)),
             }
         )
     return rows
@@ -374,7 +381,6 @@ def run_seesaw(opts: dict) -> list[dict]:
         reference = 0.5 + mu_statistic(scheme, keys) / 16.0
     else:
         reference = attacks.pwin_unif_eval(scheme, atk, keys)
-    tolerance = _SEESAW_SLACK + 3.0 * stderr
     return [
         {
             "scheme": opts["scheme"],
@@ -382,9 +388,7 @@ def run_seesaw(opts: dict) -> list[dict]:
             "key_samples": len(keys),
             "value": mean,
             "stderr": stderr,
-            "reference": reference,
-            "tolerance": tolerance,
-            "pass": mean >= reference - tolerance,
+            **_at_least(mean, reference, _SEESAW_SLACK + _stderr_tolerance(stderr)),
         }
     ]
 
@@ -419,9 +423,7 @@ def run_meg(opts: dict) -> list[dict]:
             "lhs": lhs,
             "rhs": rhs,
             "value": gap,
-            "reference": 0.0,
-            "tolerance": _MEG_GAP_TOL,
-            "pass": gap < _MEG_GAP_TOL,
+            **_below(gap, _MEG_GAP_TOL),
         }
     ]
 
@@ -496,40 +498,20 @@ def run_selftest(opts: dict) -> list[dict]:
     ):
         failure = check_correctness(e, e_keys)
         rows.append(
-            {
-                "check": f"correctness_{name}",
-                "value": failure,
-                "reference": 0.0,
-                "tolerance": tolerance,
-                "pass": failure <= tolerance,
-            }
+            {"check": f"correctness_{name}", "value": failure, **_within(failure, 0.0, tolerance)}
         )
 
     zero = np.diag([1.0, 0.0]).astype(complex)
     one = np.diag([0.0, 1.0]).astype(complex)
     val = attacks.projector_strategy_value(zero, one, 0.25)
     rows.append(
-        {
-            "check": "projector_strategy_pure_pair",
-            "value": val,
-            "reference": 9.0 / 16.0,
-            "tolerance": 1e-9,
-            "pass": abs(val - 9.0 / 16.0) <= 1e-9,
-        }
+        {"check": "projector_strategy_pure_pair", "value": val, **_within(val, 9.0 / 16.0, 1e-9)}
     )
 
     atk = attacks.measure_share_ml_attack(scheme, attacks.breidbart_basis())
     val = attacks.pwin_unif_eval(scheme, atk, keys)
     ref = 0.5 + 0.5 / math.sqrt(2.0)
-    rows.append(
-        {
-            "check": "bb84_breidbart_attack",
-            "value": val,
-            "reference": ref,
-            "tolerance": 1e-9,
-            "pass": abs(val - ref) <= 1e-9,
-        }
-    )
+    rows.append({"check": "bb84_breidbart_attack", "value": val, **_within(val, ref, 1e-9)})
 
     for row in run_o2h(opts):
         renamed = {"check": f"o2h_{row['quantity']}"}
@@ -537,26 +519,10 @@ def run_selftest(opts: dict) -> list[dict]:
         rows.append(renamed)
 
     mean, stderr = stats.max_over_sum_estimate([1, 1], 20000, make_rng(271828))
-    rows.append(
-        {
-            "check": "erlang_pair_ratio",
-            "value": mean,
-            "reference": 0.75,
-            "tolerance": 0.01,
-            "pass": abs(mean - 0.75) <= 0.01,
-        }
-    )
+    rows.append({"check": "erlang_pair_ratio", "value": mean, **_within(mean, 0.75, 0.01)})
 
     _, _, gap = meg.verify_reduction(scheme, atk, keys)
-    rows.append(
-        {
-            "check": "meg_reduction_gap",
-            "value": gap,
-            "reference": 0.0,
-            "tolerance": _MEG_GAP_TOL,
-            "pass": gap < _MEG_GAP_TOL,
-        }
-    )
+    rows.append({"check": "meg_reduction_gap", "value": gap, **_below(gap, _MEG_GAP_TOL)})
 
     return rows
 

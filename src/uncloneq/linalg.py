@@ -22,10 +22,12 @@ driver: it splits an estimate's trials over ``_LANES = 2`` spawned streams,
 runs them on threads (numpy releases the interpreter lock while it fills
 arrays and in batched ``qr`` and matmul), draws each lane's trials in
 chunks and adds the values and their squares in trial order, so its
-output depends on the seed and the lane count, never on the chunk size or
-on how many CPUs ran the lanes.  Every estimate sizes its chunks from the
-one budget ``LANE_BYTES`` (512 KB), divided by the bytes its main array
-takes per trial.
+output depends on the seed and the lane count, never on how many CPUs ran
+the lanes.  It is independent of the chunk size only when ``draw`` reads
+its stream row by row: :func:`uncloneq.attacks.random_basis_attack_estimate`
+draws a chunk's ranks and then its unitaries, so its result is not.  Every
+estimate sizes its chunks from the one budget ``LANE_BYTES`` (512 KB),
+divided by the bytes its main array takes per trial.
 """
 
 from __future__ import annotations

@@ -305,11 +305,13 @@ def _seesaw(
     ``rho[k]`` holds key k's ``(M, s, s)`` support blocks and ``rows`` the
     support rows' Bob and Charlie indices ``(b(S), c(S))``, as
     :func:`_chunk_matrices` gives them; ``starts[k, t]`` is Charlie's start
-    POVM ``t`` for key k.  Bob's conditional operator
-    ``tr_C((I ⊗ Q_x) rho_x) / M`` is ``Pᵀ (rho_S ∘ Qᵀ[c(S), c(S)]) P``, with
-    ``P`` the one-hot ``(s, side)`` map of ``b(S)``, and Charlie's is the
-    mirror image: a gather, a product and two matmuls per side and sweep,
-    over every live (key, start, outcome).  Each problem keeps its last
+    POVM ``t`` for key k; ``_seesaw`` takes ``starts`` over as Charlie's
+    effect stack and overwrites it with each problem's final effects.
+    Bob's conditional operator ``tr_C((I ⊗ Q_x) rho_x) / M`` is
+    ``Pᵀ (rho_S ∘ Qᵀ[c(S), c(S)]) P``, with ``P`` the one-hot
+    ``(s, side)`` map of ``b(S)``, and Charlie's is the mirror image: a
+    gather, a product and two matmuls per side and sweep, over every live
+    (key, start, outcome).  Each problem keeps its last
     value and sweep count, and stops on its own once a sweep gains less
     than ``_SEESAW_EPS`` over the one before, or after ``_SEESAW_ITERS``
     sweeps.  Returns each key's best start: its value and sweep count.
