@@ -36,7 +36,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import attacks, meg, o2h, optimize, stats
-from .config import check_entries
+from .config import check_entries, key_chunks
 from .errors import UncloneqError
 from .linalg import KrausChannel, make_rng
 from .schemes import (
@@ -155,6 +155,11 @@ def _stderr_trials(opts: dict) -> int:
     if trials < 2:
         raise ValueError(f"--trials must be at least 2 for a standard-error gate, got {trials}")
     return trials
+
+
+def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
+    # the sample mean of per-key values and its standard error, over at least two keys
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(len(values)))
 
 
 def _stderr_tolerance(stderr: float) -> float:
@@ -312,14 +317,15 @@ def _has_attack(name: str, big_m: int) -> bool:
     return name != "cloner" or big_m == 2
 
 
-def _check_channel(d: int, big_m: int, name: str, restarts: int | None = None) -> None:
+def _check_channel(d: int, big_m: int, name: str, restarts: int | None = None) -> int | None:
     """Refuse a channel name, or a size that cannot fit in memory, before anything is built.
 
     An unknown name, the qubit Breidbart basis at ``d != 2``, Kraus factors
     above ``config.ENTRIES_CAP`` and, given a seesaw's ``restarts``, a
     key's support blocks or lockstep rows above the cap or a restart count
     below 1 (:func:`optimize.seesaw_key_entries`) raise ``ValueError``,
-    naming the channel and ``d``.
+    naming the channel and ``d``.  Given ``restarts``, returns the
+    entries one seesaw key holds, else ``None``.
     """
     if name not in _CHANNELS:
         raise ValueError(f"--channel {name!r} is not a known channel")
@@ -336,9 +342,10 @@ def _check_channel(d: int, big_m: int, name: str, restarts: int | None = None) -
     where = f"the {name} channel at d = {d}"
     try:
         check_entries(n * side * side * rank, f"its Kraus factors ({n} x {side}^2 x {rank})")
-        if restarts is not None:
-            where += f" with --restarts {restarts}"
-            optimize.seesaw_key_entries(big_m, side, support, restarts, _has_attack(name, big_m))
+        if restarts is None:
+            return None
+        where += f" with --restarts {restarts}"
+        return optimize.seesaw_key_entries(big_m, side, support, restarts, _has_attack(name, big_m))
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from exc
 
@@ -370,9 +377,9 @@ def run_seesaw(opts: dict) -> list[dict]:
     ch, atk = _channel(scheme, name)
     keys = scheme.sample_keys(make_rng(opts["seed"]), trials)
     warm = None if atk is None else atk.bob_effects
-    mean, stderr = optimize.pwin_unif_seesaw(
-        scheme, ch, keys, make_rng(opts["seed"], stream=1), restarts, warm_start=warm
-    )
+    rngs = [make_rng(opts["seed"], stream=1)] * trials
+    values = optimize.pwin_unif_seesaw(scheme, ch, keys, rngs, restarts, warm_start=warm)
+    mean, stderr = _mean_stderr(values)
     # what the warm start is known to reach: the constant guess without one, the projector
     # strategy's 1/2 + mu/16, and the decoding's own value
     if atk is None:
@@ -455,34 +462,38 @@ def run_conjecture_scan(opts: dict) -> list[dict]:
     big_m, d = opts["M"], opts["d"]
     _check_message_count(big_m, d, f"--M {big_m} and --d {d}")
     # refuses d >= 256 before the splits are counted in O(d M)
-    _check_channel(d, big_m, "cloner", restarts)
+    per_key = _check_channel(d, big_m, "cloner", restarts)
     count = _partition_count(d, big_m)
     check_entries(count * big_m, f"--M {big_m} and --d {d}: a list of {count} rank splits")
-    # the cloner and its warm start depend on M and d only, so one split's scheme
-    # sets up every split
-    first = RankDistribution.deterministic((d - big_m + 1,) + (1,) * (big_m - 1))
-    ch, atk = _channel(haar_scheme(big_m, d, first), "cloner")
+    splits = _partitions(d, big_m)
+    # the cloner and its warm start depend on M and d only, and a Haar key carries its
+    # ranks, so the first split's scheme sets up and encrypts every split
+    scheme = haar_scheme(big_m, d, RankDistribution.deterministic(splits[0]))
+    ch, atk = _channel(scheme, "cloner")
     warm = None if atk is None else atk.bob_effects
     rng = make_rng(opts["seed"])
     rows = []
-    for i, t in enumerate(_partitions(d, big_m)):
-        scheme = haar_scheme(big_m, d, RankDistribution.deterministic(t))
-        keys = scheme.sample_keys(rng, trials)
-        mean, stderr = optimize.pwin_unif_seesaw(
-            scheme, ch, keys, make_rng(opts["seed"], stream=i + 1), restarts, warm_start=warm
-        )
-        rows.append(
-            {
-                "M": big_m,
-                "d": d,
-                "t": "-".join(str(x) for x in t),
-                "value": mean,
-                "stderr": stderr,
-                "reference": None,
-                "tolerance": None,
-                "pass": None,
-            }
-        )
+    # whole splits share a chunk; each draws keys from rng and restarts from its own stream
+    for batch in key_chunks(len(splits), trials * per_key):
+        keys, rngs = [], []
+        for i, t in enumerate(splits[batch], batch.start):
+            keys += haar_scheme(big_m, d, RankDistribution.deterministic(t)).sample_keys(rng, trials)
+            rngs += [make_rng(opts["seed"], stream=i + 1)] * trials
+        values = optimize.pwin_unif_seesaw(scheme, ch, keys, rngs, restarts, warm_start=warm)
+        for t, split_values in zip(splits[batch], values.reshape(-1, trials)):
+            mean, stderr = _mean_stderr(split_values)
+            rows.append(
+                {
+                    "M": big_m,
+                    "d": d,
+                    "t": "-".join(str(x) for x in t),
+                    "value": mean,
+                    "stderr": stderr,
+                    "reference": None,
+                    "tolerance": None,
+                    "pass": None,
+                }
+            )
     return rows
 
 

@@ -29,13 +29,13 @@ and a one-hot contraction.  Keys are walked by :func:`config.key_chunks`
 like every other evaluator's, with one per-key count
 (:func:`seesaw_key_entries`): a key's support blocks and its lockstep
 rows, each at most ``config.ENTRIES_CAP`` entries.  Each (key, start)
-pair keeps only its last value and sweep count, and the stacked seesaw
-hands back its best start's pair per key.
+pair keeps only its last value and sweep count, the stacked seesaw
+hands back its best start's pair per key, and :func:`pwin_unif_seesaw`
+returns each key's value, key k's restarts drawn from ``rngs[k]``.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -253,22 +253,23 @@ def discriminate(
 
 
 def _starts(
-    n: int, dc: int, warm: Array | None, keys: int, rng: np.random.Generator, restarts: int
+    n: int, dc: int, warm: Array | None, rngs: Sequence[np.random.Generator], restarts: int
 ) -> Array:
-    """Charlie's start POVMs for each of ``keys`` keys, as a ``(keys, S, n, dc, dc)`` stack.
+    """Charlie's start POVMs for each key, as a ``(K, S, n, dc, dc)`` stack, ``K = len(rngs)``.
 
     Each key's ensemble has ``n`` equally likely labels and Charlie's side
     has dimension ``dc``.  Per key: its ``(n, dc, dc)`` effects in the
-    ``(keys, n, dc, dc)`` stack ``warm``, when given, then the constant
+    ``(K, n, dc, dc)`` stack ``warm``, when given, then the constant
     guess of label 0 (which pins the value to at least ``1/n``), then
     ``restarts`` Haar-random projective POVMs, whose outcome x projects
     onto the columns ``i = x mod n`` of a Haar unitary (a zero effect for
-    ``x >= dc``).  All restarts come from one draw of ``rng`` that reads
-    it key by key and restart by restart, each unitary's real then
-    imaginary part, as one :func:`~uncloneq.linalg.haar_unitary` call per
-    restart would.
+    ``x >= dc``).  Key k's restarts come from one draw of ``rngs[k]``,
+    in key order, that reads it restart by restart, each unitary's real
+    then imaginary part, as one :func:`~uncloneq.linalg.haar_unitary`
+    call per restart would; keys that share one generator read it in turn.
     """
-    g = rng.standard_normal((keys * restarts, 2, dc, dc))
+    keys = len(rngs)
+    g = np.concatenate([rng.standard_normal((restarts, 2, dc, dc)) for rng in rngs])
     u = _haar_from_ginibre(g[:, 0] + 1j * g[:, 1])
     randoms = np.zeros((keys * restarts, n, dc, dc), dtype=complex)
     for x in range(min(n, dc)):
@@ -384,14 +385,14 @@ def pwin_unif_seesaw(
     e: QecmScheme,
     ch: KrausChannel,
     keys: Sequence,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
     restarts: int,
     warm_start: Callable[[Array], Array] | None = None,
-) -> tuple[float, float]:
-    """Seesaw estimate of the uniform-message success for a fixed channel.
+) -> Array:
+    """Each key's seesaw value of the uniform-message success for a fixed channel.
 
     With the cloning channel fixed, the per-key POVM optimizations
-    decouple, so this averages per-key seesaw values over ``keys``.
+    decouple, so this returns the ``(K,)`` array of each key's best value.
     ``warm_start``, when given, maps a chunk's ``(K, M, d, d)`` ciphertext
     stack to Charlie's first start for each of its keys, a ``(K, M, side,
     side)`` effect stack checked as a receiver's effects are
@@ -399,11 +400,13 @@ def pwin_unif_seesaw(
     the chunks of :func:`config.key_chunks`, each key counted by
     :func:`seesaw_key_entries`, every (key, start) pair of a chunk as one
     lockstep stack.  Each chunk's keys are read once, as one stack
-    (:func:`_chunk_matrices`); ``restarts`` restarts per key, at least
-    one, are drawn from ``rng`` key by key.  Returns the sample mean and
-    standard error of a statistical lower bound estimate.
+    (:func:`_chunk_matrices`); key k's ``restarts`` restarts, at least
+    one, are drawn from ``rngs[k]`` in key order, so ``[rng] * K`` reads
+    one generator key by key (:func:`_starts`).
     """
     check_keys(keys)
+    if len(rngs) != len(keys):
+        raise ValueError(f"need one generator per key, got {len(rngs)} for {len(keys)} keys")
     n = e.message_count
     side = receiver_dim(e, ch)
     per_key = seesaw_key_entries(n, side, len(_support(ch.left)), restarts, warm_start is not None)
@@ -414,9 +417,6 @@ def pwin_unif_seesaw(
         warm = None
         if warm_start is not None:
             warm = receiver_effects(warm_start, warm_start, stack, (side, side))[0]
-        starts = _starts(n, side, warm, len(stack), rng, restarts)
+        starts = _starts(n, side, warm, rngs[chunk], restarts)
         vals.append(_seesaw(rho, rows, (side, side), starts)[0])
-    vals = np.concatenate(vals)
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
-    return mean, stderr
+    return np.concatenate(vals)

@@ -26,6 +26,7 @@ descriptor.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -99,7 +100,7 @@ def validate_effects(effects: Array) -> None:
 
 @dataclass(frozen=True)
 class RankDistribution:
-    """Distribution over rank vectors ``t`` with positive entries summing to d."""
+    """Finite real probabilities over rank vectors ``t`` with positive entries summing to d."""
 
     support: tuple[tuple[int, ...], ...]
     probabilities: tuple[float, ...]
@@ -107,6 +108,9 @@ class RankDistribution:
     def __post_init__(self) -> None:
         if not all(is_integer(x) for t in self.support for x in t):
             raise InvalidRanks(f"ranks must be integers, got {[list(t) for t in self.support]}")
+        for p in self.probabilities:
+            if isinstance(p, bool) or not isinstance(p, numbers.Real) or not math.isfinite(p):
+                raise InvalidRanks(f"probabilities must be finite real numbers, got {p!r}")
         support = tuple(tuple(int(x) for x in t) for t in self.support)
         probs = tuple(float(p) for p in self.probabilities)
         object.__setattr__(self, "support", support)

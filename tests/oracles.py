@@ -94,7 +94,7 @@ def seesaw_run(states, rng: np.random.Generator, restarts: int) -> SeesawRun:
     side = math.isqrt(dim)
     identity = KrausChannel(dim, dim, (np.eye(dim, dtype=complex),))
     rho, *rows = optimize._chunk_matrices(identity, states[None], side)
-    starts = optimize._starts(m, side, None, 1, rng, restarts)
+    starts = optimize._starts(m, side, None, [rng], restarts)
 
     def run() -> tuple[float, int]:
         # _seesaw updates Charlie's effects in the start stack it is given

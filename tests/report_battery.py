@@ -2,7 +2,7 @@
 
 ``ARGV`` lists command lines of ``uncloneq``: each subcommand's defaults,
 README's command lines, every seesaw channel and meg attack on bb84, Haar,
-random-rank and three-message schemes, both conjecture-scan shapes and the
+random-rank and three-message schemes, three conjecture-scan shapes and the
 refused command lines of ``test_cli.py``, at several seeds.
 ``report_battery.txt`` holds, for each, its exit code and its full
 stdout; ``test_report_battery.py`` runs every command line in process and
@@ -99,6 +99,8 @@ ARGV: list[list[str]] = [
     # both scan shapes
     *_seeded("conjecture-scan", "--M", "2", "--d", "8", "--trials", "3"),
     *_seeded("conjecture-scan", "--M", "3", "--d", "6", "--trials", "3"),
+    # a four-message scan whose two splits share one chunk
+    *_seeded("conjecture-scan", "--M", "4", "--d", "6", "--trials", "2"),
     # command lines test_cli.py refuses: usage errors, out-of-range input and oversize runs
     ["erlang"],
     ["no-such-command"],
@@ -131,6 +133,8 @@ ARGV: list[list[str]] = [
             ["lemma1", "--scheme", '{"type":"bb84","n":null}'],
             ["lemma1", "--scheme", '{"type":"haar","M":2,"d":2,"tdist":[[[1,1.5],1.0]]}'],
             ["lemma1", "--scheme", '{"type":"haar","M":2,"d":3,"tdist":[[[true,2],1.0]]}'],
+            ["seesaw", "--scheme", '{"type":"haar","M":2,"d":3,"tdist":[[[1,2],0.5],[[2,1],NaN]]}',
+             "--trials", "2"],
             ["lemma1", "--trials", "0"],
             ["lemma1", "--trials", "-5"],
             ["meg", "--trials", "0"],

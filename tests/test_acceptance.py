@@ -159,8 +159,8 @@ def test_criterion_09_seesaw_soundness():
     e = bb84_scheme(1)
     key = e.enumerate_keys()[0]
     atk = projector_cloning_attack(e)
-    warm_value, _ = pwin_unif_seesaw(
-        e, atk.channel, [key], make_rng(209, stream=99), 2, warm_start=atk.bob_effects
+    (warm_value,) = pwin_unif_seesaw(
+        e, atk.channel, [key], [make_rng(209, stream=99)], 2, warm_start=atk.bob_effects
     )
     warm_ok = warm_value >= 0.5625 - 1e-6
 

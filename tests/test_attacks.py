@@ -678,8 +678,8 @@ def test_key_averaging_evaluator_takes_one_required_key_list(evaluator):
     # drawn again inside; the benchmark tracer reads ``keys`` from bound arguments
     params = inspect.signature(evaluator).parameters
     assert "key_samples" not in params
-    # the seesaw's rng draws its restarts, never keys (test_each_key_is_read_once counts them)
-    assert "rng" not in params or evaluator is pwin_unif_seesaw
+    # the seesaw's rngs draw its restarts, never keys (test_each_key_is_read_once counts them)
+    assert not {"rng", "rngs"} & set(params) or evaluator is pwin_unif_seesaw
     assert params["keys"].default is inspect.Parameter.empty
 
 
@@ -689,7 +689,7 @@ def test_key_averaging_evaluator_refuses_an_empty_key_list(evaluator):
     e = bb84_scheme(1)
     atk, m1, _ = ind_attack_build(e, 0, 0.25, e.enumerate_keys())
     given = {"e": e, "m0": 0, "m1": m1, "alpha": 0.25, "atk": atk, "ch": atk.channel, "keys": []}
-    given["rng"], given["restarts"] = make_rng(0), 1
+    given["rngs"], given["restarts"] = [], 1
     params = inspect.signature(evaluator).parameters
     args = {name: given[name] for name, p in params.items() if p.default is p.empty}
     with pytest.raises(ValueError, match="keys"):

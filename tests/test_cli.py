@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from uncloneq import attacks, cli, config, linalg, optimize, schemes
@@ -224,9 +225,8 @@ def test_key_chunking_does_not_change_reports(args, capsys, monkeypatch):
     assert min(steps) >= 2
 
 
-def test_sixty_key_seesaw_runs_as_one_lockstep_chunk(capsys, monkeypatch):
-    # 107 of its 1224-entry keys fit in the 2^17-entry budget, so all 60 keys are one
-    # _seesaw call
+def _seesaw_chunks(argv, capsys, monkeypatch):
+    # exit code, report and the key count of every _seesaw call of one run
     calls = []
     seesaw = optimize._seesaw
 
@@ -235,10 +235,46 @@ def test_sixty_key_seesaw_runs_as_one_lockstep_chunk(capsys, monkeypatch):
         return seesaw(rho, *args)
 
     monkeypatch.setattr(optimize, "_seesaw", counted)
-    code, _ = run_cli(["seesaw", "--scheme", "uniform_haar:2,3", "--channel", "measure_share",
-                       "--trials", "60", "--seed", "3"], capsys)
+    return (*run_cli(argv, capsys), calls)
+
+
+def test_sixty_key_seesaw_runs_as_one_lockstep_chunk(capsys, monkeypatch):
+    # 107 of its 1224-entry keys fit in the 2^17-entry budget, so all 60 keys are one
+    # _seesaw call
+    code, _, calls = _seesaw_chunks(["seesaw", "--scheme", "uniform_haar:2,3", "--channel",
+                                     "measure_share", "--trials", "60", "--seed", "3"],
+                                    capsys, monkeypatch)
     assert code == 0
     assert calls == [60]
+
+
+def test_scan_splits_share_lockstep_chunks(capsys, monkeypatch):
+    # a key holds 5904 entries, so three 6-key splits fit in the 2^17-entry budget and
+    # the four splits are two _seesaw calls, not one per split
+    code, report, calls = _seesaw_chunks(["conjecture-scan", "--M", "2", "--d", "8",
+                                          "--trials", "6", "--seed", "1"], capsys, monkeypatch)
+    assert code == 0
+    assert len(report.splitlines()) == 1 + 4
+    assert calls == [18, 6]
+
+
+def test_scan_never_holds_all_its_keys(capsys, monkeypatch):
+    # 133 splits of one key per chunk; drawing all 266 keys before the first chunk
+    # peaked at 10.3 MB, drawing them chunk by chunk at 3.7 MB
+    def zeros(rho, rows, dims, starts):
+        return np.zeros(len(rho)), np.zeros(len(rho), dtype=int)
+
+    monkeypatch.setattr(optimize, "_seesaw", zeros)
+    argv = ["conjecture-scan", "--M", "3", "--d", "40", "--trials", "2", "--seed", "1"]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 133
+    assert code == 0
+    assert peak < 6 * 2**20
 
 
 @pytest.mark.parametrize(

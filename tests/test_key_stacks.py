@@ -117,7 +117,7 @@ def _counting(e):
 def _cloner_seesaw(e, keys):
     warm = projector_cloning_attack(e).bob_effects
     ch = superposition_cloner(e.cipher_dim)
-    return pwin_unif_seesaw(e, ch, keys, make_rng(5), 1, warm_start=warm)
+    return pwin_unif_seesaw(e, ch, keys, [make_rng(5)] * len(keys), 1, warm_start=warm)
 
 
 def _measure_share_seesaw(e, keys):
@@ -127,7 +127,7 @@ def _measure_share_seesaw(e, keys):
         return optimal_decode_for_measure_share(stack, basis)[0]
 
     ch = measure_share_attack(e.cipher_dim, basis)
-    return pwin_unif_seesaw(e, ch, keys, make_rng(5), 1, warm)
+    return pwin_unif_seesaw(e, ch, keys, [make_rng(5)] * len(keys), 1, warm)
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ from uncloneq.attacks import (
     superposition_cloner,
 )
 from uncloneq import optimize
-from uncloneq.cli import main
+from uncloneq.cli import _mean_stderr, main
 from uncloneq.errors import CrossCheckFailed, DimensionMismatch, InvalidOperator, NotHermitian
 from uncloneq.linalg import KrausChannel, apply_channel, dagger, haar_unitary, herm_eig, make_rng
 from uncloneq.optimize import discriminate, pwin_unif_seesaw
@@ -306,8 +306,8 @@ class TestSeesaw:
         e = bb84_scheme(1)
         key = e.enumerate_keys()[0]
         atk = projector_cloning_attack(e)
-        value, _ = pwin_unif_seesaw(
-            e, atk.channel, [key], make_rng(1), 2, warm_start=atk.bob_effects
+        (value,) = pwin_unif_seesaw(
+            e, atk.channel, [key], [make_rng(1)], 2, warm_start=atk.bob_effects
         )
         assert value >= 9 / 16 - 1e-6
 
@@ -332,20 +332,23 @@ class TestSeesaw:
         ch = measure_share_attack(2, np.eye(2, dtype=complex))
         bad = constant_map((np.eye(3, dtype=complex), np.zeros((3, 3), complex)))
         with pytest.raises(DimensionMismatch):
-            pwin_unif_seesaw(e, ch, e.sample_keys(rng, 2), make_rng(1), 1, warm_start=bad)
+            pwin_unif_seesaw(e, ch, e.sample_keys(rng, 2), [make_rng(1)] * 2, 1, warm_start=bad)
 
     def test_config_validation(self):
         e = uniform_haar_scheme(2, 1)
         ch = superposition_cloner(2)
         keys = e.sample_keys(make_rng(0), 2)
         with pytest.raises(ValueError, match="restarts"):
-            pwin_unif_seesaw(e, ch, keys, make_rng(0), 0)
+            pwin_unif_seesaw(e, ch, keys, [make_rng(0)] * 2, 0)
+        # a generator short of the keys would leave a key without restarts
+        with pytest.raises(ValueError, match="one generator per key"):
+            pwin_unif_seesaw(e, ch, keys, [make_rng(0)], 1)
 
     def test_starts_are_warm_then_constant_guess_then_restarts(self):
         # the constant guess is message 0, which pins a start's value to at least 1/M
         rng = make_rng(3)
         warm = np.array([random_projective_povm(3, 4, rng) for _ in range(2)])
-        starts = optimize._starts(4, 3, warm, 2, make_rng(4), 3)
+        starts = optimize._starts(4, 3, warm, [make_rng(4)] * 2, 3)
         assert starts.shape == (2, 5, 4, 3, 3)
         assert np.array_equal(starts[:, 0], warm)
         assert np.array_equal(starts[:, 1, 0], np.broadcast_to(np.eye(3), (2, 3, 3)))
@@ -368,8 +371,10 @@ class TestPwinUnifSeesaw:
         def warm(stack):
             return atk.bob_effects(stack)
 
-        mean, stderr = pwin_unif_seesaw(
-            e, superposition_cloner(2), keys, make_rng(3), 1, warm_start=warm
+        mean, stderr = _mean_stderr(
+            pwin_unif_seesaw(
+                e, superposition_cloner(2), keys, [make_rng(3)] * len(keys), 1, warm_start=warm
+            )
         )
         assert mean >= 9 / 16 - 3 * stderr - 1e-9
 
@@ -382,7 +387,7 @@ class TestPwinUnifSeesaw:
         def warm(stack):
             return optimal_decode_for_measure_share(stack, basis)[0]
 
-        mean, _ = pwin_unif_seesaw(e, ch, keys, make_rng(4), 2, warm_start=warm)
+        mean = pwin_unif_seesaw(e, ch, keys, [make_rng(4)] * 3, 2, warm_start=warm).mean()
         classical = float(
             np.mean(optimal_decode_for_measure_share(e.ciphertext_stack(keys), basis)[1])
         )
@@ -401,11 +406,11 @@ class TestPwinUnifSeesaw:
                 return optimal_decode_for_measure_share(stack, basis)[0]
 
         keys = e.sample_keys(make_rng(7), 5)
-        mean, _ = pwin_unif_seesaw(e, ch, keys, make_rng(8), 2, warm_start=warm)
+        vals = pwin_unif_seesaw(e, ch, keys, [make_rng(8)] * 5, 2, warm_start=warm)
         # one key per call, every call drawing its restarts from one shared generator
         rng = make_rng(8)
-        vals = [pwin_unif_seesaw(e, ch, [key], rng, 2, warm_start=warm)[0] for key in keys]
-        assert abs(mean - np.mean(vals)) < 1e-12
+        one = [pwin_unif_seesaw(e, ch, [key], [rng], 2, warm_start=warm)[0] for key in keys]
+        assert np.array_equal(vals, one)
 
     @pytest.mark.parametrize("channel", ["cloner", "measure_share", "identity_to_bob"])
     def test_chunk_build_equals_per_key_ensembles(self, channel):
@@ -454,7 +459,7 @@ class TestPwinUnifSeesaw:
         ch = KrausChannel(d, side * side, tuple(v.reshape(2, side * side, d)))
         assert ch.left.any(axis=(0, 2)).all()
         keys = e.sample_keys(rng, 4)
-        got = pwin_unif_seesaw(e, ch, keys, make_rng(22), 2)
+        got = _mean_stderr(pwin_unif_seesaw(e, ch, keys, [make_rng(22)] * 4, 2))
         assert got == pytest.approx((value, stderr), abs=1e-12, rel=0)
 
     def test_chunk_build_checks_hermiticity(self, rng):
@@ -471,13 +476,13 @@ class TestPwinUnifSeesaw:
         e = uniform_haar_scheme(2, 1)
         ch = KrausChannel(2, 6, (np.kron(np.eye(2, dtype=complex), np.eye(3, 1, dtype=complex)),))
         with pytest.raises(DimensionMismatch):
-            pwin_unif_seesaw(e, ch, e.sample_keys(rng, 2), make_rng(5), 1)
+            pwin_unif_seesaw(e, ch, e.sample_keys(rng, 2), [make_rng(5)] * 2, 1)
 
     def test_identity_to_bob_floor(self, rng):
         e = uniform_haar_scheme(2, 1)
         ch = _identity_to_bob(2)
         rng = make_rng(5)
-        mean, _ = pwin_unif_seesaw(e, ch, e.sample_keys(rng, 3), rng, 2)
+        mean = pwin_unif_seesaw(e, ch, e.sample_keys(rng, 3), [rng] * 3, 2).mean()
         assert mean >= 0.5 - 1e-9
 
 

@@ -81,6 +81,15 @@ class TestHaarScheme:
         with pytest.raises(InvalidRanks):
             RankDistribution(support, (1.0,))
 
+    @pytest.mark.parametrize(
+        "probs", [(0.5, float("nan")), ("1.0", 0.0), (True, 0.0)], ids=["nan", "text", "bool"]
+    )
+    def test_non_real_probabilities_rejected(self, probs):
+        # every comparison with NaN is false, so it passed the range and sum checks, and
+        # float() read "1.0" and True as 1
+        with pytest.raises(InvalidRanks, match="finite real"):
+            RankDistribution(((1, 2), (2, 1)), probs)
+
 
 class TestUniformHaarScheme:
     def test_small_cases(self, rng):
@@ -191,6 +200,7 @@ class TestExpurgateScheme:
     def test_expurgation_value_inequality(self, rng):
         # (M'/M) pwin(e') <= pwin(e) for the scheme pair, via seesaw estimates
         from uncloneq.attacks import superposition_cloner
+        from uncloneq.cli import _mean_stderr
         from uncloneq.optimize import pwin_unif_seesaw
 
         e = uniform_haar_scheme(4, 1)
@@ -198,8 +208,8 @@ class TestExpurgateScheme:
         keys = [e.key_sampler(rng) for _ in range(3)]
         ch = superposition_cloner(4)
         rng = make_rng(5)
-        full, se_full = pwin_unif_seesaw(e, ch, keys, rng, 2)
-        part, se_part = pwin_unif_seesaw(exp, ch, keys, rng, 2)
+        full, se_full = _mean_stderr(pwin_unif_seesaw(e, ch, keys, [rng] * len(keys), 2))
+        part, se_part = _mean_stderr(pwin_unif_seesaw(exp, ch, keys, [rng] * len(keys), 2))
         slack = 3.0 * (se_full + se_part) + 1e-6
         assert 0.5 * part <= full + slack
 
